@@ -73,18 +73,15 @@ cloneProgram(const Program &program)
 
 /**
  * Compile @p program in place through a single-unit Session and return
- * that unit's result. One thread is the sequential fast path; more
- * threads spin up the work-stealing pool, which formation uses for
- * speculative parallel trial rounds (DESIGN.md §11).
+ * that unit's result.
  */
 FunctionResult
-compileOne(Program &program, const SessionOptions &options,
-           int threads = 1)
+compileOne(Program &program, const SessionOptions &options)
 {
     Session session(options);
     ProfileData profile; // frequencies already annotated on branches
     session.addProgramRef(program, profile);
-    SessionResult result = session.compile(threads);
+    SessionResult result = session.compile(1);
     return std::move(result.functions[0]);
 }
 
@@ -232,11 +229,9 @@ struct FormationTiming
     std::string name;
     size_t blocks = 0;
     size_t insts = 0;
-    int64_t cachedUs = 0;   ///< caches on, full-pass opt (CHF_INCR_OPT=0)
-    int64_t incroptUs = 0;  ///< caches on, seam-scoped incremental opt
+    int64_t cachedUs = 0;   ///< analysis and trial caches on
     int64_t nocacheUs = 0;
     int64_t notrialUs = 0;  ///< analysis cache on, trial cache off
-    int64_t parallelUs = 0; ///< cached, speculative trials on 4 threads
     int64_t merges = 0;
 
     // Trial-merge breakdown of the fully-cached run.
@@ -247,15 +242,12 @@ struct FormationTiming
     int64_t usMergeOptimize = 0;
     int64_t usMergeLegal = 0;
 
-    // Per-pass optimizer breakdown and seam hit ratio of the
-    // incremental-opt run (the usOpt* / optSeam* engine counters).
+    // Per-pass optimizer breakdown (the usOpt* engine counters).
     int64_t usOptCopyProp = 0;
     int64_t usOptGvn = 0;
     int64_t usOptPredOpt = 0;
     int64_t usOptDce = 0;
     int64_t usOptCoalesce = 0;
-    int64_t seamVisited = 0;
-    int64_t seamTotal = 0;
 };
 
 /** Resolve registry workloads and the synthetic "synthN" names. */
@@ -280,8 +272,7 @@ buildNamed(const std::string &name, Program *out)
 int64_t
 timeFormationUs(const Program &prepared, bool use_cache,
                 bool use_trial_cache, int repeats,
-                FormationTiming *fill = nullptr, int threads = 1,
-                bool use_incremental_opt = true)
+                FormationTiming *fill = nullptr)
 {
     if (use_cache)
         unsetenv("CHF_DISABLE_ANALYSIS_CACHE");
@@ -291,10 +282,6 @@ timeFormationUs(const Program &prepared, bool use_cache,
         unsetenv("CHF_TRIAL_CACHE");
     else
         setenv("CHF_TRIAL_CACHE", "0", 1);
-    if (use_incremental_opt)
-        unsetenv("CHF_INCR_OPT");
-    else
-        setenv("CHF_INCR_OPT", "0", 1);
 
     int64_t best = -1;
     for (int r = 0; r < repeats; ++r) {
@@ -303,8 +290,7 @@ timeFormationUs(const Program &prepared, bool use_cache,
             copy,
             SessionOptions()
                 .withPipeline(Pipeline::IUPO_fused)
-                .withBackend(false),
-            threads);
+                .withBackend(false));
         int64_t us = result.stats.get("usFormation");
         if (best < 0 || us < best)
             best = us;
@@ -322,13 +308,10 @@ timeFormationUs(const Program &prepared, bool use_cache,
             fill->usOptPredOpt = result.stats.get("usOptPredOpt");
             fill->usOptDce = result.stats.get("usOptDce");
             fill->usOptCoalesce = result.stats.get("usOptCoalesce");
-            fill->seamVisited = result.stats.get("optSeamVisited");
-            fill->seamTotal = result.stats.get("optSeamTotal");
         }
     }
     unsetenv("CHF_DISABLE_ANALYSIS_CACHE");
     unsetenv("CHF_TRIAL_CACHE");
-    unsetenv("CHF_INCR_OPT");
     return best;
 }
 
@@ -348,17 +331,11 @@ sweepFormation(int repeats)
         // Untimed warmup so the first configuration measured does not
         // absorb the workload's cold-start (allocator, page faults).
         timeFormationUs(prepared, true, true, 1);
-        // The counter breakdown (trials, per-pass timing, seam ratio)
-        // describes the incremental-opt run -- the default engine
-        // configuration; formation_us_cached keeps its historical
-        // meaning (caches on, full-pass per-trial optimization).
-        t.incroptUs = timeFormationUs(prepared, true, true, repeats, &t);
-        t.cachedUs = timeFormationUs(prepared, true, true, repeats,
-                                     nullptr, 1, false);
+        // The counter breakdown (trials, per-pass timing) describes the
+        // fully cached run, the default engine configuration.
+        t.cachedUs = timeFormationUs(prepared, true, true, repeats, &t);
         t.nocacheUs = timeFormationUs(prepared, false, true, repeats);
         t.notrialUs = timeFormationUs(prepared, true, false, repeats);
-        t.parallelUs = timeFormationUs(prepared, true, true, repeats,
-                                       nullptr, 4);
         out.push_back(std::move(t));
     }
     return out;
@@ -564,18 +541,12 @@ writeJson(const std::string &path,
                              ? static_cast<double>(t.nocacheUs) /
                                    static_cast<double>(t.cachedUs)
                              : 0.0;
-        double seam_ratio =
-            t.seamTotal > 0 ? static_cast<double>(t.seamVisited) /
-                                  static_cast<double>(t.seamTotal)
-                            : 1.0;
         os << "    {\"name\": \"" << t.name << "\", \"blocks\": "
            << t.blocks << ", \"insts\": " << t.insts
            << ", \"merges\": " << t.merges
            << ", \"formation_us_cached\": " << t.cachedUs
-           << ", \"formation_us_incropt\": " << t.incroptUs
            << ", \"formation_us_nocache\": " << t.nocacheUs
            << ", \"formation_us_notrialcache\": " << t.notrialUs
-           << ", \"formation_us_parallel\": " << t.parallelUs
            << ", \"speedup\": " << speedup
            << ", \"trials_run\": " << t.trialsRun
            << ", \"trials_memo_hit\": " << t.trialsMemoHit
@@ -587,10 +558,7 @@ writeJson(const std::string &path,
            << ", \"us_opt_gvn\": " << t.usOptGvn
            << ", \"us_opt_predopt\": " << t.usOptPredOpt
            << ", \"us_opt_dce\": " << t.usOptDce
-           << ", \"us_opt_coalesce\": " << t.usOptCoalesce
-           << ", \"opt_seam_visited\": " << t.seamVisited
-           << ", \"opt_seam_total\": " << t.seamTotal
-           << ", \"opt_seam_ratio\": " << seam_ratio << "}"
+           << ", \"us_opt_coalesce\": " << t.usOptCoalesce << "}"
            << (i + 1 < sweep.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"parallel\": {\"workload\": \"" << kBatchWorkload
@@ -663,13 +631,10 @@ jsonString(const std::string &text, const std::string &key)
 
 /**
  * Smoke mode for ctest: time cached formation of the largest speclike
- * workload (default configuration — incremental opt on) and the
- * 4-thread parallel batch, and compare each against the recorded
- * baseline. A >2x regression fails the test. The incremental path is
- * additionally timed against an in-run full-pass measurement
- * (CHF_INCR_OPT=0) — it may not be materially slower than the path it
- * replaces. The batch check is skipped when the baseline predates the
- * batch_wall_us_4t key.
+ * workload and the 4-thread parallel batch, and compare each against
+ * the recorded baseline. A >2x regression fails the test. The batch
+ * check is skipped when the baseline predates the batch_wall_us_4t
+ * key.
  */
 int
 runSmoke(const char *baseline_path)
@@ -706,14 +671,7 @@ runSmoke(const char *baseline_path)
     // and page-fault costs that would bias whichever configuration is
     // measured first.
     timeFormationUs(prepared, true, true, 1);
-    // Default configuration: incremental opt on (unless the caller
-    // exported CHF_INCR_OPT=0, which the differential matrix does).
     int64_t us = timeFormationUs(prepared, true, true, 3);
-    // Prefer the incremental-path baseline when the file records one;
-    // fall back to the full-pass cached number for older baselines.
-    int64_t incr_baseline_us = jsonInt(baseline, "formation_us_incropt");
-    if (incr_baseline_us > 0)
-        baseline_us = incr_baseline_us;
     std::fprintf(stderr,
                  "formation_speed_smoke: %s formation %lld us "
                  "(baseline %lld us, limit %lld us)\n",
@@ -725,27 +683,6 @@ runSmoke(const char *baseline_path)
                      "FAIL: formation regressed >2x against the "
                      "recorded baseline (%s)\n",
                      baseline_path);
-        return 1;
-    }
-
-    // The incremental seam path exists to save time; guard it against
-    // the full pass measured in the same run (CHF_INCR_OPT=0), with a
-    // 1.25x tolerance so single-core scheduling noise cannot flake the
-    // gate. A real inversion (incremental materially slower than the
-    // path it replaces) still fails.
-    int64_t full_us =
-        timeFormationUs(prepared, true, true, 3, nullptr, 1, false);
-    std::fprintf(stderr,
-                 "formation_speed_smoke: incremental-opt %lld us vs "
-                 "full-pass %lld us (limit %lld us)\n",
-                 static_cast<long long>(us),
-                 static_cast<long long>(full_us),
-                 static_cast<long long>(full_us + full_us / 4));
-    if (us > full_us + full_us / 4) {
-        std::fprintf(stderr,
-                     "FAIL: incremental trial optimization is >1.25x "
-                     "slower than the full pass it replaces "
-                     "(CHF_INCR_OPT=0) in the same run\n");
         return 1;
     }
 

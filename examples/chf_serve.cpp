@@ -13,7 +13,6 @@
  *             --concurrency=8 --summary    replay client
  *
  * Server knobs (daemon modes):
- *   --threads=N       session workers per compile (default 1)
  *   --cache-cap=N     LRU compile-cache entries (default 256)
  *   --max-inflight=N  concurrent compiles before shedding (default 8)
  *   --timeout-ms=N    default per-request budget (default none)
@@ -21,8 +20,8 @@
  *
  * Client mode sends every line of --replay (stdin if omitted) over
  * --concurrency connections, prints each response, and with --summary
- * tallies statuses — scripts/check_server.sh and the throughput bench
- * drive the campaign this way.
+ * tallies statuses — scripts/check_server.sh drives the campaign this
+ * way.
  */
 
 #include <atomic>
@@ -317,8 +316,6 @@ main(int argc, char **argv)
             summary = true;
         else if (std::strcmp(a, "--quiet") == 0)
             quiet = true;
-        else if (std::strncmp(a, "--threads=", 10) == 0)
-            opts.threads = std::atoi(a + 10);
         else if (std::strncmp(a, "--cache-cap=", 12) == 0)
             opts.cacheCapacity =
                 static_cast<size_t>(std::atoll(a + 12));

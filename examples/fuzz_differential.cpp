@@ -3,8 +3,8 @@
  * Long-campaign driver for the differential fuzz harness
  * (src/workloads/fuzz_harness.h): generated TinyC programs, each
  * compiled through a chf::Session under the full policy × thread ×
- * trial-cache × parallel-trials × fault matrix and checked against
- * the unoptimized simulator oracle plus the byte-identity contracts.
+ * trial-cache × fault matrix and checked against the unoptimized
+ * simulator oracle plus the byte-identity contracts.
  *
  * Run: ./fuzz_differential                       (500-program campaign)
  *      ./fuzz_differential --count=N --seed=S    (custom campaign)

@@ -16,10 +16,6 @@
  *                  aborting; diagnostics are printed at the end
  *   --fault=SPEC   arm the deterministic fault injector, e.g.
  *                  --fault=phase:formation,fn:0,kind:corrupt-ir
- *   --threads=N    worker threads for the compile session (the output
- *                  is identical at any N; this driver has one unit, so
- *                  N mostly matters for batch drivers built on the
- *                  same Session API)
  *   --target=NAME  compile for a registry target model ("trips",
  *                  "trips-wide", "small-block", "deep-lsq"; default
  *                  "trips"). Forwarded in the request in --server
@@ -127,7 +123,6 @@ main(int argc, char **argv)
     std::string fault_spec;
     std::string server_path;
     std::string target_name = "trips";
-    int threads = 1;
     int argi = 1;
     while (argi < argc && argv[argi][0] == '-') {
         if (std::strcmp(argv[argi], "--dump") == 0) {
@@ -140,13 +135,6 @@ main(int argc, char **argv)
             print_source = true;
         } else if (std::strncmp(argv[argi], "--gen=", 6) == 0) {
             gen_spec = argv[argi] + 6;
-        } else if (std::strncmp(argv[argi], "--threads=", 10) == 0) {
-            threads = std::atoi(argv[argi] + 10);
-            if (threads < 1) {
-                std::fprintf(stderr,
-                             "--threads wants a positive integer\n");
-                return 1;
-            }
         } else if (std::strncmp(argv[argi], "--target=", 9) == 0) {
             target_name = argv[argi] + 9;
         } else if (std::strncmp(argv[argi], "--fault=", 8) == 0) {
@@ -161,7 +149,7 @@ main(int argc, char **argv)
     if (argi >= argc && gen_spec.empty()) {
         std::fprintf(stderr,
                      "usage: %s [--dump] [--asm] [--keep-going] "
-                     "[--fault=SPEC] [--threads=N] [--target=NAME] "
+                     "[--fault=SPEC] [--target=NAME] "
                      "program.tc [int args...]\n"
                      "       %s [flags] --gen=seed:S,shape:X[,...] "
                      "[int args...]\n",
@@ -275,8 +263,7 @@ main(int argc, char **argv)
     Session session(SessionOptions()
                         .withPipeline(Pipeline::IUPO_fused)
                         .withTarget(*target)
-                        .withKeepGoing(keep_going)
-                        .withThreads(threads));
+                        .withKeepGoing(keep_going));
     session.addProgramRef(program, profile);
     SessionResult result = session.compile();
     FunctionResult &compiled = result.functions[0];

@@ -4,7 +4,7 @@
 # program campaign under each. ASan catches memory bugs the functional
 # oracle can't see (a transform reading freed blocks can still emit
 # correct code); TSan covers the multi-threaded matrix cells (4-worker
-# sessions, parallel speculative trials). Long unsanitized campaigns
+# sessions). Long unsanitized campaigns
 # run via build/examples/fuzz_differential; see docs/testing.md.
 #
 # Usage: scripts/check_fuzz.sh [count] [first-seed]
@@ -27,9 +27,9 @@ run_shard() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCHF_SANITIZE="$SANITIZER"
     cmake --build "$BUILD_DIR" -j "$JOBS" --target fuzz_differential
-    # Smoke matrix: every axis (threads, trial cache, parallel trials,
-    # fault injection) is exercised without the full 64-cell cross
-    # product, which under a sanitizer would take minutes per program.
+    # Smoke matrix: every axis (threads, trial cache, fault injection)
+    # is exercised without the full 32-cell cross product, which under
+    # a sanitizer would take minutes per program.
     "$BUILD_DIR/examples/fuzz_differential" \
         --smoke --count="$COUNT" --seed="$SEED" --quiet
     echo "check_fuzz: $SANITIZER shard clean ($COUNT programs from seed $SEED)"

@@ -36,7 +36,7 @@ get() { echo "$SUMMARY" | tr ' ' '\n' | sed -n "s/^$1=//p"; }
 
 # A single in-flight slot makes the over-capacity burst deterministic:
 # while one compile holds it, every concurrent compile sheds.
-"$SERVE" --socket="$SOCK" --threads=1 --max-inflight=1 &
+"$SERVE" --socket="$SOCK" --max-inflight=1 &
 DAEMON_PID=$!
 
 for _ in $(seq 1 100); do

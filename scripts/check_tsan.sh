@@ -1,14 +1,11 @@
 #!/bin/sh
-# Race gate for the parallel subsystems: build with ThreadSanitizer
-# (CHF_SANITIZE=thread instruments the whole library — speculative
-# parallel trials run formation/analysis/transform code on pool
-# workers, see DESIGN.md §11) and run every ctest labeled "parallel",
-# "fuzz", or "incropt": the session determinism gate, the
-# work-stealing pool stress tests, the speculative-trial differential
-# matrix, the generated-program differential fuzz smoke (whose matrix
-# includes 4-worker sessions with parallel trials on and off), and the
-# incremental-opt differential matrix (whose fixpoint flags are read
-# by pool workers between fan-out and wait, DESIGN.md §14).
+# Race gate for the parallel session: build with ThreadSanitizer
+# (CHF_SANITIZE=thread instruments the whole library — Session workers
+# run the full per-unit pipeline concurrently, see DESIGN.md §9) and
+# run every ctest labeled "parallel" or "fuzz": the session
+# determinism gate, the deadline/retry gate (watchdog thread vs.
+# session workers), and the generated-program differential fuzz smoke
+# (whose matrix includes 4-worker sessions).
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -24,6 +21,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 4)"
 # halt_on_error: a single race fails the gate immediately instead of
 # scrolling past in a long test log.
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    ctest --test-dir "$BUILD_DIR" -L 'parallel|fuzz|incropt' \
+    ctest --test-dir "$BUILD_DIR" -L 'parallel|fuzz' \
     --output-on-failure
-echo "check_tsan: ctest -L 'parallel|fuzz|incropt' clean under ThreadSanitizer"
+echo "check_tsan: ctest -L 'parallel|fuzz' clean under ThreadSanitizer"

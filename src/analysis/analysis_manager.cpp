@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "support/fatal.h"
 #include "support/timer.h"
 
 namespace chf {
@@ -111,8 +110,6 @@ const Liveness &
 AnalysisManager::liveness()
 {
     if (!cacheEnabled) {
-        CHF_ASSERT(!frozen, "liveness rebuild inside a concurrent-read "
-                            "window would race frozen readers");
         live = std::make_unique<Liveness>(fn);
         return *live;
     }
@@ -122,8 +119,6 @@ AnalysisManager::liveness()
         counters.add("analysisLivenessBuilds");
     } else if (!pendingLive.empty() ||
                live->universe() < fn.numVregs()) {
-        CHF_ASSERT(!frozen, "liveness update inside a concurrent-read "
-                            "window would race frozen readers");
         // predecessors() first: update() walks the region backward.
         const PredecessorMap &preds = predecessors();
         std::vector<BlockId> changed = std::move(pendingLive);
@@ -136,30 +131,9 @@ AnalysisManager::liveness()
     return *live;
 }
 
-const Liveness &
-AnalysisManager::beginConcurrentReads(uint32_t vreg_bound)
-{
-    CHF_ASSERT(!frozen, "concurrent-read windows do not nest");
-    // Materialize on this thread so no worker ever takes a build path.
-    predecessors();
-    Liveness &snapshot = const_cast<Liveness &>(liveness());
-    snapshot.ensureUniverse(vreg_bound);
-    frozen = true;
-    return snapshot;
-}
-
-void
-AnalysisManager::endConcurrentReads()
-{
-    CHF_ASSERT(frozen, "endConcurrentReads without a matching begin");
-    frozen = false;
-}
-
 void
 AnalysisManager::invalidateAll()
 {
-    CHF_ASSERT(!frozen,
-               "CFG mutation inside a concurrent-read window");
     dom.reset();
     loopInfo.reset();
     live.reset();
@@ -174,8 +148,6 @@ void
 AnalysisManager::branchesRewritten(BlockId id,
                                    const std::vector<BlockId> &old_succs)
 {
-    CHF_ASSERT(!frozen,
-               "CFG mutation inside a concurrent-read window");
     if (!cacheEnabled)
         return;
     if (id >= fn.blockTableSize()) {
@@ -199,8 +171,6 @@ void
 AnalysisManager::blockRemoved(BlockId id,
                               const std::vector<BlockId> &old_succs)
 {
-    CHF_ASSERT(!frozen,
-               "CFG mutation inside a concurrent-read window");
     if (!cacheEnabled)
         return;
     patchPredecessors(id, old_succs, {});
@@ -218,8 +188,6 @@ AnalysisManager::blockAbsorbed(BlockId hb, BlockId s,
                                const std::vector<BlockId> &hb_old_succs,
                                const std::vector<BlockId> &s_old_succs)
 {
-    CHF_ASSERT(!frozen,
-               "CFG mutation inside a concurrent-read window");
     if (!cacheEnabled)
         return;
     const BasicBlock *bb =
@@ -272,8 +240,6 @@ AnalysisManager::blockAbsorbed(BlockId hb, BlockId s,
 void
 AnalysisManager::instructionsRewritten(BlockId id)
 {
-    CHF_ASSERT(!frozen,
-               "CFG mutation inside a concurrent-read window");
     if (!cacheEnabled)
         return;
     if (live)

@@ -18,15 +18,7 @@
  * worker constructs its own manager for the function it owns
  * (session.cpp static_asserts the type is non-copyable so a snapshot
  * cannot leak across workers by value). Sharing one instance — or one
- * Function — across threads is NOT supported, with one carefully
- * scoped exception: between beginConcurrentReads() and
- * endConcurrentReads(), the manager is *frozen* — every snapshot is
- * materialized up front, the liveness universe is pre-padded to the
- * caller-supplied register bound, and any mutation event or lazy
- * rebuild inside the window is a programming error (asserted). In that
- * window other threads may read the returned const Liveness & (and any
- * const analysis reference obtained before the freeze) without locks,
- * which is what speculative parallel trial merges do (DESIGN.md §11).
+ * Function — across threads is NOT supported.
  *
  * The invalidation machinery:
  *
@@ -85,27 +77,6 @@ class AnalysisManager
     const LoopInfo &loops();
     const Liveness &liveness();
     const PredecessorMap &predecessors();
-
-    // --- concurrent-read window (speculative parallel trials) ---
-
-    /**
-     * Freeze the manager for lock-free concurrent reads: materializes
-     * the predecessor map and liveness now (on the calling thread) and
-     * pads the liveness universe to at least @p vreg_bound, so a trial
-     * running at a predicted register base below the bound never
-     * triggers a resize mid-read. Returns the frozen liveness; workers
-     * must use that reference (plus const Function reads) and never
-     * call back into the manager. Mutation events assert until
-     * endConcurrentReads(). Padding does not perturb results: set-bit
-     * algebra and Hash64::bits are universe-size-independent.
-     */
-    const Liveness &beginConcurrentReads(uint32_t vreg_bound);
-
-    /** Thaw the manager; mutation events are legal again. */
-    void endConcurrentReads();
-
-    /** True inside a beginConcurrentReads() window. */
-    bool concurrentReadsActive() const { return frozen; }
 
     // --- invalidation events ---
 
@@ -169,9 +140,6 @@ class AnalysisManager
 
     /** Blocks whose dataflow facts changed since `live` was computed. */
     std::vector<BlockId> pendingLive;
-
-    /** Set inside a beginConcurrentReads() window (reads only). */
-    bool frozen = false;
 
     StatSet counters;
 };

@@ -125,21 +125,6 @@ Liveness::Liveness(const Function &fn)
 }
 
 void
-Liveness::ensureUniverse(uint32_t vreg_bound)
-{
-    if (vreg_bound <= nv)
-        return;
-    uint32_t padded = paddedUniverse(vreg_bound);
-    for (size_t i = 0; i < ins.size(); ++i) {
-        ins[i].resize(padded);
-        outs[i].resize(padded);
-        uses[i].resize(padded);
-        kills[i].resize(padded);
-    }
-    nv = padded;
-}
-
-void
 Liveness::update(const Function &fn,
                  const std::vector<BlockId> &changed_blocks,
                  const PredecessorMap &preds)

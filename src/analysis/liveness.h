@@ -56,18 +56,6 @@ class Liveness
                 const std::vector<BlockId> &changed_blocks,
                 const PredecessorMap &preds);
 
-    /**
-     * Grow the register universe to at least @p vreg_bound without
-     * re-solving (new registers are dead everywhere until an update
-     * says otherwise, so padding is semantically free — see the file
-     * comment in liveness.cpp). Speculative trial merges call this
-     * before fanning out so every live-out vector a concurrent trial
-     * reads is already big enough for the registers that trial will
-     * create at its predicted base (DESIGN.md §11); Hash64::bits hashes
-     * set bits only, so padding never perturbs trial-memo keys.
-     */
-    void ensureUniverse(uint32_t vreg_bound);
-
   private:
     uint32_t nv = 0;
     std::vector<BitVector> ins;

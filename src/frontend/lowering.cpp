@@ -1,12 +1,10 @@
 #include "frontend/lowering.h"
 
 #include <map>
-#include <optional>
 
 #include "frontend/parser.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
-#include "pipeline/session.h"
 #include "support/diagnostics.h"
 #include "support/fatal.h"
 
@@ -648,21 +646,6 @@ lowerToIR(const TranslationUnit &unit, const std::string &entry_name,
 {
     Lowerer lowerer(unit, options);
     return lowerer.lower(entry_name);
-}
-
-Program
-compileTinyC(const std::string &source, const std::string &entry_name,
-             const LoweringOptions &options)
-{
-    return Session::frontend(source, entry_name, options);
-}
-
-std::optional<Program>
-compileTinyC(const std::string &source, DiagnosticEngine &diags,
-             const std::string &entry_name,
-             const LoweringOptions &options)
-{
-    return Session::frontend(source, diags, entry_name, options);
 }
 
 } // namespace chf

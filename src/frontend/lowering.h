@@ -11,12 +11,10 @@
 #ifndef CHF_FRONTEND_LOWERING_H
 #define CHF_FRONTEND_LOWERING_H
 
-#include <optional>
 #include <string>
 
 #include "frontend/ast.h"
 #include "ir/program.h"
-#include "support/diagnostics.h"
 
 namespace chf {
 
@@ -35,32 +33,6 @@ struct LoweringOptions
 Program lowerToIR(const TranslationUnit &unit,
                   const std::string &entry_name = "main",
                   const LoweringOptions &options = {});
-
-/**
- * Convenience: parse + lower in one step. Calls fatal() (exit 1) on
- * malformed input; tools that want to keep going use the overload
- * below.
- *
- * @deprecated Use chf::Session::frontend (pipeline/session.h), the
- * unified façade's entry point; this wrapper delegates to it.
- */
-[[deprecated("use chf::Session::frontend (see docs/api.md)")]]
-Program compileTinyC(const std::string &source,
-                     const std::string &entry_name = "main",
-                     const LoweringOptions &options = {});
-
-/**
- * Parse + lower, reporting input errors to @p diags instead of
- * exiting. Returns std::nullopt after recording the Diagnostic.
- *
- * @deprecated Use the chf::Session::frontend overload taking a
- * DiagnosticEngine; this wrapper delegates to it.
- */
-[[deprecated("use chf::Session::frontend (see docs/api.md)")]]
-std::optional<Program> compileTinyC(const std::string &source,
-                                    DiagnosticEngine &diags,
-                                    const std::string &entry_name = "main",
-                                    const LoweringOptions &options = {});
 
 } // namespace chf
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 
 #include "analysis/analysis_manager.h"
 #include "analysis/loops.h"
@@ -134,74 +133,6 @@ expandBlock(MergeEngine &engine, Policy &policy, BlockId seed,
         if (candidates.empty())
             break;
 
-        // Speculative parallel rounds (DESIGN.md §11): simulate the
-        // policy's serial pick order over a shrinking copy of the
-        // candidate table -- exact, because Policy::select is a pure
-        // function of (fn, hb, candidates) and a failed trial changes
-        // nothing it reads -- then let the engine run those trials
-        // concurrently and consume them in this exact order. Output is
-        // bit-identical to the serial loop below.
-        const size_t width = fast ? engine.speculationWidth() : 0;
-        if (width >= 2 && candidates.size() >= 2) {
-            std::vector<MergeCandidate> sim = candidates;
-            std::vector<size_t> sim_pos(sim.size());
-            for (size_t i = 0; i < sim_pos.size(); ++i)
-                sim_pos[i] = i;
-
-            std::vector<size_t> order;   // original candidate indices
-            std::vector<BlockId> sources; // serial attempt order
-            while (!sim.empty() && order.size() < width) {
-                int p = policy.select(fn, seed, sim);
-                if (p < 0)
-                    break;
-                order.push_back(sim_pos[p]);
-                sources.push_back(sim[p].block);
-                sim.erase(sim.begin() + p);
-                sim_pos.erase(sim_pos.begin() + p);
-            }
-            if (order.empty())
-                break; // the serial loop would stop here too
-
-            bool committed = false;
-            size_t consumed = engine.tryMergeRound(
-                seed, sources,
-                [&](size_t j, const MergeOutcome &outcome) {
-                    const MergeCandidate &chosen = candidates[order[j]];
-                    if (trace_merges) {
-                        std::fprintf(
-                            stderr,
-                            "expand bb%u <- bb%u (freq %.0f/%.0f): %s%s\n",
-                            seed, chosen.block, chosen.entryFreq,
-                            chosen.candFreq,
-                            outcome.success ? mergeKindName(outcome.kind)
-                                            : "FAIL ",
-                            outcome.success ? "" : outcome.reason.c_str());
-                    }
-                    committed = outcome.success;
-                });
-
-            // Drop the consumed candidates exactly as the serial loop
-            // would have, one erase per attempt (descending index
-            // order keeps the remaining indices stable).
-            std::vector<size_t> done(order.begin(),
-                                     order.begin() + consumed);
-            std::sort(done.begin(), done.end(), std::greater<size_t>());
-            for (size_t idx : done) {
-                CHF_ASSERT(idx < pending.size() &&
-                               pending[idx].first == candidates[idx].block,
-                           "candidate table out of sync with pending");
-                in_pending[pending[idx].first] = 0;
-                pending.erase(pending.begin() + idx);
-                candidates.erase(candidates.begin() + idx);
-            }
-            if (committed) {
-                ++merges;
-                purge_dead();
-                add_successors();
-            }
-            continue;
-        }
-
         int pick = policy.select(fn, seed, candidates);
         if (pick < 0)
             break;
@@ -268,20 +199,15 @@ formHyperblocks(Function &fn, Policy &policy,
             continue;
         }
         // Transactional: a seed whose expansion corrupts the IR is
-        // rolled back alone; the remaining seeds still expand. The
-        // rollback restores pre-seed block bodies behind the engine's
-        // back, so its fixpoint certifications must be dropped with
-        // the analyses.
-        if (!runGuarded(
-                fn, "formation-seed", *options.diags,
-                [&] {
-                    expandBlock(engine, policy, seed,
-                                options.maxMergesPerBlock);
-                    faultInjectionPoint("formation-seed", fn);
-                },
-                &engine.analyses())) {
-            engine.invalidateFixpoints();
-        }
+        // rolled back alone; the remaining seeds still expand.
+        runGuarded(
+            fn, "formation-seed", *options.diags,
+            [&] {
+                expandBlock(engine, policy, seed,
+                            options.maxMergesPerBlock);
+                faultInjectionPoint("formation-seed", fn);
+            },
+            &engine.analyses());
     }
 
     fn.removeUnreachable();

@@ -9,9 +9,7 @@
 
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
-#include "support/fatal.h"
 #include "support/hash.h"
-#include "support/thread_pool.h"
 #include "support/timer.h"
 #include "transform/cfg_utils.h"
 #include "transform/reverse_if_convert.h"
@@ -37,36 +35,12 @@ MergeEngine::trialCacheEnabledByEnv()
     return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
-bool
-MergeEngine::parallelTrialsEnabledByEnv()
-{
-    const char *env = std::getenv("CHF_PARALLEL_TRIALS");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool
-MergeEngine::incrementalOptEnabledByEnv()
-{
-    const char *env = std::getenv("CHF_INCR_OPT");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
 MergeEngine::MergeEngine(Function &fn, const MergeOptions &options)
     : fn(fn), opts(options),
       am(fn, options.useAnalysisCache &&
              AnalysisManager::cacheEnabledByEnv()),
-      fastPath(options.useTrialCache && trialCacheEnabledByEnv()),
-      parallelEnabled(options.parallelTrials &&
-                      parallelTrialsEnabledByEnv()),
-      incrOpt(options.incrementalOpt && incrementalOptEnabledByEnv())
+      fastPath(options.useTrialCache && trialCacheEnabledByEnv())
 {
-}
-
-void
-MergeEngine::invalidateFixpoints()
-{
-    std::fill(fixpointKnown.begin(), fixpointKnown.end(),
-              static_cast<uint8_t>(0));
 }
 
 void
@@ -78,35 +52,6 @@ MergeEngine::addOptStats(const OptPassStats &stats)
     counters.add("usOptDce", static_cast<int64_t>(stats.usDce));
     counters.add("usOptCoalesce",
                  static_cast<int64_t>(stats.usCoalesce));
-    counters.add("optSeamVisited",
-                 static_cast<int64_t>(stats.instsVisited));
-    counters.add("optSeamTotal",
-                 static_cast<int64_t>(stats.instsTotal));
-}
-
-bool
-MergeEngine::parallelTrialsActive() const
-{
-    // The fast path supplies the machinery speculation rides on (memo
-    // keys, persistent arenas, epoch-stable candidate descriptors);
-    // block splitting mutates the CFG on *failed* trials, which breaks
-    // the trials-are-side-effect-free premise. Both force serial.
-    if (!parallelEnabled || !fastPath || opts.enableBlockSplitting)
-        return false;
-    WorkStealingPool *pool = WorkStealingPool::current();
-    return pool != nullptr && pool->workerCount() >= 2;
-}
-
-size_t
-MergeEngine::speculationWidth() const
-{
-    if (!parallelTrialsActive())
-        return 0;
-    // Speculating deeper than ~2x the worker count mostly buys wasted
-    // work when an early candidate commits; shallower leaves workers
-    // idle on long failure chains.
-    return std::max<size_t>(4,
-                            2 * WorkStealingPool::current()->workerCount());
 }
 
 namespace {
@@ -170,9 +115,9 @@ struct FailedTrial
 constexpr size_t kTrialMemoCapacity = size_t(1) << 20;
 
 /** Striped-lock shard count. 64 shards keep lock hold times (a hash
- *  probe) uncontended even with every pool worker storing speculative
- *  failures at once; the shard index comes from the key's top bits so
- *  FNV's well-mixed high half spreads entries evenly. */
+ *  probe) uncontended even with every Session worker storing failures
+ *  at once; the shard index comes from the key's top bits so FNV's
+ *  well-mixed high half spreads entries evenly. */
 constexpr size_t kTrialMemoShards = 64;
 constexpr size_t kTrialMemoShardCap = kTrialMemoCapacity / kTrialMemoShards;
 
@@ -180,13 +125,13 @@ constexpr size_t kTrialMemoShardCap = kTrialMemoCapacity / kTrialMemoShards;
  * Process-wide failed-trial store, sharded. The key covers every input
  * a trial reads (contents, kind, constraint config, live-out context),
  * so an entry recorded by one engine answers identically for any other
- * -- including engines on other Session worker threads and speculative
- * trial tasks, which is why every shard is mutex-guarded. Hits never
- * change output bytes (the stored reason and vreg burn are exactly
- * what re-running the trial would produce), so racy hit/miss
- * interleavings stay deterministic. Overflow flushes one shard, not
- * the whole store, and the counters make eviction thrashing visible
- * (trialMemoStats / Session totals / pass_speed JSON).
+ * -- including engines on other Session worker threads, which is why
+ * every shard is mutex-guarded. Hits never change output bytes (the
+ * stored reason and vreg burn are exactly what re-running the trial
+ * would produce), so racy hit/miss interleavings stay deterministic.
+ * Overflow flushes one shard, not the whole store, and the counters
+ * make eviction thrashing visible (trialMemoStats / Session totals /
+ * pass_speed JSON).
  */
 struct TrialMemoShard
 {
@@ -348,8 +293,7 @@ MergeEngine::record(BlockId hb, BlockId s, MergeOutcome outcome)
 
 uint64_t
 MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
-                      const BasicBlock &hb_block, const BasicBlock &source,
-                      const Liveness &liveness) const
+                      const BasicBlock &hb_block, const BasicBlock &source)
 {
     Hash64 h;
     h.u32(hb);
@@ -385,6 +329,7 @@ MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
     // targets, which are HB's non-consumed targets plus the source's
     // targets. A merge committed elsewhere can change those live-ins
     // without touching HB or S, so they are part of the key.
+    const Liveness &liveness = am.liveness();
     bool self_loop = false;
     auto hash_targets = [&](const BasicBlock &b, bool skip_source) {
         for (const Instruction &inst : b.insts) {
@@ -497,8 +442,7 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
             illegal = blockSizeReason(opts.target,
                                       opts.sizeHeadroom);
         } else {
-            memo_key =
-                trialKey(hb, s, kind, *hb_block, *source, am.liveness());
+            memo_key = trialKey(hb, s, kind, *hb_block, *source);
             FailedTrial hit;
             if (lookupFailedTrial(memo_key, &hit)) {
                 counters.add("trialsMemoHit");
@@ -511,7 +455,6 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
     }
 
     uint32_t vregs_before = fn.numVregs();
-    bool opt_fixpoint = false;
 
     if (illegal.empty()) {
         counters.add("trialsRun");
@@ -571,16 +514,8 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
 
         if (opts.optimizeDuringMerge) {
             ScopedStatTimer timer(counters, "usMergeOptimize");
-            // Seam-scoped start: sound only when HB's body is a known
-            // optimizer fixpoint -- the combine copied [0, firstDirty)
-            // from it verbatim, so the prefix's certification carries
-            // over (DESIGN.md §14). Otherwise run the full pass.
-            size_t seam = (incrOpt && isFixpoint(hb))
-                              ? t->combine.firstDirty
-                              : 0;
             OptPassStats pass_stats;
-            optimizeBlockFrom(fn, scratch, live_out, seam, &t->opt,
-                              &opt_fixpoint, &pass_stats);
+            optimizeBlock(fn, scratch, live_out, &t->opt, &pass_stats);
             addOptStats(pass_stats);
         }
 
@@ -604,10 +539,6 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
             hb_block->insts.swap(scratch.insts);
             if (kind != MergeKind::Simple)
                 am.branchesRewritten(hb, hb_old_succs);
-            // The installed body came out of the optimizer; record
-            // whether it is a certified fixpoint the next trial may
-            // seam from.
-            setFixpoint(hb, opts.optimizeDuringMerge && opt_fixpoint);
 
             switch (kind) {
               case MergeKind::Simple: {
@@ -616,19 +547,16 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
                 // instead of invalidating.
                 std::vector<BlockId> s_succs = s_block->successors();
                 fn.removeBlock(s);
-                setFixpoint(s, false);
                 am.blockAbsorbed(hb, s, hb_old_succs, s_succs);
                 break;
               }
               case MergeKind::TailDup:
                 // Frequencies only: no analysis depends on them.
                 scaleBranchFreqs(*s_block, 1.0 - share);
-                setFixpoint(s, false);
                 counters.add("tailDuplicated");
                 break;
               case MergeKind::Peel:
                 scaleBranchFreqs(*s_block, 1.0 - share);
-                setFixpoint(s, false);
                 counters.add("peeledIterations");
                 break;
               case MergeKind::Unroll:
@@ -660,9 +588,6 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
                       hb_block->size();
         size_t piece = std::min(room / 2, s_block->size() / 2);
         BlockId rest = splitBlockAt(fn, s, piece);
-        // Both outcomes rewrite S's instructions in place (predicate
-        // stabilization), so any fixpoint certification is stale.
-        setFixpoint(s, false);
         if (rest != kNoBlock) {
             // A new block exists; no incremental patch applies.
             am.invalidateAll();
@@ -689,367 +614,6 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
 
     outcome.reason = illegal;
     return record(hb, s, outcome);
-}
-
-MergeEngine::TrialPlan
-MergeEngine::planTrial(BlockId hb, BlockId s, uint32_t vreg_base)
-{
-    TrialPlan plan;
-    plan.hb = hb;
-    plan.s = s;
-    plan.vregBase = vreg_base;
-
-    // Mirror tryMerge's prologue exactly: these checks are cheap and
-    // need the engine's analyses, so they stay on the compiling thread.
-    std::string why;
-    if (!blocksExist(hb, s, &why)) {
-        plan.immediate = true;
-        plan.immediateReason = std::move(why);
-        return plan;
-    }
-    plan.kind = classify(hb, s);
-    if (!legalForKind(s, plan.kind, &why)) {
-        plan.immediate = true;
-        plan.immediateReason = std::move(why);
-        return plan;
-    }
-
-    plan.source = fn.block(s);
-    if (plan.kind == MergeKind::Unroll) {
-        // Unroll trials stay serial: tryMerge's pristine-body
-        // bookkeeping (save on first unroll, erase on staleness)
-        // mutates engine state. The source is still resolved here --
-        // with the same staleness test, minus the erase -- because the
-        // burn prediction below must match whatever tryMerge will do
-        // at this trial's serial position (staleness is monotonic:
-        // dead blocks never come back, so the answer cannot flip in
-        // between).
-        plan.serialOnly = true;
-        auto it = pristineBodies.find(hb);
-        if (it != pristineBodies.end()) {
-            bool stale = false;
-            for (BlockId succ : it->second->successors()) {
-                if (succ >= fn.blockTableSize() || !fn.block(succ))
-                    stale = true;
-            }
-            if (!stale)
-                plan.source = it->second.get();
-        }
-    }
-
-    plan.burn = combineVregCost(*fn.block(hb), *plan.source);
-    return plan;
-}
-
-void
-MergeEngine::runTrialSpeculative(const TrialPlan &plan,
-                                 const Liveness &liveness, TrialScratch &t,
-                                 TrialResult &out)
-{
-    // Read-only with respect to the engine and the function: scratch
-    // state is per-thread, registers come from a local cursor seeded at
-    // the predicted base, and the memo store is internally locked. The
-    // structure mirrors tryMerge's fast-path middle section; consume
-    // replays the serial bookkeeping.
-    const BasicBlock *hb_block = fn.block(plan.hb);
-    const BasicBlock *source = plan.source;
-
-    if (trialSizeFloor(*hb_block, *source) + opts.sizeHeadroom >
-        opts.target.maxInsts) {
-        out.prescreened = true;
-        out.vregsBurned = plan.burn;
-        out.reason = blockSizeReason(opts.target, opts.sizeHeadroom);
-        return;
-    }
-
-    uint64_t memo_key =
-        trialKey(plan.hb, plan.s, plan.kind, *hb_block, *source, liveness);
-    FailedTrial hit;
-    if (lookupFailedTrial(memo_key, &hit)) {
-        out.memoHit = true;
-        out.vregsBurned = hit.vregsBurned;
-        out.reason = std::move(hit.reason);
-        return;
-    }
-
-    out.ran = true;
-    BasicBlock &scratch = t.scratch;
-    scratch.assignFrom(*hb_block);
-    t.sourceCopy.assignFrom(*source);
-
-    out.share = plan.kind == MergeKind::Simple
-                    ? 1.0
-                    : entryShare(*hb_block, *source);
-    VregCursor vregs{plan.vregBase};
-    {
-        Timer timer;
-        bool merged = combineBlocksAt(vregs, scratch, t.sourceCopy,
-                                      out.share, &t.combine);
-        out.usCombine = timer.elapsedMicros();
-        if (!merged) {
-            // tryMerge returns without memoizing this case.
-            out.combineFailed = true;
-            out.reason = "no branch to successor";
-            out.vregsBurned = vregs.next - plan.vregBase;
-            return;
-        }
-    }
-
-    // Same live-out computation as tryMerge, against the frozen
-    // liveness (its universe was pre-padded past this round's highest
-    // predicted register, so every vector is already big enough).
-    BitVector &live_out = t.liveOut;
-    live_out.resize(liveness.universe());
-    live_out.reset();
-    bool self_loop = false;
-    for (BlockId succ : scratch.successors()) {
-        if (succ == plan.hb) {
-            self_loop = true;
-            continue;
-        }
-        live_out.unionWith(liveness.liveIn(succ));
-    }
-    if (self_loop) {
-        blockUsesInto(scratch, liveness.universe(), t.legal.uses,
-                      t.legal.killed);
-        live_out.unionWith(t.legal.uses);
-        live_out.unionWith(liveness.liveIn(plan.hb));
-    }
-
-    if (opts.optimizeDuringMerge) {
-        Timer timer;
-        // Safe to read the fixpoint flag from a worker: flags only
-        // change at commit time, and no commit runs between fan-out
-        // and wait (the consume loop is strictly after).
-        size_t seam = (incrOpt && isFixpoint(plan.hb))
-                          ? t.combine.firstDirty
-                          : 0;
-        optimizeBlockFrom(fn, scratch, live_out, seam, &t.opt,
-                          &out.fixpoint, &out.optStats);
-        out.usOptimize = timer.elapsedMicros();
-    }
-
-    Timer legal_timer;
-    std::string illegal = checkBlockLegal(fn, scratch, live_out,
-                                          opts.target,
-                                          opts.sizeHeadroom, &t.legal);
-    out.usLegal = legal_timer.elapsedMicros();
-    out.vregsBurned = vregs.next - plan.vregBase;
-    CHF_ASSERT(out.vregsBurned == plan.burn,
-               "speculative trial burned a different register count "
-               "than combineVregCost predicted");
-
-    if (illegal.empty()) {
-        out.success = true;
-        out.mergedInsts.swap(scratch.insts);
-        return;
-    }
-
-    out.reason = illegal;
-    // Storing from the worker is safe even if this result is later
-    // discarded: the key covers every input, so the entry is exactly
-    // what any future trial with the same key would compute.
-    FailedTrial entry;
-    entry.reason = illegal;
-    entry.vregsBurned = out.vregsBurned;
-    storeFailedTrial(memo_key, std::move(entry));
-}
-
-MergeOutcome
-MergeEngine::consumeTrial(const TrialPlan &plan, TrialResult &r)
-{
-    MergeOutcome outcome;
-    if (r.prescreened) {
-        counters.add("trialsPrescreened");
-        fn.skipVregs(r.vregsBurned);
-        outcome.reason = std::move(r.reason);
-        return record(plan.hb, plan.s, outcome);
-    }
-    if (r.memoHit) {
-        counters.add("trialsMemoHit");
-        fn.skipVregs(r.vregsBurned);
-        outcome.reason = std::move(r.reason);
-        return record(plan.hb, plan.s, outcome);
-    }
-
-    counters.add("trialsRun");
-    counters.add("usMergeCombine", r.usCombine);
-    if (opts.optimizeDuringMerge) {
-        counters.add("usMergeOptimize", r.usOptimize);
-        addOptStats(r.optStats);
-    }
-    fn.skipVregs(r.vregsBurned);
-
-    if (r.combineFailed) {
-        outcome.reason = std::move(r.reason);
-        return record(plan.hb, plan.s, outcome);
-    }
-    counters.add("usMergeLegal", r.usLegal);
-
-    if (!r.success) {
-        // The worker already memoized the failure.
-        outcome.reason = std::move(r.reason);
-        return record(plan.hb, plan.s, outcome);
-    }
-
-    // --- Commit: identical to tryMerge's commit section ---
-    CHF_ASSERT(plan.kind != MergeKind::Unroll,
-               "unroll trials are serial-only");
-    BasicBlock *hb_block = fn.block(plan.hb);
-    BasicBlock *s_block = fn.block(plan.s);
-    std::vector<BlockId> hb_old_succs = hb_block->successors();
-    hb_block->insts = std::move(r.mergedInsts);
-    if (plan.kind != MergeKind::Simple)
-        am.branchesRewritten(plan.hb, hb_old_succs);
-    setFixpoint(plan.hb, opts.optimizeDuringMerge && r.fixpoint);
-
-    switch (plan.kind) {
-      case MergeKind::Simple: {
-        std::vector<BlockId> s_succs = s_block->successors();
-        fn.removeBlock(plan.s);
-        setFixpoint(plan.s, false);
-        am.blockAbsorbed(plan.hb, plan.s, hb_old_succs, s_succs);
-        break;
-      }
-      case MergeKind::TailDup:
-        scaleBranchFreqs(*s_block, 1.0 - r.share);
-        setFixpoint(plan.s, false);
-        counters.add("tailDuplicated");
-        break;
-      case MergeKind::Peel:
-        scaleBranchFreqs(*s_block, 1.0 - r.share);
-        setFixpoint(plan.s, false);
-        counters.add("peeledIterations");
-        break;
-      case MergeKind::Unroll:
-        break; // unreachable: asserted above
-    }
-    counters.add("blocksMerged");
-    ++mutations;
-
-    outcome.success = true;
-    outcome.kind = plan.kind;
-    return record(plan.hb, plan.s, outcome);
-}
-
-size_t
-MergeEngine::tryMergeRound(
-    BlockId hb, const std::vector<BlockId> &sources,
-    const std::function<void(size_t, const MergeOutcome &)> &sink)
-{
-    WorkStealingPool *pool =
-        parallelTrialsActive() ? WorkStealingPool::current() : nullptr;
-    if (pool == nullptr || sources.size() < 2) {
-        // Serial oracle: the round is by definition the chain of
-        // tryMerge calls the caller's order simulation predicted.
-        for (size_t i = 0; i < sources.size(); ++i) {
-            MergeOutcome outcome = tryMerge(hb, sources[i]);
-            bool success = outcome.success;
-            sink(i, outcome);
-            if (success)
-                return i + 1;
-        }
-        return sources.size();
-    }
-
-    counters.add("specRounds");
-    const uint64_t round_epoch = mutations;
-
-    // Plan every candidate at its predicted register base: within one
-    // epoch every trial before the first success fails, and a failed
-    // trial burns exactly combineVregCost, so base_i is the round's
-    // starting counter plus the prefix sum of planned burns.
-    std::vector<TrialPlan> plans;
-    plans.reserve(sources.size());
-    uint32_t base = fn.numVregs();
-    for (BlockId s : sources) {
-        TrialPlan plan = planTrial(hb, s, base);
-        base += plan.burn;
-        plans.push_back(std::move(plan));
-    }
-
-    // Freeze the analyses for lock-free concurrent reads; `base` is now
-    // one past the highest register any trial in the round can create.
-    Timer live_timer;
-    const Liveness &liveness = am.beginConcurrentReads(base);
-    counters.add("usMergeLiveness", live_timer.elapsedMicros());
-
-    const size_t arena_slots = pool->workerCount() + 1;
-    while (specArenas.size() < arena_slots)
-        specArenas.push_back(std::make_unique<TrialScratch>());
-
-    std::vector<TrialResult> results(plans.size());
-    size_t speculated = 0;
-    {
-        WorkStealingPool::TaskGroup group(*pool);
-        for (size_t i = 0; i < plans.size(); ++i) {
-            if (plans[i].immediate || plans[i].serialOnly)
-                continue;
-            ++speculated;
-            const TrialPlan *plan = &plans[i];
-            TrialResult *out = &results[i];
-            group.spawn([this, pool, plan, &liveness, out] {
-                // Publish the owning unit's token on this pool worker
-                // and poll it before paying for the trial; a trip is
-                // recorded as the task's error and rethrown at the
-                // trial's exact serial position on the compiling
-                // thread (DESIGN.md §12).
-                CancellationScope cancel_scope(opts.cancel);
-                if (opts.cancel.cancelled()) {
-                    out->error = std::make_exception_ptr(
-                        CancelledError(opts.cancel.kind()));
-                    return;
-                }
-                TrialScratch &scratch =
-                    *specArenas[pool->currentWorkerIndex()];
-                try {
-                    runTrialSpeculative(*plan, liveness, scratch, *out);
-                } catch (...) {
-                    out->error = std::current_exception();
-                }
-            });
-        }
-        group.wait();
-    }
-    am.endConcurrentReads();
-    counters.add("trialsSpeculated", static_cast<int64_t>(speculated));
-
-    // Consume in exact serial order; the first success ends the round
-    // (its commit invalidates every later speculative result -- the
-    // epoch check below is the guard, and the caller re-trials the
-    // survivors in its next round).
-    for (size_t i = 0; i < plans.size(); ++i) {
-        const TrialPlan &plan = plans[i];
-        MergeOutcome outcome;
-        if (plan.immediate) {
-            outcome.reason = plan.immediateReason;
-            outcome = record(hb, plan.s, std::move(outcome));
-        } else if (plan.serialOnly || mutations != round_epoch ||
-                   fn.numVregs() != plan.vregBase) {
-            // Serial re-trial at the exact serial position: the
-            // function state here equals the serial path's state, so
-            // tryMerge is bit-identical by construction.
-            if (!plan.serialOnly)
-                counters.add("trialsSpecInvalidated");
-            outcome = tryMerge(hb, plan.s);
-        } else {
-            if (results[i].error)
-                std::rethrow_exception(results[i].error);
-            outcome = consumeTrial(plan, results[i]);
-        }
-        bool success = outcome.success;
-        sink(i, outcome);
-        if (success) {
-            int64_t wasted = 0;
-            for (size_t j = i + 1; j < plans.size(); ++j) {
-                if (!plans[j].immediate && !plans[j].serialOnly)
-                    ++wasted;
-            }
-            counters.add("trialsSpecWasted", wasted);
-            return i + 1;
-        }
-    }
-    return plans.size();
 }
 
 } // namespace chf

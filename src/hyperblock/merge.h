@@ -25,6 +25,10 @@
  * engine reports every CFG mutation it commits so the cache stays
  * exact. Failed merges leave the CFG -- and thus the cache -- intact.
  *
+ * tryMerge is the one implementation of a merge trial. The trials of
+ * one function run serially on the thread compiling it; a Session
+ * runs units in parallel, never the trials within one (DESIGN.md §9).
+ *
  * Trial-merge fast path (DESIGN.md §10). The convergent loop retries
  * failed candidates after every successful merge, so most trials are
  * repeats. Three cooperating layers make them near-free while keeping
@@ -48,39 +52,12 @@
  * downstream output -- stays identical. CHF_TRIAL_CACHE=0 (or
  * MergeOptions::useTrialCache=false) forces the slow path for
  * differential testing.
- *
- * Speculative parallel trials (DESIGN.md §11). Within one mutation
- * epoch a serial expansion is a chain of failed trials ending in a
- * success (or exhaustion), and a trial is side-effect-free until
- * commit, so the chain's trials can run concurrently: tryMergeRound()
- * plans the chain on the compiling thread (each candidate's register
- * base predicted from the prefix sum of combineVregCost), freezes the
- * analyses (AnalysisManager::beginConcurrentReads), fans the trials
- * out over the Session's work-stealing pool against per-thread scratch
- * arenas, and consumes results in exact serial candidate order,
- * committing the first success on the compiling thread. Traces, vreg
- * numbering, and emitted IR are bit-identical to the serial path,
- * which remains the oracle: CHF_PARALLEL_TRIALS=0 (or
- * MergeOptions::parallelTrials=false) forces serial execution.
- *
- * Seam-scoped incremental trial optimization (DESIGN.md §14). The
- * dominant trial cost is re-optimizing the whole combined block even
- * though everything below the first consumed branch is a verbatim copy
- * of the hyperblock's already-optimized body. When that body is a
- * known fixpoint of the scalar-opt pipeline (tracked per block across
- * commits), trials hand the combine seam to optimizeBlockFrom, which
- * replays the unchanged prefix in table-maintenance mode and rewrites
- * only from the seam down -- reaching the exact same fixpoint byte for
- * byte. CHF_INCR_OPT=0 (or MergeOptions::incrementalOpt=false) forces
- * the full pass for differential testing.
  */
 
 #ifndef CHF_HYPERBLOCK_MERGE_H
 #define CHF_HYPERBLOCK_MERGE_H
 
 #include <cstdint>
-#include <exception>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -138,38 +115,17 @@ struct MergeOptions
      */
     bool useTrialCache = true;
 
-    /**
-     * Seam-scoped incremental trial optimization (DESIGN.md §14): when
-     * the hyperblock's body is a known fixpoint of the scalar-opt
-     * pipeline (its producing run's last round made zero changes),
-     * trials seed the optimizer at the combine seam instead of
-     * position 0, replaying the unchanged prefix in table-maintenance
-     * mode. Bit-identical to the full pass; also globally switchable
-     * off with CHF_INCR_OPT=0 for differential runs.
-     */
-    bool incrementalOpt = true;
-
     /** Record every tryMerge attempt in MergeEngine::trace(). */
     bool recordMergeTrace = false;
 
     /**
      * Cooperative cancellation (DESIGN.md §12): polled once per merge
-     * round in expandBlock and at the start of every speculative trial
-     * task, throwing CancelledError when tripped so a deadline bounds
-     * even pathological formation loops. A default (null) token never
-     * cancels and the polls compile down to an untaken branch.
+     * round in expandBlock, throwing CancelledError when tripped so a
+     * deadline bounds even pathological formation loops. A default
+     * (null) token never cancels and the polls compile down to an
+     * untaken branch.
      */
     CancellationToken cancel;
-
-    /**
-     * Speculative parallel trial formation: when the engine runs on a
-     * worker of a multi-threaded Session, candidate trials of one
-     * expansion epoch execute concurrently on the shared work-stealing
-     * pool and commit in serial order (bit-identical output; see
-     * DESIGN.md §11). Requires the trial fast path; also globally
-     * switchable off with CHF_PARALLEL_TRIALS=0 for differential runs.
-     */
-    bool parallelTrials = true;
 };
 
 /**
@@ -231,34 +187,6 @@ class MergeEngine
     MergeOutcome tryMerge(BlockId hb, BlockId s);
 
     /**
-     * Speculative parallel form of a serial chain of tryMerge calls:
-     * @p sources is the exact order in which the serial loop would
-     * attempt candidates within the current epoch (the caller simulates
-     * the policy; Policy::select is pure, see policy.h). Trials run
-     * concurrently on the Session's work-stealing pool and are consumed
-     * in the given order — @p sink is invoked once per consumed
-     * candidate with its outcome, exactly as a serial loop of tryMerge
-     * calls would observe — stopping after the first success (later
-     * speculative results are invalidated by the commit and discarded).
-     * Returns the number of candidates consumed. Falls back to plain
-     * serial tryMerge calls when parallel trials are inactive; output
-     * is bit-identical either way.
-     */
-    size_t tryMergeRound(
-        BlockId hb, const std::vector<BlockId> &sources,
-        const std::function<void(size_t, const MergeOutcome &)> &sink);
-
-    /**
-     * How many candidates are worth speculating per round, or 0 when
-     * parallel trials are inactive (serial engine, options or
-     * CHF_PARALLEL_TRIALS=0, no surrounding pool, block splitting on —
-     * splitting mutates the CFG on *failed* trials, which breaks the
-     * trials-are-side-effect-free premise, so those engines stay
-     * serial).
-     */
-    size_t speculationWidth() const;
-
-    /**
      * Cheap pre-check mirroring the paper's LegalMerge: is @p s a
      * structurally admissible candidate (ignoring size constraints)?
      */
@@ -294,22 +222,6 @@ class MergeEngine
     /** False when CHF_TRIAL_CACHE=0 disables the fast path globally. */
     static bool trialCacheEnabledByEnv();
 
-    /** False when CHF_PARALLEL_TRIALS=0 forces serial trials. */
-    static bool parallelTrialsEnabledByEnv();
-
-    /** False when CHF_INCR_OPT=0 forces full-pass trial optimization. */
-    static bool incrementalOptEnabledByEnv();
-
-    /**
-     * Forget every per-block fixpoint certification. Must be called
-     * whenever block bodies change outside the engine's own commit
-     * paths -- e.g. a transactional rollback restoring pre-phase
-     * bodies while the engine lives on -- since a stale certification
-     * would let a later trial seam-skip a prefix that is no longer a
-     * known optimizer fixpoint.
-     */
-    void invalidateFixpoints();
-
     /**
      * Provable lower bound on the combined block's size estimate; the
      * fast path's pre-screen rejects a trial without running it when
@@ -336,79 +248,8 @@ class MergeEngine
         BlockAnalysisScratch legal;
     };
 
-    /**
-     * Plan for one speculative candidate trial, computed on the
-     * compiling thread before fan-out. Captures everything about the
-     * trial that needs the engine's mutable state (classification,
-     * source resolution, the predicted register base) so the worker
-     * side is a pure function of the plan, the frozen analyses, and
-     * const reads of the function.
-     */
-    struct TrialPlan
-    {
-        BlockId hb = kNoBlock;
-        BlockId s = kNoBlock;
-        MergeKind kind = MergeKind::Simple;
-
-        /** Resolved append source (pristine body for unrolls). */
-        const BasicBlock *source = nullptr;
-
-        /** Predicted register counter at this trial's serial position:
-         *  the round's starting counter plus the combineVregCost of
-         *  every earlier candidate (failures burn exactly that). */
-        uint32_t vregBase = 0;
-
-        /** combineVregCost(hb, source) at plan time. */
-        uint32_t burn = 0;
-
-        /** Failed blocksExist/legalForKind: no trial runs, no burn. */
-        bool immediate = false;
-        std::string immediateReason;
-
-        /** Must re-run through serial tryMerge at its position (unroll
-         *  trials: pristine-body bookkeeping mutates engine state). */
-        bool serialOnly = false;
-    };
-
-    /** Worker-side result of one speculative trial. */
-    struct TrialResult
-    {
-        bool ran = false;          ///< full combine+optimize+legal
-        bool prescreened = false;
-        bool memoHit = false;
-        bool combineFailed = false; ///< "no branch to successor"
-        bool success = false;
-        std::string reason;        ///< failure reason
-        uint32_t vregsBurned = 0;  ///< replayed at consume time
-        double share = 1.0;        ///< entry share (commit needs it)
-        std::vector<Instruction> mergedInsts; ///< on success
-        int64_t usCombine = 0;
-        int64_t usOptimize = 0;
-        int64_t usLegal = 0;
-        OptPassStats optStats;     ///< per-pass timing + visit counts
-        bool fixpoint = false;     ///< optimize ended at a known fixpoint
-        std::exception_ptr error;  ///< rethrown at the serial position
-    };
-
     /** Existence/structure checks shared by legalMerge and tryMerge. */
     bool blocksExist(BlockId hb, BlockId s, std::string *why) const;
-
-    /** Plan one candidate of a speculative round (compiling thread). */
-    TrialPlan planTrial(BlockId hb, BlockId s, uint32_t vreg_base);
-
-    /** Run one planned trial against @p t (any thread; engine state is
-     *  read-only, results go to @p out). */
-    void runTrialSpeculative(const TrialPlan &plan,
-                             const Liveness &liveness, TrialScratch &t,
-                             TrialResult &out);
-
-    /** Replay one speculative result's serial bookkeeping — counters,
-     *  vreg burn, trace, memo semantics — and commit on success
-     *  (compiling thread, exact serial position). */
-    MergeOutcome consumeTrial(const TrialPlan &plan, TrialResult &result);
-
-    /** True when this engine may fan trials out right now. */
-    bool parallelTrialsActive() const;
 
     /** Classify what committing the merge will do. */
     MergeKind classify(BlockId hb, BlockId s);
@@ -419,38 +260,13 @@ class MergeEngine
     /** Append to the trace (when enabled) and pass @p outcome through. */
     MergeOutcome record(BlockId hb, BlockId s, MergeOutcome outcome);
 
-    /** Content hash identifying a trial (see DESIGN.md §10). Takes the
-     *  liveness explicitly so speculative workers hash against the
-     *  frozen snapshot instead of calling back into the manager. */
+    /** Content hash identifying a trial (see DESIGN.md §10). */
     uint64_t trialKey(BlockId hb, BlockId s, MergeKind kind,
                       const BasicBlock &hb_block,
-                      const BasicBlock &source,
-                      const Liveness &liveness) const;
+                      const BasicBlock &source);
 
     /** Merge one trial's optimizer pass stats into the counters. */
     void addOptStats(const OptPassStats &stats);
-
-    /**
-     * True when block @p b's current body is a known fixpoint of the
-     * scalar-opt pipeline: the optimizeBlockFrom run that produced it
-     * ended with a zero-change round, and the body has not been
-     * mutated since. Such a body's combine-seam prefix may be replayed
-     * in table-maintenance mode (optimize.h).
-     */
-    bool
-    isFixpoint(BlockId b) const
-    {
-        return b < fixpointKnown.size() && fixpointKnown[b] != 0;
-    }
-
-    /** Record (or conservatively clear) a block's fixpoint flag. */
-    void
-    setFixpoint(BlockId b, bool known)
-    {
-        if (b >= fixpointKnown.size())
-            fixpointKnown.resize(b + 1, 0);
-        fixpointKnown[b] = known ? 1 : 0;
-    }
 
     Function &fn;
     MergeOptions opts;
@@ -462,24 +278,8 @@ class MergeEngine
     std::map<BlockId, std::unique_ptr<BasicBlock>> pristineBodies;
 
     bool fastPath = false;
-    bool parallelEnabled = false;
-    bool incrOpt = false;
     uint64_t mutations = 0;
     TrialScratch arena;
-
-    /** Per-block-id fixpoint flags (isFixpoint/setFixpoint). Set when
-     *  a commit installs an optimizer-certified body; cleared whenever
-     *  the engine mutates a block's instructions outside that path
-     *  (frequency rescales, splits, in-place stabilizations). Only
-     *  read by workers between fan-out and wait, when no commit can
-     *  run, so unsynchronized access is safe. */
-    std::vector<uint8_t> fixpointKnown;
-
-    /** Per-pool-worker scratch arenas for speculative trials, indexed
-     *  by WorkStealingPool::currentWorkerIndex() (one extra slot for a
-     *  helping non-worker thread). Only this engine's tasks use them,
-     *  and a thread runs one task at a time, so slots never race. */
-    std::vector<std::unique_ptr<TrialScratch>> specArenas;
 };
 
 } // namespace chf

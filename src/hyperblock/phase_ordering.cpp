@@ -263,9 +263,7 @@ detail::compileUnit(Program &program, const ProfileData &profile,
         options.pipeline == Pipeline::IUPO_fused &&
         options.policy != PolicyKind::Vliw;
     merge.enableBlockSplitting = options.blockSplitting;
-    merge.parallelTrials = options.parallelTrials;
     merge.useTrialCache = options.useTrialCache;
-    merge.incrementalOpt = options.useIncrementalOpt;
     merge.cancel = options.cancel;
 
     FormationOptions formation;

@@ -76,20 +76,11 @@ struct CompileOptions
     /** Enable basic-block splitting during formation (paper §9). */
     bool blockSplitting = false;
 
-    /** Speculative parallel trial merges when compiled on a worker of
-     *  a multi-threaded Session (bit-identical; DESIGN.md §11). */
-    bool parallelTrials = true;
-
     /** Trial-merge fast path (scratch reuse + failed-trial memo +
      *  pre-screen; DESIGN.md §10). Off forces the slow path, which
      *  must stay bit-identical — the fuzz harness compares both. Also
      *  globally switchable off with CHF_TRIAL_CACHE=0. */
     bool useTrialCache = true;
-
-    /** Seam-scoped incremental trial optimization (DESIGN.md §14).
-     *  Bit-identical to the full per-trial pass; off (or CHF_INCR_OPT=0)
-     *  forces the full pass for differential runs. */
-    bool useIncrementalOpt = true;
 
     /** Verify semantics-preservation hooks (IR verifier) per stage. */
     bool verifyStages = true;
@@ -121,12 +112,10 @@ struct CompileOptions
 };
 
 /**
- * Outcome counters: the m/t/u/p statistics plus backend numbers.
- *
- * Legacy result shape of the deprecated compileProgram() entry point.
- * New code should use chf::Session (pipeline/session.h), whose
- * SessionResult aggregates one FunctionResult per compilation unit
- * instead of mixing per-program and per-function data here.
+ * Outcome counters of one unit's pipeline run (detail::compileUnit):
+ * the m/t/u/p statistics plus backend numbers. Callers see them
+ * through chf::Session (pipeline/session.h), whose SessionResult holds
+ * one FunctionResult per compilation unit.
  */
 struct CompileResult
 {
@@ -159,28 +148,15 @@ namespace detail {
 
 /**
  * The guarded phase pipeline for one compilation unit (formation →
- * regalloc → fanout → schedule), exactly as compileProgram has always
- * run it. Session workers call this once per unit; it touches nothing
- * but @p program, @p options.diags, and the process-wide FaultInjector
- * (which is mutex-protected), so concurrent calls on distinct programs
- * are safe.
+ * regalloc → fanout → schedule). Session workers call this once per
+ * unit; it touches nothing but @p program, @p options.diags, and the
+ * process-wide FaultInjector (which is mutex-protected), so concurrent
+ * calls on distinct programs are safe.
  */
 CompileResult compileUnit(Program &program, const ProfileData &profile,
                           const CompileOptions &options);
 
 } // namespace detail
-
-/**
- * Apply a pipeline to a prepared, profiled program in place.
- *
- * @deprecated Use chf::Session (pipeline/session.h): construct a
- * Session over the program and call compile(). This wrapper builds a
- * single-unit, single-threaded Session, which takes the identical code
- * path, and copies the merged diagnostics back into @p options.diags.
- */
-[[deprecated("use chf::Session::compile() (see docs/api.md)")]]
-CompileResult compileProgram(Program &program, const ProfileData &profile,
-                             const CompileOptions &options);
 
 } // namespace chf
 

@@ -78,15 +78,6 @@ class Policy
     /**
      * Pick the next candidate to attempt (index into @p candidates) or
      * -1 to stop expanding this hyperblock.
-     *
-     * Purity contract: select() must be a pure function of its
-     * arguments plus state fixed at beginBlock() — no mutation, no
-     * dependence on how often or in what order it was called.
-     * expandBlock relies on this to *simulate* the serial pick order
-     * when fanning trials out for speculative parallel execution
-     * (DESIGN.md §11): the simulated chain must equal the sequence a
-     * serial loop would produce, or parallel output diverges from the
-     * serial oracle. All shipped policies satisfy this.
      */
     virtual int select(const Function &fn, BlockId hb,
                        const std::vector<MergeCandidate> &candidates) = 0;

@@ -413,10 +413,8 @@ CompileServer::handle(const std::string &line)
 
     if (*op == "stats") {
         ServerStats s = stats();
-        // Process-wide trial-memo store occupancy, reported beside the
-        // seam hit ratio: together they describe how much trial work
-        // the service is skipping (memoized failures + seam-scoped
-        // optimization).
+        // Process-wide trial-memo store occupancy: how much trial work
+        // the service is skipping through memoized failures.
         TrialMemoStats memo = trialMemoStats();
         std::ostringstream os;
         os << "{\"status\":\"ok\"";
@@ -432,8 +430,6 @@ CompileServer::handle(const std::string &line)
            << ",\"trial_memo_hits\":" << memo.hits
            << ",\"trial_memo_misses\":" << memo.misses
            << ",\"trial_memo_entries\":" << memo.entries
-           << ",\"opt_seam_visited\":" << s.optSeamVisited
-           << ",\"opt_seam_total\":" << s.optSeamTotal
            << ",\"in_flight\":" << inFlight.load() << "}";
         return os.str();
     }
@@ -603,7 +599,6 @@ CompileServer::handleCompileAdmitted(
                         .withTarget(target)
                         .withBackend(opts.runBackend)
                         .withKeepGoing(keep_going)
-                        .withThreads(opts.threads)
                         .withUnitTimeout(timeout_ms)
                         .withRetry(retries, backoff_ms));
     session.addProgramRef(program, profile);
@@ -624,10 +619,6 @@ CompileServer::handleCompileAdmitted(
         ++counters.compiled;
         if (timed_out)
             ++counters.timeouts;
-        counters.optSeamVisited += static_cast<uint64_t>(
-            result.totals.get("optSeamVisited"));
-        counters.optSeamTotal += static_cast<uint64_t>(
-            result.totals.get("optSeamTotal"));
     }
 
     // Response body: everything except "id"/"cached", so the cached

@@ -59,9 +59,6 @@ namespace chf {
 /** Server-wide configuration (per-request knobs ride in the request). */
 struct ServerOptions
 {
-    /** Session worker threads per compile request. */
-    int threads = 1;
-
     /** LRU compile-cache capacity in entries (0 disables caching). */
     size_t cacheCapacity = 256;
 
@@ -85,14 +82,6 @@ struct ServerStats
     uint64_t shed = 0;      ///< refused over the in-flight cap
     uint64_t timeouts = 0;  ///< compiles that hit their time budget
     uint64_t errors = 0;    ///< malformed requests + input errors
-
-    /** Incremental-opt hit ratio across every compile served
-     *  (DESIGN.md §14): instructions the seam-scoped trial optimizer
-     *  visited in rewrite mode vs. the whole-block count. visited ==
-     *  total means the seam never fired (CHF_INCR_OPT=0 or no
-     *  certified fixpoints); the gap is work skipped. */
-    uint64_t optSeamVisited = 0;
-    uint64_t optSeamTotal = 0;
 };
 
 namespace server_detail {

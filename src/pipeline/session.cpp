@@ -1,5 +1,7 @@
 #include "pipeline/session.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -10,7 +12,6 @@
 #include "hyperblock/merge.h"
 #include "support/cancellation.h"
 #include "support/fatal.h"
-#include "support/thread_pool.h"
 #include "support/timer.h"
 
 namespace chf {
@@ -216,9 +217,7 @@ Session::compile(int threads)
         co.target = conf.target;
         co.runBackend = conf.runBackend;
         co.blockSplitting = conf.blockSplitting;
-        co.parallelTrials = conf.parallelTrials;
         co.useTrialCache = conf.useTrialCache;
-        co.useIncrementalOpt = conf.useIncrementalOpt;
         co.verifyStages = conf.verifyStages;
         co.keepGoing = conf.keepGoing;
         co.diags = conf.keepGoing ? &slot.diags : nullptr;
@@ -293,19 +292,34 @@ Session::compile(int threads)
         }
     };
 
-    if (threads <= 1) {
-        // Sequential: the exact code path compileProgram has always
-        // taken, unit after unit on the calling thread.
+    const size_t workers =
+        std::min(static_cast<size_t>(std::max(threads, 1)), n);
+    if (workers <= 1) {
+        // Sequential: unit after unit on the calling thread.
         for (size_t i = 0; i < n; ++i)
             run_unit(i);
     } else {
-        // Even a single unit gets a pool when threads > 1: the unit's
-        // formation discovers it via WorkStealingPool::current() and
-        // runs speculative parallel trial rounds (DESIGN.md §11).
-        ThreadPool pool(static_cast<size_t>(threads));
-        for (size_t i = 0; i < n; ++i)
-            pool.submit([&run_unit, i] { run_unit(i); });
-        pool.waitIdle();
+        // Flat unit loop: every worker claims the next unit index from
+        // one counter until none are left. Which worker ran a unit
+        // never shows in the output, because the join below reads the
+        // slots in unit order. An exception escaping run_unit is parked
+        // in its slot (a throw out of a thread entry would terminate).
+        std::atomic<size_t> next{0};
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (size_t w = 0; w < workers; ++w) {
+            pool.emplace_back([&] {
+                for (size_t i = next++; i < n; i = next++) {
+                    try {
+                        run_unit(i);
+                    } catch (...) {
+                        slots[i].error = std::current_exception();
+                    }
+                }
+            });
+        }
+        for (std::thread &t : pool)
+            t.join();
     }
 
     // Deterministic join: everything is merged in unit order, never in
@@ -386,38 +400,6 @@ Session::frontend(const std::string &source, DiagnosticEngine &diags,
         diags.report(e.diagnostic());
         return std::nullopt;
     }
-}
-
-// Definition of the deprecated free-function entry point: a single
-// borrowed unit compiled by a single-threaded Session, i.e. exactly
-// the historical code path, with the merged diagnostics copied back
-// into the caller's engine.
-CompileResult
-compileProgram(Program &program, const ProfileData &profile,
-               const CompileOptions &options)
-{
-    SessionOptions conf = SessionOptions()
-                              .withPipeline(options.pipeline)
-                              .withPolicy(options.policy)
-                              .withTarget(options.target)
-                              .withBackend(options.runBackend)
-                              .withBlockSplitting(options.blockSplitting)
-                              .withParallelTrials(options.parallelTrials)
-                              .withTrialCache(options.useTrialCache)
-                              .withIncrementalOpt(options.useIncrementalOpt)
-                              .withVerifyStages(options.verifyStages)
-                              .withKeepGoing(options.keepGoing &&
-                                             options.diags != nullptr);
-    Session session(conf);
-    session.addProgramRef(program, profile);
-    SessionResult merged = session.compile(1);
-
-    CompileResult out;
-    out.stats = std::move(merged.functions[0].stats);
-    out.failedPhases = std::move(merged.functions[0].failedPhases);
-    if (options.diags != nullptr)
-        options.diags->append(merged.diagnostics);
-    return out;
 }
 
 } // namespace chf

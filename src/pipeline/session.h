@@ -8,8 +8,9 @@
  * fanout → schedule). Units are independent by construction — each
  * worker gets its own AnalysisManager, FunctionCheckpoint scratch
  * space, and thread-local DiagnosticEngine — so compile(nThreads)
- * distributes units over a chf::ThreadPool and still produces
- * bit-identical output at any thread count:
+ * runs units on up to nThreads worker threads, each claiming the next
+ * unit index from one shared counter, and still produces bit-identical
+ * output at any thread count:
  *
  *  - per-unit results land in per-unit slots, merged in unit order;
  *  - per-worker diagnostics are stamped with the unit index and merged
@@ -17,11 +18,10 @@
  *  - fault injection matches on unit index (see FaultUnitScope), so
  *    --fault=phase:P,fn:N fires exactly once under any thread count.
  *
- * compile() with one thread spawns no threads at all and runs the
- * exact sequential code path the deprecated compileProgram() free
- * function has always taken. The ownership model and determinism
- * contract are documented in DESIGN.md §9; the migration guide from
- * the deprecated free functions is docs/api.md.
+ * compile() with one thread (or one unit) spawns no threads at all and
+ * runs the units in order on the calling thread. The ownership model
+ * and determinism contract are documented in DESIGN.md §9; the API
+ * guide is docs/api.md.
  */
 
 #ifndef CHF_PIPELINE_SESSION_H
@@ -70,30 +70,12 @@ struct SessionOptions
     bool blockSplitting = false;
 
     /**
-     * Speculative parallel trial merges: units compiled on the workers
-     * of a multi-threaded session fan candidate trials out over the
-     * shared work-stealing pool (bit-identical to serial formation;
-     * DESIGN.md §11). Requires threads > 1 to have any effect; also
-     * globally switchable off with CHF_PARALLEL_TRIALS=0.
-     */
-    bool parallelTrials = true;
-
-    /**
      * Trial-merge fast path (DESIGN.md §10). Off takes the slow path
      * — bit-identical by contract, and differentially tested by the
      * fuzz harness. Also globally switchable off with
      * CHF_TRIAL_CACHE=0.
      */
     bool useTrialCache = true;
-
-    /**
-     * Seam-scoped incremental trial optimization (DESIGN.md §14): the
-     * per-trial scalar-opt pipeline starts at the combine seam when
-     * the hyperblock body is a known fixpoint, instead of re-scanning
-     * the whole block. Bit-identical to the full pass by contract; off
-     * (or CHF_INCR_OPT=0) forces the full pass for differential runs.
-     */
-    bool useIncrementalOpt = true;
 
     /** Verify semantics-preservation hooks (IR verifier) per stage. */
     bool verifyStages = true;
@@ -155,18 +137,6 @@ struct SessionOptions
      *  name, listing the registry. */
     SessionOptions &withTarget(const std::string &name);
 
-    /**
-     * @deprecated Historical spelling from when the target description
-     * was the TripsConstraints struct; identical to withTarget(model).
-     */
-    [[deprecated("use withTarget (see docs/api.md)")]]
-    SessionOptions &
-    withConstraints(const TargetModel &c)
-    {
-        target = c;
-        return *this;
-    }
-
     SessionOptions &withBackend(bool on) { runBackend = on; return *this; }
 
     SessionOptions &
@@ -184,23 +154,9 @@ struct SessionOptions
     }
 
     SessionOptions &
-    withParallelTrials(bool on)
-    {
-        parallelTrials = on;
-        return *this;
-    }
-
-    SessionOptions &
     withTrialCache(bool on)
     {
         useTrialCache = on;
-        return *this;
-    }
-
-    SessionOptions &
-    withIncrementalOpt(bool on)
-    {
-        useIncrementalOpt = on;
         return *this;
     }
 
@@ -337,17 +293,16 @@ class Session
     SessionResult compile();
 
     /**
-     * Compile every unit with @p threads workers. One thread runs the
-     * exact sequential code path (no pool, no locks on the unit path);
-     * more threads distribute units over a ThreadPool. Output is
-     * bit-identical either way.
+     * Compile every unit with min(@p threads, size()) workers. One
+     * worker runs the units in order on the calling thread; more start
+     * that many std::threads, each pulling the next unit index from
+     * one atomic counter. Output is bit-identical either way.
      */
     SessionResult compile(int threads);
 
     /**
      * Parse + lower TinyC to a runnable Program. Calls fatal()
-     * (exit 1) on malformed input. This is the façade entry the
-     * deprecated free compileTinyC delegates to.
+     * (exit 1) on malformed input.
      */
     static Program frontend(const std::string &source,
                             const std::string &entry_name = "main",

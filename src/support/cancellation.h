@@ -5,8 +5,7 @@
  *
  * A CancellationSource owns a trip flag; CancellationTokens are cheap
  * shared handles to it. The pipeline polls tokens at safe points —
- * compileUnit phase boundaries, the expandBlock merge-round loop, the
- * speculative trial tasks fanned out over the work-stealing pool, and
+ * compileUnit phase boundaries, the expandBlock merge-round loop, and
  * the stall fault's sleep loop — and a tripped token surfaces as a
  * CancelledError (a RecoverableError), which the enclosing guards roll
  * back and the Session turns into a `timeout` / `deadline` /
@@ -175,9 +174,7 @@ class CancellationSource
 
 /**
  * RAII: publish @p token as CancellationToken::current() for this
- * thread. Session establishes one scope around each unit attempt;
- * MergeEngine re-establishes it inside speculative trial tasks so the
- * poll sites on pool workers observe the owning unit's token.
+ * thread. Session establishes one scope around each unit attempt.
  */
 class CancellationScope
 {

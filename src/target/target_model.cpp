@@ -37,8 +37,7 @@ buildRegistry()
 {
     std::vector<TargetModel> models;
 
-    // The reference model: a default TargetModel IS trips, which is
-    // what keeps the deprecated TripsConstraints alias byte-identical.
+    // The reference model: a default TargetModel IS trips.
     TargetModel trips;
     trips.name = "trips";
     models.push_back(trips);

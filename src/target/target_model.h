@@ -16,10 +16,8 @@
  * A named registry provides the reference `trips` model plus synthetic
  * targets (`trips-wide`, `small-block`, `deep-lsq`) used by the policy
  * auto-tuner and bench/target_sweep to extend the paper's
- * policy-framework result beyond TRIPS. The legacy `TripsConstraints`
- * name survives as a deprecated alias of TargetModel (its default
- * state IS the trips target), pinned byte-identical by equivalence
- * tests.
+ * policy-framework result beyond TRIPS. A default-constructed
+ * TargetModel is the trips target.
  */
 
 #ifndef CHF_TARGET_TARGET_MODEL_H
@@ -153,15 +151,6 @@ struct TargetModel
                spillHeadroom == o.spillHeadroom;
     }
 };
-
-/**
- * @deprecated The historical name of the target description. The
- * default-constructed state is exactly the TRIPS model, so existing
- * code compiles and behaves byte-identically (pinned by the
- * TargetModelAlias equivalence tests); new code should say TargetModel.
- */
-using TripsConstraints [[deprecated("use chf::TargetModel")]] =
-    TargetModel;
 
 // --- named registry ---
 

@@ -8,8 +8,7 @@
 namespace chf {
 
 size_t
-copyPropagateBlock(BasicBlock &bb, CopyPropScratch *scratch,
-                   size_t begin)
+copyPropagateBlock(BasicBlock &bb, CopyPropScratch *scratch)
 {
     // Dense map from copy destination to its source operand, valid
     // until either side is redefined. Epoch stamping makes the
@@ -50,29 +49,7 @@ copyPropagateBlock(BasicBlock &bb, CopyPropScratch *scratch,
         t.active.push_back(dest);
     };
 
-    if (begin > bb.insts.size())
-        begin = bb.insts.size();
-
-    // Warm-up over the fixpoint prefix [0, begin): on a prefix where
-    // the full pass makes zero rewrites, the lookups are no-ops, so
-    // only the table maintenance (invalidate + insert) needs to run.
-    // A rewrite always changes instruction bytes (the table never maps
-    // a register to itself), so "zero changes" really implies "no
-    // lookup hits".
-    for (size_t wi = 0; wi < begin; ++wi) {
-        const Instruction &inst = bb.insts[wi];
-        if (inst.hasDest()) {
-            invalidate(inst.dest);
-            if (inst.op == Opcode::Mov && !inst.pred.valid() &&
-                !(inst.srcs[0].isReg() &&
-                  inst.srcs[0].reg == inst.dest)) {
-                insert(inst.dest, inst.srcs[0]);
-            }
-        }
-    }
-
-    for (size_t ii = begin; ii < bb.insts.size(); ++ii) {
-        Instruction &inst = bb.insts[ii];
+    for (Instruction &inst : bb.insts) {
         // Rewrite register sources.
         for (int i = 0; i < inst.numSrcs(); ++i) {
             if (!inst.srcs[i].isReg())
@@ -114,7 +91,7 @@ copyPropagateFunction(Function &fn)
 
 size_t
 coalesceMoves(BasicBlock &bb, const BitVector &live_out,
-              CoalesceScratch *scratch, size_t *min_touched)
+              CoalesceScratch *scratch)
 {
     size_t nv = live_out.size();
 
@@ -159,7 +136,6 @@ coalesceMoves(BasicBlock &bb, const BitVector &live_out,
     }
 
     size_t coalesced = 0;
-    size_t first_touched = bb.insts.size();
     bool changed = true;
     while (changed) {
         changed = false;
@@ -217,13 +193,9 @@ coalesceMoves(BasicBlock &bb, const BitVector &live_out,
             sc.uses[t]--;
             ++coalesced;
             changed = true;
-            if (i < first_touched)
-                first_touched = i;
             break;
         }
     }
-    if (min_touched)
-        *min_touched = coalesced > 0 ? first_touched : bb.insts.size();
     return coalesced;
 }
 

@@ -28,15 +28,11 @@ struct CopyPropScratch
 };
 
 /**
- * Propagate copies within @p bb. The prefix [0, begin) is known to be
- * at the pass's fixpoint (see optimizeBlockFrom): it is replayed in a
- * maintenance-only mode that updates the copy table without attempting
- * rewrites. begin == 0 is the full pass.
+ * Propagate copies within @p bb.
  * @return number of uses rewritten.
  */
 size_t copyPropagateBlock(BasicBlock &bb,
-                          CopyPropScratch *scratch = nullptr,
-                          size_t begin = 0);
+                          CopyPropScratch *scratch = nullptr);
 
 /** Apply to every block. @return total uses rewritten. */
 size_t copyPropagateFunction(Function &fn);
@@ -61,15 +57,10 @@ struct CoalesceScratch
  * between. The front end emits this shape for every assignment to a
  * mutable variable; coalescing it is what exposes `i = i + 1` to the
  * counted-loop matcher and removes most lowering chatter.
- * If @p min_touched is non-null it receives the smallest instruction
- * index whose content or position changed (bb.insts.size() when
- * nothing changed) -- the watermark input for seam-scoped
- * re-optimization.
  * @return number of moves coalesced.
  */
 size_t coalesceMoves(BasicBlock &bb, const BitVector &live_out,
-                     CoalesceScratch *scratch = nullptr,
-                     size_t *min_touched = nullptr);
+                     CoalesceScratch *scratch = nullptr);
 
 /** Apply coalesceMoves to every block. @return total coalesced. */
 size_t coalesceMovesFunction(Function &fn);

@@ -6,7 +6,7 @@ namespace chf {
 
 size_t
 eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
-                  DceScratch *scratch, size_t *min_touched)
+                  DceScratch *scratch)
 {
     DceScratch local;
     DceScratch &t = scratch ? *scratch : local;
@@ -15,7 +15,6 @@ eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
     std::vector<uint8_t> &keep = t.keep;
     keep.assign(bb.insts.size(), 1);
     size_t removed = 0;
-    size_t first_removed = bb.insts.size();
 
     for (size_t i = bb.insts.size(); i-- > 0;) {
         const Instruction &inst = bb.insts[i];
@@ -28,7 +27,6 @@ eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
         if (!has_effect && inst.hasDest() && !live.test(inst.dest)) {
             keep[i] = 0;
             ++removed;
-            first_removed = i;
             continue;
         }
         // Unpredicated writes kill; predicated ones merge.
@@ -47,8 +45,6 @@ eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
         }
         bb.insts.swap(kept);
     }
-    if (min_touched)
-        *min_touched = first_removed;
     return removed;
 }
 

@@ -25,15 +25,10 @@ struct DceScratch
 
 /**
  * Remove dead pure instructions from @p bb given the registers live on
- * exit. If @p min_touched is non-null it receives the smallest
- * removed instruction index (bb.insts.size() when nothing was
- * removed) -- instructions below it kept both content and position,
- * which is the watermark input for seam-scoped re-optimization.
- * @return number of instructions removed.
+ * exit. @return number of instructions removed.
  */
 size_t eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
-                         DceScratch *scratch = nullptr,
-                         size_t *min_touched = nullptr);
+                         DceScratch *scratch = nullptr);
 
 /**
  * Whole-function DCE to a fixed point (removing a use can kill an

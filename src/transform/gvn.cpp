@@ -447,8 +447,7 @@ simplifyAlgebraic(const Instruction &inst, ValueTable &table)
 } // namespace
 
 size_t
-valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch *scratch,
-                 size_t begin)
+valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch *scratch)
 {
     (void)fn;
     GvnScratch local;
@@ -465,88 +464,7 @@ valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch *scratch,
     ValueTable table(regs);
     uint64_t mem_epoch = 0;
     size_t simplified = 0;
-    if (begin > bb.insts.size())
-        begin = bb.insts.size();
-
-    // Warm-up over the fixpoint prefix [0, begin): replay exactly the
-    // table mutations the full pass would make there, skipping the
-    // rewrite attempts. On a prefix where the full pass is known to
-    // make zero changes, no fold/strength-reduction/algebraic rule
-    // fires and every CSE lookup falls through to the fresh-number
-    // path, so the table state at `begin` -- including the numbering
-    // itself -- is identical to a full run's. (DESIGN.md section 14
-    // spells out the argument case by case.)
-    for (size_t wi = 0; wi < begin; ++wi) {
-        const Instruction &inst = bb.insts[wi];
-        ValueNum pred_vn = inst.pred.valid()
-                               ? table.ofReg(inst.pred.reg)
-                               : 0;
-        if (inst.op == Opcode::Store) {
-            ++mem_epoch;
-            continue;
-        }
-        if (inst.isBranch())
-            continue;
-
-        if (inst.op == Opcode::Load) {
-            ExprKey key;
-            key.op = Opcode::Load;
-            key.a = table.ofOperand(inst.srcs[0]);
-            key.b = table.ofOperand(inst.srcs[1]);
-            key.pred = pred_vn;
-            key.predPolarity = inst.pred.onTrue;
-            key.memEpoch = mem_epoch;
-            ValueNum vn = table.fresh();
-            table.setReg(inst.dest, vn);
-            table.recordExpr(key, inst.dest, vn);
-            continue;
-        }
-
-        if (inst.op == Opcode::Mov) {
-            ValueNum vn = table.ofOperand(inst.srcs[0]);
-            if (!inst.pred.valid())
-                table.setReg(inst.dest, vn);
-            else
-                table.setReg(inst.dest, table.fresh());
-            continue;
-        }
-
-        ValueNum va = table.ofOperand(inst.srcs[0]);
-        ValueNum vb = inst.numSrcs() > 1 ? table.ofOperand(inst.srcs[1])
-                                         : table.ofConst(0);
-        ExprKey key;
-        key.op = inst.op;
-        key.a = va;
-        key.b = vb;
-        if (opcodeIsCommutative(inst.op) && key.b < key.a)
-            std::swap(key.a, key.b);
-        key.pred = pred_vn;
-        key.predPolarity = inst.pred.onTrue;
-
-        ValueNum vn = table.fresh();
-        if (!inst.pred.valid()) {
-            bool boolean = opcodeIsTest(inst.op) ||
-                           inst.op == Opcode::Band ||
-                           inst.op == Opcode::Bandc;
-            if ((inst.op == Opcode::And || inst.op == Opcode::Or ||
-                 inst.op == Opcode::Xor) &&
-                table.isBoolean(va) && table.isBoolean(vb)) {
-                boolean = true;
-            }
-            if (boolean)
-                table.markBoolean(vn);
-            if ((inst.op == Opcode::Band || inst.op == Opcode::Bandc) &&
-                inst.srcs[0].isReg()) {
-                table.recordBoolExpr(vn, inst.op, va, vb,
-                                     inst.srcs[0].reg);
-            }
-        }
-        table.setReg(inst.dest, vn);
-        table.recordExpr(key, inst.dest, vn);
-    }
-
-    for (size_t ii = begin; ii < bb.insts.size(); ++ii) {
-        Instruction &inst = bb.insts[ii];
+    for (Instruction &inst : bb.insts) {
         // Resolve predicates on known constants: a guard that always
         // holds is dropped (for branches too -- by the one-branch-fires
         // invariant the other exits were already dead); a pure

@@ -89,19 +89,11 @@ struct GvnScratch
 /**
  * Value-number @p bb in place.
  *
- * @p begin marks a prefix [0, begin) already known to be at the
- * pass's fixpoint (see optimizeBlockFrom): the prefix is replayed in
- * a warm-up mode that performs exactly the table mutations the full
- * pass would, but skips the lookups whose rewrites provably cannot
- * fire there. With begin == 0 the behavior is the full pass,
- * bit-identical to the pre-incremental implementation.
- *
  * @return number of instructions simplified (folded, strength-reduced,
  *         or rewritten to moves).
  */
 size_t valueNumberBlock(Function &fn, BasicBlock &bb,
-                        GvnScratch *scratch = nullptr,
-                        size_t begin = 0);
+                        GvnScratch *scratch = nullptr);
 
 /** Apply valueNumberBlock to every block. @return total simplified. */
 size_t valueNumberFunction(Function &fn);

@@ -110,30 +110,12 @@ bool
 combineBlocks(Function &fn, BasicBlock &hb, const BasicBlock &s,
               double freq_share, CombineScratch *scratch)
 {
-    // Delegate to the cursor form: Function::newVreg returns
-    // vregCount++ too, so seeding at numVregs() and skipping the
-    // consumed count afterwards produces identical numbering.
-    VregCursor vregs{fn.numVregs()};
-    bool merged = combineBlocksAt(vregs, hb, s, freq_share, scratch);
-    fn.skipVregs(vregs.next - fn.numVregs());
-    return merged;
-}
-
-bool
-combineBlocksAt(VregCursor &vregs, BasicBlock &hb, const BasicBlock &s,
-                double freq_share, CombineScratch *scratch)
-{
     CombineScratch local;
     CombineScratch &sc = scratch ? *scratch : local;
 
     collectConsumed(hb, s.id(), sc.consumed);
     if (sc.consumed.empty())
         return false;
-    // Everything below the first consumed branch is copied into the
-    // rebuilt body verbatim and position-aligned (the consumed list is
-    // ascending, and insertions -- snapshots, the OR chain, S's
-    // instructions -- all happen at or after it).
-    sc.firstDirty = sc.consumed[0];
 
     // Classify the entry condition.
     Predicate direct;
@@ -159,7 +141,7 @@ combineBlocksAt(VregCursor &vregs, BasicBlock &hb, const BasicBlock &s,
         ++consumed_cursor;
         if (kind == EntryKind::Materialized) {
             const Predicate &p = hb.insts[i].pred;
-            Vreg snap = vregs.take();
+            Vreg snap = fn.newVreg();
             body.push_back(materializeTruth(snap, p.reg, p.onTrue));
             snapshots.push_back(snap);
         }
@@ -171,7 +153,7 @@ combineBlocksAt(VregCursor &vregs, BasicBlock &hb, const BasicBlock &s,
     if (kind == EntryKind::Materialized) {
         entry_reg = snapshots[0];
         for (size_t i = 1; i < snapshots.size(); ++i) {
-            Vreg combined = vregs.take();
+            Vreg combined = fn.newVreg();
             body.push_back(Instruction::binary(
                 Opcode::Or, combined, Operand::makeReg(entry_reg),
                 Operand::makeReg(snapshots[i])));
@@ -194,7 +176,7 @@ combineBlocksAt(VregCursor &vregs, BasicBlock &hb, const BasicBlock &s,
         if (direct.onTrue) {
             entry_value = direct.reg;
         } else {
-            entry_value = vregs.take();
+            entry_value = fn.newVreg();
             body.push_back(
                 materializeTruth(entry_value, direct.reg, false));
         }
@@ -233,7 +215,7 @@ combineBlocksAt(VregCursor &vregs, BasicBlock &hb, const BasicBlock &s,
                 }
             }
             if (folded == kNoVreg) {
-                folded = vregs.take();
+                folded = fn.newVreg();
                 body.push_back(Instruction::binary(
                     inst.pred.onTrue ? Opcode::Band : Opcode::Bandc,
                     folded, Operand::makeReg(entry_value_reg()),

@@ -29,9 +29,9 @@ bool writesReg(const BasicBlock &bb, Vreg reg);
 
 /**
  * Reusable working storage for combineBlocks. The merge engine runs
- * one combine per speculative trial; passing the same scratch across
- * trials reuses the vector capacity instead of reallocating the
- * rebuilt body (often hundreds of instructions) every time.
+ * one combine per trial; passing the same scratch across trials
+ * reuses the vector capacity instead of reallocating the rebuilt body
+ * (often hundreds of instructions) every time.
  */
 struct CombineScratch
 {
@@ -47,60 +47,10 @@ struct CombineScratch
     std::vector<Vreg> snapshots;
     std::vector<Instruction> body;
     std::vector<FoldEntry> foldCache;
-
-    /**
-     * Set by combineBlocksAt: the merge seam. Body positions
-     * [0, firstDirty) are verbatim, position-aligned copies of the
-     * pre-combine hyperblock (everything below the first consumed
-     * branch survives unmodified and nothing above it is inserted);
-     * every instruction the combine introduced or rewrote -- removed
-     * or materialized branches, the OR chain, predicated copies of S
-     * -- lands at or after it. This is the seam the incremental
-     * optimizer (optimizeBlockFrom) starts from.
-     */
-    size_t firstDirty = 0;
 };
-
-/**
- * A detached virtual-register allocator: hands out `next, next+1, ...`
- * exactly as Function::newVreg would from the same starting point.
- * Speculative trial merges run combineBlocks against a cursor seeded at
- * their *predicted* base (start-of-epoch counter plus the
- * combineVregCost of every earlier candidate) instead of touching the
- * function's shared counter, which is what makes a trial side-effect-
- * free enough to run on a worker thread (DESIGN.md §11).
- */
-struct VregCursor
-{
-    uint32_t next = 0;
-
-    Vreg take() { return next++; }
-};
-
-/**
- * Append @p s to @p hb under the entry condition of HB -> S branches,
- * allocating any materialized predicate registers from @p vregs.
- *
- * @param vregs       Detached register allocator; advanced by exactly
- *                    combineVregCost(hb, s).
- * @param hb          The growing hyperblock; modified in place.
- * @param s           The block to merge (not modified; may be a saved
- *                    pristine copy whose id equals hb's for unrolling).
- * @param freq_share  Factor applied to the appended branch frequencies:
- *                    the share of S's profiled executions that flow
- *                    through HB.
- * @param scratch     Optional reusable working storage; when null a
- *                    fresh local scratch is used (identical behavior).
- * @return false if HB has no branch to S (nothing changed).
- */
-bool combineBlocksAt(VregCursor &vregs, BasicBlock &hb,
-                     const BasicBlock &s, double freq_share,
-                     CombineScratch *scratch = nullptr);
 
 /**
  * Append @p s to @p hb under the entry condition of HB -> S branches.
- * Equivalent to combineBlocksAt with a cursor seeded at fn.numVregs(),
- * advancing fn's counter by the registers consumed.
  *
  * @param fn          Function providing fresh vregs (hb need not be a
  *                    live block of fn; scratch blocks are fine).

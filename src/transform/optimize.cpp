@@ -1,7 +1,5 @@
 #include "transform/optimize.h"
 
-#include <algorithm>
-
 #include "analysis/liveness.h"
 #include "support/timer.h"
 #include "transform/copy_prop.h"
@@ -13,77 +11,38 @@ namespace chf {
 
 size_t
 optimizeBlock(Function &fn, BasicBlock &bb, const BitVector &live_out,
-              BlockOptScratch *scratch)
-{
-    return optimizeBlockFrom(fn, bb, live_out, 0, scratch, nullptr,
-                             nullptr);
-}
-
-size_t
-optimizeBlockFrom(Function &fn, BasicBlock &bb,
-                  const BitVector &live_out, size_t seam_begin,
-                  BlockOptScratch *scratch, bool *fixpoint_out,
-                  OptPassStats *stats)
+              BlockOptScratch *scratch, OptPassStats *stats)
 {
     BlockOptScratch local;
     BlockOptScratch &t = scratch ? *scratch : local;
     size_t total = 0;
-    size_t begin = std::min(seam_begin, bb.insts.size());
-    bool fixpoint = false;
     // Two rounds: predicate merging exposes value-numbering hits and
     // vice versa; gains beyond two rounds are negligible.
     for (int round = 0; round < 2; ++round) {
         size_t changes = 0;
-        size_t min_pred = bb.insts.size();
-        size_t min_dce = bb.insts.size();
-        size_t min_coalesce = bb.insts.size();
-        if (stats) {
-            stats->instsVisited += bb.insts.size() - begin;
-            stats->instsTotal += bb.insts.size();
-            Timer timer;
-            int64_t last = 0;
-            auto lap = [&](uint64_t &slot) {
-                int64_t now = timer.elapsedMicros();
-                slot += static_cast<uint64_t>(now - last);
-                last = now;
-            };
-            changes += copyPropagateBlock(bb, &t.copyProp, begin);
-            lap(stats->usCopyProp);
-            changes += valueNumberBlock(fn, bb, &t.gvn, begin);
-            lap(stats->usGvn);
-            changes += optimizePredicates(bb, live_out, &t.predOpt,
-                                          begin, &min_pred);
-            lap(stats->usPredOpt);
-            changes += eliminateDeadCode(bb, live_out, &t.dce,
-                                         &min_dce);
-            lap(stats->usDce);
-            changes += coalesceMoves(bb, live_out, &t.coalesce,
-                                     &min_coalesce);
-            lap(stats->usCoalesce);
-        } else {
-            changes += copyPropagateBlock(bb, &t.copyProp, begin);
-            changes += valueNumberBlock(fn, bb, &t.gvn, begin);
-            changes += optimizePredicates(bb, live_out, &t.predOpt,
-                                          begin, &min_pred);
-            changes += eliminateDeadCode(bb, live_out, &t.dce,
-                                         &min_dce);
-            changes += coalesceMoves(bb, live_out, &t.coalesce,
-                                     &min_coalesce);
-        }
+        Timer timer;
+        int64_t last = 0;
+        auto lap = [&](uint64_t OptPassStats::*slot) {
+            if (!stats)
+                return;
+            int64_t now = timer.elapsedMicros();
+            stats->*slot += static_cast<uint64_t>(now - last);
+            last = now;
+        };
+        changes += copyPropagateBlock(bb, &t.copyProp);
+        lap(&OptPassStats::usCopyProp);
+        changes += valueNumberBlock(fn, bb, &t.gvn);
+        lap(&OptPassStats::usGvn);
+        changes += optimizePredicates(bb, live_out, &t.predOpt);
+        lap(&OptPassStats::usPredOpt);
+        changes += eliminateDeadCode(bb, live_out, &t.dce);
+        lap(&OptPassStats::usDce);
+        changes += coalesceMoves(bb, live_out, &t.coalesce);
+        lap(&OptPassStats::usCoalesce);
         total += changes;
-        if (changes == 0) {
-            fixpoint = true;
+        if (changes == 0)
             break;
-        }
-        // The copy-prop/GVN rewrites only touch [begin, n); the
-        // position-reporting passes may have modified or shifted
-        // instructions below it, so the next round's prefix shrinks to
-        // the lowest touched position.
-        begin = std::min(std::min(begin, min_pred),
-                         std::min(min_dce, min_coalesce));
     }
-    if (fixpoint_out)
-        *fixpoint_out = fixpoint;
     return total;
 }
 

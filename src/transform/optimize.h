@@ -33,10 +33,8 @@ struct BlockOptScratch
 };
 
 /**
- * Per-pass timing and visit accounting for one or more
- * optimizeBlockFrom invocations (the `us_opt_*` counters in
- * BENCH_pass_speed.json and the incremental-opt hit ratio reported by
- * Session stats). Timing only runs when a stats object is supplied.
+ * Per-pass wall time of one or more optimizeBlock invocations (the
+ * `usOpt*` counters the merge engine reports).
  */
 struct OptPassStats
 {
@@ -45,56 +43,17 @@ struct OptPassStats
     uint64_t usPredOpt = 0;
     uint64_t usDce = 0;
     uint64_t usCoalesce = 0;
-    /// Instructions processed in rewrite mode by the seam-scoped
-    /// forward passes (copy-prop + GVN), vs. the whole-block count --
-    /// the "seam insts visited / block insts" hit ratio.
-    uint64_t instsVisited = 0;
-    uint64_t instsTotal = 0;
-
-    void
-    merge(const OptPassStats &other)
-    {
-        usCopyProp += other.usCopyProp;
-        usGvn += other.usGvn;
-        usPredOpt += other.usPredOpt;
-        usDce += other.usDce;
-        usCoalesce += other.usCoalesce;
-        instsVisited += other.instsVisited;
-        instsTotal += other.instsTotal;
-    }
 };
 
 /**
  * Optimize a single block in place given its live-out set. Used on the
- * scratch merged block inside MergeBlocks. @return total changes.
+ * scratch merged block inside MergeBlocks. When @p stats is non-null,
+ * per-pass wall time is accumulated into it. @return total changes.
  */
 size_t optimizeBlock(Function &fn, BasicBlock &bb,
                      const BitVector &live_out,
-                     BlockOptScratch *scratch = nullptr);
-
-/**
- * Seam-scoped variant of optimizeBlock: the prefix [0, seam_begin) is
- * known to be at the pipeline's fixpoint (the last full round over the
- * block it was copied from made zero changes), so the forward passes
- * replay it in table-maintenance mode and only [seam_begin, n) is
- * eligible for rewriting; the live_out-driven passes (predicate drop,
- * DCE, coalescing) always cover the whole block. After each round the
- * watermark is lowered to the lowest position a pass touched, so
- * round-2 rewrites stay sound. Reaches the exact same fixpoint as the
- * full pass, byte for byte -- seam_begin == 0 IS the full pass.
- *
- * @param fixpoint_out set to true when the last executed round made
- *        zero changes, i.e. the resulting body is a known fixpoint a
- *        later trial may treat as an unchanged prefix.
- * @param stats when non-null, per-pass wall time and visit counts are
- *        accumulated (timing is skipped entirely when null).
- * @return total changes.
- */
-size_t optimizeBlockFrom(Function &fn, BasicBlock &bb,
-                         const BitVector &live_out, size_t seam_begin,
-                         BlockOptScratch *scratch = nullptr,
-                         bool *fixpoint_out = nullptr,
-                         OptPassStats *stats = nullptr);
+                     BlockOptScratch *scratch = nullptr,
+                     OptPassStats *stats = nullptr);
 
 /**
  * Whole-function scalar optimization (the discrete "O" phase of the

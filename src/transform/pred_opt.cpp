@@ -18,36 +18,10 @@ constexpr uint8_t kConflict = 2;
  * For a pair i < j with the same op/dest/srcs and predicates
  * (p,true)/(p,false), no write in (i, j) may touch the destination,
  * any source, or p itself; then i runs unpredicated and j disappears.
- *
- * For a prefix instruction at i < begin (fixpoint prefix), the scan is
- * skipped when no instruction in the dirty region [begin, n) writes
- * a.dest under a predicate: a match requires exactly such a partner,
- * and prefix-internal pairs were already proven unmergeable (the last
- * full pass made zero merges, and the scan over [0, begin) sees the
- * same bytes it saw then). When the index hits, the full scan runs so
- * clobber handling stays exact.
  */
 size_t
-mergeComplementary(BasicBlock &bb, size_t begin, PredOptScratch &sc,
-                   size_t &first_touched)
+mergeComplementary(BasicBlock &bb)
 {
-    bool use_index = begin > 0;
-    if (use_index) {
-        for (size_t i = begin; i < bb.insts.size(); ++i) {
-            const Instruction &inst = bb.insts[i];
-            if (!inst.pred.valid() || !inst.hasDest())
-                continue;
-            Vreg v = inst.dest;
-            if (v >= sc.dirtyDestStamp.size())
-                sc.dirtyDestStamp.resize(v + 1, 0u);
-            sc.dirtyDestStamp[v] = sc.epoch;
-        }
-    }
-    auto dirty_dest = [&](Vreg v) {
-        return v < sc.dirtyDestStamp.size() &&
-               sc.dirtyDestStamp[v] == sc.epoch;
-    };
-
     size_t merged = 0;
     for (size_t i = 0; i < bb.insts.size(); ++i) {
         Instruction &a = bb.insts[i];
@@ -55,8 +29,6 @@ mergeComplementary(BasicBlock &bb, size_t begin, PredOptScratch &sc,
             a.op == Opcode::Load || !a.hasDest()) {
             continue;
         }
-        if (use_index && i < begin && !dirty_dest(a.dest))
-            continue;
         for (size_t j = i + 1; j < bb.insts.size(); ++j) {
             Instruction &b = bb.insts[j];
             if (b.op != a.op || b.dest != a.dest || b.srcs != a.srcs)
@@ -90,8 +62,6 @@ mergeComplementary(BasicBlock &bb, size_t begin, PredOptScratch &sc,
             a.pred = Predicate::always();
             bb.insts.erase(bb.insts.begin() + j);
             ++merged;
-            if (i < first_touched)
-                first_touched = i;
             break;
         }
     }
@@ -111,7 +81,7 @@ mergeComplementary(BasicBlock &bb, size_t begin, PredOptScratch &sc,
  */
 size_t
 dropImplicit(BasicBlock &bb, const BitVector &live_out,
-             PredOptScratch &sc, size_t &first_touched)
+             PredOptScratch &sc)
 {
     size_t nv = live_out.size();
 
@@ -189,8 +159,6 @@ dropImplicit(BasicBlock &bb, const BitVector &live_out,
             if (droppable) {
                 inst.pred = Predicate::always();
                 ++dropped;
-                if (i < first_touched)
-                    first_touched = i;
             }
 
             // Earlier writes are observable through this one only when
@@ -226,8 +194,7 @@ dropImplicit(BasicBlock &bb, const BitVector &live_out,
 
 size_t
 optimizePredicates(BasicBlock &bb, const BitVector &live_out,
-                   PredOptScratch *scratch, size_t begin,
-                   size_t *min_touched)
+                   PredOptScratch *scratch)
 {
     PredOptScratch local;
     PredOptScratch &sc = scratch ? *scratch : local;
@@ -235,16 +202,11 @@ optimizePredicates(BasicBlock &bb, const BitVector &live_out,
         // Stamp wraparound (2^32 calls): flush everything once.
         std::fill(sc.reqStamp.begin(), sc.reqStamp.end(), 0u);
         std::fill(sc.usedStamp.begin(), sc.usedStamp.end(), 0u);
-        std::fill(sc.dirtyDestStamp.begin(), sc.dirtyDestStamp.end(),
-                  0u);
         sc.epoch = 1;
     }
-    size_t first_touched = bb.insts.size();
     size_t changes = 0;
-    changes += mergeComplementary(bb, begin, sc, first_touched);
-    changes += dropImplicit(bb, live_out, sc, first_touched);
-    if (min_touched)
-        *min_touched = changes > 0 ? first_touched : bb.insts.size();
+    changes += mergeComplementary(bb);
+    changes += dropImplicit(bb, live_out, sc);
     return changes;
 }
 

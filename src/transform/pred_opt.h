@@ -39,31 +39,15 @@ struct PredOptScratch
     std::vector<uint32_t> reqStamp;
     std::vector<uint8_t> usedAsPred;
     std::vector<uint32_t> usedStamp;
-    // mergeComplementary: set of registers written under a predicate
-    // in the dirty region [begin, n) -- a conservative superset of the
-    // destinations a prefix instruction could pair with.
-    std::vector<uint32_t> dirtyDestStamp;
     uint32_t epoch = 0;
 };
 
 /**
  * Optimize predicates in @p bb given the live-out registers.
- *
- * The prefix [0, begin) is known to be at the pass's fixpoint (see
- * optimizeBlockFrom): complementary-merge scanning for a prefix
- * instruction is skipped unless the dirty region writes its
- * destination under a predicate. The implicit-predication walk always
- * covers the whole block (it is driven by live_out, which changes per
- * trial). begin == 0 is the full pass. If @p min_touched is non-null
- * it receives the smallest instruction index whose content or
- * position changed (bb.insts.size() when nothing changed).
- *
  * @return number of instructions merged plus predicates dropped.
  */
 size_t optimizePredicates(BasicBlock &bb, const BitVector &live_out,
-                          PredOptScratch *scratch = nullptr,
-                          size_t begin = 0,
-                          size_t *min_touched = nullptr);
+                          PredOptScratch *scratch = nullptr);
 
 /** Apply to every block of @p fn. @return total changes. */
 size_t optimizePredicatesFunction(Function &fn);

@@ -109,8 +109,8 @@ AutoTuner::tune(const Program &prepared, const ProfileData &profile)
     FuncSimResult oracle = runFunctional(prepared);
 
     // Evaluate a batch of candidates as one Session: units run in
-    // parallel on the shared pool and reuse the trial-memo store, and
-    // results come back bit-identical at any thread count.
+    // parallel on the Session's workers and reuse the trial-memo
+    // store, and results come back bit-identical at any thread count.
     std::set<std::string> seen;
     auto evaluate = [&](const std::vector<Candidate> &batch) {
         if (batch.empty())

@@ -5,8 +5,8 @@
  *
  * The tuner evaluates candidate configurations (a block-selection
  * policy plus a TargetModel variant) by compiling each through a
- * chf::Session batch — so candidates run in parallel on the existing
- * work-stealing pool and share the process-wide trial-memo store — and
+ * chf::Session batch — so candidates run in parallel on the Session's
+ * workers and share the process-wide trial-memo store — and
  * scoring the result with the deterministic simulators. The outcome is
  * a Pareto report over three axes:
  *

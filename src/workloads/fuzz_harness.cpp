@@ -61,8 +61,7 @@ runCell(const Program &prepared, const ProfileData &profile,
     SessionOptions conf = SessionOptions()
                               .withPolicy(config.policy)
                               .withThreads(config.threads)
-                              .withTrialCache(config.trialCache)
-                              .withParallelTrials(config.parallelTrials);
+                              .withTrialCache(config.trialCache);
     if (config.faultCorruptIr) {
         FaultSpec fault;
         fault.phase = "formation";
@@ -132,7 +131,7 @@ checkProgram(uint64_t seed, const GeneratorShape &shape,
     ProfileData profile = prepareProgram(prepared);
 
     // Cells that must agree byte-for-byte: same policy and fault,
-    // any thread count / cache / parallel-trials setting.
+    // any thread count / cache setting.
     std::map<std::string, std::pair<std::string, CellOutput>> groups;
 
     for (const FuzzConfig &config : configs) {
@@ -223,7 +222,6 @@ FuzzConfig::label() const
     return concat("policy=", policyShortName(policy),
                   " threads=", threads,
                   " cache=", trialCache ? "on" : "off",
-                  " ptrials=", parallelTrials ? "on" : "off",
                   " fault=", faultCorruptIr ? "corrupt-ir" : "none");
 }
 
@@ -243,16 +241,13 @@ fuzzFullMatrix()
           PolicyKind::Vliw, PolicyKind::VliwConvergent}) {
         for (int threads : {1, 4}) {
             for (bool cache : {true, false}) {
-                for (bool ptrials : {true, false}) {
-                    for (bool fault : {false, true}) {
-                        FuzzConfig c;
-                        c.policy = policy;
-                        c.threads = threads;
-                        c.trialCache = cache;
-                        c.parallelTrials = ptrials;
-                        c.faultCorruptIr = fault;
-                        out.push_back(c);
-                    }
+                for (bool fault : {false, true}) {
+                    FuzzConfig c;
+                    c.policy = policy;
+                    c.threads = threads;
+                    c.trialCache = cache;
+                    c.faultCorruptIr = fault;
+                    out.push_back(c);
                 }
             }
         }
@@ -264,8 +259,8 @@ std::vector<FuzzConfig>
 fuzzSmokeMatrix()
 {
     // Every axis is exercised, but not the full cross product: both
-    // thread counts per policy, the cache and parallel-trials kill
-    // switches folded onto opposite thread counts, one fault cell.
+    // thread counts per policy, each with the trial cache on and off,
+    // plus one fault cell.
     std::vector<FuzzConfig> out;
     for (PolicyKind policy :
          {PolicyKind::BreadthFirst, PolicyKind::VliwConvergent}) {
@@ -276,7 +271,6 @@ fuzzSmokeMatrix()
             out.push_back(c);
 
             c.trialCache = false;
-            c.parallelTrials = threads > 1;
             out.push_back(c);
         }
         FuzzConfig fault;

@@ -4,16 +4,16 @@
  *
  * Each generated program is compiled through a chf::Session under a
  * matrix of configurations — policy × thread count × trial-cache
- * on/off × parallel-trials on/off × fault none/corrupt-ir — and every
+ * on/off × fault none/corrupt-ir — and every
  * cell's FunctionalSimulator output must match the unoptimized
  * reference (return value plus the user-visible memory hash,
  * MemoryImage::userHash(), which excludes residual spill slots).
  *
  * On top of the semantic oracle the harness enforces the repo's
- * determinism contracts (DESIGN.md §9–§11): within one
+ * determinism contracts (DESIGN.md §9–§10): within one
  * (policy, fault) group, the emitted asm and the diagnostic stream
- * must be byte-identical across thread counts, trial-cache settings,
- * and parallel-trial settings.
+ * must be byte-identical across thread counts and trial-cache
+ * settings.
  *
  * A failure shrinks: the shape grammar is reduced greedily while the
  * failure reproduces, and the surviving (seed, shape) pair — printed
@@ -40,14 +40,13 @@ struct FuzzConfig
     PolicyKind policy = PolicyKind::BreadthFirst;
     int threads = 1;
     bool trialCache = true;
-    bool parallelTrials = true;
 
     /** Arm a formation corrupt-ir fault (keep-going mode): the phase
      *  must roll back and the degraded output still match the oracle. */
     bool faultCorruptIr = false;
 
     /** Human-readable cell name, e.g.
-     *  "policy=bfs threads=4 cache=off ptrials=on fault=corrupt-ir". */
+     *  "policy=bfs threads=4 cache=off fault=corrupt-ir". */
     std::string label() const;
 
     /** Cells whose asm/diagnostics must be byte-identical share this
@@ -56,11 +55,11 @@ struct FuzzConfig
 };
 
 /** The full matrix: 4 policies × threads {1,4} × cache {on,off} ×
- *  parallel-trials {on,off} × fault {none, corrupt-ir} = 64 cells. */
+ *  fault {none, corrupt-ir} = 32 cells. */
 std::vector<FuzzConfig> fuzzFullMatrix();
 
 /** A cheap sub-matrix for the ≤30s smoke gate: 2 policies, both
- *  thread counts, cache/parallel toggles folded in, one fault cell. */
+ *  thread counts with the trial cache on and off, one fault cell. */
 std::vector<FuzzConfig> fuzzSmokeMatrix();
 
 /** A shrunk, reproducible fuzz failure. */

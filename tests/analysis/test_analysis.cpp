@@ -10,8 +10,8 @@
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
 #include "analysis/profile.h"
-#include "frontend/lowering.h"
 #include "ir/builder.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 
 namespace chf {
@@ -142,7 +142,7 @@ TEST(Loops, SelfLoop)
 
 TEST(Loops, NestedDepth)
 {
-    Program p = compileTinyC(R"(
+    Program p = Session::frontend(R"(
 int main() {
   int acc = 0;
   for (int i = 0; i < 3; i += 1) {
@@ -241,7 +241,7 @@ TEST(Profile, TripQuantile)
 
 TEST(Profile, AnnotationRoundTrip)
 {
-    Program p = compileTinyC(R"(
+    Program p = Session::frontend(R"(
 int main() {
   int s = 0;
   for (int i = 0; i < 5; i += 1) { s += i; }

@@ -11,10 +11,10 @@
 #include "analysis/dominators.h"
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
-#include "frontend/lowering.h"
 #include "hyperblock/convergent.h"
 #include "hyperblock/merge.h"
 #include "ir/builder.h"
+#include "pipeline/session.h"
 #include "transform/cfg_utils.h"
 #include "transform/reverse_if_convert.h"
 
@@ -163,7 +163,7 @@ TEST(AnalysisManager, BlockAbsorbedPatchMatchesFreshBuild)
     // A simple merge inside a loop: head absorbs its single-predecessor
     // successor. The dominator tree and loop info must be patched to
     // exactly what a fresh build over the new CFG produces.
-    Program p = compileTinyC(R"(
+    Program p = Session::frontend(R"(
 int main() {
   int s = 0;
   for (int i = 0; i < 8; i += 1) {
@@ -205,7 +205,7 @@ int main() {
 
 TEST(AnalysisManager, SplitBlockThenInvalidateAll)
 {
-    Program p = compileTinyC(R"(
+    Program p = Session::frontend(R"(
 int main() {
   int a = 1; int b = 2; int c = 3; int d = 4;
   int e = a + b; int f = c + d; int g = e * f;
@@ -277,7 +277,7 @@ TEST(AnalysisManager, FormationStressMatchesFresh)
 {
     // End-to-end: run whole-function formation with the cache on, then
     // verify the surviving cache state against fresh analyses.
-    Program p = compileTinyC(R"(
+    Program p = Session::frontend(R"(
 int main() {
   int acc = 0;
   for (int i = 0; i < 12; i += 1) {

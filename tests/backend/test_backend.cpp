@@ -10,10 +10,10 @@
 #include "backend/fanout.h"
 #include "backend/regalloc.h"
 #include "backend/scheduler.h"
-#include "frontend/lowering.h"
 #include "hyperblock/phase_ordering.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 
 namespace chf {
@@ -23,7 +23,7 @@ namespace {
 
 TEST(RegAlloc, NoSpillsWhenPressureLow)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() { int a = 1; int b = 2; int c = a + b;\n"
         "  for (int i = 0; i < 10; i += 1) { c += i; }\n"
         "  return c; }");
@@ -54,7 +54,7 @@ TEST(RegAlloc, SpillsUnderPressureAndPreservesSemantics)
         src += "  s += a" + std::to_string(i) + ";\n";
     src += "  return s;\n}\n";
 
-    Program p = compileTinyC(src);
+    Program p = Session::frontend(src);
     prepareProgram(p);
     auto before = runFunctional(p);
 
@@ -72,7 +72,7 @@ TEST(RegAlloc, SpillsUnderPressureAndPreservesSemantics)
 
 TEST(RegAlloc, HotValuesGetRegistersFirst)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() {\n"
         "  int hot = 0; int cold = 5;\n"
         "  for (int i = 0; i < 1000; i += 1) { hot += i; }\n"
@@ -220,7 +220,7 @@ TEST(Scheduler, KeepsDependenceChainsClose)
 
 TEST(Scheduler, PlacementSizeMatchesBlock)
 {
-    Program p = compileTinyC("int main() { return 42; }");
+    Program p = Session::frontend("int main() { return 42; }");
     auto placements = scheduleFunction(p.fn);
     for (BlockId id : p.fn.blockIds())
         EXPECT_EQ(placements[id].size(), p.fn.block(id)->size());

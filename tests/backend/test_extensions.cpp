@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "backend/asm_writer.h"
-#include "frontend/lowering.h"
 #include "hyperblock/merge.h"
 #include "hyperblock/phase_ordering.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "report/block_report.h"
 #include "sim/functional_sim.h"
 #include "transform/reverse_if_convert.h"
@@ -25,7 +25,7 @@ namespace {
 
 TEST(AsmWriter, TargetFormShape)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int g[4];\n"
         "int main(int x) {\n"
         "  int y = x + 1;\n"
@@ -47,7 +47,7 @@ TEST(AsmWriter, TargetFormShape)
 
 TEST(AsmWriter, BranchesAndPredicates)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main(int x) {\n"
         "  if (x > 0) { return 1; }\n"
         "  return 2;\n"
@@ -88,7 +88,7 @@ TEST(AsmWriter, LiveOutBecomesWrite)
 
 TEST(BlockReport, MeasuresUtilization)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() {\n"
         "  int s = 0;\n"
         "  for (int i = 0; i < 50; i += 1) { s += i; }\n"
@@ -101,8 +101,9 @@ TEST(BlockReport, MeasuresUtilization)
     BlockReport before =
         analyzeBlocks(p.fn, constraints, &before_run);
 
-    CompileOptions options;
-    compileProgram(p, profile, options);
+    Session session;
+    session.addProgramRef(p, profile);
+    session.compile();
     FuncSimResult after_run = runFunctional(p);
     BlockReport after = analyzeBlocks(p.fn, constraints, &after_run);
 
@@ -117,7 +118,7 @@ TEST(BlockReport, MeasuresUtilization)
 
 TEST(BlockReport, HistogramSumsToBlockCount)
 {
-    Program p = compileTinyC("int main() { return 7; }");
+    Program p = Session::frontend("int main() { return 7; }");
     TargetModel constraints;
     BlockReport report = analyzeBlocks(p.fn, constraints);
     size_t total = 0;
@@ -156,7 +157,7 @@ TEST(SplitBlockAt, TwoWaySplitPreservesSemantics)
 
 TEST(SplitBlockAt, RefusesTinyBlocks)
 {
-    Program p = compileTinyC("int main() { return 1; }");
+    Program p = Session::frontend("int main() { return 1; }");
     BlockId entry = p.fn.entry();
     EXPECT_EQ(splitBlockAt(p.fn, entry, 1), kNoBlock);
 }
@@ -255,7 +256,7 @@ TEST(BlockSplittingMerge, MergesFirstPieceOfHugeSuccessor)
 
 TEST(BlockSplittingMerge, FullPipelineStaysCorrect)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int d[64];\n"
         "int main() {\n"
         "  int s = 0;\n"
@@ -273,9 +274,9 @@ TEST(BlockSplittingMerge, FullPipelineStaysCorrect)
     split.fn = p.fn.clone();
     split.memory = p.memory;
     split.defaultArgs = p.defaultArgs;
-    CompileOptions options;
-    options.blockSplitting = true;
-    compileProgram(split, profile, options);
+    Session session(SessionOptions().withBlockSplitting(true));
+    session.addProgramRef(split, profile);
+    session.compile();
 
     FuncSimResult run = runFunctional(split);
     EXPECT_EQ(run.returnValue, oracle.returnValue);
@@ -295,8 +296,9 @@ TEST(AsmWriter, EmitsEveryWorkloadWithoutFault)
     for (const char *name : {"sieve", "bzip2_3", "dhry", "gzip_2"}) {
         Program p = buildWorkload(*findWorkload(name));
         ProfileData profile = prepareProgram(p);
-        CompileOptions options;
-        compileProgram(p, profile, options);
+        Session session;
+        session.addProgramRef(p, profile);
+        session.compile();
         std::string text = writeFunctionAsm(p.fn);
         EXPECT_GT(text.size(), 200u) << name;
         // Block count in the banner matches the function.

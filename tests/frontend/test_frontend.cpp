@@ -11,6 +11,7 @@
 #include "frontend/parser.h"
 #include "hyperblock/phase_ordering.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 
 namespace chf {
@@ -88,7 +89,7 @@ TEST(Parser, Precedence)
 int64_t
 runSource(const std::string &source, std::vector<int64_t> args = {})
 {
-    Program program = compileTinyC(source);
+    Program program = Session::frontend(source);
     EXPECT_TRUE(verify(program.fn).empty());
     return runFunctional(program, args).returnValue;
 }
@@ -259,7 +260,7 @@ TEST(Lowering, CompoundAssignOnArray)
 
 TEST(FunctionalSim, CollectsCounts)
 {
-    Program program = compileTinyC(
+    Program program = Session::frontend(
         "int main() {\n"
         "  int s = 0;\n"
         "  for (int i = 0; i < 10; i += 1) { s += i; }\n"
@@ -278,7 +279,7 @@ TEST(FunctionalSim, CollectsCounts)
 
 TEST(FunctionalSim, ProfileAnnotation)
 {
-    Program program = compileTinyC(
+    Program program = Session::frontend(
         "int main() {\n"
         "  int s = 0;\n"
         "  for (int i = 0; i < 7; i += 1) { s += i; }\n"
@@ -301,7 +302,7 @@ TEST(FunctionalSim, ProfileAnnotation)
 
 TEST(FunctionalSim, TripHistogram)
 {
-    Program program = compileTinyC(
+    Program program = Session::frontend(
         "int main() {\n"
         "  int total = 0;\n"
         "  for (int outer = 1; outer <= 4; outer += 1) {\n"
@@ -329,7 +330,7 @@ TEST(FunctionalSim, MemoryHashDetectsStores)
     const char *src =
         "int out[4];\n"
         "int main(int v) { out[2] = v; return 0; }\n";
-    Program p1 = compileTinyC(src);
+    Program p1 = Session::frontend(src);
     auto r1 = runFunctional(p1, {5});
     auto r2 = runFunctional(p1, {6});
     EXPECT_NE(r1.memoryHash, r2.memoryHash);
@@ -353,7 +354,7 @@ TEST(Lowering, DoWhileRunsBodyFirst)
         "  do { count += 1; i += 1; } while (i < n);\n"
         "  return count;\n"
         "}\n";
-    Program p = compileTinyC(src);
+    Program p = Session::frontend(src);
     EXPECT_EQ(runFunctional(p, {5}).returnValue, 5);
     // Bottom-tested: the body executes at least once even when the
     // condition is false on entry.
@@ -374,7 +375,7 @@ TEST(Lowering, DoWhileBreakContinue)
         "  } while (i < 100);\n"
         "  return s;\n"  // 1+3+5+7 = 16
         "}\n";
-    Program p = compileTinyC(src);
+    Program p = Session::frontend(src);
     EXPECT_EQ(runFunctional(p).returnValue, 16);
 }
 
@@ -387,7 +388,7 @@ TEST(Lowering, TernarySelectsAndShortCircuits)
         "  int r = x > 10 ? touch(1) : touch(2);\n"
         "  return r * 10 + g;\n"
         "}\n";
-    Program p = compileTinyC(src);
+    Program p = Session::frontend(src);
     // Only the selected arm executes (g reflects it).
     EXPECT_EQ(runFunctional(p, {11}).returnValue, 11);
     EXPECT_EQ(runFunctional(p, {3}).returnValue, 22);
@@ -399,7 +400,7 @@ TEST(Lowering, TernaryNestsRightAssociative)
         "int main(int x) {\n"
         "  return x < 0 ? 0 - 1 : x == 0 ? 0 : 1;\n"
         "}\n";
-    Program p = compileTinyC(src);
+    Program p = Session::frontend(src);
     EXPECT_EQ(runFunctional(p, {-5}).returnValue, -1);
     EXPECT_EQ(runFunctional(p, {0}).returnValue, 0);
     EXPECT_EQ(runFunctional(p, {9}).returnValue, 1);
@@ -417,7 +418,7 @@ TEST(Lowering, DoWhileSurvivesAllPipelines)
         "  do { s += d[j] > 100 ? 1 : 0; j += 1; } while (j < 32);\n"
         "  return s;\n"
         "}\n";
-    Program base = compileTinyC(src);
+    Program base = Session::frontend(src);
     ProfileData profile = prepareProgram(base);
     FuncSimResult oracle = runFunctional(base);
     for (Pipeline pipeline :
@@ -426,9 +427,9 @@ TEST(Lowering, DoWhileSurvivesAllPipelines)
         compiled.fn = base.fn.clone();
         compiled.memory = base.memory;
         compiled.defaultArgs = base.defaultArgs;
-        CompileOptions options;
-        options.pipeline = pipeline;
-        compileProgram(compiled, profile, options);
+        Session session(SessionOptions().withPipeline(pipeline));
+        session.addProgramRef(compiled, profile);
+        session.compile();
         FuncSimResult run = runFunctional(compiled);
         EXPECT_EQ(run.returnValue, oracle.returnValue)
             << pipelineName(pipeline);

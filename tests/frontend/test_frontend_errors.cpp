@@ -4,13 +4,13 @@
  * programs with a fatal diagnostic (exit code 1) that names the phase
  * and the line:column of the offending construct, never silently
  * miscompiling. The same errors are collectable as Diagnostics via the
- * DiagnosticEngine overload of compileTinyC.
+ * DiagnosticEngine overload of Session::frontend.
  */
 
 #include <gtest/gtest.h>
 
-#include "frontend/lowering.h"
 #include "frontend/parser.h"
+#include "pipeline/session.h"
 
 namespace chf {
 namespace {
@@ -18,7 +18,7 @@ namespace {
 void
 compile(const char *source)
 {
-    compileTinyC(source);
+    Session::frontend(source);
 }
 
 using FrontendDeath = ::testing::Test;
@@ -126,7 +126,7 @@ TEST(FrontendDiagnostics, CollectsErrorWithLocation)
 {
     DiagnosticEngine diags;
     std::optional<Program> p =
-        compileTinyC("int main() { return nope; }", diags);
+        Session::frontend("int main() { return nope; }", diags);
     EXPECT_FALSE(p.has_value());
     ASSERT_EQ(diags.errorCount(), 1u);
     const Diagnostic &d = diags.diagnostics().front();
@@ -140,7 +140,7 @@ TEST(FrontendDiagnostics, SucceedsWithoutDiagnostics)
 {
     DiagnosticEngine diags;
     std::optional<Program> p =
-        compileTinyC("int main() { return 7; }", diags);
+        Session::frontend("int main() { return 7; }", diags);
     ASSERT_TRUE(p.has_value());
     EXPECT_TRUE(diags.empty());
 }

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/liveness.h"
-#include "frontend/lowering.h"
 #include "hyperblock/constraints.h"
 #include "hyperblock/convergent.h"
 #include "hyperblock/merge.h"
@@ -16,6 +15,7 @@
 #include "hyperblock/vliw_policy.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "transform/cfg_utils.h"
 #include "transform/simplify_cfg.h"
@@ -163,7 +163,7 @@ TEST(MergeEngine, ClassifiesTailDuplication)
 {
     // Diamond: A -> (B | C) -> D; after merging B, D still has C as a
     // predecessor, so merging D is a tail duplication and D survives.
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int g[1];\n"
         "int main(int x) {\n"
         "  int v = 0;\n"
@@ -383,7 +383,7 @@ TEST(Policies, VliwExcludesRarePaths)
 {
     // A loop body with a hot path and a rare path: the VLIW prepass
     // admits the hot path blocks and excludes the rare one.
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int d[512];\n"
         "int main() {\n"
         "  int s = 0;\n"
@@ -445,7 +445,7 @@ TEST(Policies, DependenceHeightComputation)
 
 TEST(Formation, ExpandBlockConverges)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() {\n"
         "  int s = 0;\n"
         "  for (int i = 0; i < 100; i += 1) {\n"
@@ -469,7 +469,7 @@ TEST(Formation, ExpandBlockConverges)
 
 TEST(Formation, RespectsMaxMergeBudget)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() {\n"
         "  int s = 0;\n"
         "  for (int i = 0; i < 50; i += 1) { s += i % 5; }\n"

@@ -20,7 +20,6 @@
 #include <tuple>
 
 #include "backend/asm_writer.h"
-#include "frontend/lowering.h"
 #include "hyperblock/convergent.h"
 #include "hyperblock/merge.h"
 #include "hyperblock/phase_ordering.h"
@@ -54,7 +53,7 @@ runFormation(const std::string &source, bool use_cache,
              bool block_splitting, bool use_trial_cache,
              size_t max_insts = 0)
 {
-    Program p = compileTinyC(source);
+    Program p = Session::frontend(source);
     prepareProgram(p);
 
     MergeOptions opts;
@@ -193,7 +192,7 @@ TEST(MergeTraceDifferential, EnvVarDisablesCache)
 {
     // CHF_DISABLE_ANALYSIS_CACHE=1 must force fresh analyses even when
     // the options ask for caching.
-    Program p = compileTinyC("int main() { return 4; }");
+    Program p = Session::frontend("int main() { return 4; }");
     setenv("CHF_DISABLE_ANALYSIS_CACHE", "1", 1);
     {
         MergeOptions opts;
@@ -212,7 +211,7 @@ TEST(MergeTraceDifferential, EnvVarDisablesCache)
 
 TEST(MergeTraceDifferential, EnvVarDisablesTrialCache)
 {
-    Program p = compileTinyC("int main() { return 4; }");
+    Program p = Session::frontend("int main() { return 4; }");
     setenv("CHF_TRIAL_CACHE", "0", 1);
     {
         MergeOptions opts;
@@ -271,7 +270,7 @@ int main() {
 
     size_t pairs_checked = 0;
     for (const char *source : sources) {
-        Program p = compileTinyC(source);
+        Program p = Session::frontend(source);
         prepareProgram(p);
         for (BlockId hb = 0; hb < p.fn.blockTableSize(); ++hb) {
             for (BlockId s = 0; s < p.fn.blockTableSize(); ++s) {
@@ -326,6 +325,53 @@ int main() {
     ASSERT_TRUE(any_failure) << "test program produced no failed "
                                 "trials; memo cannot be exercised";
     EXPECT_GT(second.memoHits, 0);
+}
+
+TEST(TrialFastPath, MemoStoreStatsAreExposed)
+{
+    // The sharded store's counters account every lookup: hits + misses
+    // grow, and the Session reports the same activity as per-compile
+    // deltas.
+    Program program = Session::frontend(R"(
+int data[32];
+int main() {
+  int acc = 0;
+  for (int i = 0; i < 24; i += 1) {
+    int t = i * 5;
+    if ((t & 1) == 1) { acc += t; } else { acc -= i; }
+    if ((t & 6) == 2) { acc += 3; } else { acc = acc ^ t; }
+    if ((t & 12) == 4) { acc -= 9; }
+    data[i & 31] = acc;
+  }
+  return acc;
+}
+)");
+    ProfileData profile = prepareProgram(program);
+
+    const TrialMemoStats before = trialMemoStats();
+    EXPECT_GT(before.shards, 0u);
+    EXPECT_GT(before.capacity, 0u);
+    EXPECT_EQ(before.capacity % before.shards, 0u);
+
+    Session session{SessionOptions().withBackend(false)};
+    session.addProgramRef(program, profile);
+    SessionResult result = session.compile(1);
+
+    const TrialMemoStats after = trialMemoStats();
+    EXPECT_GE(after.hits, before.hits);
+    EXPECT_GE(after.misses, before.misses);
+    EXPECT_GE(after.entries, before.entries);
+    EXPECT_GE(after.maxShardEntries, before.maxShardEntries);
+    EXPECT_LE(after.maxShardEntries, after.entries);
+
+    EXPECT_EQ(result.totals.get("trialMemoStoreHits"),
+              static_cast<int64_t>(after.hits - before.hits));
+    EXPECT_EQ(result.totals.get("trialMemoStoreMisses"),
+              static_cast<int64_t>(after.misses - before.misses));
+    EXPECT_EQ(result.totals.get("trialMemoStoreEntries"),
+              static_cast<int64_t>(after.entries));
+    EXPECT_EQ(result.totals.get("trialMemoStoreMaxShard"),
+              static_cast<int64_t>(after.maxShardEntries));
 }
 
 TEST(TrialFastPath, PrescreenFiresAndStaysIdentical)
@@ -389,7 +435,7 @@ int main() {
   return acc + data[5];
 }
 )";
-    Program p = compileTinyC(source);
+    Program p = Session::frontend(source);
     prepareProgram(p);
 
     for (bool optimize_during_merge : {true, false}) {

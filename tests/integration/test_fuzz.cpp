@@ -11,9 +11,9 @@
 
 #include <sstream>
 
-#include "frontend/lowering.h"
 #include "hyperblock/phase_ordering.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "support/fault_inject.h"
 #include "support/random.h"
@@ -189,7 +189,7 @@ TEST_P(FuzzPipelines, AllConfigurationsPreserveSemantics)
     std::string source = gen.generate();
     SCOPED_TRACE(source);
 
-    Program base = compileTinyC(source);
+    Program base = Session::frontend(source);
     base.defaultArgs = {static_cast<int64_t>(GetParam() % 13) - 6,
                         static_cast<int64_t>(GetParam() % 7)};
     ProfileData profile = prepareProgram(base);
@@ -205,10 +205,10 @@ TEST_P(FuzzPipelines, AllConfigurationsPreserveSemantics)
     };
     for (const auto &[pipeline, policy] : cases) {
         Program compiled = cloneProgram(base);
-        CompileOptions options;
-        options.pipeline = pipeline;
-        options.policy = policy;
-        compileProgram(compiled, profile, options);
+        Session session(
+            SessionOptions().withPipeline(pipeline).withPolicy(policy));
+        session.addProgramRef(compiled, profile);
+        session.compile();
 
         ASSERT_TRUE(verify(compiled.fn).empty())
             << pipelineName(pipeline) << "/" << policyKindName(policy);
@@ -234,14 +234,14 @@ TEST_P(FuzzInputs, RandomArgumentsMatch)
     std::string source = gen.generate();
     SCOPED_TRACE(source);
 
-    Program base = compileTinyC(source);
+    Program base = Session::frontend(source);
     ProfileData profile = prepareProgram(
         base, {static_cast<int64_t>(GetParam()), 3});
 
     Program compiled = cloneProgram(base);
-    CompileOptions options;
-    options.pipeline = Pipeline::IUPO_fused;
-    compileProgram(compiled, profile, options);
+    Session session(SessionOptions().withPipeline(Pipeline::IUPO_fused));
+    session.addProgramRef(compiled, profile);
+    session.compile();
 
     Rng rng(GetParam());
     for (int trial = 0; trial < 6; ++trial) {
@@ -277,7 +277,7 @@ TEST_P(FaultMatrix, EveryPhaseSurvivesInjectedFaults)
     std::string source = gen.generate();
     SCOPED_TRACE(source);
 
-    Program base = compileTinyC(source);
+    Program base = Session::frontend(source);
     base.defaultArgs = {static_cast<int64_t>(GetParam() % 11) - 5, 4};
     ProfileData profile = prepareProgram(base);
     FuncSimResult oracle = runFunctional(base);
@@ -307,13 +307,12 @@ TEST_P(FaultMatrix, EveryPhaseSurvivesInjectedFaults)
             injector.arm(spec);
 
             Program compiled = cloneProgram(base);
-            DiagnosticEngine diags;
-            CompileOptions options;
-            options.pipeline = pipeline;
-            options.keepGoing = true;
-            options.diags = &diags;
-            CompileResult result =
-                compileProgram(compiled, profile, options);
+            Session session(SessionOptions()
+                                .withPipeline(pipeline)
+                                .withKeepGoing(true));
+            session.addProgramRef(compiled, profile);
+            SessionResult result = session.compile();
+            const DiagnosticEngine &diags = result.diagnostics;
 
             // The fault must actually have fired, exactly once, and
             // the diagnostics must name the injected site.

@@ -26,7 +26,7 @@ namespace {
 TEST(FuzzMatrix, FullMatrixCoversEveryAxisCombination)
 {
     std::vector<FuzzConfig> matrix = fuzzFullMatrix();
-    EXPECT_EQ(matrix.size(), 64u); // 4 policies x 2 threads x 2 x 2 x 2
+    EXPECT_EQ(matrix.size(), 32u); // 4 policies x 2 threads x 2 x 2
 
     // Labels are unique (the repro message names exactly one cell).
     std::set<std::string> labels;
@@ -34,8 +34,8 @@ TEST(FuzzMatrix, FullMatrixCoversEveryAxisCombination)
         labels.insert(config.label());
     EXPECT_EQ(labels.size(), matrix.size());
 
-    // Thread count, cache, and parallel trials must not change the
-    // determinism group; policy and fault must.
+    // Thread count and cache must not change the determinism group;
+    // policy and fault must.
     std::set<std::string> groups;
     for (const FuzzConfig &config : matrix)
         groups.insert(config.determinismGroup());
@@ -45,17 +45,14 @@ TEST(FuzzMatrix, FullMatrixCoversEveryAxisCombination)
 TEST(FuzzMatrix, SmokeMatrixExercisesEveryAxis)
 {
     std::vector<FuzzConfig> matrix = fuzzSmokeMatrix();
-    bool multiThread = false, cacheOff = false, trialsOff = false,
-         faulted = false;
+    bool multiThread = false, cacheOff = false, faulted = false;
     for (const FuzzConfig &config : matrix) {
         multiThread |= config.threads > 1;
         cacheOff |= !config.trialCache;
-        trialsOff |= !config.parallelTrials;
         faulted |= config.faultCorruptIr;
     }
     EXPECT_TRUE(multiThread);
     EXPECT_TRUE(cacheOff);
-    EXPECT_TRUE(trialsOff);
     EXPECT_TRUE(faulted);
 }
 

@@ -11,6 +11,7 @@
 #include "hyperblock/phase_ordering.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "workloads/workloads.h"
 
@@ -67,12 +68,10 @@ TEST_P(WorkloadPipelineTest, AllPipelinesPreserveSemantics)
 
     for (const auto &c : cases) {
         Program compiled = cloneProgram(base);
-        CompileOptions options;
-        options.pipeline = c.pipeline;
-        options.policy = c.policy;
-        CompileResult result =
-            compileProgram(compiled, profile, options);
-        (void)result;
+        Session session(
+            SessionOptions().withPipeline(c.pipeline).withPolicy(c.policy));
+        session.addProgramRef(compiled, profile);
+        session.compile();
 
         ASSERT_TRUE(verify(compiled.fn).empty())
             << caseName(c) << ": " << verify(compiled.fn).front();
@@ -140,9 +139,9 @@ TEST_P(StrictInvariants, FinalBlocksRespectIsaLimits)
     FuncSimResult bb_run = runFunctional(base);
 
     Program compiled = cloneProgram(base);
-    CompileOptions options;
-    options.pipeline = Pipeline::IUPO_fused;
-    compileProgram(compiled, profile, options);
+    Session session(SessionOptions().withPipeline(Pipeline::IUPO_fused));
+    session.addProgramRef(compiled, profile);
+    session.compile();
 
     TargetModel constraints;
     for (BlockId id : compiled.fn.blockIds()) {

@@ -9,11 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include "frontend/lowering.h"
 #include "hyperblock/phase_ordering.h"
 #include "ir/ir_parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "workloads/workloads.h"
 
@@ -31,14 +31,14 @@ roundTrip(const Function &fn)
 
 TEST(IrParser, SimpleFunction)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main(int x) { if (x > 2) { return x * 3; } return 0; }");
     roundTrip(p.fn);
 }
 
 TEST(IrParser, PreservesSemantics)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int g[8];\n"
         "int main(int n) {\n"
         "  int s = 0;\n"
@@ -61,8 +61,9 @@ TEST(IrParser, HandlesHyperblockOutputWithHoles)
     // predicates -- the parser must reproduce all of it.
     Program p = buildWorkload(*findWorkload("sieve"));
     ProfileData profile = prepareProgram(p);
-    CompileOptions options;
-    compileProgram(p, profile, options);
+    Session session;
+    session.addProgramRef(p, profile);
+    session.compile();
 
     roundTrip(p.fn);
 

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "frontend/lowering.h"
 #include "hyperblock/convergent.h"
 #include "hyperblock/phase_ordering.h"
 #include "hyperblock/policy.h"
@@ -15,6 +14,7 @@
 #include "ir/verifier.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/pass_guard.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "support/fault_inject.h"
 
@@ -35,7 +35,7 @@ const char *const kSource =
 Program
 makeProgram()
 {
-    Program program = compileTinyC(kSource);
+    Program program = Session::frontend(kSource);
     program.defaultArgs = {3};
     return program;
 }
@@ -174,18 +174,18 @@ TEST_F(GuardedPipeline, DegradedCompileMatchesOracle)
     spec.kind = FaultSpec::Kind::CorruptIr;
     FaultInjector::instance().arm(spec);
 
-    DiagnosticEngine diags;
-    CompileOptions options;
-    options.pipeline = Pipeline::IUPO_fused;
-    options.keepGoing = true;
-    options.diags = &diags;
-    CompileResult compiled = compileProgram(program, profile, options);
+    Session session(SessionOptions()
+                        .withPipeline(Pipeline::IUPO_fused)
+                        .withKeepGoing(true));
+    session.addProgramRef(program, profile);
+    SessionResult result = session.compile();
+    const FunctionResult &compiled = result.functions[0];
 
     EXPECT_EQ(FaultInjector::instance().firedCount(), 1u);
     EXPECT_TRUE(compiled.degraded());
     ASSERT_EQ(compiled.failedPhases.size(), 1u);
     EXPECT_EQ(compiled.failedPhases[0], "formation");
-    EXPECT_TRUE(diags.hasPhase("formation"));
+    EXPECT_TRUE(result.diagnostics.hasPhase("formation"));
 
     // The degraded program (formation rolled back, backend still run)
     // must stay verifier-clean and behave exactly like the reference.
@@ -204,17 +204,19 @@ TEST_F(GuardedPipeline, CleanKeepGoingRunMatchesStrictRun)
     guarded.memory = strict.memory;
     guarded.defaultArgs = strict.defaultArgs;
 
-    CompileOptions options;
-    options.pipeline = Pipeline::IUPO_fused;
-    compileProgram(strict, profile, options);
+    Session strict_session(
+        SessionOptions().withPipeline(Pipeline::IUPO_fused));
+    strict_session.addProgramRef(strict, profile);
+    strict_session.compile();
 
-    DiagnosticEngine diags;
-    options.keepGoing = true;
-    options.diags = &diags;
-    CompileResult result = compileProgram(guarded, profile, options);
+    Session guarded_session(SessionOptions()
+                                .withPipeline(Pipeline::IUPO_fused)
+                                .withKeepGoing(true));
+    guarded_session.addProgramRef(guarded, profile);
+    SessionResult result = guarded_session.compile();
 
     EXPECT_FALSE(result.degraded());
-    EXPECT_TRUE(diags.empty());
+    EXPECT_TRUE(result.diagnostics.empty());
     EXPECT_EQ(toString(guarded.fn), toString(strict.fn))
         << "with no faults, keep-going must compile identically";
 }

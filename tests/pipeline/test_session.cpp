@@ -3,17 +3,16 @@
  * Tests for chf::Session, the unified compilation façade and parallel
  * driver: the determinism contract (multi-threaded compiles are
  * byte-identical to sequential ones — asm and diagnostics), the
- * unit-indexed fault injection semantics at 4 threads, equivalence of
- * the deprecated compileProgram wrapper with a 1-thread session, the
- * fluent options builder, and a TSan-targeted stress batch over the
- * synthetic synth64 workload (run the `session_parallel` ctest under
- * CHF_SANITIZE=thread to check the pool for races).
+ * unit-indexed fault injection semantics at 4 threads, the flat unit
+ * loop's edge cases (no units, more threads than units), the fluent
+ * options builder, and a TSan-targeted stress batch over the synthetic
+ * synth64 workload (run the `session_parallel` ctest under
+ * CHF_SANITIZE=thread to check the workers for races).
  */
 
 #include <gtest/gtest.h>
 
 #include "backend/asm_writer.h"
-#include "frontend/lowering.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "pipeline/session.h"
@@ -253,45 +252,40 @@ TEST_F(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
     }
 }
 
-// ----- deprecated wrapper equivalence -----
+// ----- flat unit loop -----
 
-TEST(SessionLegacyEquivalence, CompileProgramMatchesOneThreadSession)
+TEST(SessionUnitLoop, ZeroUnitsAndMoreThreadsThanUnits)
 {
-    Program legacy = makeProgram();
-    ProfileData profile = prepareProgram(legacy);
-    Program viaSession = cloneProgram(legacy);
+    // No units at 4 threads: nothing to claim, an empty result.
+    Session empty(SessionOptions().withThreads(4));
+    SessionResult none = empty.compile();
+    EXPECT_TRUE(none.functions.empty());
+    EXPECT_EQ(none.totals.get("unitsCompiled"), 0);
+    EXPECT_TRUE(none.diagnostics.empty());
 
-    CompileOptions legacy_options;
-    legacy_options.pipeline = Pipeline::IUPO_fused;
-    CompileResult legacy_result =
-        compileProgram(legacy, profile, legacy_options);
-
-    Session session(
-        SessionOptions().withPipeline(Pipeline::IUPO_fused));
-    session.addProgramRef(viaSession, profile);
-    SessionResult result = session.compile(1);
-
-    EXPECT_EQ(toString(viaSession.fn), toString(legacy.fn));
-    EXPECT_EQ(writeFunctionAsm(viaSession.fn),
-              writeFunctionAsm(legacy.fn));
-    const char *const counters[] = {"blocksMerged", "tailDuplicated",
-                                    "unrolledIterations",
-                                    "peeledIterations", "finalBlocks",
-                                    "finalInsts"};
-    for (const char *counter : counters) {
-        EXPECT_EQ(result.functions[0].stats.get(counter),
-                  legacy_result.stats.get(counter))
-            << counter;
-    }
-    EXPECT_TRUE(result.functions[0].failedPhases.empty());
-    EXPECT_FALSE(legacy_result.degraded());
-}
-
-TEST(SessionLegacyEquivalence, CompileTinyCMatchesFrontend)
-{
-    Program legacy = compileTinyC(kSource);
-    Program viaSession = Session::frontend(kSource);
-    EXPECT_EQ(toString(legacy.fn), toString(viaSession.fn));
+    // 3 units at 8 threads: at most one worker per unit, and the same
+    // bytes as the sequential path.
+    auto run = [](int threads) {
+        Session session(SessionOptions().withThreads(threads));
+        for (const char *name : {"sieve", "dhry", "bzip2_3"}) {
+            Program program = buildWorkload(*findWorkload(name));
+            ProfileData profile = prepareProgram(program);
+            session.addProgram(std::move(program), std::move(profile),
+                               name);
+        }
+        SessionResult result = session.compile();
+        EXPECT_EQ(result.totals.get("unitsCompiled"), 3);
+        EXPECT_FALSE(result.degraded());
+        std::vector<std::string> asm_text;
+        for (size_t u = 0; u < session.size(); ++u)
+            asm_text.push_back(writeFunctionAsm(session.program(u).fn));
+        return asm_text;
+    };
+    std::vector<std::string> sequential = run(1);
+    std::vector<std::string> parallel = run(8);
+    ASSERT_EQ(parallel.size(), 3u);
+    for (size_t u = 0; u < sequential.size(); ++u)
+        EXPECT_EQ(parallel[u], sequential[u]) << "unit " << u;
 }
 
 // ----- fluent builder -----

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "frontend/lowering.h"
 #include "hyperblock/phase_ordering.h"
 #include "ir/builder.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "sim/memory.h"
 #include "sim/predictor.h"
@@ -123,7 +123,7 @@ TEST(Predictor, LearnsAlternatingWithHistory)
 
 TEST(TimingSim, AgreesWithFunctionalSemantics)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int out[4];\n"
         "int main(int n) {\n"
         "  int s = 0;\n"
@@ -142,7 +142,7 @@ TEST(TimingSim, AgreesWithFunctionalSemantics)
 
 TEST(TimingSim, MoreWorkTakesMoreCycles)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main(int n) {\n"
         "  int s = 0;\n"
         "  for (int i = 0; i < n; i += 1) { s += i; }\n"
@@ -155,7 +155,7 @@ TEST(TimingSim, MoreWorkTakesMoreCycles)
 
 TEST(TimingSim, BlockOverheadScalesWithDispatchInterval)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() {\n"
         "  int s = 0;\n"
         "  for (int i = 0; i < 200; i += 1) { s += i; }\n"
@@ -172,7 +172,7 @@ TEST(TimingSim, BlockOverheadScalesWithDispatchInterval)
 TEST(TimingSim, MispredictionPenaltyCosts)
 {
     // A data-dependent unpredictable branch pattern.
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int d[256];\n"
         "int main() {\n"
         "  int seed = 3; int s = 0;\n"
@@ -266,7 +266,7 @@ TEST(TimingSim, PredicationDelaysGuardedOutputs)
 
 TEST(TimingSim, WindowLimitsOverlap)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() {\n"
         "  int s = 0;\n"
         "  for (int i = 0; i < 300; i += 1) { s += i % 3; }\n"
@@ -289,7 +289,7 @@ TEST(TimingSim, NetworkContentionCosts)
 {
     // A value consumed by many instructions on other tiles: with
     // injection contention modeled, the sends serialize.
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int d[128];\n"
         "int main() {\n"
         "  int s = 0;\n"
@@ -299,8 +299,9 @@ TEST(TimingSim, NetworkContentionCosts)
         "  return s;\n"
         "}\n");
     ProfileData profile = prepareProgram(p);
-    CompileOptions options;
-    compileProgram(p, profile, options);
+    Session session;
+    session.addProgramRef(p, profile);
+    session.compile();
 
     TimingConfig plain;
     TimingConfig contended;

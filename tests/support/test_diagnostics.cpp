@@ -8,8 +8,8 @@
 
 #include <algorithm>
 
-#include "frontend/lowering.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "support/diagnostics.h"
 #include "support/fault_inject.h"
 
@@ -159,7 +159,7 @@ class FaultInjectorTest : public ::testing::Test
     Function
     makeFunction()
     {
-        Program program = compileTinyC(
+        Program program = Session::frontend(
             "int main() { int x = 3; if (x) { x = x + 1; } return x; }");
         return std::move(program.fn);
     }

@@ -1,10 +1,8 @@
 /**
  * @file
  * Tests for chf::TargetModel (src/target/target_model.h): the registry,
- * model validation, the legality checks over degenerate geometries, the
- * explicit bank-geometry flow into analyzeBlock, and the byte-identity
- * contract of the deprecated TripsConstraints alias and
- * SessionOptions::withConstraints spelling.
+ * model validation, the legality checks over degenerate geometries,
+ * and the explicit bank-geometry flow into analyzeBlock.
  */
 
 #include <gtest/gtest.h>
@@ -75,41 +73,6 @@ TEST(TargetModel, ValidateRejectsBrokenGeometries)
     m = ok;
     m.numPhysRegs = 0;
     EXPECT_FALSE(m.validate().empty());
-}
-
-// ----- deprecated alias -----
-
-TEST(TargetModel, TripsConstraintsAliasIsTheTripsModel)
-{
-    TripsConstraints legacy;
-    EXPECT_TRUE(legacy.sameKnobs(tripsTarget()));
-    EXPECT_EQ(legacy.maxRegReads(), 32u);
-    EXPECT_EQ(legacy.maxRegWrites(), 32u);
-}
-
-TEST(TargetModel, WithConstraintsCompilesByteIdenticalToWithTarget)
-{
-    const Workload *workload = findWorkload("sieve");
-    ASSERT_NE(workload, nullptr);
-
-    auto compileWith = [&](const SessionOptions &options) {
-        Session session(options);
-        Program program = buildWorkload(*workload);
-        ProfileData profile = prepareProgram(program);
-        size_t unit = session.addProgram(std::move(program),
-                                         std::move(profile));
-        session.compile();
-        return writeFunctionAsm(session.program(unit).fn);
-    };
-
-    TripsConstraints legacy;
-    std::string via_deprecated =
-        compileWith(SessionOptions().withConstraints(legacy));
-    std::string via_name =
-        compileWith(SessionOptions().withTarget("trips"));
-    std::string via_default = compileWith(SessionOptions());
-    EXPECT_EQ(via_deprecated, via_name);
-    EXPECT_EQ(via_deprecated, via_default);
 }
 
 // ----- legality over degenerate geometries -----

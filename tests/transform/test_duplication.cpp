@@ -14,10 +14,10 @@
 
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
-#include "frontend/lowering.h"
 #include "hyperblock/phase_ordering.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "transform/cfg_utils.h"
 #include "transform/for_loop_unroll.h"
@@ -66,7 +66,7 @@ TEST(CfgUtils, BranchesToAndFreq)
 TEST(CfgUtils, CloneRegionRemapsInternalEdges)
 {
     // Two-block loop: head <-> body; clone both.
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() { int s = 0; int i = 0;\n"
         "  while (i < 5) { s += i; i += 1; }\n"
         "  return s; }");
@@ -225,7 +225,7 @@ TEST(TailDuplicate, RedirectsAndPreservesSemantics)
         "  g[0] = v * 10;\n"
         "  return v;\n"
         "}\n";
-    Program p = compileTinyC(src);
+    Program p = Session::frontend(src);
     simplifyCfg(p.fn);
     auto before5 = runFunctional(p, {5}).returnValue;
     auto before1 = runFunctional(p, {1}).returnValue;
@@ -255,7 +255,7 @@ TEST(TailDuplicate, RedirectsAndPreservesSemantics)
 
 TEST(HeadDuplicate, CfgPeelMatchesFig3)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main(int n) { int s = 0; int i = 0;\n"
         "  while (i < n) { s += i * 3; i += 1; }\n"
         "  return s; }");
@@ -282,7 +282,7 @@ TEST(HeadDuplicate, CfgPeelMatchesFig3)
 
 TEST(HeadDuplicate, CfgUnrollMatchesFig4)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int acc[1];\n"
         "int main(int n) { int i = 0;\n"
         "  while (i < n) { acc[0] = acc[0] + i; i += 1; }\n"
@@ -312,7 +312,7 @@ TEST(HeadDuplicate, CfgUnrollMatchesFig4)
 
 TEST(SimplifyCfg, MergesChainsAndFoldsConstantBranches)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() {\n"
         "  int x = 1;\n"
         "  if (x) { return 5; }\n"
@@ -350,7 +350,7 @@ TEST(SimplifyCfg, ForwardsEmptyBlocks)
 
 TEST(ForLoopUnroll, UnrollsCountedLoopExactly)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int out[1];\n"
         "int main() { int s = 0;\n"
         "  for (int i = 0; i < 37; i += 1) { s += i * i; }\n"
@@ -367,7 +367,7 @@ TEST(ForLoopUnroll, UnrollsCountedLoopExactly)
 
 TEST(ForLoopUnroll, SkipsWhileLoops)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int data[16];\n"
         "int main() { int i = 0; int s = 0;\n"
         "  while (data[i] == 0 && i < 16) { s += 1; i += 1; }\n"
@@ -380,7 +380,7 @@ TEST(ForLoopUnroll, SkipsWhileLoops)
 
 TEST(ForLoopUnroll, SkipsLowTripLoops)
 {
-    Program p = compileTinyC(
+    Program p = Session::frontend(
         "int main() { int s = 0;\n"
         "  for (int i = 0; i < 3; i += 1) { s += i; }\n"
         "  return s; }");

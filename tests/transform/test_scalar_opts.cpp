@@ -2,7 +2,8 @@
  * @file
  * Scalar optimization tests: value numbering (folding, CSE, algebraic
  * and boolean rules, redundant loads), copy propagation, move
- * coalescing, DCE, and the predicate optimizations.
+ * coalescing, DCE, the predicate optimizations, and optimizeBlock, the
+ * whole per-trial pipeline the merge engine runs on a merged block.
  */
 
 #include <gtest/gtest.h>
@@ -626,6 +627,49 @@ TEST(DominatorGvn, SkipsMultiplyAssignedRegisters)
     b.ret(IRBuilder::r(i));
 
     EXPECT_EQ(valueNumberFunctionDominator(fn), 0u);
+}
+
+// ----- optimizeBlock: the per-trial pipeline -----
+
+TEST(OptimizeBlock, RemovesRedundanciesToAFixpoint)
+{
+    // A store-anchored body with no redundancy, followed by code that
+    // recomputes one of its values, forwards it through a copy and an
+    // `add 0`, and defines a dead product: the shape a combine leaves
+    // when a successor repeats the hyperblock's work.
+    BlockFixture f;
+    Vreg x = f.fn.newVreg();
+    Vreg y = f.fn.newVreg();
+    Vreg a = f.builder.add(IRBuilder::r(x), IRBuilder::r(y));
+    f.builder.store(IRBuilder::imm(0), IRBuilder::imm(0),
+                    IRBuilder::r(a));
+    Vreg b = f.builder.mul(IRBuilder::r(x), IRBuilder::imm(3));
+    f.builder.store(IRBuilder::imm(0), IRBuilder::imm(1),
+                    IRBuilder::r(b));
+    Vreg c = f.builder.add(IRBuilder::r(x), IRBuilder::r(y));
+    Vreg d = f.fn.newVreg();
+    f.builder.movTo(d, IRBuilder::r(c));
+    Vreg e = f.builder.add(IRBuilder::r(d), IRBuilder::imm(0));
+    f.builder.store(IRBuilder::imm(0), IRBuilder::imm(2),
+                    IRBuilder::r(e));
+    f.builder.mul(IRBuilder::r(y), IRBuilder::imm(7));
+    f.builder.ret();
+
+    BitVector live_out(f.fn.numVregs());
+    OptPassStats stats;
+    EXPECT_GT(optimizeBlock(f.fn, f.bb(), live_out, nullptr, &stats), 0u);
+
+    // The repeated add folds into the first; the dead multiply goes,
+    // the stored one stays; no copy survives.
+    EXPECT_EQ(countOp(f.bb(), Opcode::Add), 1u);
+    EXPECT_EQ(countOp(f.bb(), Opcode::Mul), 1u);
+    EXPECT_EQ(countOp(f.bb(), Opcode::Mov), 0u);
+    EXPECT_EQ(countOp(f.bb(), Opcode::Store), 3u);
+
+    // The result is a fixpoint: a second run changes nothing.
+    std::string once = toString(f.fn);
+    EXPECT_EQ(optimizeBlock(f.fn, f.bb(), live_out), 0u);
+    EXPECT_EQ(toString(f.fn), once);
 }
 
 } // namespace
