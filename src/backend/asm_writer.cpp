@@ -54,10 +54,9 @@ mnemonic(const Instruction &inst)
 } // namespace
 
 std::string
-writeBlockAsm(const Function &fn, const BasicBlock &bb)
+writeBlockAsm(const Function &fn, const BasicBlock &bb,
+              const Liveness &liveness)
 {
-    uint32_t nv = fn.numVregs();
-    Liveness liveness(fn);
     BitVector live_out = liveness.liveOutOf(fn, bb);
     if (bb.hasReturn()) {
         // The returned value is an architectural output too.
@@ -66,7 +65,6 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb)
                 live_out.set(inst.srcs[0].reg);
         }
     }
-    BitVector uses = blockUses(bb, nv);
 
     // Producer of each register at each point: -1 means the register
     // file (a read instruction). Collect consumer lists per producer.
@@ -104,7 +102,6 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb)
 
     // Architectural writes: the final producer of each live-out reg.
     std::map<size_t, std::vector<Vreg>> write_of; // inst -> regs
-    std::vector<Vreg> read_through;               // live-out, never written
     live_out.forEach([&](uint32_t v) {
         auto it = current_producer.find(v);
         if (it != current_producer.end() && it->second >= 0)
@@ -162,7 +159,6 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb)
 
     for (const auto &[reg, idx] : write_ids)
         os << "  W[" << idx << "]  write $g" << reg << "\n";
-    (void)read_through;
     os << ".bend\n";
     return os.str();
 }
@@ -173,11 +169,13 @@ writeFunctionAsm(const Function &fn)
     std::ostringstream os;
     os << "; " << fn.name() << ": " << fn.numBlocks() << " blocks, "
        << fn.totalInsts() << " instructions\n";
-    // Entry first, then the rest in id order.
-    os << writeBlockAsm(fn, *fn.block(fn.entry()));
+    // One liveness solve serves every block. Entry first, then the
+    // rest in id order.
+    Liveness liveness(fn);
+    os << writeBlockAsm(fn, *fn.block(fn.entry()), liveness);
     for (BlockId id : fn.blockIds()) {
         if (id != fn.entry())
-            os << writeBlockAsm(fn, *fn.block(id));
+            os << writeBlockAsm(fn, *fn.block(id), liveness);
     }
     return os.str();
 }

@@ -21,6 +21,10 @@
  * printed block shows exactly the architectural inputs/outputs the
  * TRIPS block format encodes. Run after fanout insertion if you want
  * every producer to have at most two targets.
+ *
+ * Emission is linear in function size: writeFunctionAsm solves
+ * liveness once and every block reads its live-out set from that one
+ * solve (DESIGN.md §14).
  */
 
 #ifndef CHF_BACKEND_ASM_WRITER_H
@@ -28,14 +32,19 @@
 
 #include <string>
 
+#include "analysis/liveness.h"
 #include "ir/function.h"
 
 namespace chf {
 
-/** Emit one block in target form. */
-std::string writeBlockAsm(const Function &fn, const BasicBlock &bb);
+/**
+ * Emit one block in target form. @p liveness must be current for
+ * @p fn; it supplies the block's live-out registers (its writes).
+ */
+std::string writeBlockAsm(const Function &fn, const BasicBlock &bb,
+                          const Liveness &liveness);
 
-/** Emit the whole function, entry block first. */
+/** Emit the whole function, entry block first, from one Liveness. */
 std::string writeFunctionAsm(const Function &fn);
 
 } // namespace chf

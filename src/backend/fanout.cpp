@@ -1,114 +1,190 @@
 #include "backend/fanout.h"
 
-#include <map>
+#include <utility>
+#include <vector>
 
 namespace chf {
+
+namespace {
+
+/** Split steps one block may take; bounds pathological blocks. */
+constexpr size_t kSplitBudget = 4096;
+
+/** One in-block read of a produced value. */
+struct Use
+{
+    uint32_t inst;
+    int slot; ///< 0..2 = operand, -1 = predicate
+};
+
+/** Movs the tree for a producer with @p n consumers needs. */
+size_t
+treeMoves(size_t n)
+{
+    if (n <= kMaxTargets)
+        return 0;
+    if (n == kMaxTargets + 1)
+        return 1;
+    return 2 + treeMoves(n / 2) + treeMoves(n - n / 2);
+}
+
+/**
+ * Fanout over the blocks of one function. The provider table is
+ * indexed by register and sized once; each block resets only the
+ * entries it wrote, so a function costs O(registers + instructions).
+ */
+class FanoutPass
+{
+  public:
+    explicit FanoutPass(Function &fn) : fn(fn) {}
+
+    size_t run(BasicBlock &bb);
+
+  private:
+    void split(BasicBlock &bb, std::vector<Instruction> &out, Vreg orig,
+               size_t begin, size_t end);
+
+    Function &fn;
+    std::vector<uint32_t> provider; ///< reg -> producing inst + 1; 0 = none
+    std::vector<std::pair<uint32_t, Use>> reads; ///< (producer, use)
+    std::vector<uint32_t> first; ///< inst i's uses: [first[i], first[i+1])
+    std::vector<uint32_t> fill;
+    std::vector<Use> consumers;
+    size_t steps = 0;
+    size_t moves = 0;
+};
+
+size_t
+FanoutPass::run(BasicBlock &bb)
+{
+    // Collect, per producing instruction, its in-block consumers (src
+    // or predicate reads) up to the next redefinition of its register.
+    // Values read from outside the block (live-ins) arrive through the
+    // register file, which broadcasts; only in-block producers fan out.
+    const size_t n = bb.insts.size();
+    if (provider.size() < fn.numVregs())
+        provider.resize(fn.numVregs(), 0);
+    reads.clear();
+    auto note = [&](Vreg v, size_t i, int slot) {
+        if (uint32_t p = provider[v])
+            reads.push_back({p - 1, {static_cast<uint32_t>(i), slot}});
+    };
+    for (size_t i = 0; i < n; ++i) {
+        const Instruction &inst = bb.insts[i];
+        for (int s = 0; s < inst.numSrcs(); ++s) {
+            if (inst.srcs[s].isReg())
+                note(inst.srcs[s].reg, i, s);
+        }
+        if (inst.pred.valid())
+            note(inst.pred.reg, i, -1);
+        if (inst.hasDest())
+            provider[inst.dest] = static_cast<uint32_t>(i) + 1;
+    }
+    for (const Instruction &inst : bb.insts) {
+        if (inst.hasDest())
+            provider[inst.dest] = 0;
+    }
+
+    // Group the reads by producer, keeping instruction/slot order.
+    first.assign(n + 1, 0);
+    for (const auto &[p, use] : reads)
+        ++first[p + 1];
+    size_t needed = 0;
+    for (size_t i = 0; i < n; ++i) {
+        needed += treeMoves(first[i + 1]);
+        first[i + 1] += first[i];
+    }
+    if (needed == 0)
+        return 0;
+    consumers.resize(reads.size());
+    fill.assign(first.begin(), first.end() - 1);
+    for (const auto &[p, use] : reads)
+        consumers[fill[p]++] = use;
+
+    // Emit each over-subscribed producer's mov tree right after it.
+    // Consumers follow their producer, so rewiring them in place before
+    // they are copied out is safe.
+    std::vector<Instruction> out;
+    out.reserve(n + needed);
+    steps = 0;
+    moves = 0;
+    for (size_t i = 0; i < n; ++i) {
+        out.push_back(bb.insts[i]);
+        if (first[i + 1] - first[i] > kMaxTargets)
+            split(bb, out, bb.insts[i].dest, first[i], first[i + 1]);
+    }
+    bb.insts = std::move(out);
+    return moves;
+}
+
+/**
+ * Serve consumers [@p begin, @p end) of @p orig, whose producer was
+ * just emitted. Rather than peeling one consumer per mov (a
+ * latency-linear chain), split the set in half across two movs and
+ * recurse, giving a balanced tree of logarithmic depth, matching the
+ * fanout trees a real EDGE scheduler builds. Trees come out in
+ * pre-order (left mov, left subtree, right mov, right subtree) with
+ * both children's registers allocated at the parent's split; the
+ * recorded asm digests in tests/backend pin that order and numbering.
+ */
+void
+FanoutPass::split(BasicBlock &bb, std::vector<Instruction> &out, Vreg orig,
+                  size_t begin, size_t end)
+{
+    const size_t count = end - begin;
+    if (count <= kMaxTargets || steps == kSplitBudget)
+        return;
+    ++steps;
+
+    auto rewire = [&](size_t from, size_t to, Vreg copy) {
+        for (size_t u = from; u < to; ++u) {
+            Instruction &consumer = bb.insts[consumers[u].inst];
+            if (consumers[u].slot < 0)
+                consumer.pred.reg = copy;
+            else
+                consumer.srcs[consumers[u].slot] = Operand::makeReg(copy);
+        }
+    };
+    auto mov = [&](Vreg copy) {
+        out.push_back(
+            Instruction::unary(Opcode::Mov, copy, Operand::makeReg(orig)));
+        ++moves;
+    };
+
+    if (count <= kMaxTargets + 1) {
+        // One mov suffices: the producer keeps the first consumer, the
+        // mov serves the rest.
+        Vreg copy = fn.newVreg();
+        rewire(begin + kMaxTargets - 1, end, copy);
+        mov(copy);
+        return;
+    }
+    Vreg left = fn.newVreg();
+    Vreg right = fn.newVreg();
+    const size_t half = begin + count / 2;
+    rewire(begin, half, left);
+    rewire(half, end, right);
+    mov(left);
+    split(bb, out, left, begin, half);
+    mov(right);
+    split(bb, out, right, half, end);
+}
+
+} // namespace
 
 size_t
 insertFanout(Function &fn, BasicBlock &bb)
 {
-    // Collect, per producing instruction index, its in-block consumer
-    // positions (src or predicate reads) up to the next redefinition.
-    // Values read from outside the block (live-ins) arrive through the
-    // register file, which broadcasts; only in-block producers fan out.
-    size_t moves = 0;
-    bool changed = true;
-
-    // One mov is inserted per rescan (indices go stale); the guard
-    // bounds pathological blocks.
-    int guard = 0;
-    while (changed && guard++ < 4096) {
-        changed = false;
-
-        // Map register -> index of the instruction that currently
-        // provides it (the latest def at this point in the scan).
-        std::map<Vreg, size_t> provider;
-        std::map<size_t, std::vector<std::pair<size_t, int>>> consumers;
-        // consumer entry: (instruction index, operand slot); slot -1
-        // is the predicate.
-
-        for (size_t i = 0; i < bb.insts.size(); ++i) {
-            const Instruction &inst = bb.insts[i];
-            for (int s = 0; s < inst.numSrcs(); ++s) {
-                if (!inst.srcs[s].isReg())
-                    continue;
-                auto it = provider.find(inst.srcs[s].reg);
-                if (it != provider.end())
-                    consumers[it->second].emplace_back(i, s);
-            }
-            if (inst.pred.valid()) {
-                auto it = provider.find(inst.pred.reg);
-                if (it != provider.end())
-                    consumers[it->second].emplace_back(i, -1);
-            }
-            if (inst.hasDest())
-                provider[inst.dest] = i;
-        }
-
-        // Find the first over-subscribed producer. Rather than peeling
-        // one consumer per mov (a latency-linear chain), split the
-        // consumer set in half across two movs; recursion over rescans
-        // yields a balanced tree of logarithmic depth, matching the
-        // fanout trees a real EDGE scheduler builds.
-        for (auto &[prod_idx, uses] : consumers) {
-            if (uses.size() <= kMaxTargets)
-                continue;
-
-            Vreg orig = bb.insts[prod_idx].dest;
-            auto rewire = [&](size_t from, size_t to, Vreg copy) {
-                for (size_t u = from; u < to; ++u) {
-                    auto [ci, slot] = uses[u];
-                    Instruction &consumer = bb.insts[ci];
-                    if (slot < 0)
-                        consumer.pred.reg = copy;
-                    else
-                        consumer.srcs[slot] = Operand::makeReg(copy);
-                }
-            };
-
-            if (uses.size() <= kMaxTargets + 1) {
-                // One mov suffices: producer keeps the first consumer,
-                // the mov serves the rest.
-                Vreg copy = fn.newVreg();
-                rewire(kMaxTargets - 1, uses.size(), copy);
-                bb.insts.insert(bb.insts.begin() +
-                                    static_cast<long>(prod_idx) + 1,
-                                Instruction::unary(
-                                    Opcode::Mov, copy,
-                                    Operand::makeReg(orig)));
-                ++moves;
-            } else {
-                // Two movs, half the consumers each; deeper levels are
-                // handled when the rescan finds the movs themselves
-                // over-subscribed.
-                Vreg left = fn.newVreg();
-                Vreg right = fn.newVreg();
-                size_t half = uses.size() / 2;
-                rewire(0, half, left);
-                rewire(half, uses.size(), right);
-                bb.insts.insert(
-                    bb.insts.begin() + static_cast<long>(prod_idx) + 1,
-                    Instruction::unary(Opcode::Mov, right,
-                                       Operand::makeReg(orig)));
-                bb.insts.insert(
-                    bb.insts.begin() + static_cast<long>(prod_idx) + 1,
-                    Instruction::unary(Opcode::Mov, left,
-                                       Operand::makeReg(orig)));
-                moves += 2;
-            }
-            changed = true;
-            break; // indices are stale; rescan
-        }
-    }
-    return moves;
+    return FanoutPass(fn).run(bb);
 }
 
 size_t
 insertFanoutFunction(Function &fn)
 {
+    FanoutPass pass(fn);
     size_t total = 0;
     for (BlockId id : fn.blockIds())
-        total += insertFanout(fn, *fn.block(id));
+        total += pass.run(*fn.block(id));
     return total;
 }
 

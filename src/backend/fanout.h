@@ -8,6 +8,12 @@
  * producer and rewires the extra consumers, adding both the
  * instruction count and the serialization latency the size estimator
  * predicted during formation.
+ *
+ * One pass per block: each producer's in-block consumers are collected
+ * once, and every over-subscribed producer's balanced mov tree is
+ * emitted right after it in pre-order (left mov, left subtree, right
+ * mov, right subtree). A block takes at most 4096 split steps; past
+ * that its remaining trees stay unsplit. See DESIGN.md §14.
  */
 
 #ifndef CHF_BACKEND_FANOUT_H
@@ -23,7 +29,10 @@ constexpr size_t kMaxTargets = 2;
 /** Insert fanout moves in @p bb. @return moves inserted. */
 size_t insertFanout(Function &fn, BasicBlock &bb);
 
-/** Insert fanout moves everywhere. @return total moves. */
+/**
+ * Insert fanout moves everywhere, in O(registers + instructions).
+ * @return total moves.
+ */
 size_t insertFanoutFunction(Function &fn);
 
 } // namespace chf

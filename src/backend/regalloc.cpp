@@ -7,56 +7,85 @@
 
 namespace chf {
 
-namespace {
-
-/** Rewrite one block to load/store a spilled register around uses. */
 size_t
-spillInBlock(BasicBlock &bb, Vreg reg, int64_t slot_addr,
-             const BitVector &live_in, const BitVector &live_out)
+insertSpillCode(Function &fn, const std::vector<Vreg> &spilled,
+                int64_t slot_base, const Liveness &liveness)
 {
+    const uint32_t nv = liveness.universe();
+    std::vector<uint8_t> is_arg(spilled.size(), 0);
+    for (size_t i = 0; i < spilled.size(); ++i) {
+        is_arg[i] = std::find(fn.argRegs.begin(), fn.argRegs.end(),
+                              spilled[i]) != fn.argRegs.end();
+    }
+
     size_t inserted = 0;
-    std::vector<Instruction> out;
-    out.reserve(bb.insts.size() + 2);
-
-    bool defined = false;
-    bool has_predicated_def = false;
-    for (const auto &inst : bb.insts) {
-        if (inst.hasDest() && inst.dest == reg) {
-            defined = true;
+    std::vector<uint8_t> reload(spilled.size()), store(spilled.size());
+    BitVector defs(nv), pred_defs(nv);
+    for (BlockId id : fn.blockIds()) {
+        BasicBlock &bb = *fn.block(id);
+        const BitVector &live_in = liveness.liveIn(id);
+        const BitVector &live_out = liveness.liveOut(id);
+        BitVector uses = blockUses(bb, nv);
+        defs.reset();
+        pred_defs.reset();
+        for (const auto &inst : bb.insts) {
+            if (!inst.hasDest())
+                continue;
+            defs.set(inst.dest);
             if (inst.pred.valid())
-                has_predicated_def = true;
+                pred_defs.set(inst.dest);
         }
-    }
 
-    // Reload at block entry if the block reads the value before
-    // (re)defining it, or if a predicated def may not fire while the
-    // exit store runs unconditionally (the flow-through value must be
-    // in the register).
-    BitVector uses = blockUses(bb, live_in.size());
-    bool store_at_exit = defined && live_out.test(reg);
-    if (live_in.test(reg) &&
-        (uses.test(reg) || (store_at_exit && has_predicated_def))) {
-        out.push_back(Instruction::load(reg,
-                                        Operand::makeImm(slot_addr),
-                                        Operand::makeImm(0)));
-        ++inserted;
-    }
+        // Per value: reload at block entry if the block reads the value
+        // before (re)defining it, or if a predicated def may not fire
+        // while the exit store runs unconditionally (the flow-through
+        // value must be in the register); store at block exit when the
+        // (possibly new) value flows out. Arguments arrive in
+        // registers, not in their (zero-filled) spill slots, so the
+        // entry block first stores each spilled argument.
+        const bool entry = id == fn.entry();
+        size_t added = 0;
+        for (size_t i = 0; i < spilled.size(); ++i) {
+            Vreg reg = spilled[i];
+            store[i] = defs.test(reg) && live_out.test(reg);
+            reload[i] = live_in.test(reg) &&
+                        (uses.test(reg) || (store[i] && pred_defs.test(reg)));
+            added += reload[i] + store[i] + (entry && is_arg[i]);
+        }
+        if (added == 0)
+            continue;
 
-    for (const auto &inst : bb.insts)
-        out.push_back(inst);
-
-    // Store at block exit when the (possibly new) value flows out.
-    if (store_at_exit) {
-        out.push_back(Instruction::store(Operand::makeImm(slot_addr),
-                                         Operand::makeImm(0),
-                                         Operand::makeReg(reg)));
-        ++inserted;
+        // Argument stores, then reloads, both last-spilled-first; the
+        // block; then stores in spill order.
+        auto slot = [&](size_t i) {
+            return Operand::makeImm(slot_base + static_cast<int64_t>(i));
+        };
+        auto store_of = [&](size_t i) {
+            return Instruction::store(slot(i), Operand::makeImm(0),
+                                      Operand::makeReg(spilled[i]));
+        };
+        std::vector<Instruction> out;
+        out.reserve(bb.insts.size() + added);
+        for (size_t i = spilled.size(); entry && i-- > 0;) {
+            if (is_arg[i])
+                out.push_back(store_of(i));
+        }
+        for (size_t i = spilled.size(); i-- > 0;) {
+            if (reload[i]) {
+                out.push_back(Instruction::load(spilled[i], slot(i),
+                                                Operand::makeImm(0)));
+            }
+        }
+        out.insert(out.end(), bb.insts.begin(), bb.insts.end());
+        for (size_t i = 0; i < spilled.size(); ++i) {
+            if (store[i])
+                out.push_back(store_of(i));
+        }
+        bb.insts = std::move(out);
+        inserted += added;
     }
-    bb.insts = std::move(out);
     return inserted;
 }
-
-} // namespace
 
 RegAllocResult
 allocateRegisters(Program &program, const RegAllocOptions &options)
@@ -113,34 +142,8 @@ allocateRegisters(Program &program, const RegAllocOptions &options)
         if (!program.memory.hasRegion("spill"))
             program.memory.allocate("spill",
                                     static_cast<int64_t>(spilled.size()));
-        const GlobalRegion &region = program.memory.region("spill");
-        for (size_t i = 0; i < spilled.size(); ++i) {
-            Vreg reg = spilled[i];
-            int64_t slot = region.base + static_cast<int64_t>(i);
-            for (BlockId id : fn.blockIds()) {
-                BasicBlock *bb = fn.block(id);
-                result.spillInstsInserted += spillInBlock(
-                    *bb, reg, slot, liveness.liveIn(id),
-                    liveness.liveOut(id));
-            }
-        }
-        // Arguments arrive in registers, not in their (zero-filled)
-        // spill slots: materialize each spilled argument at function
-        // entry, ahead of any entry-block reload spillInBlock added.
-        for (size_t i = 0; i < spilled.size(); ++i) {
-            Vreg reg = spilled[i];
-            if (std::find(fn.argRegs.begin(), fn.argRegs.end(), reg) ==
-                fn.argRegs.end())
-                continue;
-            int64_t slot = region.base + static_cast<int64_t>(i);
-            BasicBlock *entry = fn.block(fn.entry());
-            entry->insts.insert(entry->insts.begin(),
-                                Instruction::store(
-                                    Operand::makeImm(slot),
-                                    Operand::makeImm(0),
-                                    Operand::makeReg(reg)));
-            ++result.spillInstsInserted;
-        }
+        result.spillInstsInserted = insertSpillCode(
+            fn, spilled, program.memory.region("spill").base, liveness);
         // Spill code may have blown the structural limits: reverse
         // if-convert (split) the offenders.
         result.blocksSplit =

@@ -79,7 +79,7 @@ TEST(AsmWriter, LiveOutBecomesWrite)
     b.setBlock(c);
     b.ret(IRBuilder::r(x));
 
-    std::string text = writeBlockAsm(fn, *fn.block(a));
+    std::string text = writeBlockAsm(fn, *fn.block(a), Liveness(fn));
     EXPECT_NE(text.find("write $g"), std::string::npos) << text;
     EXPECT_NE(text.find("> W[0]"), std::string::npos) << text;
 }
