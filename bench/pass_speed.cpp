@@ -7,13 +7,13 @@
  * Three modes:
  *
  *  - default: google-benchmark micro suite, then a formation wall-time
- *    sweep over every speclike workload with the analysis cache on and
- *    off, then a parallel-session sweep (an 8-unit synth64 batch at
- *    1/2/4/8 worker threads), all written to BENCH_pass_speed.json for
+ *    sweep over every speclike workload, then a parallel-session sweep
+ *    (an 8-unit synth64 batch at 1/2/4/8 worker threads) and the
+ *    generated tier, all written to BENCH_pass_speed.json for
  *    trajectory tracking.
  *  - --json-only: skip the micro suite, emit only the JSON sweeps.
  *  - --smoke <baseline.json>: time formation of the largest speclike
- *    workload (cache on, best of 3) and the 4-thread batch config, and
+ *    workload (best of 3) and the 4-thread batch config, and
  *    fail if either regressed more than 2x against the recorded
  *    baseline. Wired into ctest so compile-time regressions fail
  *    tier-1. Skipped in unoptimized builds.
@@ -153,21 +153,6 @@ BM_ConvergentFormation(benchmark::State &state)
 BENCHMARK(BM_ConvergentFormation);
 
 void
-BM_ConvergentFormationNoCache(benchmark::State &state)
-{
-    const Program &p = preparedWorkload();
-    setenv("CHF_DISABLE_ANALYSIS_CACHE", "1", 1);
-    for (auto _ : state) {
-        state.PauseTiming();
-        Program copy = cloneProgram(p);
-        state.ResumeTiming();
-        runFormation(copy);
-    }
-    unsetenv("CHF_DISABLE_ANALYSIS_CACHE");
-}
-BENCHMARK(BM_ConvergentFormationNoCache);
-
-void
 BM_FullPipeline(benchmark::State &state)
 {
     const Program &p = preparedWorkload();
@@ -229,15 +214,12 @@ struct FormationTiming
     std::string name;
     size_t blocks = 0;
     size_t insts = 0;
-    int64_t cachedUs = 0;   ///< analysis and trial caches on
-    int64_t nocacheUs = 0;
-    int64_t notrialUs = 0;  ///< analysis cache on, trial cache off
+    int64_t formationUs = 0;
     int64_t merges = 0;
 
-    // Trial-merge breakdown of the fully-cached run.
+    // Trial-merge breakdown.
     int64_t trialsRun = 0;
     int64_t trialsMemoHit = 0;
-    int64_t trialsPrescreened = 0;
     int64_t usMergeCombine = 0;
     int64_t usMergeOptimize = 0;
     int64_t usMergeLegal = 0;
@@ -270,19 +252,9 @@ buildNamed(const std::string &name, Program *out)
 
 /** Formation time (the usFormation counter), best of @p repeats. */
 int64_t
-timeFormationUs(const Program &prepared, bool use_cache,
-                bool use_trial_cache, int repeats,
+timeFormationUs(const Program &prepared, int repeats,
                 FormationTiming *fill = nullptr)
 {
-    if (use_cache)
-        unsetenv("CHF_DISABLE_ANALYSIS_CACHE");
-    else
-        setenv("CHF_DISABLE_ANALYSIS_CACHE", "1", 1);
-    if (use_trial_cache)
-        unsetenv("CHF_TRIAL_CACHE");
-    else
-        setenv("CHF_TRIAL_CACHE", "0", 1);
-
     int64_t best = -1;
     for (int r = 0; r < repeats; ++r) {
         Program copy = cloneProgram(prepared);
@@ -298,8 +270,6 @@ timeFormationUs(const Program &prepared, bool use_cache,
             fill->merges = result.stats.get("blocksMerged");
             fill->trialsRun = result.stats.get("trialsRun");
             fill->trialsMemoHit = result.stats.get("trialsMemoHit");
-            fill->trialsPrescreened =
-                result.stats.get("trialsPrescreened");
             fill->usMergeCombine = result.stats.get("usMergeCombine");
             fill->usMergeOptimize = result.stats.get("usMergeOptimize");
             fill->usMergeLegal = result.stats.get("usMergeLegal");
@@ -310,8 +280,6 @@ timeFormationUs(const Program &prepared, bool use_cache,
             fill->usOptCoalesce = result.stats.get("usOptCoalesce");
         }
     }
-    unsetenv("CHF_DISABLE_ANALYSIS_CACHE");
-    unsetenv("CHF_TRIAL_CACHE");
     return best;
 }
 
@@ -328,14 +296,10 @@ sweepFormation(int repeats)
         t.name = w.name;
         t.blocks = prepared.fn.numBlocks();
         t.insts = prepared.fn.totalInsts();
-        // Untimed warmup so the first configuration measured does not
-        // absorb the workload's cold-start (allocator, page faults).
-        timeFormationUs(prepared, true, true, 1);
-        // The counter breakdown (trials, per-pass timing) describes the
-        // fully cached run, the default engine configuration.
-        t.cachedUs = timeFormationUs(prepared, true, true, repeats, &t);
-        t.nocacheUs = timeFormationUs(prepared, false, true, repeats);
-        t.notrialUs = timeFormationUs(prepared, true, false, repeats);
+        // Untimed warmup so the timed runs do not absorb the
+        // workload's cold-start (allocator, page faults).
+        timeFormationUs(prepared, 1);
+        t.formationUs = timeFormationUs(prepared, repeats, &t);
         out.push_back(std::move(t));
     }
     return out;
@@ -537,20 +501,12 @@ writeJson(const std::string &path,
        << "  \"workloads\": [\n";
     for (size_t i = 0; i < sweep.size(); ++i) {
         const auto &t = sweep[i];
-        double speedup = t.cachedUs > 0
-                             ? static_cast<double>(t.nocacheUs) /
-                                   static_cast<double>(t.cachedUs)
-                             : 0.0;
         os << "    {\"name\": \"" << t.name << "\", \"blocks\": "
            << t.blocks << ", \"insts\": " << t.insts
            << ", \"merges\": " << t.merges
-           << ", \"formation_us_cached\": " << t.cachedUs
-           << ", \"formation_us_nocache\": " << t.nocacheUs
-           << ", \"formation_us_notrialcache\": " << t.notrialUs
-           << ", \"speedup\": " << speedup
+           << ", \"formation_us_cached\": " << t.formationUs
            << ", \"trials_run\": " << t.trialsRun
            << ", \"trials_memo_hit\": " << t.trialsMemoHit
-           << ", \"trials_prescreened\": " << t.trialsPrescreened
            << ", \"us_merge_combine\": " << t.usMergeCombine
            << ", \"us_merge_optimize\": " << t.usMergeOptimize
            << ", \"us_merge_legal\": " << t.usMergeLegal
@@ -670,8 +626,8 @@ runSmoke(const char *baseline_path)
     // Untimed warmup: the first compile of the process pays allocator
     // and page-fault costs that would bias whichever configuration is
     // measured first.
-    timeFormationUs(prepared, true, true, 1);
-    int64_t us = timeFormationUs(prepared, true, true, 3);
+    timeFormationUs(prepared, 1);
+    int64_t us = timeFormationUs(prepared, 3);
     std::fprintf(stderr,
                  "formation_speed_smoke: %s formation %lld us "
                  "(baseline %lld us, limit %lld us)\n",
@@ -688,25 +644,26 @@ runSmoke(const char *baseline_path)
 
     // The trial-merge fast path must keep beating the cached formation
     // wall time recorded before it existed (the pre-fast-path seed);
-    // losing that bound means the memo/pre-screen stopped paying off.
+    // losing that bound means the scratch arena and memo stopped
+    // paying off.
     int64_t seed_us = jsonInt(baseline, "formation_us_seed_cached");
     if (seed_us > 0) {
         std::fprintf(stderr,
-                     "formation_speed_smoke: trial-cache-on %lld us vs "
+                     "formation_speed_smoke: formation %lld us vs "
                      "pre-fast-path seed %lld us\n",
                      static_cast<long long>(us),
                      static_cast<long long>(seed_us));
         if (us > seed_us) {
             std::fprintf(stderr,
-                         "FAIL: trial-cache formation is slower than "
-                         "the pre-fast-path seed baseline (%s)\n",
+                         "FAIL: formation is slower than the "
+                         "pre-fast-path seed baseline (%s)\n",
                          baseline_path);
             return 1;
         }
     } else {
         std::fprintf(stderr,
                      "formation_speed_smoke: no formation_us_seed_cached "
-                     "in baseline; trial-cache check skipped\n");
+                     "in baseline; fast-path check skipped\n");
     }
 
     int64_t batch_baseline_us = jsonInt(baseline, "batch_wall_us_4t");
@@ -775,17 +732,9 @@ main(int argc, char **argv)
     std::vector<GeneratedTiming> generated = sweepGenerated(3);
     writeJson("BENCH_pass_speed.json", sweep, parallel, generated);
     if (const FormationTiming *big = largestWorkload(sweep)) {
-        double speedup =
-            big->cachedUs > 0
-                ? static_cast<double>(big->nocacheUs) /
-                      static_cast<double>(big->cachedUs)
-                : 0.0;
-        std::fprintf(stderr,
-                     "largest workload %s: cached %lld us, "
-                     "no-cache %lld us (%.1fx)\n",
+        std::fprintf(stderr, "largest workload %s: formation %lld us\n",
                      big->name.c_str(),
-                     static_cast<long long>(big->cachedUs),
-                     static_cast<long long>(big->nocacheUs), speedup);
+                     static_cast<long long>(big->formationUs));
     }
     return 0;
 }

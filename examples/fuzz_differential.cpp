@@ -2,9 +2,10 @@
  * @file
  * Long-campaign driver for the differential fuzz harness
  * (src/workloads/fuzz_harness.h): generated TinyC programs, each
- * compiled through a chf::Session under the full policy × thread ×
- * trial-cache × fault matrix and checked against the unoptimized
- * simulator oracle plus the byte-identity contracts.
+ * compiled through a chf::Session under the full policy × fault ×
+ * thread matrix and checked against the unoptimized simulator oracle
+ * plus the byte-identity contracts (cold vs warm failed-trial memo
+ * included).
  *
  * Run: ./fuzz_differential                       (500-program campaign)
  *      ./fuzz_differential --count=N --seed=S    (custom campaign)

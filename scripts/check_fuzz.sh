@@ -27,9 +27,9 @@ run_shard() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCHF_SANITIZE="$SANITIZER"
     cmake --build "$BUILD_DIR" -j "$JOBS" --target fuzz_differential
-    # Smoke matrix: every axis (threads, trial cache, fault injection)
-    # is exercised without the full 32-cell cross product, which under
-    # a sanitizer would take minutes per program.
+    # Smoke matrix: every axis (threads, fault injection, cold vs warm
+    # failed-trial memo) is exercised without the full 16-cell cross
+    # product, which under a sanitizer would take minutes per program.
     "$BUILD_DIR/examples/fuzz_differential" \
         --smoke --count="$COUNT" --seed="$SEED" --quiet
     echo "check_fuzz: $SANITIZER shard clean ($COUNT programs from seed $SEED)"

@@ -2,7 +2,7 @@
 # Memory-safety gate for the target-model subsystem: build with
 # AddressSanitizer (CHF_SANITIZE=address instruments the whole library)
 # and run every ctest labeled "target" — the target-determinism matrix
-# over the registry (every model × thread count × trial-cache setting
+# over the registry (every model × thread count × cold/warm memo
 # byte-identical, DESIGN.md §13), the TargetModel unit/legality tests,
 # and the AutoTuner determinism and Pareto tests. Test timeouts come
 # from chf_test_budget(), which picks the sanitized ceiling under

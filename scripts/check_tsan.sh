@@ -4,8 +4,10 @@
 # run the full per-unit pipeline concurrently, see DESIGN.md §9) and
 # run every ctest labeled "parallel" or "fuzz": the session
 # determinism gate, the deadline/retry gate (watchdog thread vs.
-# session workers), and the generated-program differential fuzz smoke
-# (whose matrix includes 4-worker sessions).
+# session workers), the formation references (cold vs warm trial memo,
+# whose clearTrialMemo touches the shared store), and the
+# generated-program differential fuzz smoke (whose matrix includes
+# 4-worker sessions).
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu

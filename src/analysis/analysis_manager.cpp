@@ -1,7 +1,6 @@
 #include "analysis/analysis_manager.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "support/timer.h"
 
@@ -30,31 +29,11 @@ sameEdgeSet(const std::vector<BlockId> &a, const std::vector<BlockId> &b)
 
 } // namespace
 
-bool
-AnalysisManager::cacheEnabledByEnv()
-{
-    const char *env = std::getenv("CHF_DISABLE_ANALYSIS_CACHE");
-    return env == nullptr || env[0] == '\0' || env[0] == '0';
-}
-
-AnalysisManager::AnalysisManager(Function &fn)
-    : AnalysisManager(fn, cacheEnabledByEnv())
-{
-}
-
-AnalysisManager::AnalysisManager(Function &fn, bool enable_cache)
-    : fn(fn), cacheEnabled(enable_cache)
-{
-}
+AnalysisManager::AnalysisManager(Function &fn) : fn(fn) {}
 
 const DominatorTree &
 AnalysisManager::dominators()
 {
-    if (!cacheEnabled) {
-        ScopedStatTimer t(counters, "usAnalysisDom");
-        dom = std::make_unique<DominatorTree>(fn);
-        return *dom;
-    }
     if (!dom) {
         const PredecessorMap &preds = predecessors();
         ScopedStatTimer t(counters, "usAnalysisDom");
@@ -69,11 +48,6 @@ AnalysisManager::dominators()
 const LoopInfo &
 AnalysisManager::loops()
 {
-    if (!cacheEnabled) {
-        ScopedStatTimer t(counters, "usAnalysisLoops");
-        loopInfo = std::make_unique<LoopInfo>(fn);
-        return *loopInfo;
-    }
     if (!loopInfo) {
         // Reuse the cached dominator tree and predecessor map; the
         // borrowed tree stays alive as long as this LoopInfo does
@@ -92,10 +66,6 @@ AnalysisManager::loops()
 const PredecessorMap &
 AnalysisManager::predecessors()
 {
-    if (!cacheEnabled) {
-        predsCache = fn.predecessors();
-        return predsCache;
-    }
     if (!predsValid) {
         predsCache = fn.predecessors();
         predsValid = true;
@@ -109,10 +79,6 @@ AnalysisManager::predecessors()
 const Liveness &
 AnalysisManager::liveness()
 {
-    if (!cacheEnabled) {
-        live = std::make_unique<Liveness>(fn);
-        return *live;
-    }
     if (!live) {
         live = std::make_unique<Liveness>(fn);
         pendingLive.clear();
@@ -140,16 +106,13 @@ AnalysisManager::invalidateAll()
     predsValid = false;
     predsCache.clear();
     pendingLive.clear();
-    if (cacheEnabled)
-        counters.add("analysisInvalidateAll");
+    counters.add("analysisInvalidateAll");
 }
 
 void
 AnalysisManager::branchesRewritten(BlockId id,
                                    const std::vector<BlockId> &old_succs)
 {
-    if (!cacheEnabled)
-        return;
     if (id >= fn.blockTableSize()) {
         invalidateAll();
         return;
@@ -171,8 +134,6 @@ void
 AnalysisManager::blockRemoved(BlockId id,
                               const std::vector<BlockId> &old_succs)
 {
-    if (!cacheEnabled)
-        return;
     patchPredecessors(id, old_succs, {});
     if (predsValid && id < predsCache.size())
         predsCache[id].clear();
@@ -188,8 +149,6 @@ AnalysisManager::blockAbsorbed(BlockId hb, BlockId s,
                                const std::vector<BlockId> &hb_old_succs,
                                const std::vector<BlockId> &s_old_succs)
 {
-    if (!cacheEnabled)
-        return;
     const BasicBlock *bb =
         hb < fn.blockTableSize() ? fn.block(hb) : nullptr;
     if (!bb) {
@@ -240,8 +199,6 @@ AnalysisManager::blockAbsorbed(BlockId hb, BlockId s,
 void
 AnalysisManager::instructionsRewritten(BlockId id)
 {
-    if (!cacheEnabled)
-        return;
     if (live)
         pendingLive.push_back(id);
 }

@@ -34,9 +34,11 @@
  * Every CFG-mutating caller must report what it did through one of the
  * invalidation events below; the contract is documented in DESIGN.md
  * ("Analysis caching & invalidation"). Results are bit-identical to
- * fresh per-query construction -- CHF_DISABLE_ANALYSIS_CACHE=1 turns
- * the cache off to cross-check (see tests/hyperblock/
- * test_merge_trace.cpp).
+ * fresh per-query construction; the reference is a fresh build, not a
+ * switch. FormationAnalysisCheck (tests/hyperblock/test_merge_trace.cpp)
+ * compares every cached analysis with a fresh build at every round of
+ * real formation; tests/analysis/test_analysis_manager.cpp does so
+ * after each invalidation event.
  */
 
 #ifndef CHF_ANALYSIS_ANALYSIS_MANAGER_H
@@ -57,20 +59,12 @@ namespace chf {
 class AnalysisManager
 {
   public:
-    /** Caching on unless CHF_DISABLE_ANALYSIS_CACHE=1 is set. */
     explicit AnalysisManager(Function &fn);
-
-    /** Explicit cache control (tests, differential runs). */
-    AnalysisManager(Function &fn, bool enable_cache);
 
     AnalysisManager(const AnalysisManager &) = delete;
     AnalysisManager &operator=(const AnalysisManager &) = delete;
 
     Function &function() { return fn; }
-    bool cachingEnabled() const { return cacheEnabled; }
-
-    /** False when CHF_DISABLE_ANALYSIS_CACHE=1 is in the environment. */
-    static bool cacheEnabledByEnv();
 
     // --- queries (lazily build or refresh the cached snapshot) ---
     const DominatorTree &dominators();
@@ -129,7 +123,6 @@ class AnalysisManager
                            const std::vector<BlockId> &new_succs);
 
     Function &fn;
-    bool cacheEnabled;
 
     std::unique_ptr<DominatorTree> dom;
     std::unique_ptr<LoopInfo> loopInfo;

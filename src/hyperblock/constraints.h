@@ -72,12 +72,9 @@ BlockResources analyzeBlock(const Function &fn, const BasicBlock &bb,
 
 /**
  * The exact rejection string checkBlockLegal returns when the size
- * estimate violates maxInsts. Deliberately free of the (trial-varying)
- * estimate itself: the trial-merge pre-screen proves a violation from
- * a lower bound without running combine+optimize, and both paths must
- * emit byte-identical failure reasons (the size check is the first
- * check, so whenever the pre-screen fires the full path would have
- * returned this same string).
+ * estimate violates maxInsts (the first check). Free of the estimate
+ * itself, so the merge engine's block-splitting path can recognize a
+ * size failure by comparing reasons.
  */
 std::string blockSizeReason(const TargetModel &target, size_t headroom);
 

@@ -109,9 +109,8 @@ expandBlock(MergeEngine &engine, Policy &policy, BlockId seed,
     // in-place stabilization), so while the epoch stands still the
     // descriptors are reused with the failed entry dropped instead of
     // being rebuilt -- that rebuild was O(pending^2) across a seed's
-    // expansion. The slow path rebuilds every iteration, preserving the
-    // original differential behavior.
-    const bool fast = engine.fastPathActive();
+    // expansion. FormationAnalysisCheck recomputes every descriptor
+    // from fresh analyses at every round to hold this reuse exact.
     std::vector<MergeCandidate> candidates;
     uint64_t cached_epoch = 0;
     bool cache_valid = false;
@@ -124,8 +123,7 @@ expandBlock(MergeEngine &engine, Policy &policy, BlockId seed,
     size_t merges = 0;
     while (!pending.empty() && merges < max_merges) {
         cancel.throwIfCancelled();
-        if (!fast || !cache_valid ||
-            cached_epoch != engine.mutationEpoch()) {
+        if (!cache_valid || cached_epoch != engine.mutationEpoch()) {
             candidates = describeCandidates(engine, seed, pending);
             cached_epoch = engine.mutationEpoch();
             cache_valid = true;
@@ -138,23 +136,12 @@ expandBlock(MergeEngine &engine, Policy &policy, BlockId seed,
             break;
 
         MergeCandidate chosen = candidates[pick];
-        if (fast) {
-            // Purge-on-commit keeps pending and the descriptor table
-            // index-aligned (describeCandidates maps 1:1 over pending).
-            CHF_ASSERT(static_cast<size_t>(pick) < pending.size() &&
-                           pending[pick].first == chosen.block,
-                       "candidate table out of sync with pending");
-            pending.erase(pending.begin() + pick);
-        } else {
-            auto it = std::find_if(pending.begin(), pending.end(),
-                                   [&](const auto &p) {
-                                       return p.first == chosen.block;
-                                   });
-            CHF_ASSERT(it != pending.end(),
-                       "selected candidate bb", chosen.block,
-                       " not pending");
-            pending.erase(it);
-        }
+        // Purge-on-commit keeps pending and the descriptor table
+        // index-aligned (describeCandidates maps 1:1 over pending).
+        CHF_ASSERT(static_cast<size_t>(pick) < pending.size() &&
+                       pending[pick].first == chosen.block,
+                   "candidate table out of sync with pending");
+        pending.erase(pending.begin() + pick);
         in_pending[chosen.block] = 0;
         candidates.erase(candidates.begin() + pick);
 

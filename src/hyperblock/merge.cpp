@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
@@ -28,18 +26,8 @@ mergeKindName(MergeKind kind)
     return "?";
 }
 
-bool
-MergeEngine::trialCacheEnabledByEnv()
-{
-    const char *env = std::getenv("CHF_TRIAL_CACHE");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
 MergeEngine::MergeEngine(Function &fn, const MergeOptions &options)
-    : fn(fn), opts(options),
-      am(fn, options.useAnalysisCache &&
-             AnalysisManager::cacheEnabledByEnv()),
-      fastPath(options.useTrialCache && trialCacheEnabledByEnv())
+    : fn(fn), opts(options), am(fn)
 {
 }
 
@@ -207,6 +195,15 @@ trialMemoStats()
     return out;
 }
 
+void
+clearTrialMemo()
+{
+    for (TrialMemoShard &shard : trialMemo().shards) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        shard.map.clear();
+    }
+}
+
 MergeKind
 MergeEngine::classify(BlockId hb, BlockId s)
 {
@@ -354,36 +351,6 @@ MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
     return h.digest();
 }
 
-size_t
-MergeEngine::trialSizeFloor(const BasicBlock &hb_block,
-                            const BasicBlock &source) const
-{
-    // Provable lower bound on the size estimate of the combined block
-    // (estimatedInsts = insts + fanout + nullWrites >= insts):
-    //  - combineBlocks keeps every HB instruction except the branches
-    //    it consumes, keeps every source instruction, and only ever
-    //    adds more (entry materialization);
-    //  - when optimizing, every pass of optimizeBlock can only remove
-    //    pure non-branch instructions and dead loads, so branches
-    //    (Br/Ret) and stores provably survive.
-    size_t floor = 0;
-    for (const Instruction &inst : hb_block.insts) {
-        if (inst.op == Opcode::Br && inst.target == source.id())
-            continue; // consumed by the combine
-        if (!opts.optimizeDuringMerge || inst.isBranch() ||
-            inst.op == Opcode::Store) {
-            ++floor;
-        }
-    }
-    for (const Instruction &inst : source.insts) {
-        if (!opts.optimizeDuringMerge || inst.isBranch() ||
-            inst.op == Opcode::Store) {
-            ++floor;
-        }
-    }
-    return floor;
-}
-
 MergeOutcome
 MergeEngine::tryMerge(BlockId hb, BlockId s)
 {
@@ -427,152 +394,122 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
         }
     }
 
-    // --- Fast path: pre-screen, then consult the failed-trial memo ---
-    std::string illegal;
-    uint64_t memo_key = 0;
-    bool have_memo_key = false;
-    if (fastPath) {
-        if (trialSizeFloor(*hb_block, *source) + opts.sizeHeadroom >
-            opts.target.maxInsts) {
-            counters.add("trialsPrescreened");
-            // The slow path would burn combine's fresh registers
-            // before rejecting; replay the burn so numbering stays
-            // bit-identical.
-            fn.skipVregs(combineVregCost(*hb_block, *source));
-            illegal = blockSizeReason(opts.target,
-                                      opts.sizeHeadroom);
-        } else {
-            memo_key = trialKey(hb, s, kind, *hb_block, *source);
-            FailedTrial hit;
-            if (lookupFailedTrial(memo_key, &hit)) {
-                counters.add("trialsMemoHit");
-                fn.skipVregs(hit.vregsBurned);
-                outcome.reason = std::move(hit.reason);
-                return record(hb, s, outcome);
-            }
-            have_memo_key = true;
-        }
+    // --- Consult the failed-trial memo ---
+    const uint64_t memo_key = trialKey(hb, s, kind, *hb_block, *source);
+    FailedTrial hit;
+    if (lookupFailedTrial(memo_key, &hit)) {
+        counters.add("trialsMemoHit");
+        fn.skipVregs(hit.vregsBurned);
+        outcome.reason = std::move(hit.reason);
+        return record(hb, s, outcome);
     }
 
-    uint32_t vregs_before = fn.numVregs();
+    const uint32_t vregs_before = fn.numVregs();
+    counters.add("trialsRun");
 
-    if (illegal.empty()) {
-        counters.add("trialsRun");
+    // --- Scratch-space combine (Copy / Combine / Optimize) ---
+    BasicBlock &scratch = arena.scratch;
+    scratch.assignFrom(*hb_block);
+    arena.sourceCopy.assignFrom(*source);
 
-        // The slow path constructs fresh scratch state per trial so
-        // differential runs (CHF_TRIAL_CACHE=0) exercise exactly the
-        // allocate-from-scratch behavior the arena replaces.
-        std::unique_ptr<TrialScratch> fresh;
-        TrialScratch *t = &arena;
-        if (!fastPath) {
-            fresh = std::make_unique<TrialScratch>();
-            t = fresh.get();
-        }
-
-        // --- Scratch-space combine (Copy / Combine / Optimize) ---
-        BasicBlock &scratch = t->scratch;
-        scratch.assignFrom(*hb_block);
-        t->sourceCopy.assignFrom(*source);
-
-        double share = kind == MergeKind::Simple
-                           ? 1.0
-                           : entryShare(*hb_block, *source);
-        {
-            ScopedStatTimer timer(counters, "usMergeCombine");
-            if (!combineBlocks(fn, scratch, t->sourceCopy, share,
-                               &t->combine)) {
-                outcome.reason = "no branch to successor";
-                return record(hb, s, outcome);
-            }
-        }
-
-        // Live-out of the merged block: union of the live-ins of its
-        // targets, plus its own upward-exposed uses if it loops back to
-        // itself (the next iteration's reads). The query comes after
-        // combineBlocks so the cached analysis covers the predicate
-        // registers if-conversion just allocated.
-        Timer live_timer;
-        const Liveness &liveness = am.liveness();
-        counters.add("usMergeLiveness", live_timer.elapsedMicros());
-        BitVector &live_out = t->liveOut;
-        live_out.resize(liveness.universe());
-        live_out.reset();
-        bool self_loop = false;
-        for (BlockId succ : scratch.successors()) {
-            if (succ == hb) {
-                self_loop = true;
-                continue;
-            }
-            live_out.unionWith(liveness.liveIn(succ));
-        }
-        if (self_loop) {
-            blockUsesInto(scratch, liveness.universe(), t->legal.uses,
-                          t->legal.killed);
-            live_out.unionWith(t->legal.uses);
-            live_out.unionWith(liveness.liveIn(hb));
-        }
-
-        if (opts.optimizeDuringMerge) {
-            ScopedStatTimer timer(counters, "usMergeOptimize");
-            OptPassStats pass_stats;
-            optimizeBlock(fn, scratch, live_out, &t->opt, &pass_stats);
-            addOptStats(pass_stats);
-        }
-
-        // --- LegalBlock: structural constraints on the result ---
-        Timer legal_timer;
-        illegal = checkBlockLegal(fn, scratch, live_out,
-                                  opts.target, opts.sizeHeadroom,
-                                  &t->legal);
-        counters.add("usMergeLegal", legal_timer.elapsedMicros());
-
-        if (illegal.empty()) {
-            // --- Commit: transform the CFG ---
-            if (kind == MergeKind::Unroll && !pristineBodies.count(hb)) {
-                auto pristine = std::make_unique<BasicBlock>(
-                    hb_block->id(), hb_block->name());
-                pristine->insts = hb_block->insts;
-                pristineBodies[hb] = std::move(pristine);
-            }
-
-            std::vector<BlockId> hb_old_succs = hb_block->successors();
-            hb_block->insts.swap(scratch.insts);
-            if (kind != MergeKind::Simple)
-                am.branchesRewritten(hb, hb_old_succs);
-
-            switch (kind) {
-              case MergeKind::Simple: {
-                // One combined event so the analysis manager can
-                // recognize the splice and patch dominators/loops
-                // instead of invalidating.
-                std::vector<BlockId> s_succs = s_block->successors();
-                fn.removeBlock(s);
-                am.blockAbsorbed(hb, s, hb_old_succs, s_succs);
-                break;
-              }
-              case MergeKind::TailDup:
-                // Frequencies only: no analysis depends on them.
-                scaleBranchFreqs(*s_block, 1.0 - share);
-                counters.add("tailDuplicated");
-                break;
-              case MergeKind::Peel:
-                scaleBranchFreqs(*s_block, 1.0 - share);
-                counters.add("peeledIterations");
-                break;
-              case MergeKind::Unroll:
-                counters.add("unrolledIterations");
-                break;
-            }
-            counters.add("blocksMerged");
-            ++mutations;
-
-            outcome.success = true;
-            outcome.kind = kind;
+    double share = kind == MergeKind::Simple
+                       ? 1.0
+                       : entryShare(*hb_block, *source);
+    {
+        ScopedStatTimer timer(counters, "usMergeCombine");
+        if (!combineBlocks(fn, scratch, arena.sourceCopy, share,
+                           &arena.combine)) {
+            outcome.reason = "no branch to successor";
             return record(hb, s, outcome);
         }
     }
 
-    // --- Failure path (shared by full trials and the pre-screen) ---
+    // Live-out of the merged block: union of the live-ins of its
+    // targets, plus its own upward-exposed uses if it loops back to
+    // itself (the next iteration's reads). The query comes after
+    // combineBlocks so the cached analysis covers the predicate
+    // registers if-conversion just allocated.
+    Timer live_timer;
+    const Liveness &liveness = am.liveness();
+    counters.add("usMergeLiveness", live_timer.elapsedMicros());
+    BitVector &live_out = arena.liveOut;
+    live_out.resize(liveness.universe());
+    live_out.reset();
+    bool self_loop = false;
+    for (BlockId succ : scratch.successors()) {
+        if (succ == hb) {
+            self_loop = true;
+            continue;
+        }
+        live_out.unionWith(liveness.liveIn(succ));
+    }
+    if (self_loop) {
+        blockUsesInto(scratch, liveness.universe(), arena.legal.uses,
+                      arena.legal.killed);
+        live_out.unionWith(arena.legal.uses);
+        live_out.unionWith(liveness.liveIn(hb));
+    }
+
+    if (opts.optimizeDuringMerge) {
+        ScopedStatTimer timer(counters, "usMergeOptimize");
+        OptPassStats pass_stats;
+        optimizeBlock(fn, scratch, live_out, &arena.opt, &pass_stats);
+        addOptStats(pass_stats);
+    }
+
+    // --- LegalBlock: structural constraints on the result ---
+    Timer legal_timer;
+    const std::string illegal =
+        checkBlockLegal(fn, scratch, live_out, opts.target,
+                        opts.sizeHeadroom, &arena.legal);
+    counters.add("usMergeLegal", legal_timer.elapsedMicros());
+
+    if (illegal.empty()) {
+        // --- Commit: transform the CFG ---
+        if (kind == MergeKind::Unroll && !pristineBodies.count(hb)) {
+            auto pristine = std::make_unique<BasicBlock>(
+                hb_block->id(), hb_block->name());
+            pristine->insts = hb_block->insts;
+            pristineBodies[hb] = std::move(pristine);
+        }
+
+        std::vector<BlockId> hb_old_succs = hb_block->successors();
+        hb_block->insts.swap(scratch.insts);
+        if (kind != MergeKind::Simple)
+            am.branchesRewritten(hb, hb_old_succs);
+
+        switch (kind) {
+          case MergeKind::Simple: {
+            // One combined event so the analysis manager can
+            // recognize the splice and patch dominators/loops
+            // instead of invalidating.
+            std::vector<BlockId> s_succs = s_block->successors();
+            fn.removeBlock(s);
+            am.blockAbsorbed(hb, s, hb_old_succs, s_succs);
+            break;
+          }
+          case MergeKind::TailDup:
+            // Frequencies only: no analysis depends on them.
+            scaleBranchFreqs(*s_block, 1.0 - share);
+            counters.add("tailDuplicated");
+            break;
+          case MergeKind::Peel:
+            scaleBranchFreqs(*s_block, 1.0 - share);
+            counters.add("peeledIterations");
+            break;
+          case MergeKind::Unroll:
+            counters.add("unrolledIterations");
+            break;
+        }
+        counters.add("blocksMerged");
+        ++mutations;
+
+        outcome.success = true;
+        outcome.kind = kind;
+        return record(hb, s, outcome);
+    }
+
+    // --- Failure path ---
     // Basic-block splitting (paper §9): a too-large single-predecessor
     // candidate can donate its first piece.
     bool split_path_taken = false;
@@ -605,7 +542,7 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
         }
     }
 
-    if (have_memo_key && !split_path_taken) {
+    if (!split_path_taken) {
         FailedTrial entry;
         entry.reason = illegal;
         entry.vregsBurned = fn.numVregs() - vregs_before;

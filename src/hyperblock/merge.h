@@ -31,8 +31,8 @@
  *
  * Trial-merge fast path (DESIGN.md §10). The convergent loop retries
  * failed candidates after every successful merge, so most trials are
- * repeats. Three cooperating layers make them near-free while keeping
- * the output bit-identical to the slow path:
+ * repeats. Two layers make them cheap, and they are the only trial
+ * path:
  *  1. a persistent scratch arena (blocks + per-pass temporaries)
  *     reused across trials,
  *  2. a failed-trial memo keyed by a content hash of both blocks, the
@@ -43,15 +43,14 @@
  *     an entry recorded by one engine answers identically for any
  *     other, and hits arise whenever identical content is compiled
  *     repeatedly (best-of-N timing runs, multi-unit Session batches of
- *     similar functions, re-expansion after a transactional rollback),
- *  3. a conservative size pre-screen that rejects trials whose
- *     provable lower bound already violates maxInsts before paying
- *     combine+optimize.
- * Skipped trials replay the exact register-allocation burn of the work
- * they skip (combineVregCost), so vreg numbering -- and thus all
- * downstream output -- stays identical. CHF_TRIAL_CACHE=0 (or
- * MergeOptions::useTrialCache=false) forces the slow path for
- * differential testing.
+ *     similar functions, re-expansion after a transactional rollback).
+ *     A memo hit replays the vreg burn the failed trial recorded, so
+ *     vreg numbering -- and thus all downstream output -- is the same
+ *     as re-running the trial.
+ * A compile after clearTrialMemo() runs cold, with no memo hits, and
+ * is the reference a warm compile must match byte for byte; the
+ * arena's reference is the same trial on fresh (nullptr) scratch
+ * (tests/hyperblock/test_merge_trace.cpp).
  */
 
 #ifndef CHF_HYPERBLOCK_MERGE_H
@@ -103,18 +102,6 @@ struct MergeOptions
      */
     bool enableBlockSplitting = false;
 
-    /** Cache analyses across merge attempts (also globally switchable
-     *  off with CHF_DISABLE_ANALYSIS_CACHE=1 for differential runs). */
-    bool useAnalysisCache = true;
-
-    /**
-     * Trial-merge fast path: scratch arena reuse, failed-trial
-     * memoization, and conservative size pre-screening. Bit-identical
-     * to the slow path; also globally switchable off with
-     * CHF_TRIAL_CACHE=0 for differential runs.
-     */
-    bool useTrialCache = true;
-
     /** Record every tryMerge attempt in MergeEngine::trace(). */
     bool recordMergeTrace = false;
 
@@ -147,6 +134,14 @@ struct TrialMemoStats
 
 /** Read the current trial-memo store counters (thread-safe). */
 TrialMemoStats trialMemoStats();
+
+/**
+ * Drop every memo entry (thread-safe). The cumulative hit, miss and
+ * eviction counters are left alone. The next compile runs cold: it
+ * has no memo hits, which makes it the reference a warm compile must
+ * match byte for byte.
+ */
+void clearTrialMemo();
 
 /** Outcome of tryMerge. */
 struct MergeOutcome
@@ -205,11 +200,6 @@ class MergeEngine
         return mergeTrace;
     }
 
-    /** True when the trial fast path (memo + pre-screen + incremental
-     *  candidate descriptors in expandBlock) is enabled for this
-     *  engine (options + environment). */
-    bool fastPathActive() const { return fastPath; }
-
     /**
      * Monotonic count of CFG mutations this engine has committed
      * (merges, block splits, and in-place stabilizations on declined
@@ -219,25 +209,8 @@ class MergeEngine
      */
     uint64_t mutationEpoch() const { return mutations; }
 
-    /** False when CHF_TRIAL_CACHE=0 disables the fast path globally. */
-    static bool trialCacheEnabledByEnv();
-
-    /**
-     * Provable lower bound on the combined block's size estimate; the
-     * fast path's pre-screen rejects a trial without running it when
-     * trialSizeFloor + sizeHeadroom > target.maxInsts. Counts the
-     * instructions no legal trial can shed: every branch and store of
-     * both participants (minus HB's consumed branches), plus all other
-     * instructions when optimizeDuringMerge is off. Public so tests
-     * can pin the formula and the firing condition.
-     */
-    size_t trialSizeFloor(const BasicBlock &hb_block,
-                          const BasicBlock &source) const;
-
   private:
-    /** Persistent scratch arena reused across trials (fast path); the
-     *  slow path constructs a fresh instance per trial so differential
-     *  runs exercise genuinely fresh state. */
+    /** Persistent scratch arena reused across trials. */
     struct TrialScratch
     {
         BasicBlock scratch{kNoBlock, ""};
@@ -277,7 +250,6 @@ class MergeEngine
     /** Original loop bodies saved at first unroll, by header id. */
     std::map<BlockId, std::unique_ptr<BasicBlock>> pristineBodies;
 
-    bool fastPath = false;
     uint64_t mutations = 0;
     TrialScratch arena;
 };

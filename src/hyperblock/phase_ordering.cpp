@@ -263,7 +263,6 @@ detail::compileUnit(Program &program, const ProfileData &profile,
         options.pipeline == Pipeline::IUPO_fused &&
         options.policy != PolicyKind::Vliw;
     merge.enableBlockSplitting = options.blockSplitting;
-    merge.useTrialCache = options.useTrialCache;
     merge.cancel = options.cancel;
 
     FormationOptions formation;
@@ -338,7 +337,7 @@ detail::compileUnit(Program &program, const ProfileData &profile,
                 }
             }
         }
-        if (!guarded && options.verifyStages)
+        if (!guarded)
             verifyOrDie(fn, "UPIO unroll/peel");
         formation_stage();
         ScopedStatTimer t(result.stats, "usScalarOpt");
@@ -367,7 +366,7 @@ detail::compileUnit(Program &program, const ProfileData &profile,
       }
     }
 
-    if (!guarded && options.verifyStages)
+    if (!guarded)
         verifyOrDie(fn, "hyperblock formation");
 
     poll_cancel();
@@ -398,8 +397,7 @@ detail::compileUnit(Program &program, const ProfileData &profile,
             "blocksSplit",
             static_cast<int64_t>(
                 splitOversizedBlocks(fn, options.target)));
-        if (options.verifyStages)
-            verifyOrDie(fn, "backend");
+        verifyOrDie(fn, "backend");
     } else if (options.runBackend) {
         ScopedStatTimer t(result.stats, "usBackend");
         size_t null_writes = 0, spilled = 0, ra_split = 0;

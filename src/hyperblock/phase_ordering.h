@@ -76,15 +76,6 @@ struct CompileOptions
     /** Enable basic-block splitting during formation (paper §9). */
     bool blockSplitting = false;
 
-    /** Trial-merge fast path (scratch reuse + failed-trial memo +
-     *  pre-screen; DESIGN.md §10). Off forces the slow path, which
-     *  must stay bit-identical — the fuzz harness compares both. Also
-     *  globally switchable off with CHF_TRIAL_CACHE=0. */
-    bool useTrialCache = true;
-
-    /** Verify semantics-preservation hooks (IR verifier) per stage. */
-    bool verifyStages = true;
-
     /**
      * Transactional mode: run each destructive phase (unroll, peel,
      * formation, regalloc, fanout, schedule) under a checkpoint/verify
@@ -106,7 +97,7 @@ struct CompileOptions
      * Session turns that into a timeout/deadline/cancelled diagnostic
      * and marks the unit degraded. The default null token never
      * cancels; Session only binds a real one when a deadline or unit
-     * timeout is configured (and CHF_DEADLINE is not 0).
+     * timeout is configured.
      */
     CancellationToken cancel;
 };

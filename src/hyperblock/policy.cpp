@@ -1,14 +1,6 @@
 #include "hyperblock/policy.h"
 
-#include "analysis/analysis_manager.h"
-
 namespace chf {
-
-void
-Policy::beginBlock(AnalysisManager &analyses, BlockId seed)
-{
-    beginBlock(analyses.function(), seed);
-}
 
 int
 BreadthFirstPolicy::select(const Function &fn, BlockId hb,

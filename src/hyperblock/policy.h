@@ -60,20 +60,18 @@ class Policy
 
     virtual const char *name() const = 0;
 
-    /** Called when expansion of a new seed hyperblock begins. */
+    /**
+     * Called when expansion of a new seed hyperblock begins. Policies
+     * that need loop or predecessor information query @p analyses
+     * (the engine's cached, kept-current snapshot) instead of
+     * rebuilding it.
+     */
     virtual void
-    beginBlock(const Function &fn, BlockId seed)
+    beginBlock(AnalysisManager &analyses, BlockId seed)
     {
-        (void)fn;
+        (void)analyses;
         (void)seed;
     }
-
-    /**
-     * Cache-aware variant used by expandBlock: policies that need loop
-     * or predecessor information should query @p analyses instead of
-     * rebuilding it. Defaults to the plain beginBlock above.
-     */
-    virtual void beginBlock(AnalysisManager &analyses, BlockId seed);
 
     /**
      * Pick the next candidate to attempt (index into @p candidates) or

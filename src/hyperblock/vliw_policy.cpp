@@ -44,16 +44,6 @@ struct PathInfo
 } // namespace
 
 void
-VliwPolicy::beginBlock(const Function &fn, BlockId seed)
-{
-    admitted.clear();
-    if (!fn.block(seed))
-        return;
-    LoopInfo loops(fn);
-    buildAdmitted(fn, loops, seed);
-}
-
-void
 VliwPolicy::beginBlock(AnalysisManager &analyses, BlockId seed)
 {
     admitted.clear();

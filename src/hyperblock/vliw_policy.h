@@ -51,16 +51,14 @@ class VliwPolicy : public Policy
 
     const char *name() const override { return "vliw-path"; }
 
-    void beginBlock(const Function &fn, BlockId seed) override;
-
-    /** Cache-aware variant: reuses the loop analysis in @p analyses. */
+    /** Enumerates the seed's paths over the loop analysis in
+     *  @p analyses. */
     void beginBlock(AnalysisManager &analyses, BlockId seed) override;
 
     int select(const Function &fn, BlockId hb,
                const std::vector<MergeCandidate> &candidates) override;
 
   private:
-    /** Shared path enumeration behind both beginBlock entry points. */
     void buildAdmitted(const Function &fn, const LoopInfo &loops,
                        BlockId seed);
 

@@ -64,11 +64,9 @@ class Function
 
     /**
      * Advance the register counter by @p n without materializing any
-     * definitions. Used by the trial-merge fast path to keep vreg
-     * numbering bit-identical with the slow path when a trial that
-     * would have allocated @p n registers is skipped (memo hit or
-     * pre-screen): every later allocation must land on the same number
-     * either way.
+     * definitions. A failed-trial memo hit skips a trial that would
+     * have allocated @p n registers and burns them here, so every later
+     * allocation lands on the same number as if the trial had run.
      */
     void skipVregs(uint32_t n) { vregCount += n; }
 

@@ -182,14 +182,10 @@ Session::compile(int threads)
     // Deadline governance (DESIGN.md §12): the watchdog thread exists
     // only when some unit can actually time out — otherwise tokens stay
     // null and the pipeline runs its historical code verbatim.
-    const bool deadlines_on = deadlinesEnabled();
-    bool need_watchdog =
-        deadlines_on && (opts.deadlineMs > 0 || opts.unitTimeoutMs > 0);
-    if (deadlines_on) {
-        for (const Unit &u : units)
-            if (u.overrides && u.overrides->unitTimeoutMs > 0)
-                need_watchdog = true;
-    }
+    bool need_watchdog = opts.deadlineMs > 0 || opts.unitTimeoutMs > 0;
+    for (const Unit &u : units)
+        if (u.overrides && u.overrides->unitTimeoutMs > 0)
+            need_watchdog = true;
     std::unique_ptr<DeadlineWatchdog> watchdog;
     std::optional<DeadlineWatchdog::Clock::time_point> session_deadline;
     if (need_watchdog) {
@@ -217,13 +213,10 @@ Session::compile(int threads)
         co.target = conf.target;
         co.runBackend = conf.runBackend;
         co.blockSplitting = conf.blockSplitting;
-        co.useTrialCache = conf.useTrialCache;
-        co.verifyStages = conf.verifyStages;
         co.keepGoing = conf.keepGoing;
         co.diags = conf.keepGoing ? &slot.diags : nullptr;
 
-        const int max_retries =
-            retryEnabled() ? conf.retryAttempts : 0;
+        const int max_retries = conf.retryAttempts;
 
         // Compilation mutates the program in place, so retry needs the
         // pre-attempt state back. Snapshot once, restore per retry.

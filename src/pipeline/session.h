@@ -70,17 +70,6 @@ struct SessionOptions
     bool blockSplitting = false;
 
     /**
-     * Trial-merge fast path (DESIGN.md §10). Off takes the slow path
-     * — bit-identical by contract, and differentially tested by the
-     * fuzz harness. Also globally switchable off with
-     * CHF_TRIAL_CACHE=0.
-     */
-    bool useTrialCache = true;
-
-    /** Verify semantics-preservation hooks (IR verifier) per stage. */
-    bool verifyStages = true;
-
-    /**
      * Transactional mode: run each destructive phase under a
      * checkpoint/verify guard and degrade instead of aborting.
      * Failures are collected in SessionResult::diagnostics.
@@ -99,14 +88,13 @@ struct SessionOptions
      * their next cancellation poll with a `deadline` diagnostic and
      * degrade; finished units are untouched. Session-wide like threads
      * and faultSpec — the field is ignored in per-unit overrides.
-     * Disabled entirely by CHF_DEADLINE=0.
      */
     int deadlineMs = 0;
 
     /**
      * Per-attempt time budget for each unit in milliseconds (0 =
      * none). An attempt that exceeds it aborts with a `timeout`
-     * diagnostic and the unit degrades. Disabled by CHF_DEADLINE=0.
+     * diagnostic and the unit degrades.
      */
     int unitTimeoutMs = 0;
 
@@ -116,8 +104,7 @@ struct SessionOptions
      * a restored snapshot of the unit's program. Diagnostics from
      * every attempt survive, in attempt order (DESIGN.md §9 stable
      * sort); a unit whose final attempt is clean is not degraded.
-     * Timeout / deadline / cancelled aborts are not retried. Disabled
-     * by CHF_RETRY=0.
+     * Timeout / deadline / cancelled aborts are not retried.
      */
     int retryAttempts = 0;
 
@@ -143,20 +130,6 @@ struct SessionOptions
     withBlockSplitting(bool on)
     {
         blockSplitting = on;
-        return *this;
-    }
-
-    SessionOptions &
-    withVerifyStages(bool on)
-    {
-        verifyStages = on;
-        return *this;
-    }
-
-    SessionOptions &
-    withTrialCache(bool on)
-    {
-        useTrialCache = on;
         return *this;
     }
 

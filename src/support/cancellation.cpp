@@ -1,7 +1,6 @@
 #include "support/cancellation.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace chf {
 
@@ -143,29 +142,6 @@ DeadlineWatchdog::loop()
         else
             wake.wait(lock);
     }
-}
-
-namespace {
-
-bool
-envSwitchEnabled(const char *name)
-{
-    const char *env = std::getenv(name);
-    return env == nullptr || std::string(env) != "0";
-}
-
-} // namespace
-
-bool
-deadlinesEnabled()
-{
-    return envSwitchEnabled("CHF_DEADLINE");
-}
-
-bool
-retryEnabled()
-{
-    return envSwitchEnabled("CHF_RETRY");
 }
 
 } // namespace chf

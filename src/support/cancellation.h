@@ -19,9 +19,9 @@
  * DeadlineWatchdog thread (owned by Session, started only when a
  * deadline or unit timeout is configured) sleeps until the earliest
  * registered deadline and trips the corresponding sources. With no
- * deadlines configured — or with the CHF_DEADLINE=0 kill switch — no
- * watchdog thread exists, tokens are null, and every poll degenerates
- * to an untaken branch: the strict pipeline stays verbatim-historical.
+ * deadlines configured no watchdog thread exists, tokens are null, and
+ * every poll degenerates to an untaken branch: the strict pipeline
+ * stays verbatim-historical.
  */
 
 #ifndef CHF_SUPPORT_CANCELLATION_H
@@ -241,17 +241,6 @@ class DeadlineWatchdog
     bool stopping = false;
     std::thread thread;
 };
-
-/**
- * Kill switch: false when CHF_DEADLINE=0, disabling every deadline and
- * unit-timeout mechanism (no watchdog thread, null tokens) so the
- * historical code paths run verbatim. Read from the environment on
- * every call — tests toggle it at runtime.
- */
-bool deadlinesEnabled();
-
-/** Kill switch: false when CHF_RETRY=0, disabling bounded retry. */
-bool retryEnabled();
 
 } // namespace chf
 

@@ -237,55 +237,4 @@ combineBlocks(Function &fn, BasicBlock &hb, const BasicBlock &s,
     return true;
 }
 
-uint32_t
-combineVregCost(const BasicBlock &hb, const BasicBlock &s)
-{
-    std::vector<size_t> consumed;
-    collectConsumed(hb, s.id(), consumed);
-    if (consumed.empty())
-        return 0;
-
-    Predicate direct;
-    EntryKind kind = classifyEntry(hb, s, consumed, direct);
-
-    uint32_t cost = 0;
-    if (kind == EntryKind::Materialized) {
-        // One truth snapshot per consumed branch, then an OR chain.
-        cost += static_cast<uint32_t>(consumed.size());
-        cost += static_cast<uint32_t>(consumed.size() - 1);
-    }
-    if (kind == EntryKind::Always)
-        return cost;
-
-    // Fold simulation: each first-seen (reg, polarity) predicate in S
-    // allocates one Band/Bandc result; the first fold may additionally
-    // materialize a negated direct predicate. Redefinitions invalidate
-    // cached folds exactly as in combineBlocks.
-    bool entry_value_ready =
-        kind == EntryKind::Materialized || direct.onTrue;
-    std::vector<std::pair<Vreg, bool>> folds;
-    for (const Instruction &inst : s.insts) {
-        if (inst.pred.valid()) {
-            auto key = std::make_pair(inst.pred.reg, inst.pred.onTrue);
-            if (std::find(folds.begin(), folds.end(), key) ==
-                folds.end()) {
-                if (!entry_value_ready) {
-                    ++cost; // Teq materializing !direct
-                    entry_value_ready = true;
-                }
-                ++cost; // the Band/Bandc fold result
-                folds.push_back(key);
-            }
-        }
-        if (inst.hasDest()) {
-            folds.erase(std::remove_if(folds.begin(), folds.end(),
-                                       [&](const auto &k) {
-                                           return k.first == inst.dest;
-                                       }),
-                        folds.end());
-        }
-    }
-    return cost;
-}
-
 } // namespace chf

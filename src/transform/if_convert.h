@@ -67,17 +67,6 @@ struct CombineScratch
 bool combineBlocks(Function &fn, BasicBlock &hb, const BasicBlock &s,
                    double freq_share, CombineScratch *scratch = nullptr);
 
-/**
- * Exact number of virtual registers combineBlocks(fn, hb, s, ...)
- * would allocate, computed without mutating anything. The trial-merge
- * fast path burns this many registers when it skips a trial so that
- * every later allocation lands on the same number as on the slow path
- * (vreg numbering is part of bit-identical output). Determined purely
- * by the *contents* of @p hb and @p s — never by fn's counter — so a
- * memoized value stays exact as long as the block contents hash equal.
- */
-uint32_t combineVregCost(const BasicBlock &hb, const BasicBlock &s);
-
 } // namespace chf
 
 #endif // CHF_TRANSFORM_IF_CONVERT_H

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "backend/asm_writer.h"
+#include "hyperblock/merge.h"
 #include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "support/fault_inject.h"
@@ -60,8 +61,7 @@ runCell(const Program &prepared, const ProfileData &profile,
 
     SessionOptions conf = SessionOptions()
                               .withPolicy(config.policy)
-                              .withThreads(config.threads)
-                              .withTrialCache(config.trialCache);
+                              .withThreads(config.threads);
     if (config.faultCorruptIr) {
         FaultSpec fault;
         fault.phase = "formation";
@@ -130,11 +130,14 @@ checkProgram(uint64_t seed, const GeneratorShape &shape,
     Program prepared = cloneProgram(raw);
     ProfileData profile = prepareProgram(prepared);
 
-    // Cells that must agree byte-for-byte: same policy and fault,
-    // any thread count / cache setting.
+    // Cells that must agree byte-for-byte: same policy and fault, any
+    // thread count, cold or warm memo. The group's first cell runs on
+    // a cleared memo store; the rest reuse what it recorded.
     std::map<std::string, std::pair<std::string, CellOutput>> groups;
 
     for (const FuzzConfig &config : configs) {
+        if (!groups.count(config.determinismGroup()))
+            clearTrialMemo();
         CellOutput cell;
         try {
             cell = runCell(prepared, profile, config);
@@ -221,7 +224,6 @@ FuzzConfig::label() const
 {
     return concat("policy=", policyShortName(policy),
                   " threads=", threads,
-                  " cache=", trialCache ? "on" : "off",
                   " fault=", faultCorruptIr ? "corrupt-ir" : "none");
 }
 
@@ -239,16 +241,13 @@ fuzzFullMatrix()
     for (PolicyKind policy :
          {PolicyKind::BreadthFirst, PolicyKind::DepthFirst,
           PolicyKind::Vliw, PolicyKind::VliwConvergent}) {
-        for (int threads : {1, 4}) {
-            for (bool cache : {true, false}) {
-                for (bool fault : {false, true}) {
-                    FuzzConfig c;
-                    c.policy = policy;
-                    c.threads = threads;
-                    c.trialCache = cache;
-                    c.faultCorruptIr = fault;
-                    out.push_back(c);
-                }
+        for (bool fault : {false, true}) {
+            for (int threads : {1, 4}) {
+                FuzzConfig c;
+                c.policy = policy;
+                c.threads = threads;
+                c.faultCorruptIr = fault;
+                out.push_back(c);
             }
         }
     }
@@ -259,8 +258,8 @@ std::vector<FuzzConfig>
 fuzzSmokeMatrix()
 {
     // Every axis is exercised, but not the full cross product: both
-    // thread counts per policy, each with the trial cache on and off,
-    // plus one fault cell.
+    // thread counts per policy (cold memo, then warm), plus one fault
+    // cell.
     std::vector<FuzzConfig> out;
     for (PolicyKind policy :
          {PolicyKind::BreadthFirst, PolicyKind::VliwConvergent}) {
@@ -268,9 +267,6 @@ fuzzSmokeMatrix()
             FuzzConfig c;
             c.policy = policy;
             c.threads = threads;
-            out.push_back(c);
-
-            c.trialCache = false;
             out.push_back(c);
         }
         FuzzConfig fault;

@@ -3,17 +3,18 @@
  * Differential fuzzing harness over the seeded TinyC generator.
  *
  * Each generated program is compiled through a chf::Session under a
- * matrix of configurations — policy × thread count × trial-cache
- * on/off × fault none/corrupt-ir — and every
- * cell's FunctionalSimulator output must match the unoptimized
- * reference (return value plus the user-visible memory hash,
- * MemoryImage::userHash(), which excludes residual spill slots).
+ * matrix of configurations — policy × fault none/corrupt-ir × thread
+ * count — and every cell's FunctionalSimulator output must match the
+ * unoptimized reference (return value plus the user-visible memory
+ * hash, MemoryImage::userHash(), which excludes residual spill slots).
  *
  * On top of the semantic oracle the harness enforces the repo's
  * determinism contracts (DESIGN.md §9–§10): within one
  * (policy, fault) group, the emitted asm and the diagnostic stream
- * must be byte-identical across thread counts and trial-cache
- * settings.
+ * must be byte-identical across thread counts and against a cold
+ * failed-trial memo. The harness clears the memo store
+ * (clearTrialMemo) before each group's first cell, so that cell runs
+ * cold and every later cell of the group runs warm.
  *
  * A failure shrinks: the shape grammar is reduced greedily while the
  * failure reproduces, and the surviving (seed, shape) pair — printed
@@ -39,14 +40,13 @@ struct FuzzConfig
 {
     PolicyKind policy = PolicyKind::BreadthFirst;
     int threads = 1;
-    bool trialCache = true;
 
     /** Arm a formation corrupt-ir fault (keep-going mode): the phase
      *  must roll back and the degraded output still match the oracle. */
     bool faultCorruptIr = false;
 
     /** Human-readable cell name, e.g.
-     *  "policy=bfs threads=4 cache=off fault=corrupt-ir". */
+     *  "policy=bfs threads=4 fault=corrupt-ir". */
     std::string label() const;
 
     /** Cells whose asm/diagnostics must be byte-identical share this
@@ -54,12 +54,13 @@ struct FuzzConfig
     std::string determinismGroup() const;
 };
 
-/** The full matrix: 4 policies × threads {1,4} × cache {on,off} ×
- *  fault {none, corrupt-ir} = 32 cells. */
+/** The full matrix, ordered policy → fault {none, corrupt-ir} →
+ *  threads {1,4}: 4 × 2 × 2 = 16 cells, each determinism group's
+ *  cells adjacent. */
 std::vector<FuzzConfig> fuzzFullMatrix();
 
-/** A cheap sub-matrix for the ≤30s smoke gate: 2 policies, both
- *  thread counts with the trial cache on and off, one fault cell. */
+/** A cheap sub-matrix for the ≤30s smoke gate: 2 policies, each at
+ *  both thread counts plus one fault cell = 6 cells. */
 std::vector<FuzzConfig> fuzzSmokeMatrix();
 
 /** A shrunk, reproducible fuzz failure. */

@@ -8,9 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis_manager.h"
-#include "analysis/dominators.h"
-#include "analysis/liveness.h"
-#include "analysis/loops.h"
+#include "fresh_analyses.h"
 #include "hyperblock/convergent.h"
 #include "hyperblock/merge.h"
 #include "ir/builder.h"
@@ -49,66 +47,10 @@ makeLoop()
     return fn;
 }
 
-/** Compare cached liveness to a fresh solve, ignoring universe padding. */
-void
-expectLivenessMatchesFresh(AnalysisManager &am, const Function &fn)
-{
-    const Liveness &cached = am.liveness();
-    Liveness fresh(fn);
-    ASSERT_GE(cached.universe(), fn.numVregs());
-    for (BlockId id : fn.blockIds()) {
-        for (Vreg v = 0; v < fn.numVregs(); ++v) {
-            EXPECT_EQ(cached.liveIn(id).test(v), fresh.liveIn(id).test(v))
-                << "live-in mismatch bb" << id << " v" << v;
-            EXPECT_EQ(cached.liveOut(id).test(v),
-                      fresh.liveOut(id).test(v))
-                << "live-out mismatch bb" << id << " v" << v;
-        }
-    }
-}
-
-/** Compare cached dominators/loops/preds to freshly built ones. */
-void
-expectCfgAnalysesMatchFresh(AnalysisManager &am, const Function &fn)
-{
-    EXPECT_EQ(am.predecessors(), fn.predecessors());
-
-    const DominatorTree &cached = am.dominators();
-    DominatorTree fresh(fn);
-    for (BlockId id = 0; id < fn.blockTableSize(); ++id) {
-        EXPECT_EQ(cached.reachable(id), fresh.reachable(id))
-            << "reachability mismatch bb" << id;
-        EXPECT_EQ(cached.idom(id), fresh.idom(id))
-            << "idom mismatch bb" << id;
-        for (BlockId other = 0; other < fn.blockTableSize(); ++other) {
-            EXPECT_EQ(cached.dominates(id, other),
-                      fresh.dominates(id, other))
-                << "dominates mismatch bb" << id << " bb" << other;
-        }
-    }
-
-    const LoopInfo &cached_loops = am.loops();
-    LoopInfo fresh_loops(fn);
-    ASSERT_EQ(cached_loops.loops().size(), fresh_loops.loops().size());
-    // Compare loop-by-loop keyed by header: the relative order of
-    // unrelated loops is not observable through the query interface.
-    for (const Loop &want : fresh_loops.loops()) {
-        const Loop *got = cached_loops.loopAt(want.header);
-        ASSERT_NE(got, nullptr) << "missing loop at bb" << want.header;
-        EXPECT_EQ(got->blocks, want.blocks)
-            << "loop body mismatch at bb" << want.header;
-        EXPECT_EQ(got->latches, want.latches)
-            << "latch mismatch at bb" << want.header;
-        EXPECT_EQ(got->depth, want.depth);
-    }
-    for (BlockId id = 0; id < fn.blockTableSize(); ++id)
-        EXPECT_EQ(cached_loops.depth(id), fresh_loops.depth(id));
-}
-
 TEST(AnalysisManager, PredecessorsPatchedAfterBranchRewrite)
 {
     Function fn = makeLoop();
-    AnalysisManager am(fn, true);
+    AnalysisManager am(fn);
     am.predecessors(); // warm the cache
 
     // Retarget body -> head to body -> exit (kills the loop).
@@ -125,7 +67,7 @@ TEST(AnalysisManager, PredecessorsPatchedAfterBranchRewrite)
 TEST(AnalysisManager, BranchRewriteWithSameEdgesKeepsDominators)
 {
     Function fn = makeLoop();
-    AnalysisManager am(fn, true);
+    AnalysisManager am(fn);
     const DominatorTree *before = &am.dominators();
 
     // Rewriting a block without changing its successor set must not
@@ -139,7 +81,7 @@ TEST(AnalysisManager, BranchRewriteWithSameEdgesKeepsDominators)
 TEST(AnalysisManager, BlockRemovedInvalidatesDominators)
 {
     Function fn = makeLoop();
-    AnalysisManager am(fn, true);
+    AnalysisManager am(fn);
     am.dominators();
     am.loops();
     am.liveness();
@@ -174,9 +116,7 @@ int main() {
 }
 )");
     Function &fn = p.fn;
-    MergeOptions opts;
-    opts.useAnalysisCache = true;
-    MergeEngine engine(fn, opts);
+    MergeEngine engine(fn, MergeOptions());
     AnalysisManager &am = engine.analyses();
     am.dominators();
     am.loops();
@@ -214,7 +154,7 @@ int main() {
 }
 )");
     Function &fn = p.fn;
-    AnalysisManager am(fn, true);
+    AnalysisManager am(fn);
     am.dominators();
     am.loops();
     am.liveness();
@@ -227,27 +167,10 @@ int main() {
     }
 }
 
-TEST(AnalysisManager, DisabledCacheAlwaysFresh)
-{
-    Function fn = makeLoop();
-    AnalysisManager am(fn, false);
-    EXPECT_FALSE(am.cachingEnabled());
-    am.dominators();
-    am.loops();
-
-    // Mutate WITHOUT reporting: a disabled cache must still answer
-    // from the current CFG.
-    BasicBlock *body = fn.block(2);
-    redirectBranches(*body, 1, 3);
-
-    expectCfgAnalysesMatchFresh(am, fn);
-    expectLivenessMatchesFresh(am, fn);
-}
-
 TEST(AnalysisManager, LivenessFollowsVregGrowth)
 {
     Function fn = makeLoop();
-    AnalysisManager am(fn, true);
+    AnalysisManager am(fn);
     uint32_t before = am.liveness().universe();
 
     // Grow the register universe past the padded headroom and use the
@@ -275,8 +198,8 @@ TEST(AnalysisManager, LivenessFollowsVregGrowth)
 
 TEST(AnalysisManager, FormationStressMatchesFresh)
 {
-    // End-to-end: run whole-function formation with the cache on, then
-    // verify the surviving cache state against fresh analyses.
+    // End-to-end: run whole-function formation, then verify the
+    // surviving cache state against fresh analyses.
     Program p = Session::frontend(R"(
 int main() {
   int acc = 0;
@@ -290,9 +213,7 @@ int main() {
 }
 )");
     Function &fn = p.fn;
-    MergeOptions mo;
-    mo.useAnalysisCache = true;
-    MergeEngine engine(fn, mo);
+    MergeEngine engine(fn, MergeOptions());
     BreadthFirstPolicy policy;
     for (BlockId seed : fn.reversePostOrder()) {
         if (fn.block(seed))

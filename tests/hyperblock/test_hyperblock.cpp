@@ -416,7 +416,8 @@ TEST(Policies, VliwExcludesRarePaths)
     ASSERT_NE(head, kNoBlock);
 
     VliwPolicy policy;
-    policy.beginBlock(p.fn, head);
+    AnalysisManager analyses(p.fn);
+    policy.beginBlock(analyses, head);
     std::vector<MergeCandidate> candidates(2);
     candidates[0].block = hot;
     candidates[0].entryFreq = 100;

@@ -1,37 +1,261 @@
 /**
  * @file
- * Differential formation tests: running convergent formation with the
- * analysis cache on must make exactly the same merge decisions -- and
- * produce exactly the same IR -- as running it with the cache off
- * (every analysis rebuilt fresh per query), and the same holds for the
- * trial-merge fast path (scratch arena + failed-trial memo + size
- * pre-screen, CHF_TRIAL_CACHE / MergeOptions::useTrialCache). This is
- * the executable form of both bit-identical-results contracts.
+ * Formation references that need no switch. Convergent formation has
+ * one analysis path and one trial path; each cache on them is held to
+ * a reference built without it:
  *
- * The matrix tests push the same contract through the Session driver:
- * trial cache on/off x policy x fault injection must produce
- * byte-identical asm, merge behavior, and diagnostics, at 1 and 4
- * worker threads.
+ *  - FormationAnalysisCheck: a checking Policy runs inside real
+ *    expandBlock calls and, at every beginBlock and select, compares
+ *    the engine's cached dominators, loops, liveness and predecessors
+ *    with fresh builds, and every candidate descriptor with one
+ *    recomputed from fresh analyses over an independently tracked
+ *    pending set.
+ *  - TrialScratchReuse: every mergeable pair of the same programs
+ *    (plus two generated ones) goes through combine, optimize and
+ *    legality on one long-lived scratch set, and must match the same
+ *    calls on fresh (nullptr) scratch.
+ *  - MergeTraceDifferential / TrialFastPath: a formation on a cleared
+ *    failed-trial memo (clearTrialMemo) runs cold and is the reference
+ *    a warm re-run must match: same decisions, vreg burn and IR.
+ *  - TrialMemoMatrix: the cold-vs-warm contract for Session batches,
+ *    policy x fault x threads, byte-identical asm and diagnostics.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <memory>
 #include <tuple>
 
+#include "../analysis/fresh_analyses.h"
 #include "backend/asm_writer.h"
+#include "hyperblock/constraints.h"
 #include "hyperblock/convergent.h"
 #include "hyperblock/merge.h"
 #include "hyperblock/phase_ordering.h"
+#include "hyperblock/vliw_policy.h"
 #include "ir/printer.h"
 #include "pipeline/session.h"
+#include "support/random.h"
 #include "transform/cfg_utils.h"
 #include "transform/if_convert.h"
 #include "transform/optimize.h"
+#include "workloads/generator.h"
 #include "workloads/workloads.h"
 
 namespace chf {
 namespace {
+
+const char *const kDiamondChain = R"(
+int main() {
+  int acc = 0;
+  for (int i = 0; i < 16; i += 1) {
+    int t = i * 5;
+    if ((t & 1) == 1) { acc += t; } else { acc -= i; }
+    if ((t & 6) == 2) { acc += 3; }
+  }
+  return acc;
+}
+)";
+
+const char *const kNestedLoops = R"(
+int main() {
+  int acc = 0;
+  for (int i = 0; i < 6; i += 1) {
+    int j = 0;
+    while (j < 5) {
+      acc += i & j;
+      if (acc > 40) { acc -= 7; }
+      j += 1;
+    }
+    acc += i;
+  }
+  return acc;
+}
+)";
+
+const char *const kDoWhileWithBreaks = R"(
+int main() {
+  int n = 37;
+  int steps = 0;
+  do {
+    if ((n & 1) == 1) { n = n * 3 + 1; } else { n = n / 2; }
+    steps += 1;
+    if (steps > 200) { break; }
+  } while (n > 1);
+  return steps;
+}
+)";
+
+const char *const kArrays = R"(
+int data[64];
+int main() {
+  int acc = 0;
+  for (int i = 0; i < 64; i += 1) { data[i] = i * 7 % 31; }
+  for (int i = 0; i < 64; i += 1) {
+    int v = data[i];
+    acc += v * 3; acc -= v / 2; acc += v & 12; acc += v | 3;
+    acc += v % 5; acc -= v >> 1; acc += v * v; acc -= i;
+    if ((v & 2) == 2) { acc += 11; }
+  }
+  return acc;
+}
+)";
+
+/** The four programs, and whether each runs with block splitting. */
+const std::pair<const char *, bool> kPrograms[] = {
+    {kDiamondChain, false},
+    {kNestedLoops, false},
+    {kDoWhileWithBreaks, false},
+    {kArrays, true},
+};
+
+std::unique_ptr<Policy>
+makeTestPolicy(PolicyKind kind)
+{
+    switch (kind) {
+      case PolicyKind::BreadthFirst: return makeBreadthFirstPolicy();
+      case PolicyKind::DepthFirst: return makeDepthFirstPolicy();
+      default: return std::make_unique<VliwPolicy>();
+    }
+}
+
+/**
+ * Candidate descriptor computed from fresh analyses: the definition
+ * expandBlock's cached, reused descriptors must equal.
+ */
+MergeCandidate
+freshDescriptor(const Function &fn, const LoopInfo &loops,
+                const PredecessorMap &preds, BlockId hb, BlockId block,
+                int order)
+{
+    const BasicBlock *hb_block = fn.block(hb);
+    MergeCandidate c;
+    c.block = block;
+    c.discoveryOrder = order;
+    c.entryFreq = branchFreqTo(*hb_block, block);
+    c.isBackEdge = loops.isBackEdge(hb, block);
+    c.needsDup = !(preds[block].size() == 1 && preds[block][0] == hb) ||
+                 c.isBackEdge;
+    c.isLoopHeader = loops.isLoopHeader(block);
+    c.blockSize = fn.block(block)->size();
+    c.candFreq = fn.block(block)->frequency();
+    c.hbFreq = hb_block->frequency();
+    const Loop *hb_loop = loops.innermostContaining(hb);
+    c.leavesLoop = hb_loop != nullptr && block != hb &&
+                   !hb_loop->contains(block);
+    return c;
+}
+
+/**
+ * Wraps a real policy and checks expandBlock's state at every round.
+ * The pending set is tracked here independently of expandBlock: the
+ * last pick leaves it, and a committed merge (blocksMerged grew)
+ * drops dead blocks and appends the seed's new successors.
+ */
+class CheckingPolicy : public Policy
+{
+  public:
+    CheckingPolicy(Policy &inner, MergeEngine &engine)
+        : inner(inner), engine(engine)
+    {
+    }
+
+    const char *name() const override { return inner.name(); }
+
+    void
+    beginBlock(AnalysisManager &analyses, BlockId seed) override
+    {
+        expectAnalysesFresh();
+        this->seed = seed;
+        pending.clear();
+        discovery = 0;
+        lastPick = kNoBlock;
+        merged = engine.stats().get("blocksMerged");
+        addSuccessors();
+        inner.beginBlock(analyses, seed);
+    }
+
+    int
+    select(const Function &fn, BlockId hb,
+           const std::vector<MergeCandidate> &candidates) override
+    {
+        ++rounds;
+        EXPECT_EQ(hb, seed);
+        expectAnalysesFresh();
+        if (lastPick != kNoBlock) {
+            std::erase_if(pending, [&](const auto &p) {
+                return p.first == lastPick;
+            });
+            if (engine.stats().get("blocksMerged") != merged) {
+                merged = engine.stats().get("blocksMerged");
+                std::erase_if(pending, [&](const auto &p) {
+                    return fn.block(p.first) == nullptr;
+                });
+                addSuccessors();
+            }
+        }
+
+        LoopInfo loops(fn);
+        PredecessorMap preds = fn.predecessors();
+        EXPECT_EQ(candidates.size(), pending.size())
+            << "seed bb" << seed << " round " << rounds;
+        for (size_t i = 0;
+             i < std::min(candidates.size(), pending.size()); ++i) {
+            const MergeCandidate &got = candidates[i];
+            MergeCandidate want =
+                freshDescriptor(fn, loops, preds, hb, pending[i].first,
+                                pending[i].second);
+            SCOPED_TRACE(testing::Message()
+                         << "seed bb" << seed << " round " << rounds
+                         << " candidate " << i);
+            EXPECT_EQ(got.block, want.block);
+            EXPECT_EQ(got.discoveryOrder, want.discoveryOrder);
+            EXPECT_EQ(got.entryFreq, want.entryFreq);
+            EXPECT_EQ(got.needsDup, want.needsDup);
+            EXPECT_EQ(got.isLoopHeader, want.isLoopHeader);
+            EXPECT_EQ(got.isBackEdge, want.isBackEdge);
+            EXPECT_EQ(got.blockSize, want.blockSize);
+            EXPECT_EQ(got.candFreq, want.candFreq);
+            EXPECT_EQ(got.hbFreq, want.hbFreq);
+            EXPECT_EQ(got.leavesLoop, want.leavesLoop);
+        }
+
+        int pick = inner.select(fn, hb, candidates);
+        lastPick = pick >= 0 ? candidates[pick].block : kNoBlock;
+        return pick;
+    }
+
+    size_t rounds = 0;
+
+  private:
+    void
+    expectAnalysesFresh()
+    {
+        expectCfgAnalysesMatchFresh(engine.analyses(), engine.function());
+        expectLivenessMatchesFresh(engine.analyses(), engine.function());
+    }
+
+    void
+    addSuccessors()
+    {
+        for (BlockId succ : engine.function().block(seed)->successors()) {
+            bool known = std::any_of(
+                pending.begin(), pending.end(),
+                [&](const auto &p) { return p.first == succ; });
+            if (!known)
+                pending.emplace_back(succ, discovery++);
+        }
+    }
+
+    Policy &inner;
+    MergeEngine &engine;
+    BlockId seed = kNoBlock;
+    std::vector<std::pair<BlockId, int>> pending;
+    int discovery = 0;
+    BlockId lastPick = kNoBlock;
+    int64_t merged = 0;
+};
 
 struct FormationRun
 {
@@ -39,35 +263,34 @@ struct FormationRun
     std::vector<MergeTraceEntry> trace;
     int64_t merges = 0;
     int64_t memoHits = 0;
-    int64_t prescreened = 0;
     uint32_t finalVregs = 0;
+    size_t checkedRounds = 0;
 };
 
 /**
  * Compile @p source, prepare it (profile + for-loop unroll, as the real
  * pipeline does), then form hyperblocks over every seed while recording
- * the merge trace.
+ * the merge trace. With @p check, the policy runs inside a
+ * CheckingPolicy.
  */
 FormationRun
-runFormation(const std::string &source, bool use_cache,
-             bool block_splitting, bool use_trial_cache,
-             size_t max_insts = 0)
+runFormation(const std::string &source, bool block_splitting,
+             PolicyKind kind = PolicyKind::BreadthFirst,
+             bool check = false)
 {
     Program p = Session::frontend(source);
     prepareProgram(p);
 
     MergeOptions opts;
-    opts.useAnalysisCache = use_cache;
-    opts.useTrialCache = use_trial_cache;
     opts.recordMergeTrace = true;
     opts.enableBlockSplitting = block_splitting;
-    if (max_insts > 0)
-        opts.target.maxInsts = max_insts;
     MergeEngine engine(p.fn, opts);
-    BreadthFirstPolicy policy;
+    std::unique_ptr<Policy> policy = makeTestPolicy(kind);
+    CheckingPolicy checking(*policy, engine);
+    Policy &used = check ? static_cast<Policy &>(checking) : *policy;
     for (BlockId seed : p.fn.reversePostOrder()) {
         if (p.fn.block(seed))
-            expandBlock(engine, policy, seed);
+            expandBlock(engine, used, seed);
     }
     p.fn.removeUnreachable();
 
@@ -76,8 +299,8 @@ runFormation(const std::string &source, bool use_cache,
     run.trace = engine.trace();
     run.merges = engine.stats().get("blocksMerged");
     run.memoHits = engine.stats().get("trialsMemoHit");
-    run.prescreened = engine.stats().get("trialsPrescreened");
     run.finalVregs = p.fn.numVregs();
+    run.checkedRounds = checking.rounds;
     return run;
 }
 
@@ -99,203 +322,227 @@ expectSameRun(const FormationRun &a, const FormationRun &b,
     EXPECT_EQ(a.ir, b.ir) << what;
 }
 
-void
-expectIdenticalFormation(const std::string &source, bool block_splitting)
+// ----- per-round analysis and descriptor check -----
+
+TEST(FormationAnalysisCheck, EveryRoundMatchesFreshBuilds)
 {
-    // 2x2: analysis cache x trial fast path. Every combination must
-    // make the same decisions, burn the same registers, and emit the
-    // same IR as the fully-uncached reference.
-    FormationRun reference =
-        runFormation(source, false, block_splitting, false);
-    expectSameRun(runFormation(source, true, block_splitting, false),
-                  reference, "analysis cache");
-    expectSameRun(runFormation(source, false, block_splitting, true),
-                  reference, "trial cache");
-    expectSameRun(runFormation(source, true, block_splitting, true),
-                  reference, "both caches");
-    EXPECT_GT(reference.merges, 0);
+    for (const auto &[source, splitting] : kPrograms) {
+        for (PolicyKind kind :
+             {PolicyKind::BreadthFirst, PolicyKind::DepthFirst,
+              PolicyKind::Vliw}) {
+            SCOPED_TRACE(testing::Message()
+                         << policyKindName(kind) << " splitting="
+                         << splitting);
+            clearTrialMemo();
+            FormationRun unchecked = runFormation(source, splitting, kind);
+            clearTrialMemo();
+            FormationRun checked =
+                runFormation(source, splitting, kind, true);
+            expectSameRun(checked, unchecked, "checked run");
+            EXPECT_GT(checked.checkedRounds, 0u);
+            EXPECT_GT(checked.merges, 0);
+        }
+    }
+}
+
+// ----- scratch-reuse oracle -----
+
+/** Union of the live-ins of @p bb's targets, over @p fn's vregs. */
+BitVector
+targetLiveIns(const Function &fn, const Liveness &live,
+              const BasicBlock &bb)
+{
+    BitVector out(fn.numVregs());
+    for (BlockId succ : bb.successors())
+        live.liveIn(succ).forEach([&](size_t v) { out.set(v); });
+    return out;
+}
+
+/** One trial's combine / optimize / legality result. */
+struct TrialResult
+{
+    bool combined = false;
+    std::vector<Instruction> insts;
+    uint32_t vregsBurned = 0;
+    std::string reason;
+};
+
+/** The persistent scratch set MergeEngine keeps across trials. */
+struct ReusedScratch
+{
+    BasicBlock scratch{kNoBlock, ""};
+    BasicBlock sourceCopy{kNoBlock, ""};
+    CombineScratch combine;
+    BlockOptScratch opt;
+    BlockAnalysisScratch legal;
+};
+
+/** Run one trial of @p s into @p hb on @p fn; @p reused null means
+ *  fresh blocks and nullptr scratch for every call. */
+TrialResult
+runTrial(Function &fn, const Liveness &live, const BasicBlock &hb,
+         const BasicBlock &s, ReusedScratch *reused)
+{
+    const TargetModel target;
+    const size_t headroom = 4;
+    const uint32_t before = fn.numVregs();
+    BasicBlock fresh_hb(hb.id(), hb.name());
+    BasicBlock fresh_s(s.id(), s.name());
+    BasicBlock &block = reused ? reused->scratch : fresh_hb;
+    BasicBlock &source = reused ? reused->sourceCopy : fresh_s;
+    block.assignFrom(hb);
+    source.assignFrom(s);
+
+    TrialResult r;
+    r.combined = combineBlocks(fn, block, source, entryShare(hb, s),
+                               reused ? &reused->combine : nullptr);
+    if (r.combined) {
+        BitVector live_out = targetLiveIns(fn, live, block);
+        optimizeBlock(fn, block, live_out,
+                      reused ? &reused->opt : nullptr);
+        r.reason = checkBlockLegal(fn, block, live_out, target, headroom,
+                                   reused ? &reused->legal : nullptr);
+    }
+    r.insts = block.insts;
+    r.vregsBurned = fn.numVregs() - before;
+    return r;
+}
+
+/** Every (hb, s) pair where hb branches to s and s is not the entry. */
+std::vector<std::pair<BlockId, BlockId>>
+mergeablePairs(const Function &fn)
+{
+    std::vector<std::pair<BlockId, BlockId>> pairs;
+    for (BlockId hb : fn.blockIds()) {
+        for (BlockId s : fn.block(hb)->successors()) {
+            if (s != fn.entry())
+                pairs.emplace_back(hb, s);
+        }
+    }
+    return pairs;
+}
+
+/** True when @p bb has an instruction predicated on a register it has
+ *  not defined above it: only such predicates reach a fold cached by an
+ *  earlier combine. */
+bool
+readsOutsidePredicate(const BasicBlock &bb)
+{
+    std::vector<Vreg> defined;
+    for (const Instruction &inst : bb.insts) {
+        if (inst.pred.valid() &&
+            std::find(defined.begin(), defined.end(), inst.pred.reg) ==
+                defined.end())
+            return true;
+        if (inst.hasDest())
+            defined.push_back(inst.dest);
+    }
+    return false;
+}
+
+TEST(TrialScratchReuse, MatchesFreshScratchOnEveryPair)
+{
+    // The four programs above, plus two generated ones whose blocks
+    // carry predicates defined outside them.
+    std::vector<std::pair<Program, bool>> programs;
+    for (const auto &[source, splitting] : kPrograms)
+        programs.emplace_back(Session::frontend(source), splitting);
+    for (const auto &[seed, shape_name] :
+         {std::pair<uint64_t, const char *>{1, "default"}, {2, "tiny"}}) {
+        GeneratorShape shape;
+        ASSERT_TRUE(namedShape(shape_name, &shape));
+        programs.emplace_back(buildGenerated(generateTinyC(seed, shape)),
+                              false);
+    }
+
+    size_t pairs_checked = 0, outside_predicates = 0;
+    uint64_t shuffle_seed = 1;
+    for (auto &[program, splitting] : programs) {
+        // The prepared CFG (plain blocks) and the formed one (predicated
+        // hyperblocks, whose combines exercise the predicate folds).
+        prepareProgram(program);
+        Function formed = program.fn.clone();
+        {
+            MergeOptions opts;
+            opts.enableBlockSplitting = splitting;
+            MergeEngine engine(formed, opts);
+            BreadthFirstPolicy policy;
+            for (BlockId b : formed.reversePostOrder()) {
+                if (formed.block(b))
+                    expandBlock(engine, policy, b);
+            }
+        }
+
+        for (const Function *fn : {&program.fn, &formed}) {
+            std::vector<std::pair<BlockId, BlockId>> pairs =
+                mergeablePairs(*fn);
+            Rng rng(shuffle_seed++);
+            for (size_t i = pairs.size(); i > 1; --i)
+                std::swap(pairs[i - 1], pairs[rng.below(i)]);
+
+            const Liveness live(*fn);
+            Function with_reuse = fn->clone();
+            Function with_fresh = fn->clone();
+            ReusedScratch reused;
+            for (const auto &[hb, s] : pairs) {
+                const BasicBlock &hb_block = *fn->block(hb);
+                const BasicBlock &s_block = *fn->block(s);
+                TrialResult got =
+                    runTrial(with_reuse, live, hb_block, s_block, &reused);
+                TrialResult want =
+                    runTrial(with_fresh, live, hb_block, s_block, nullptr);
+                SCOPED_TRACE(testing::Message() << "bb" << hb << " <- bb"
+                                                << s);
+                EXPECT_EQ(got.combined, want.combined);
+                EXPECT_EQ(got.vregsBurned, want.vregsBurned);
+                EXPECT_EQ(got.reason, want.reason);
+                ASSERT_EQ(got.insts.size(), want.insts.size());
+                for (size_t k = 0; k < got.insts.size(); ++k) {
+                    EXPECT_TRUE(got.insts[k].sameAs(want.insts[k]) &&
+                                got.insts[k].freq == want.insts[k].freq)
+                        << "instruction " << k;
+                }
+                ++pairs_checked;
+                outside_predicates += readsOutsidePredicate(s_block);
+            }
+        }
+    }
+    EXPECT_GT(pairs_checked, 100u);
+    EXPECT_GT(outside_predicates, 0u);
+}
+
+// ----- cold memo as the reference -----
+
+/** A cold formation (cleared memo) against a warm re-run. */
+void
+expectColdWarmIdentical(const std::string &source, bool block_splitting)
+{
+    clearTrialMemo();
+    FormationRun cold = runFormation(source, block_splitting);
+    FormationRun warm = runFormation(source, block_splitting);
+    expectSameRun(warm, cold, "warm memo");
+    EXPECT_EQ(cold.memoHits, 0);
+    EXPECT_GT(cold.merges, 0);
 }
 
 TEST(MergeTraceDifferential, DiamondChain)
 {
-    expectIdenticalFormation(R"(
-int main() {
-  int acc = 0;
-  for (int i = 0; i < 16; i += 1) {
-    int t = i * 5;
-    if ((t & 1) == 1) { acc += t; } else { acc -= i; }
-    if ((t & 6) == 2) { acc += 3; }
-  }
-  return acc;
-}
-)",
-                             false);
+    expectColdWarmIdentical(kDiamondChain, false);
 }
 
 TEST(MergeTraceDifferential, NestedLoops)
 {
-    expectIdenticalFormation(R"(
-int main() {
-  int acc = 0;
-  for (int i = 0; i < 6; i += 1) {
-    int j = 0;
-    while (j < 5) {
-      acc += i & j;
-      if (acc > 40) { acc -= 7; }
-      j += 1;
-    }
-    acc += i;
-  }
-  return acc;
-}
-)",
-                             false);
+    expectColdWarmIdentical(kNestedLoops, false);
 }
 
 TEST(MergeTraceDifferential, DoWhileWithBreaks)
 {
-    expectIdenticalFormation(R"(
-int main() {
-  int n = 37;
-  int steps = 0;
-  do {
-    if ((n & 1) == 1) { n = n * 3 + 1; } else { n = n / 2; }
-    steps += 1;
-    if (steps > 200) { break; }
-  } while (n > 1);
-  return steps;
-}
-)",
-                             false);
+    expectColdWarmIdentical(kDoWhileWithBreaks, false);
 }
 
 TEST(MergeTraceDifferential, ArraysWithBlockSplitting)
 {
-    expectIdenticalFormation(R"(
-int data[64];
-int main() {
-  int acc = 0;
-  for (int i = 0; i < 64; i += 1) { data[i] = i * 7 % 31; }
-  for (int i = 0; i < 64; i += 1) {
-    int v = data[i];
-    acc += v * 3; acc -= v / 2; acc += v & 12; acc += v | 3;
-    acc += v % 5; acc -= v >> 1; acc += v * v; acc -= i;
-    if ((v & 2) == 2) { acc += 11; }
-  }
-  return acc;
-}
-)",
-                             true);
-}
-
-TEST(MergeTraceDifferential, EnvVarDisablesCache)
-{
-    // CHF_DISABLE_ANALYSIS_CACHE=1 must force fresh analyses even when
-    // the options ask for caching.
-    Program p = Session::frontend("int main() { return 4; }");
-    setenv("CHF_DISABLE_ANALYSIS_CACHE", "1", 1);
-    {
-        MergeOptions opts;
-        opts.useAnalysisCache = true;
-        MergeEngine engine(p.fn, opts);
-        EXPECT_FALSE(engine.analyses().cachingEnabled());
-    }
-    unsetenv("CHF_DISABLE_ANALYSIS_CACHE");
-    {
-        MergeOptions opts;
-        opts.useAnalysisCache = true;
-        MergeEngine engine(p.fn, opts);
-        EXPECT_TRUE(engine.analyses().cachingEnabled());
-    }
-}
-
-TEST(MergeTraceDifferential, EnvVarDisablesTrialCache)
-{
-    Program p = Session::frontend("int main() { return 4; }");
-    setenv("CHF_TRIAL_CACHE", "0", 1);
-    {
-        MergeOptions opts;
-        MergeEngine engine(p.fn, opts);
-        EXPECT_FALSE(engine.fastPathActive());
-    }
-    unsetenv("CHF_TRIAL_CACHE");
-    {
-        MergeOptions opts;
-        MergeEngine engine(p.fn, opts);
-        EXPECT_TRUE(engine.fastPathActive());
-    }
-    {
-        MergeOptions opts;
-        opts.useTrialCache = false;
-        MergeEngine engine(p.fn, opts);
-        EXPECT_FALSE(engine.fastPathActive());
-    }
-}
-
-// ----- trial fast-path internals -----
-
-/**
- * The memo replays the exact register burn of the combine it skips, so
- * combineVregCost must predict combineBlocks' allocations exactly --
- * for every structurally-mergeable pair, not just the ones formation
- * happens to pick.
- */
-TEST(TrialFastPath, CombineVregCostIsExact)
-{
-    const char *sources[] = {
-        R"(
-int main() {
-  int acc = 0;
-  for (int i = 0; i < 16; i += 1) {
-    if ((i & 1) == 1) { acc += i; } else { acc -= 1; }
-    if ((i & 6) == 2) { acc += 3; }
-  }
-  return acc;
-}
-)",
-        R"(
-int data[16];
-int main() {
-  int acc = 0;
-  int i = 0;
-  do {
-    data[i] = acc;
-    if (acc > 9) { acc -= 7; } else { acc += i; }
-    i += 1;
-  } while (i < 16);
-  return acc + data[3];
-}
-)",
-    };
-
-    size_t pairs_checked = 0;
-    for (const char *source : sources) {
-        Program p = Session::frontend(source);
-        prepareProgram(p);
-        for (BlockId hb = 0; hb < p.fn.blockTableSize(); ++hb) {
-            for (BlockId s = 0; s < p.fn.blockTableSize(); ++s) {
-                const BasicBlock *hb_block = p.fn.block(hb);
-                const BasicBlock *s_block = p.fn.block(s);
-                if (!hb_block || !s_block || s == p.fn.entry())
-                    continue;
-                if (branchesTo(*hb_block, s).empty())
-                    continue;
-                Function copy = p.fn.clone();
-                BasicBlock scratch(hb_block->id(), hb_block->name());
-                scratch.assignFrom(*hb_block);
-                BasicBlock source_copy(s_block->id(), s_block->name());
-                source_copy.assignFrom(*s_block);
-                uint32_t before = copy.numVregs();
-                ASSERT_TRUE(combineBlocks(copy, scratch, source_copy,
-                                          0.5));
-                EXPECT_EQ(copy.numVregs() - before,
-                          combineVregCost(*hb_block, *s_block))
-                    << "bb" << hb << " <- bb" << s;
-                ++pairs_checked;
-            }
-        }
-    }
-    EXPECT_GT(pairs_checked, 10u);
+    expectColdWarmIdentical(kArrays, true);
 }
 
 TEST(TrialFastPath, MemoHitsAcrossIdenticalCompiles)
@@ -315,8 +562,9 @@ int main() {
   return acc;
 }
 )";
-    FormationRun first = runFormation(source, true, false, true);
-    FormationRun second = runFormation(source, true, false, true);
+    clearTrialMemo();
+    FormationRun first = runFormation(source, false);
+    FormationRun second = runFormation(source, false);
     expectSameRun(second, first, "memoized re-run");
 
     bool any_failure = false;
@@ -324,6 +572,7 @@ int main() {
         any_failure |= !e.success;
     ASSERT_TRUE(any_failure) << "test program produced no failed "
                                 "trials; memo cannot be exercised";
+    EXPECT_EQ(first.memoHits, 0);
     EXPECT_GT(second.memoHits, 0);
 }
 
@@ -331,7 +580,8 @@ TEST(TrialFastPath, MemoStoreStatsAreExposed)
 {
     // The sharded store's counters account every lookup: hits + misses
     // grow, and the Session reports the same activity as per-compile
-    // deltas.
+    // deltas. clearTrialMemo empties the store but never rewinds the
+    // cumulative counters.
     Program program = Session::frontend(R"(
 int data[32];
 int main() {
@@ -363,6 +613,7 @@ int main() {
     EXPECT_GE(after.entries, before.entries);
     EXPECT_GE(after.maxShardEntries, before.maxShardEntries);
     EXPECT_LE(after.maxShardEntries, after.entries);
+    EXPECT_GT(after.entries, 0u);
 
     EXPECT_EQ(result.totals.get("trialMemoStoreHits"),
               static_cast<int64_t>(after.hits - before.hits));
@@ -372,145 +623,19 @@ int main() {
               static_cast<int64_t>(after.entries));
     EXPECT_EQ(result.totals.get("trialMemoStoreMaxShard"),
               static_cast<int64_t>(after.maxShardEntries));
+
+    clearTrialMemo();
+    const TrialMemoStats cleared = trialMemoStats();
+    EXPECT_EQ(cleared.entries, 0u);
+    EXPECT_EQ(cleared.maxShardEntries, 0u);
+    EXPECT_EQ(cleared.hits, after.hits);
+    EXPECT_EQ(cleared.misses, after.misses);
+    EXPECT_EQ(cleared.evictions, after.evictions);
+    EXPECT_EQ(cleared.shards, after.shards);
+    EXPECT_EQ(cleared.capacity, after.capacity);
 }
 
-TEST(TrialFastPath, PrescreenFiresAndStaysIdentical)
-{
-    // Tight maxInsts: the combined block provably exceeds the limit
-    // from the branches+stores floor alone, so the pre-screen rejects
-    // without running combine+optimize -- with the same reason string
-    // and register burn as the full trial.
-    const char *source = R"(
-int data[32];
-int main() {
-  int acc = 0;
-  for (int i = 0; i < 32; i += 1) {
-    data[i] = acc;
-    data[(i + 7) & 31] = acc + i;
-    data[(i + 3) & 31] = acc - i;
-    data[(i + 9) & 31] = acc ^ i;
-    data[(i + 13) & 31] = acc + 2 * i;
-    data[(i + 21) & 31] = acc - 3 * i;
-    if ((i & 1) == 1) { acc += i; }
-  }
-  return acc + data[5];
-}
-)";
-    FormationRun fast = runFormation(source, true, false, true, 12);
-    FormationRun slow = runFormation(source, true, false, false, 12);
-    expectSameRun(fast, slow, "pre-screen");
-    EXPECT_GT(fast.prescreened, 0);
-    EXPECT_EQ(slow.prescreened, 0);
-}
-
-/**
- * Pins the pre-screen's floor formula and its intended firing
- * condition (trialSizeFloor + sizeHeadroom > target.maxInsts). The
- * floor counts only the instructions no legal trial can shed -- every
- * branch and store of both participants, minus the HB branches the
- * combine consumes; with optimizeDuringMerge off nothing can be shed,
- * so it counts everything. Because branches+stores rarely approach the
- * TRIPS budget of 128, the pre-screen is NOT expected to fire at the
- * default target (this is why BENCH_pass_speed.json records
- * trials_prescreened == 0); it exists for small-block targets and
- * reduced maxInsts, where PrescreenFiresAndStaysIdentical shows it
- * firing.
- */
-TEST(TrialFastPath, SizeFloorFormulaAndFiringCondition)
-{
-    const char *source = R"(
-int data[32];
-int main() {
-  int acc = 0;
-  for (int i = 0; i < 32; i += 1) {
-    data[i] = acc;
-    data[(i + 7) & 31] = acc + i;
-    data[(i + 3) & 31] = acc - i;
-    data[(i + 9) & 31] = acc ^ i;
-    data[(i + 13) & 31] = acc + 2 * i;
-    data[(i + 21) & 31] = acc - 3 * i;
-    if ((i & 1) == 1) { acc += i; } else { acc -= 3; }
-    if ((i & 6) == 2) { acc += data[i & 15]; }
-  }
-  return acc + data[5];
-}
-)";
-    Program p = Session::frontend(source);
-    prepareProgram(p);
-
-    for (bool optimize_during_merge : {true, false}) {
-        MergeOptions opts;
-        opts.optimizeDuringMerge = optimize_during_merge;
-        MergeEngine engine(p.fn, opts);
-
-        size_t pairs_checked = 0;
-        for (BlockId hb = 0; hb < p.fn.blockTableSize(); ++hb) {
-            for (BlockId s = 0; s < p.fn.blockTableSize(); ++s) {
-                const BasicBlock *hb_block = p.fn.block(hb);
-                const BasicBlock *s_block = p.fn.block(s);
-                if (!hb_block || !s_block || s == p.fn.entry())
-                    continue;
-                if (branchesTo(*hb_block, s).empty())
-                    continue;
-
-                // The documented formula, computed independently.
-                size_t expected = 0;
-                for (const Instruction &inst : hb_block->insts) {
-                    if (inst.op == Opcode::Br && inst.target == s)
-                        continue; // consumed by the combine
-                    if (!optimize_during_merge || inst.isBranch() ||
-                        inst.op == Opcode::Store)
-                        ++expected;
-                }
-                for (const Instruction &inst : s_block->insts) {
-                    if (!optimize_during_merge || inst.isBranch() ||
-                        inst.op == Opcode::Store)
-                        ++expected;
-                }
-                size_t floor = engine.trialSizeFloor(*hb_block, *s_block);
-                EXPECT_EQ(floor, expected)
-                    << "bb" << hb << " <- bb" << s
-                    << " optimizeDuringMerge=" << optimize_during_merge;
-
-                // Lower-bound property: even with an empty live-out
-                // (DCE removes the maximum), the optimized combined
-                // block never drops below the floor.
-                Function copy = p.fn.clone();
-                BasicBlock scratch(hb_block->id(), hb_block->name());
-                scratch.assignFrom(*hb_block);
-                BasicBlock source_copy(s_block->id(), s_block->name());
-                source_copy.assignFrom(*s_block);
-                ASSERT_TRUE(
-                    combineBlocks(copy, scratch, source_copy, 0.5));
-                if (optimize_during_merge) {
-                    BitVector live_out(copy.numVregs());
-                    optimizeBlock(copy, scratch, live_out);
-                }
-                EXPECT_LE(floor, scratch.size())
-                    << "bb" << hb << " <- bb" << s;
-
-                // Firing-condition documentation: at the default TRIPS
-                // target none of these pairs can trip the pre-screen.
-                if (optimize_during_merge) {
-                    EXPECT_LE(floor + opts.sizeHeadroom,
-                              opts.target.maxInsts)
-                        << "bb" << hb << " <- bb" << s;
-                }
-                ++pairs_checked;
-            }
-        }
-        EXPECT_GT(pairs_checked, 5u);
-    }
-
-    // And whole-program confirmation of both sides of the condition:
-    // silent at the default budget, firing at a reduced one.
-    FormationRun default_target = runFormation(source, true, false, true);
-    EXPECT_EQ(default_target.prescreened, 0);
-    FormationRun tight = runFormation(source, true, false, true, 12);
-    EXPECT_GT(tight.prescreened, 0);
-}
-
-// ----- Session matrix: trial cache x policy x fault x threads -----
+// ----- Session matrix: cold vs warm memo x policy x fault x threads -----
 
 struct BatchOutput
 {
@@ -526,15 +651,9 @@ struct BatchOutput
  * into a rollback plus a diagnostic instead of an abort.
  */
 BatchOutput
-compileBatch(PolicyKind policy, int threads,
-             const FaultSpec *fault, bool trial_cache)
+compileBatch(PolicyKind policy, int threads, const FaultSpec *fault)
 {
     const char *const names[] = {"dhry", "bzip2_3", "sieve", "gzip_1"};
-
-    if (trial_cache)
-        unsetenv("CHF_TRIAL_CACHE");
-    else
-        setenv("CHF_TRIAL_CACHE", "0", 1);
 
     SessionOptions options = SessionOptions()
                                  .withPolicy(policy)
@@ -552,7 +671,6 @@ compileBatch(PolicyKind policy, int threads,
                            name);
     }
     SessionResult result = session.compile();
-    unsetenv("CHF_TRIAL_CACHE");
 
     BatchOutput out;
     for (size_t unit = 0; unit < session.size(); ++unit)
@@ -562,63 +680,68 @@ compileBatch(PolicyKind policy, int threads,
     return out;
 }
 
-/** Trial cache on vs off must be byte-identical: asm + diagnostics. */
+/** A warm batch must be byte-identical to a cold one: asm + diagnostics. */
 void
-expectTrialCacheIrrelevant(PolicyKind policy, int threads,
-                           const FaultSpec *fault)
+expectColdWarmBatchIdentical(PolicyKind policy, int threads,
+                             const FaultSpec *fault)
 {
-    BatchOutput on = compileBatch(policy, threads, fault, true);
-    BatchOutput off = compileBatch(policy, threads, fault, false);
-    ASSERT_EQ(on.asmText.size(), off.asmText.size());
-    for (size_t u = 0; u < on.asmText.size(); ++u) {
-        EXPECT_EQ(on.asmText[u], off.asmText[u])
+    clearTrialMemo();
+    BatchOutput cold = compileBatch(policy, threads, fault);
+    const TrialMemoStats after_cold = trialMemoStats();
+    BatchOutput warm = compileBatch(policy, threads, fault);
+    // Every failure the cold run recorded is answered from the memo.
+    if (after_cold.entries > 0)
+        EXPECT_GT(trialMemoStats().hits, after_cold.hits);
+    ASSERT_EQ(cold.asmText.size(), warm.asmText.size());
+    for (size_t u = 0; u < cold.asmText.size(); ++u) {
+        EXPECT_EQ(warm.asmText[u], cold.asmText[u])
             << policyKindName(policy) << " unit " << u << " at "
             << threads << " threads";
     }
-    EXPECT_EQ(on.diagText, off.diagText)
+    EXPECT_EQ(warm.diagText, cold.diagText)
         << policyKindName(policy) << " at " << threads << " threads";
-    EXPECT_EQ(on.degraded, off.degraded);
+    EXPECT_EQ(warm.degraded, cold.degraded);
     if (fault) {
-        EXPECT_EQ(on.degraded, 1u);
-        EXPECT_FALSE(on.diagText.empty());
+        EXPECT_EQ(cold.degraded, 1u);
+        EXPECT_FALSE(cold.diagText.empty());
     } else {
-        EXPECT_EQ(on.degraded, 0u);
+        EXPECT_EQ(cold.degraded, 0u);
     }
 }
 
-class TrialCacheMatrix
+class TrialMemoMatrix
     : public ::testing::TestWithParam<std::tuple<PolicyKind, int>>
 {
 };
 
-TEST_P(TrialCacheMatrix, NoFault)
+TEST_P(TrialMemoMatrix, NoFault)
 {
     auto [policy, threads] = GetParam();
-    expectTrialCacheIrrelevant(policy, threads, nullptr);
+    expectColdWarmBatchIdentical(policy, threads, nullptr);
 }
 
-TEST_P(TrialCacheMatrix, FormationCorruptIr)
+TEST_P(TrialMemoMatrix, FormationCorruptIr)
 {
     auto [policy, threads] = GetParam();
     FaultSpec fault;
     fault.phase = "formation";
     fault.occurrence = 1;
     fault.kind = FaultSpec::Kind::CorruptIr;
-    expectTrialCacheIrrelevant(policy, threads, &fault);
+    expectColdWarmBatchIdentical(policy, threads, &fault);
 }
 
-TEST_P(TrialCacheMatrix, FormationThrow)
+TEST_P(TrialMemoMatrix, FormationThrow)
 {
     auto [policy, threads] = GetParam();
     FaultSpec fault;
     fault.phase = "formation";
     fault.occurrence = 1;
     fault.kind = FaultSpec::Kind::Throw;
-    expectTrialCacheIrrelevant(policy, threads, &fault);
+    expectColdWarmBatchIdentical(policy, threads, &fault);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    All, TrialCacheMatrix,
+    All, TrialMemoMatrix,
     ::testing::Combine(::testing::Values(PolicyKind::BreadthFirst,
                                          PolicyKind::DepthFirst,
                                          PolicyKind::Vliw),

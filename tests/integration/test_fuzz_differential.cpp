@@ -23,10 +23,38 @@
 namespace chf {
 namespace {
 
+/** Number of cells that share a determinism group with an earlier
+ *  cell: each one runs on a warm memo and is compared byte-for-byte
+ *  with its group's first (cold) cell. */
+size_t
+warmComparisons(const std::vector<FuzzConfig> &matrix)
+{
+    std::set<std::string> groups;
+    for (const FuzzConfig &config : matrix)
+        groups.insert(config.determinismGroup());
+    return matrix.size() - groups.size();
+}
+
+/** True when every determinism group's cells are adjacent. */
+bool
+groupsContiguous(const std::vector<FuzzConfig> &matrix)
+{
+    std::set<std::string> closed;
+    for (size_t i = 0; i < matrix.size(); ++i) {
+        const std::string group = matrix[i].determinismGroup();
+        if (closed.count(group))
+            return false;
+        if (i + 1 == matrix.size() ||
+            matrix[i + 1].determinismGroup() != group)
+            closed.insert(group);
+    }
+    return true;
+}
+
 TEST(FuzzMatrix, FullMatrixCoversEveryAxisCombination)
 {
     std::vector<FuzzConfig> matrix = fuzzFullMatrix();
-    EXPECT_EQ(matrix.size(), 32u); // 4 policies x 2 threads x 2 x 2
+    EXPECT_EQ(matrix.size(), 16u); // 4 policies x 2 faults x 2 threads
 
     // Labels are unique (the repro message names exactly one cell).
     std::set<std::string> labels;
@@ -34,26 +62,29 @@ TEST(FuzzMatrix, FullMatrixCoversEveryAxisCombination)
         labels.insert(config.label());
     EXPECT_EQ(labels.size(), matrix.size());
 
-    // Thread count and cache must not change the determinism group;
-    // policy and fault must.
+    // Thread count must not change the determinism group; policy and
+    // fault must. Each group is one cold cell then one warm cell.
     std::set<std::string> groups;
     for (const FuzzConfig &config : matrix)
         groups.insert(config.determinismGroup());
     EXPECT_EQ(groups.size(), 8u); // 4 policies x 2 fault modes
+    EXPECT_TRUE(groupsContiguous(matrix));
+    EXPECT_EQ(warmComparisons(matrix), 8u);
 }
 
 TEST(FuzzMatrix, SmokeMatrixExercisesEveryAxis)
 {
     std::vector<FuzzConfig> matrix = fuzzSmokeMatrix();
-    bool multiThread = false, cacheOff = false, faulted = false;
+    EXPECT_EQ(matrix.size(), 6u);
+    bool multiThread = false, faulted = false;
     for (const FuzzConfig &config : matrix) {
         multiThread |= config.threads > 1;
-        cacheOff |= !config.trialCache;
         faulted |= config.faultCorruptIr;
     }
     EXPECT_TRUE(multiThread);
-    EXPECT_TRUE(cacheOff);
     EXPECT_TRUE(faulted);
+    EXPECT_TRUE(groupsContiguous(matrix));
+    EXPECT_GT(warmComparisons(matrix), 0u);
 }
 
 /** The tier-1 smoke campaign: seeds 1..N across the preset rotation,
@@ -72,7 +103,7 @@ TEST(FuzzDifferential, SmokeCampaignMatchesOracleEverywhere)
     EXPECT_EQ(report.programs, 8);
 }
 
-/** One program through the full 64-cell matrix, so tier-1 touches
+/** One program through the full 16-cell matrix, so tier-1 touches
  *  every axis combination at least once. */
 TEST(FuzzDifferential, FullMatrixOnOneProgram)
 {

@@ -303,7 +303,6 @@ TEST(SessionBuilder, FluentOptionsSetEveryField)
                                  .withTarget(model)
                                  .withBackend(false)
                                  .withBlockSplitting(true)
-                                 .withVerifyStages(false)
                                  .withKeepGoing(true)
                                  .withThreads(8)
                                  .withFault(fault);
@@ -313,7 +312,6 @@ TEST(SessionBuilder, FluentOptionsSetEveryField)
     EXPECT_EQ(options.target.maxInsts, 64u);
     EXPECT_FALSE(options.runBackend);
     EXPECT_TRUE(options.blockSplitting);
-    EXPECT_FALSE(options.verifyStages);
     EXPECT_TRUE(options.keepGoing);
     EXPECT_EQ(options.threads, 8);
     ASSERT_TRUE(options.faultSpec.has_value());

@@ -2,11 +2,11 @@
  * @file
  * Target-model determinism matrix: for every registry target, batch
  * compilation through chf::Session must produce byte-identical asm and
- * diagnostics whatever the thread count and whether the trial-merge
- * fast path is on — the same contract DESIGN.md §9/§10 pin for the
- * TRIPS model, extended over the target registry (§13). Run via the
- * `target_determinism` ctest (label "target"); scripts/check_targets.sh
- * runs the label under ASan.
+ * diagnostics whatever the thread count and whether the failed-trial
+ * memo is cold (cleared) or warm — the same contract DESIGN.md §9/§10
+ * pin for the TRIPS model, extended over the target registry (§13).
+ * Run via the `target_determinism` ctest (label "target");
+ * scripts/check_targets.sh runs the label under ASan.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "backend/asm_writer.h"
+#include "hyperblock/merge.h"
 #include "pipeline/session.h"
 #include "workloads/workloads.h"
 
@@ -28,16 +29,18 @@ struct BatchOutput
     std::string diagText;
 };
 
-/** Compile a 3-workload batch for @p target. */
+/** Compile a 3-workload batch for @p target; @p cold clears the
+ *  failed-trial memo first. */
 BatchOutput
-compileBatch(const std::string &target, int threads, bool trial_cache)
+compileBatch(const std::string &target, int threads, bool cold)
 {
     const char *const names[] = {"sieve", "bzip2_3", "parser_1"};
 
+    if (cold)
+        clearTrialMemo();
     Session session(SessionOptions()
                         .withTarget(target)
                         .withThreads(threads)
-                        .withTrialCache(trial_cache)
                         .withKeepGoing(true));
     for (const char *name : names) {
         const Workload *workload = findWorkload(name);
@@ -62,23 +65,25 @@ class TargetDeterminism
 {
 };
 
-TEST_P(TargetDeterminism, ThreadsAndTrialCacheAreByteInvisible)
+TEST_P(TargetDeterminism, ThreadsAndMemoWarmthAreByteInvisible)
 {
+    // The reference runs cold at 1 thread; the probes run warm (the
+    // memo holds the reference's failed trials) or cold again.
     const std::string target = GetParam();
     BatchOutput reference = compileBatch(target, 1, true);
 
     const std::pair<int, bool> configs[] = {
-        {4, true}, {1, false}, {4, false}};
-    for (const auto &[threads, cache] : configs) {
-        BatchOutput probe = compileBatch(target, threads, cache);
+        {4, false}, {1, false}, {4, true}};
+    for (const auto &[threads, cold] : configs) {
+        BatchOutput probe = compileBatch(target, threads, cold);
         ASSERT_EQ(probe.asmText.size(), reference.asmText.size());
         for (size_t unit = 0; unit < reference.asmText.size(); ++unit) {
             EXPECT_EQ(probe.asmText[unit], reference.asmText[unit])
                 << target << " unit " << unit << " threads=" << threads
-                << " cache=" << cache;
+                << " cold=" << cold;
         }
         EXPECT_EQ(probe.diagText, reference.diagText)
-            << target << " threads=" << threads << " cache=" << cache;
+            << target << " threads=" << threads << " cold=" << cold;
     }
 }
 
@@ -98,8 +103,8 @@ TEST(TargetDeterminismCross, TargetsActuallyDiverge)
     // The matrix above would pass trivially if every target compiled
     // to the same bytes; pin that the registry geometries genuinely
     // change formation.
-    BatchOutput trips = compileBatch("trips", 1, true);
-    BatchOutput small = compileBatch("small-block", 1, true);
+    BatchOutput trips = compileBatch("trips", 1, false);
+    BatchOutput small = compileBatch("small-block", 1, false);
     bool any_differ = false;
     for (size_t unit = 0; unit < trips.asmText.size(); ++unit)
         any_differ |= trips.asmText[unit] != small.asmText[unit];
