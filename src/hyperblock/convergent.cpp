@@ -7,8 +7,8 @@
 #include "analysis/analysis_manager.h"
 #include "analysis/loops.h"
 #include "pipeline/pass_guard.h"
+#include "support/cancellation.h"
 #include "support/fatal.h"
-#include "support/fault_inject.h"
 #include "transform/cfg_utils.h"
 
 namespace chf {
@@ -115,10 +115,11 @@ expandBlock(MergeEngine &engine, Policy &policy, BlockId seed,
     uint64_t cached_epoch = 0;
     bool cache_valid = false;
 
-    // Cancellation poll (DESIGN.md §12): one acquire load per merge
-    // round — between rounds the CFG is structurally consistent, so
-    // the CancelledError this may raise is rollback-safe.
-    const CancellationToken &cancel = engine.options().cancel;
+    // Cancellation poll (DESIGN.md §12): the unit's token is read once,
+    // then costs one acquire load per merge round -- between rounds the
+    // CFG is structurally consistent, so the CancelledError this may
+    // raise is rollback-safe.
+    const CancellationToken cancel = CancellationToken::current();
 
     size_t merges = 0;
     while (!pending.empty() && merges < max_merges) {
@@ -172,27 +173,18 @@ formHyperblocks(Function &fn, Policy &policy,
     MergeEngine engine(fn, options.merge);
 
     // Expand seeds in reverse post-order; blocks merged away are
-    // skipped (their id slots become null).
-    const bool guarded = options.keepGoing && options.diags != nullptr;
+    // skipped (their id slots become null). In keep-going mode a seed
+    // whose expansion corrupts the IR is rolled back alone; the
+    // remaining seeds still expand.
     std::vector<BlockId> seeds = fn.reversePostOrder();
     for (BlockId seed : seeds) {
         if (!fn.block(seed))
             continue;
-        // Between seeds the function is consistent; a deadline that
-        // trips here aborts the unit before the next expansion starts.
-        options.merge.cancel.throwIfCancelled();
-        if (!guarded) {
-            expandBlock(engine, policy, seed, options.maxMergesPerBlock);
-            continue;
-        }
-        // Transactional: a seed whose expansion corrupts the IR is
-        // rolled back alone; the remaining seeds still expand.
-        runGuarded(
-            fn, "formation-seed", *options.diags,
+        runPhase(
+            fn, "formation-seed", options.diags,
             [&] {
                 expandBlock(engine, policy, seed,
                             options.maxMergesPerBlock);
-                faultInjectionPoint("formation-seed", fn);
             },
             &engine.analyses());
     }

@@ -31,14 +31,11 @@ struct FormationOptions
     size_t maxMergesPerBlock = 512;
 
     /**
-     * Transactional per-seed expansion: checkpoint before each seed,
-     * verify after, and roll back just that seed's merges on failure
-     * (recorded in @p diags) instead of aborting. Off by default so
-     * the strict pipeline pays no snapshot cost.
+     * Keep-going sink: when non-null, each seed's expansion runs as a
+     * "formation-seed" phase (runPhase) that is snapshotted, verified,
+     * and rolled back alone on failure, recorded here. Null (strict
+     * mode) expands every seed bare, with no snapshot cost.
      */
-    bool keepGoing = false;
-
-    /** Failure sink for keepGoing mode; required when keepGoing. */
     DiagnosticEngine *diags = nullptr;
 };
 
@@ -51,14 +48,15 @@ struct FormationResult
 /**
  * Expand a single hyperblock (the paper's ExpandBlock): repeatedly
  * selects and merges successors of @p seed until the policy stops or
- * no candidate fits. Returns the number of successful merges.
+ * no candidate fits. Returns the number of successful merges. Polls
+ * CancellationToken::current() once per merge round (DESIGN.md §12).
  */
 size_t expandBlock(MergeEngine &engine, Policy &policy, BlockId seed,
                    size_t max_merges = 512);
 
 /**
  * Form hyperblocks over the whole function: expands every surviving
- * block as a seed in reverse post-order.
+ * block as a seed in reverse post-order, one runPhase per seed.
  */
 FormationResult formHyperblocks(Function &fn, Policy &policy,
                                 const FormationOptions &options);

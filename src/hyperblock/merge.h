@@ -28,6 +28,8 @@
  * tryMerge is the one implementation of a merge trial. The trials of
  * one function run serially on the thread compiling it; a Session
  * runs units in parallel, never the trials within one (DESIGN.md §9).
+ * The engine takes no cancellation token: expandBlock polls the unit's
+ * CancellationToken::current() between merge rounds (DESIGN.md §12).
  *
  * Trial-merge fast path (DESIGN.md §10). The convergent loop retries
  * failed candidates after every successful merge, so most trials are
@@ -64,7 +66,6 @@
 
 #include "analysis/analysis_manager.h"
 #include "hyperblock/constraints.h"
-#include "support/cancellation.h"
 #include "support/stats.h"
 #include "transform/if_convert.h"
 #include "transform/optimize.h"
@@ -104,15 +105,6 @@ struct MergeOptions
 
     /** Record every tryMerge attempt in MergeEngine::trace(). */
     bool recordMergeTrace = false;
-
-    /**
-     * Cooperative cancellation (DESIGN.md §12): polled once per merge
-     * round in expandBlock, throwing CancelledError when tripped so a
-     * deadline bounds even pathological formation loops. A default
-     * (null) token never cancels and the polls compile down to an
-     * untaken branch.
-     */
-    CancellationToken cancel;
 };
 
 /**
@@ -188,7 +180,6 @@ class MergeEngine
     bool legalMerge(BlockId hb, BlockId s, std::string *why = nullptr);
 
     const StatSet &stats() const { return counters; }
-    const MergeOptions &options() const { return opts; }
     Function &function() { return fn; }
 
     /** Cached analyses for this function, kept current across merges. */

@@ -1,17 +1,16 @@
 #include "hyperblock/phase_ordering.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/loops.h"
 #include "backend/fanout.h"
 #include "backend/regalloc.h"
-#include "backend/scheduler.h"
 #include "hyperblock/vliw_policy.h"
 #include "ir/verifier.h"
 #include "pipeline/pass_guard.h"
 #include "sim/functional_sim.h"
 #include "support/fatal.h"
-#include "support/fault_inject.h"
 #include "support/timer.h"
 #include "transform/cfg_utils.h"
 #include "transform/for_loop_unroll.h"
@@ -61,26 +60,19 @@ prepareProgram(Program &program, const std::vector<int64_t> &args,
     ProfileData profile = profileProgram(program, args);
 
     if (for_loop_unroll) {
-        if (keep_going && diags) {
-            size_t unrolled = 0;
-            bool ok = runGuarded(program.fn, "unroll", *diags, [&] {
-                unrolled = unrollForLoops(program.fn, profile);
-                if (unrolled > 0) {
-                    simplifyCfg(program.fn);
-                    optimizeFunction(program.fn);
-                }
-                faultInjectionPoint("unroll", program.fn);
-            });
-            if (ok && unrolled > 0)
-                profile = profileProgram(program, args);
-        } else {
-            size_t unrolled = unrollForLoops(program.fn, profile);
+        DiagnosticEngine *guard = keep_going ? diags : nullptr;
+        size_t unrolled = 0;
+        bool ok = runPhase(program.fn, "unroll", guard, [&] {
+            unrolled = unrollForLoops(program.fn, profile);
             if (unrolled > 0) {
                 simplifyCfg(program.fn);
                 optimizeFunction(program.fn);
-                verifyOrDie(program.fn, "for-loop unrolling");
-                profile = profileProgram(program, args);
             }
+        });
+        if (ok && unrolled > 0) {
+            if (!guard)
+                verifyOrDie(program.fn, "for-loop unrolling");
+            profile = profileProgram(program, args);
         }
     }
     return profile;
@@ -177,8 +169,8 @@ discreteCfgUnrollPeel(Function &fn, const ProfileData &profile,
 StatSet
 discreteMergeUnrollPeel(Function &fn, const ProfileData &profile,
                         const MergeOptions &base_options,
-                        DiagnosticEngine *diags = nullptr,
-                        std::vector<std::string> *failed_phases = nullptr)
+                        DiagnosticEngine *diags,
+                        std::vector<std::string> &failed_phases)
 {
     MergeOptions options = base_options;
     options.enableHeadDuplication = true;
@@ -210,33 +202,12 @@ discreteMergeUnrollPeel(Function &fn, const ProfileData &profile,
         }
     };
 
-    if (!diags) {
-        unroll_body();
-        peel_body();
-    } else {
-        // Transactional: unroll and peel are separate guarded phases,
-        // so a failure in one still leaves the other's work in place.
-        if (!runGuarded(
-                fn, "unroll", *diags,
-                [&] {
-                    unroll_body();
-                    faultInjectionPoint("unroll", fn);
-                },
-                &engine.analyses()) &&
-            failed_phases) {
-            failed_phases->push_back("unroll");
-        }
-        if (!runGuarded(
-                fn, "peel", *diags,
-                [&] {
-                    peel_body();
-                    faultInjectionPoint("peel", fn);
-                },
-                &engine.analyses()) &&
-            failed_phases) {
-            failed_phases->push_back("peel");
-        }
-    }
+    // Unroll and peel are separate phases, so a rolled-back one still
+    // leaves the other's work in place.
+    if (!runPhase(fn, "unroll", diags, unroll_body, &engine.analyses()))
+        failed_phases.push_back("unroll");
+    if (!runPhase(fn, "peel", diags, peel_body, &engine.analyses()))
+        failed_phases.push_back("peel");
 
     StatSet stats = engine.stats();
     stats.merge(engine.analyses().stats());
@@ -263,59 +234,37 @@ detail::compileUnit(Program &program, const ProfileData &profile,
         options.pipeline == Pipeline::IUPO_fused &&
         options.policy != PolicyKind::Vliw;
     merge.enableBlockSplitting = options.blockSplitting;
-    merge.cancel = options.cancel;
 
     FormationOptions formation;
     formation.merge = merge;
+    formation.diags = options.diags;
 
-    // Transactional mode: each destructive phase is checkpointed,
-    // verified, and rolled back on failure; strict mode takes the
-    // historical code paths untouched (no snapshots, verifyOrDie).
-    const bool guarded = options.keepGoing && options.diags != nullptr;
-    formation.keepGoing = guarded;
-    formation.diags = guarded ? options.diags : nullptr;
-
-    // Phase-boundary cancellation poll (DESIGN.md §12): between phases
-    // the function is always consistent, so this is the cheapest safe
-    // point to honor a deadline. A null token (the default) makes
-    // every poll an untaken branch.
-    auto poll_cancel = [&] { options.cancel.throwIfCancelled(); };
-    poll_cancel();
-
-    auto run_phase = [&](const char *name,
-                         const std::function<void()> &body) -> bool {
-        poll_cancel();
-        bool ok = runGuarded(fn, name, *options.diags, [&] {
-            body();
-            faultInjectionPoint(name, fn);
-        });
+    // Every destructive phase runs through runPhase: a null diags (strict
+    // mode) runs the body bare, keep-going mode snapshots, verifies and
+    // rolls back (DESIGN.md §7). Rolled-back phases are recorded.
+    auto phase = [&](const char *name,
+                     const std::function<void()> &body) -> bool {
+        bool ok = runPhase(fn, name, options.diags, body);
         if (!ok)
             result.failedPhases.push_back(name);
         return ok;
     };
+    const bool strict = options.diags == nullptr;
 
     std::unique_ptr<Policy> policy = makePolicy(options.policy);
 
-    // The formation stage shared by every non-BB pipeline. In guarded
-    // mode the whole stage is one "formation" transaction (on top of
-    // the engine's own per-seed guards), so a failure degrades to the
-    // pre-formation CFG; stats are merged only if the stage survives.
+    // The formation stage shared by every non-BB pipeline: one phase
+    // (on top of the engine's own per-seed phases), so a failure
+    // degrades to the pre-formation CFG; stats are merged only if the
+    // stage survives.
     auto formation_stage = [&] {
-        poll_cancel();
         ScopedStatTimer t(result.stats, "usFormation");
-        StatSet formed_stats;
-        auto body = [&] {
-            FormationResult formed =
-                formHyperblocks(fn, *policy, formation);
-            formed_stats = formed.stats;
-        };
-        bool ok = true;
-        if (!guarded)
-            body();
-        else
-            ok = run_phase("formation", body);
-        if (ok)
-            result.stats.merge(formed_stats);
+        StatSet formed;
+        if (phase("formation", [&] {
+                formed = formHyperblocks(fn, *policy, formation).stats;
+            })) {
+            result.stats.merge(formed);
+        }
     };
 
     switch (options.pipeline) {
@@ -324,20 +273,14 @@ detail::compileUnit(Program &program, const ProfileData &profile,
       case Pipeline::UPIO: {
         {
             ScopedStatTimer t(result.stats, "usUnrollPeel");
-            if (!guarded) {
-                result.stats.merge(discreteCfgUnrollPeel(
-                    fn, profile, options.target));
-            } else {
-                StatSet up;
-                if (run_phase("unroll", [&] {
-                        up = discreteCfgUnrollPeel(fn, profile,
-                                                   options.target);
-                    })) {
-                    result.stats.merge(up);
-                }
+            StatSet up;
+            if (phase("unroll", [&] {
+                    up = discreteCfgUnrollPeel(fn, profile, options.target);
+                })) {
+                result.stats.merge(up);
             }
         }
-        if (!guarded)
+        if (strict)
             verifyOrDie(fn, "UPIO unroll/peel");
         formation_stage();
         ScopedStatTimer t(result.stats, "usScalarOpt");
@@ -350,8 +293,7 @@ detail::compileUnit(Program &program, const ProfileData &profile,
             // The discrete unroller now sees accurate hyperblock sizes.
             ScopedStatTimer t(result.stats, "usUnrollPeel");
             result.stats.merge(discreteMergeUnrollPeel(
-                fn, profile, merge, guarded ? options.diags : nullptr,
-                guarded ? &result.failedPhases : nullptr));
+                fn, profile, merge, options.diags, result.failedPhases));
         }
         ScopedStatTimer t(result.stats, "usScalarOpt");
         optimizeFunction(fn);
@@ -366,73 +308,56 @@ detail::compileUnit(Program &program, const ProfileData &profile,
       }
     }
 
-    if (!guarded)
+    if (strict)
         verifyOrDie(fn, "hyperblock formation");
 
-    poll_cancel();
-
-    if (options.runBackend && !guarded) {
+    if (options.runBackend) {
         ScopedStatTimer t(result.stats, "usBackend");
-        result.stats.set("nullWriteInsts",
-                         static_cast<int64_t>(
-                             normalizeOutputsFunction(fn)));
-        // The normalization's truth materializations and OR chains
-        // duplicate value numbers already present in the block; clean
-        // them up before allocation.
-        optimizeFunction(fn);
-        RegAllocOptions ra;
-        ra.target = options.target;
-        ra.numPhysRegs = options.target.numPhysRegs;
-        RegAllocResult alloc = allocateRegisters(program, ra);
-        result.stats.set("spilledValues",
-                         static_cast<int64_t>(alloc.spilledValues));
-        result.stats.set("blocksSplit",
-                         static_cast<int64_t>(alloc.blocksSplit));
-        result.stats.set("fanoutMoves",
-                         static_cast<int64_t>(insertFanoutFunction(fn)));
-        // Size estimates can drift (post-formation optimization changes
-        // fanout demand); reverse if-conversion splits any block the
-        // later phases pushed past the ISA limits (paper §6).
-        result.stats.add(
-            "blocksSplit",
-            static_cast<int64_t>(
-                splitOversizedBlocks(fn, options.target)));
-        verifyOrDie(fn, "backend");
-    } else if (options.runBackend) {
-        ScopedStatTimer t(result.stats, "usBackend");
-        size_t null_writes = 0, spilled = 0, ra_split = 0;
-        if (run_phase("regalloc", [&] {
+        // The function snapshot does not cover the spill region
+        // regalloc allocates, so keep-going mode restores memory too.
+        std::optional<MemoryImage> memory;
+        if (!strict)
+            memory = program.memory;
+        size_t null_writes = 0;
+        RegAllocResult alloc;
+        if (phase("regalloc", [&] {
                 null_writes = normalizeOutputsFunction(fn);
+                // The normalization's truth materializations and OR
+                // chains duplicate value numbers already present in the
+                // block; clean them up before allocation.
                 optimizeFunction(fn);
                 RegAllocOptions ra;
                 ra.target = options.target;
                 ra.numPhysRegs = options.target.numPhysRegs;
-                RegAllocResult alloc = allocateRegisters(program, ra);
-                spilled = alloc.spilledValues;
-                ra_split = alloc.blocksSplit;
+                alloc = allocateRegisters(program, ra);
             })) {
             result.stats.set("nullWriteInsts",
                              static_cast<int64_t>(null_writes));
             result.stats.set("spilledValues",
-                             static_cast<int64_t>(spilled));
+                             static_cast<int64_t>(alloc.spilledValues));
             result.stats.set("blocksSplit",
-                             static_cast<int64_t>(ra_split));
+                             static_cast<int64_t>(alloc.blocksSplit));
+        } else if (memory) {
+            program.memory = std::move(*memory);
         }
         size_t moves = 0;
-        if (run_phase("fanout",
-                      [&] { moves = insertFanoutFunction(fn); })) {
-            result.stats.set("fanoutMoves",
-                             static_cast<int64_t>(moves));
+        if (phase("fanout", [&] { moves = insertFanoutFunction(fn); })) {
+            result.stats.set("fanoutMoves", static_cast<int64_t>(moves));
         }
+        // Size estimates can drift (post-formation optimization changes
+        // fanout demand); reverse if-conversion splits any block the
+        // later phases pushed past the ISA limits (paper §6). The phase
+        // keeps the name fault specs use; block placement belongs to
+        // the timing simulator, and the assembly does not depend on it.
         size_t late_split = 0;
-        if (run_phase("schedule", [&] {
-                late_split =
-                    splitOversizedBlocks(fn, options.target);
-                scheduleFunction(fn);
+        if (phase("schedule", [&] {
+                late_split = splitOversizedBlocks(fn, options.target);
             })) {
             result.stats.add("blocksSplit",
                              static_cast<int64_t>(late_split));
         }
+        if (strict)
+            verifyOrDie(fn, "backend");
     }
 
     result.stats.set("finalBlocks",

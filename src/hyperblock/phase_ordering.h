@@ -31,7 +31,6 @@
 #include "analysis/profile.h"
 #include "hyperblock/convergent.h"
 #include "ir/program.h"
-#include "support/cancellation.h"
 #include "support/diagnostics.h"
 
 namespace chf {
@@ -77,29 +76,17 @@ struct CompileOptions
     bool blockSplitting = false;
 
     /**
-     * Transactional mode: run each destructive phase (unroll, peel,
-     * formation, regalloc, fanout, schedule) under a checkpoint/verify
-     * guard. A phase that throws RecoverableError or fails the
-     * verifier is rolled back bit-identically and recorded in @p
-     * diags, and compilation continues with the degraded pipeline.
-     * Off by default: the strict pipeline takes the exact code paths
-     * it always has (no snapshots, verifyOrDie aborts).
+     * Keep-going mode when non-null: each destructive phase (unroll,
+     * peel, formation, regalloc, fanout, schedule) runs under runPhase's
+     * snapshot/verify guard. A phase that throws RecoverableError or
+     * fails the verifier is rolled back bit-identically and recorded
+     * here, and compilation continues with the degraded pipeline. Null
+     * (the default) is strict mode: the same phase bodies run with no
+     * snapshots and no fault hooks, and verifyOrDie checks every stage.
+     * Cancellation reaches the pipeline through CancellationScope
+     * (DESIGN.md §12), not through these options.
      */
-    bool keepGoing = false;
-
-    /** Failure sink for keepGoing mode; required when keepGoing. */
     DiagnosticEngine *diags = nullptr;
-
-    /**
-     * Cooperative cancellation token (DESIGN.md §12), polled at every
-     * phase boundary and threaded into formation's merge-round loop.
-     * When it trips, compileUnit aborts with CancelledError — the
-     * Session turns that into a timeout/deadline/cancelled diagnostic
-     * and marks the unit degraded. The default null token never
-     * cancels; Session only binds a real one when a deadline or unit
-     * timeout is configured.
-     */
-    CancellationToken cancel;
 };
 
 /**
@@ -112,7 +99,7 @@ struct CompileResult
 {
     StatSet stats;
 
-    /** Phases rolled back in keepGoing mode (empty on a clean run). */
+    /** Phases rolled back in keep-going mode (empty on a clean run). */
     std::vector<std::string> failedPhases;
 
     bool degraded() const { return !failedPhases.empty(); }
@@ -126,8 +113,9 @@ struct CompileResult
  * returns the profile.
  *
  * With @p diags and @p keep_going set, the for-loop unroll runs as a
- * guarded "unroll" transaction: on failure it is rolled back and
- * recorded, and the unprepared-but-correct CFG proceeds.
+ * keep-going "unroll" phase (runPhase): on failure it is rolled back
+ * and recorded, and the unprepared-but-correct CFG proceeds. Otherwise
+ * it runs strict and verifyOrDie checks the result.
  */
 ProfileData prepareProgram(Program &program,
                            const std::vector<int64_t> &args = {},
@@ -138,9 +126,10 @@ ProfileData prepareProgram(Program &program,
 namespace detail {
 
 /**
- * The guarded phase pipeline for one compilation unit (formation →
- * regalloc → fanout → schedule). Session workers call this once per
- * unit; it touches nothing but @p program, @p options.diags, and the
+ * The phase pipeline for one compilation unit (formation → regalloc →
+ * fanout → schedule), each phase one runPhase call. Session workers
+ * call this once per unit, inside the unit's CancellationScope; it
+ * touches nothing but @p program, @p options.diags, and the
  * process-wide FaultInjector (which is mutex-protected), so concurrent
  * calls on distinct programs are safe.
  */

@@ -1,27 +1,37 @@
 #include "pipeline/pass_guard.h"
 
+#include "analysis/analysis_manager.h"
 #include "ir/verifier.h"
-#include "pipeline/checkpoint.h"
 #include "support/cancellation.h"
+#include "support/fault_inject.h"
 
 namespace chf {
 
 bool
-runGuarded(Function &fn, const std::string &phase, DiagnosticEngine &diags,
-           const std::function<void()> &body, AnalysisManager *analyses)
+runPhase(Function &fn, const char *phase, DiagnosticEngine *diags,
+         const std::function<void()> &body, AnalysisManager *analyses)
 {
-    FunctionCheckpoint checkpoint(fn);
+    CancellationToken::current().throwIfCancelled();
+    if (diags == nullptr) {
+        body();
+        return true;
+    }
+
+    Function snapshot = fn.clone();
+    auto roll_back = [&] {
+        fn = std::move(snapshot);
+        if (analyses != nullptr)
+            analyses->invalidateAll();
+    };
     bool failed = false;
     try {
         body();
-        std::vector<std::string> problems = verify(fn);
-        if (!problems.empty()) {
-            for (const std::string &problem : problems) {
-                Diagnostic d = Diagnostic::error(
-                    phase, concat("verifier: ", problem));
-                d.function = fn.name();
-                diags.report(std::move(d));
-            }
+        faultInjectionPoint(phase, fn);
+        for (const std::string &problem : verify(fn)) {
+            Diagnostic d =
+                Diagnostic::error(phase, concat("verifier: ", problem));
+            d.function = fn.name();
+            diags->report(std::move(d));
             failed = true;
         }
     } catch (const CancelledError &) {
@@ -31,7 +41,7 @@ runGuarded(Function &fn, const std::string &phase, DiagnosticEngine &diags,
         // which records the single deterministic timeout/cancelled
         // diagnostic. No per-phase diagnostic here — which phase the
         // poll happened to land in is schedule-dependent.
-        checkpoint.restore(fn, analyses);
+        roll_back();
         throw;
     } catch (const RecoverableError &e) {
         Diagnostic d = e.diagnostic();
@@ -39,20 +49,20 @@ runGuarded(Function &fn, const std::string &phase, DiagnosticEngine &diags,
             d.phase = phase;
         if (d.function.empty())
             d.function = fn.name();
-        diags.report(std::move(d));
+        diags->report(std::move(d));
         failed = true;
     }
 
     if (!failed)
         return true;
 
-    checkpoint.restore(fn, analyses);
+    roll_back();
     Diagnostic rollback = Diagnostic::error(
         phase, concat("rolled back '", phase, "' for fn '", fn.name(),
                       "'; continuing with degraded pipeline"));
     rollback.severity = Severity::Note;
     rollback.function = fn.name();
-    diags.report(std::move(rollback));
+    diags->report(std::move(rollback));
     return false;
 }
 

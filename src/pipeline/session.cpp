@@ -197,7 +197,7 @@ Session::compile(int threads)
     }
 
     // The per-unit pipeline. Every mutable object in here is either
-    // unit-local (program, analyses, checkpoints, the diagnostic
+    // unit-local (program, analyses, phase snapshots, the diagnostic
     // engine) or mutex-protected (the FaultInjector), so units can run
     // on any thread; FaultUnitScope keys fault matching to the unit
     // index so injection is schedule-independent too.
@@ -213,7 +213,6 @@ Session::compile(int threads)
         co.target = conf.target;
         co.runBackend = conf.runBackend;
         co.blockSplitting = conf.blockSplitting;
-        co.keepGoing = conf.keepGoing;
         co.diags = conf.keepGoing ? &slot.diags : nullptr;
 
         const int max_retries = conf.retryAttempts;
@@ -240,7 +239,7 @@ Session::compile(int threads)
             // Per-attempt cancellation: a fresh source, watched for
             // the session deadline and/or this attempt's time budget.
             CancellationSource source;
-            co.cancel = CancellationToken();
+            CancellationToken token;
             std::vector<uint64_t> watches;
             if (watchdog) {
                 if (session_deadline)
@@ -254,10 +253,11 @@ Session::compile(int threads)
                             std::chrono::milliseconds(
                                 conf.unitTimeoutMs),
                         CancelKind::Timeout));
-                co.cancel = source.token();
+                token = source.token();
             }
 
-            CancellationScope cancel_scope(co.cancel);
+            // The one channel the pipeline's polls read the token from.
+            CancellationScope cancel_scope(token);
             FaultAttemptScope attempt_scope(attempt);
             bool cancelled = false;
             try {

@@ -4,13 +4,13 @@
  *
  * A Session owns a batch of compilation units (a prepared Program plus
  * its ProfileData), a SessionOptions configuration, and compiles every
- * unit through the full guarded phase pipeline (formation → regalloc →
- * fanout → schedule). Units are independent by construction — each
- * worker gets its own AnalysisManager, FunctionCheckpoint scratch
- * space, and thread-local DiagnosticEngine — so compile(nThreads)
- * runs units on up to nThreads worker threads, each claiming the next
- * unit index from one shared counter, and still produces bit-identical
- * output at any thread count:
+ * unit through the phase pipeline (formation → regalloc → fanout →
+ * schedule). Units are independent by construction — each worker gets
+ * its own AnalysisManager, phase snapshots, DiagnosticEngine and
+ * CancellationScope — so compile(nThreads) runs units on up to
+ * nThreads worker threads, each claiming the next unit index from one
+ * shared counter, and still produces bit-identical output at any
+ * thread count:
  *
  *  - per-unit results land in per-unit slots, merged in unit order;
  *  - per-worker diagnostics are stamped with the unit index and merged
@@ -70,9 +70,11 @@ struct SessionOptions
     bool blockSplitting = false;
 
     /**
-     * Transactional mode: run each destructive phase under a
-     * checkpoint/verify guard and degrade instead of aborting.
-     * Failures are collected in SessionResult::diagnostics.
+     * Keep-going mode: each destructive phase runs under runPhase's
+     * snapshot/verify guard and a failing one is rolled back and
+     * recorded instead of aborting the process. Failures are collected
+     * in SessionResult::diagnostics. Off (strict) runs the same phase
+     * bodies with no snapshots or fault hooks.
      */
     bool keepGoing = false;
 

@@ -4,11 +4,14 @@
  * pipeline (DESIGN.md §12).
  *
  * A CancellationSource owns a trip flag; CancellationTokens are cheap
- * shared handles to it. The pipeline polls tokens at safe points —
- * compileUnit phase boundaries, the expandBlock merge-round loop, and
- * the stall fault's sleep loop — and a tripped token surfaces as a
- * CancelledError (a RecoverableError), which the enclosing guards roll
- * back and the Session turns into a `timeout` / `deadline` /
+ * shared handles to it. Session publishes each unit attempt's token
+ * through a CancellationScope, and that is the only way it reaches the
+ * pipeline: runPhase polls CancellationToken::current() on entry to
+ * every phase (including each formation seed), expandBlock reads it
+ * once and polls it every merge round, and the stall fault polls it in
+ * its sleep loop. A tripped token surfaces as a CancelledError (a
+ * RecoverableError), which keep-going runPhase calls roll back and
+ * rethrow, and the Session turns into a `timeout` / `deadline` /
  * `cancelled` diagnostic with the unit marked degraded. Every poll
  * site sits at a point where the function IR is structurally
  * consistent, so in keep-going mode the rollback contract of DESIGN.md
@@ -20,8 +23,7 @@
  * deadline or unit timeout is configured) sleeps until the earliest
  * registered deadline and trips the corresponding sources. With no
  * deadlines configured no watchdog thread exists, tokens are null, and
- * every poll degenerates to an untaken branch: the strict pipeline
- * stays verbatim-historical.
+ * every poll degenerates to an untaken branch.
  */
 
 #ifndef CHF_SUPPORT_CANCELLATION_H
@@ -71,13 +73,12 @@ struct State
 
 /**
  * The pipeline-side failure a tripped token raises. Derives from
- * RecoverableError so existing guards treat it as a rollback-safe
- * failure, but runGuarded rethrows it after restoring the checkpoint
- * (instead of swallowing it) so cancellation aborts the whole unit,
- * not just one phase. The carried Diagnostic is deterministic — fixed
- * phase and message per kind — so cancelled units produce byte-stable
- * diagnostic streams regardless of where in the pipeline the poll
- * happened to fire.
+ * RecoverableError so it is a rollback-safe failure, but runPhase
+ * rethrows it after restoring its snapshot (instead of swallowing it)
+ * so cancellation aborts the whole unit, not just one phase. The
+ * carried Diagnostic is deterministic — fixed phase and message per
+ * kind — so cancelled units produce byte-stable diagnostic streams
+ * regardless of where in the pipeline the poll happened to fire.
  */
 class CancelledError : public RecoverableError
 {
@@ -124,9 +125,9 @@ class CancellationToken
 
     /**
      * Token published for the current thread by the innermost
-     * CancellationScope (a null token outside any scope). This is how
-     * code without an options channel — the stall fault's sleep loop —
-     * observes its unit's cancellation.
+     * CancellationScope (a null token outside any scope). Every poll
+     * site — runPhase, expandBlock, the stall fault's sleep loop —
+     * observes its unit's cancellation through this.
      */
     static CancellationToken current();
 

@@ -3,13 +3,15 @@
  * Deterministic fault injection for the transactional pass pipeline.
  *
  * A FaultInjector is armed with one FaultSpec naming a guarded phase,
- * an occurrence index, and a fault kind. Each guarded phase calls
- * faultInjectionPoint(phase, fn) exactly once per function it
- * processes; when the armed spec matches the phase and the occurrence
- * counter, the injector either corrupts the IR (a corruption the
- * verifier is guaranteed to catch) or throws RecoverableError. The
- * enclosing PassGuard then rolls the function back to its checkpoint,
- * proving the recovery path end to end.
+ * an occurrence index, and a fault kind. runPhase (pipeline/pass_guard)
+ * is the only hook site in the pipeline: in keep-going mode it calls
+ * faultInjectionPoint(phase, fn) once per phase run, after the body;
+ * strict mode calls no hook, so an armed fault never fires there. When
+ * the armed spec matches the phase and the occurrence counter, the
+ * injector either corrupts the IR (a corruption the verifier is
+ * guaranteed to catch) or throws RecoverableError, and runPhase rolls
+ * the function back to its snapshot, proving the recovery path end to
+ * end.
  *
  * Spec grammar (flag --fault=... / env CHF_FAULT=...):
  *
@@ -116,7 +118,7 @@ class FaultInjector
     std::string lastSite() const;
 
     /**
-     * Hook point called once per function inside each guarded phase.
+     * Hook point called once per keep-going phase run (by runPhase).
      * May corrupt @p fn in place or throw RecoverableError.
      */
     void hook(const char *phase, Function &fn);
@@ -176,7 +178,7 @@ class FaultUnitScope
     int previous;
 };
 
-/** Convenience wrapper used at the hook points. */
+/** Convenience wrapper used at the hook point. */
 inline void
 faultInjectionPoint(const char *phase, Function &fn)
 {

@@ -690,8 +690,9 @@ expectColdWarmBatchIdentical(PolicyKind policy, int threads,
     const TrialMemoStats after_cold = trialMemoStats();
     BatchOutput warm = compileBatch(policy, threads, fault);
     // Every failure the cold run recorded is answered from the memo.
-    if (after_cold.entries > 0)
+    if (after_cold.entries > 0) {
         EXPECT_GT(trialMemoStats().hits, after_cold.hits);
+    }
     ASSERT_EQ(cold.asmText.size(), warm.asmText.size());
     for (size_t u = 0; u < cold.asmText.size(); ++u) {
         EXPECT_EQ(warm.asmText[u], cold.asmText[u])

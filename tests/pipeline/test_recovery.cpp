@@ -1,22 +1,29 @@
 /**
  * @file
- * Tests for the transactional pipeline: FunctionCheckpoint restores
- * bit-identical IR, runGuarded rolls back failed phases, and a
- * degraded end-to-end compile still produces correct code.
+ * Tests for the phase runner: keep-going runPhase rolls failed phases
+ * back bit-identically, a degraded end-to-end compile still produces
+ * correct code, and a clean keep-going compile is byte-identical to
+ * the strict one.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "backend/asm_writer.h"
 #include "hyperblock/convergent.h"
 #include "hyperblock/phase_ordering.h"
 #include "hyperblock/policy.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
-#include "pipeline/checkpoint.h"
 #include "pipeline/pass_guard.h"
 #include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "support/fault_inject.h"
+#include "workloads/generator.h"
+#include "workloads/workloads.h"
 
 namespace chf {
 namespace {
@@ -40,6 +47,16 @@ makeProgram()
     return program;
 }
 
+Program
+cloneProgram(const Program &program)
+{
+    Program copy;
+    copy.fn = program.fn.clone();
+    copy.memory = program.memory;
+    copy.defaultArgs = program.defaultArgs;
+    return copy;
+}
+
 /** Smash the function so the verifier must reject it. */
 void
 corrupt(Function &fn)
@@ -49,40 +66,12 @@ corrupt(Function &fn)
     fn.block(ids.front())->insts.clear();
 }
 
-TEST(FunctionCheckpoint, RestoreIsBitIdentical)
-{
-    Program program = makeProgram();
-    std::string before = toString(program.fn);
-
-    FunctionCheckpoint checkpoint(program.fn);
-    corrupt(program.fn);
-    ASSERT_NE(toString(program.fn), before);
-    ASSERT_FALSE(verify(program.fn).empty());
-
-    checkpoint.restore(program.fn);
-    EXPECT_EQ(toString(program.fn), before);
-    EXPECT_TRUE(verify(program.fn).empty());
-}
-
-TEST(FunctionCheckpoint, RestorableMultipleTimes)
-{
-    Program program = makeProgram();
-    std::string before = toString(program.fn);
-    FunctionCheckpoint checkpoint(program.fn);
-
-    for (int round = 0; round < 3; ++round) {
-        corrupt(program.fn);
-        checkpoint.restore(program.fn);
-        ASSERT_EQ(toString(program.fn), before) << "round " << round;
-    }
-}
-
 TEST(RunGuarded, SuccessLeavesChangesAndNoDiagnostics)
 {
     Program program = makeProgram();
     DiagnosticEngine diags;
     bool ran = false;
-    bool ok = runGuarded(program.fn, "test-phase", diags, [&] {
+    bool ok = runPhase(program.fn, "test-phase", &diags, [&] {
         ran = true;
     });
     EXPECT_TRUE(ok);
@@ -96,8 +85,8 @@ TEST(RunGuarded, VerifierFailureRollsBack)
     std::string before = toString(program.fn);
     DiagnosticEngine diags;
 
-    bool ok = runGuarded(program.fn, "test-phase", diags,
-                         [&] { corrupt(program.fn); });
+    bool ok = runPhase(program.fn, "test-phase", &diags,
+                       [&] { corrupt(program.fn); });
     EXPECT_FALSE(ok);
     EXPECT_EQ(toString(program.fn), before)
         << "rollback must be bit-identical";
@@ -113,7 +102,7 @@ TEST(RunGuarded, RecoverableErrorRollsBack)
     std::string before = toString(program.fn);
     DiagnosticEngine diags;
 
-    bool ok = runGuarded(program.fn, "test-phase", diags, [&] {
+    bool ok = runPhase(program.fn, "test-phase", &diags, [&] {
         corrupt(program.fn); // damage first, then bail out
         throw RecoverableError(
             Diagnostic::error("test-phase", "synthetic failure"));
@@ -148,7 +137,6 @@ TEST_F(GuardedPipeline, PerSeedRollbackKeepsOtherSeeds)
     DiagnosticEngine diags;
     BreadthFirstPolicy policy;
     FormationOptions options;
-    options.keepGoing = true;
     options.diags = &diags;
     formHyperblocks(program.fn, policy, options);
 
@@ -195,30 +183,161 @@ TEST_F(GuardedPipeline, DegradedCompileMatchesOracle)
     EXPECT_EQ(run.memoryHash, oracle.memoryHash);
 }
 
+TEST_F(GuardedPipeline, RegallocRollbackRestoresMemory)
+{
+    // synth64 spills, so regalloc allocates its "spill" region before
+    // the injected fault fires; the generated fault-matrix programs
+    // never spill and cannot see a region left behind.
+    Workload w = synthFormationWorkload(64);
+    Program prepared = buildWorkload(w);
+    DiagnosticEngine prep_diags;
+    ProfileData profile =
+        prepareProgram(prepared, w.args, true, &prep_diags, true);
+    ASSERT_TRUE(prep_diags.empty()) << prep_diags.toString();
+    FuncSimResult oracle = runFunctional(prepared);
+
+    {
+        Program clean = cloneProgram(prepared);
+        Session session(SessionOptions().withKeepGoing(true));
+        session.addProgramRef(clean, profile);
+        SessionResult result = session.compile();
+        ASSERT_GT(result.functions[0].stats.get("spilledValues"), 0);
+        ASSERT_TRUE(clean.memory.hasRegion("spill"));
+    }
+
+    for (FaultSpec::Kind kind :
+         {FaultSpec::Kind::Throw, FaultSpec::Kind::CorruptIr}) {
+        SCOPED_TRACE(kind == FaultSpec::Kind::Throw ? "throw" : "corrupt-ir");
+        FaultSpec spec;
+        spec.phase = "regalloc";
+        spec.kind = kind;
+        Program program = cloneProgram(prepared);
+        Session session(
+            SessionOptions().withKeepGoing(true).withFault(spec));
+        session.addProgramRef(program, profile);
+        SessionResult result = session.compile();
+
+        EXPECT_EQ(FaultInjector::instance().firedCount(), 1u);
+        EXPECT_EQ(result.functions[0].failedPhases,
+                  std::vector<std::string>{"regalloc"});
+        EXPECT_FALSE(program.memory.hasRegion("spill"))
+            << "a rolled-back regalloc must not leave its spill region";
+        FuncSimResult run = runFunctional(program);
+        EXPECT_EQ(run.returnValue, oracle.returnValue);
+        EXPECT_EQ(run.memory.userHash(), oracle.memory.userHash());
+        EXPECT_EQ(run.memoryHash, oracle.memoryHash);
+    }
+}
+
+/** The counters a clean compile must reproduce in either mode. The
+ *  trial-memo and analysis counters are left out: they change with
+ *  memo warmth, not with the mode. */
+const char *const kModeCounters[] = {
+    "blocksMerged",  "tailDuplicated", "unrolledIterations",
+    "peeledIterations", "nullWriteInsts", "spilledValues",
+    "blocksSplit",   "fanoutMoves",    "finalBlocks",
+    "finalInsts",
+};
+
+struct CellOutput
+{
+    std::string asmText;
+    std::vector<int64_t> counters;
+};
+
+/** Compile a copy of @p prepared under one cell; the run must be clean. */
+CellOutput
+compileCell(const Program &prepared, const ProfileData &profile,
+            Pipeline pipeline, PolicyKind policy, bool keep_going)
+{
+    Program program = cloneProgram(prepared);
+    Session session(SessionOptions()
+                        .withPipeline(pipeline)
+                        .withPolicy(policy)
+                        .withKeepGoing(keep_going));
+    session.addProgramRef(program, profile);
+    SessionResult result = session.compile();
+    EXPECT_FALSE(result.degraded());
+    EXPECT_TRUE(result.diagnostics.empty())
+        << result.diagnostics.toString();
+
+    CellOutput out;
+    out.asmText = writeFunctionAsm(program.fn);
+    for (const char *name : kModeCounters)
+        out.counters.push_back(result.functions[0].stats.get(name));
+    return out;
+}
+
 TEST_F(GuardedPipeline, CleanKeepGoingRunMatchesStrictRun)
 {
-    Program strict = makeProgram();
-    ProfileData profile = prepareProgram(strict);
-    Program guarded;
-    guarded.fn = strict.fn.clone();
-    guarded.memory = strict.memory;
-    guarded.defaultArgs = strict.defaultArgs;
+    // The 24 Table 1/2 kernels and the generator's "bench" seeds 1..20.
+    std::vector<std::pair<std::string, Program>> corpus;
+    for (const Workload &w : microbenchmarks())
+        corpus.emplace_back(w.name, buildWorkload(w));
+    GeneratorShape shape;
+    ASSERT_TRUE(namedShape("bench", &shape));
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        corpus.emplace_back("gen_" + std::to_string(seed),
+                            buildGenerated(generateTinyC(seed, shape)));
+    }
+    ASSERT_EQ(corpus.size(), 44u);
 
-    Session strict_session(
-        SessionOptions().withPipeline(Pipeline::IUPO_fused));
-    strict_session.addProgramRef(strict, profile);
-    strict_session.compile();
+    // Every pipeline under breadth-first, every policy under (IUPO).
+    std::vector<std::pair<Pipeline, PolicyKind>> cells;
+    for (Pipeline p : {Pipeline::BB, Pipeline::UPIO, Pipeline::IUPO,
+                       Pipeline::IUP_O, Pipeline::IUPO_fused}) {
+        cells.emplace_back(p, PolicyKind::BreadthFirst);
+    }
+    for (PolicyKind k : {PolicyKind::DepthFirst, PolicyKind::Vliw,
+                         PolicyKind::VliwConvergent}) {
+        cells.emplace_back(Pipeline::IUPO_fused, k);
+    }
 
-    Session guarded_session(SessionOptions()
-                                .withPipeline(Pipeline::IUPO_fused)
-                                .withKeepGoing(true));
-    guarded_session.addProgramRef(guarded, profile);
-    SessionResult result = guarded_session.compile();
+    std::string reference_asm;
+    for (const auto &[name, source] : corpus) {
+        // Each mode prepares its own copy, as the CLI and daemon do.
+        Program prepared[2];
+        ProfileData profile[2];
+        for (int keep_going = 0; keep_going < 2; ++keep_going) {
+            DiagnosticEngine diags;
+            prepared[keep_going] = cloneProgram(source);
+            profile[keep_going] =
+                prepareProgram(prepared[keep_going], {}, true, &diags,
+                               keep_going == 1);
+            EXPECT_TRUE(diags.empty()) << name << ": " << diags.toString();
+        }
+        for (const auto &[pipeline, policy] : cells) {
+            SCOPED_TRACE(name + " " + pipelineName(pipeline) + "/" +
+                         policyKindName(policy));
+            CellOutput strict = compileCell(prepared[0], profile[0],
+                                            pipeline, policy, false);
+            CellOutput guarded = compileCell(prepared[1], profile[1],
+                                             pipeline, policy, true);
+            EXPECT_EQ(guarded.asmText, strict.asmText)
+                << "with no faults, keep-going must compile identically";
+            EXPECT_EQ(guarded.counters, strict.counters);
+            if (reference_asm.empty() &&
+                pipeline == Pipeline::IUPO_fused &&
+                policy == PolicyKind::BreadthFirst) {
+                reference_asm = strict.asmText;
+            }
+        }
+    }
 
+    // Strict mode calls no fault hook, so an armed fault never fires
+    // there, in preparation or in the compile.
+    FaultSpec any_phase;
+    FaultInjector::instance().arm(any_phase);
+    Program program = cloneProgram(corpus.front().second);
+    DiagnosticEngine diags;
+    ProfileData profile = prepareProgram(program, {}, true, &diags, false);
+    Session session(SessionOptions().withPipeline(Pipeline::IUPO_fused));
+    session.addProgramRef(program, profile);
+    SessionResult result = session.compile();
+    EXPECT_EQ(FaultInjector::instance().firedCount(), 0u);
     EXPECT_FALSE(result.degraded());
-    EXPECT_TRUE(result.diagnostics.empty());
-    EXPECT_EQ(toString(guarded.fn), toString(strict.fn))
-        << "with no faults, keep-going must compile identically";
+    EXPECT_TRUE(diags.empty());
+    EXPECT_EQ(writeFunctionAsm(program.fn), reference_asm);
 }
 
 } // namespace
