@@ -72,35 +72,62 @@ sendAll(int fd, const std::string &data)
     return true;
 }
 
-/** Buffered newline framing over a file descriptor. */
+/**
+ * Longest request line the daemon reads. The largest request the repo
+ * builds is synth64's source (~14 KB); generated "bench" sources stay
+ * under 4 KB.
+ */
+constexpr size_t kMaxRequestLine = 1 << 20;
+
+/**
+ * Buffered newline framing over a file descriptor. Each read searches
+ * only the bytes it added. With a nonzero maxLine, a line longer than
+ * that ends the stream with tooLong set instead of growing the buffer.
+ */
 struct LineReader
 {
+    explicit LineReader(int fd, size_t max_line = 0)
+        : fd(fd), maxLine(max_line)
+    {
+    }
+
     int fd;
+    size_t maxLine; ///< 0: unbounded
     std::string buf;
+    size_t scanned = 0; ///< prefix of buf known to hold no newline
+    bool tooLong = false;
 
     bool
     readLine(std::string *out)
     {
         for (;;) {
-            size_t nl = buf.find('\n');
+            size_t nl = buf.find('\n', scanned);
             if (nl != std::string::npos) {
-                *out = buf.substr(0, nl);
+                if (maxLine != 0 && nl > maxLine)
+                    break;
+                out->assign(buf, 0, nl);
                 buf.erase(0, nl + 1);
+                scanned = 0;
                 return true;
             }
+            scanned = buf.size();
+            if (maxLine != 0 && scanned > maxLine)
+                break;
             char chunk[4096];
             ssize_t n = read(fd, chunk, sizeof chunk);
             if (n <= 0)
                 return false;
             buf.append(chunk, static_cast<size_t>(n));
         }
+        tooLong = true;
+        return false;
     }
 };
 
 void
 serveConnection(CompileServer *server, int fd)
 {
-    LineReader reader{fd, {}};
+    LineReader reader(fd, kMaxRequestLine);
     std::string line;
     while (reader.readLine(&line)) {
         if (line.empty())
@@ -108,6 +135,12 @@ serveConnection(CompileServer *server, int fd)
         if (!sendAll(fd, server->handle(line) + "\n"))
             break;
     }
+    // An oversized line gets one answer, then the connection closes:
+    // the rest of the line is never read.
+    if (reader.tooLong)
+        sendAll(fd, "{\"status\":\"error\",\"message\":\"request line "
+                    "exceeds " + std::to_string(kMaxRequestLine) +
+                    " bytes\"}\n");
     close(fd);
 }
 
@@ -139,6 +172,9 @@ runSocketDaemon(CompileServer &server, const char *path)
     g_socket_path = path;
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
+    // A client that hangs up before its response arrives must cost only
+    // its own connection: sendAll then fails with EPIPE.
+    std::signal(SIGPIPE, SIG_IGN);
     std::fprintf(stderr, "chf_serve: listening on %s\n", path);
 
     while (!g_stop) {
@@ -238,7 +274,7 @@ runClient(const char *path, const char *replay_file, int concurrency,
             failures.fetch_add(1);
             return;
         }
-        LineReader reader{fd, {}};
+        LineReader reader(fd);
         for (;;) {
             size_t i = next.fetch_add(1);
             if (i >= requests.size())

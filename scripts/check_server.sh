@@ -3,8 +3,10 @@
 # examples/chf_serve on a unix socket and assert the operational
 # contracts — a 500-request replay with zero crashes and a >= 90%
 # cache hit rate, a stalled request cut off by its time budget
-# (status "timeout"), and an over-capacity burst refused with status
-# "shed" instead of queued.
+# (status "timeout"), an over-capacity burst refused with status
+# "shed" instead of queued, and hostile clients (hang-ups before the
+# response, an unterminated oversized line) that cost only their own
+# connection.
 #
 # Usage: scripts/check_server.sh [path-to-chf_serve]
 # Default binary: build/examples/chf_serve. Wired into ctest as the
@@ -107,15 +109,63 @@ wait "$STALL_PID" || fail "stall client exited nonzero: $(cat "$WORK/stall.out")
 ELAPSED=$(( $(date +%s) - START ))
 grep -q '"status":"timeout"' "$WORK/stall.out" \
     || fail "stalled request did not report a timeout: $(cat "$WORK/stall.out")"
-[ "$ELAPSED" -lt 30 ] || fail "timeout took ${ELAPSED}s (watchdog dead?)"
+[ "$ELAPSED" -lt 30 ] || fail "timeout took ${ELAPSED}s (time budget not enforced?)"
 
-# The daemon must still be alive and serving after all three.
-kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died during the run"
+# The daemon must still be alive and answer health on a new connection.
 PING="$WORK/ping.ndjson"
 printf '{"op":"health"}\n{"op":"stats"}\n' > "$PING"
-"$SERVE" --connect="$SOCK" --replay="$PING" --quiet --summary \
-    | grep -q 'conn_failures=0' || fail "daemon unresponsive after campaigns"
+alive() {
+    kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died $1"
+    "$SERVE" --connect="$SOCK" --replay="$PING" --quiet --summary \
+        | grep -q 'conn_failures=0' || fail "daemon unresponsive $1"
+}
+alive "during the campaigns"
+
+# --- campaign 4: hostile clients ------------------------------------
+# python3 clients, since the replay client would itself take SIGPIPE.
+# Three clients send an uncached compile and hang up before the
+# response: the daemon's write then fails, and only that connection
+# may close.
+for seed in 2001 2002 2003; do
+    python3 -c '
+import socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(b"{\"op\":\"compile\",\"gen\":\"seed:%s,shape:bench\"}\n"
+          % sys.argv[2].encode())
+s.close()
+' "$SOCK" "$seed" || fail "hang-up client $seed could not connect (daemon dead?)"
+done
+sleep 1 # let the three compiles finish and write to closed sockets
+alive "after clients hung up before their responses"
+
+# An unterminated 2 MiB line must get one status:"error" line before
+# the client's socket timeout, and then the connection closes.
+OVERSIZED="$(python3 -c '
+import socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.settimeout(10)
+s.connect(sys.argv[1])
+try:
+    s.sendall(b"x" * (2 << 20))
+except OSError:
+    pass  # the daemon stops reading at its line cap
+reply = b""
+try:
+    while True:
+        chunk = s.recv(4096)
+        if not chunk:
+            break
+        reply += chunk
+except OSError:
+    pass
+sys.stdout.write(reply.decode("ascii", "replace"))
+' "$SOCK")"
+echo "oversized: $OVERSIZED"
+[ "$(printf '%s' "$OVERSIZED" | grep -c '"status":"error"')" = "1" ] \
+    || fail "oversized line did not get one error line: $OVERSIZED"
+alive "after an oversized line"
 
 echo "check_server: 500-request replay survived (475 sequential + 500" \
      "concurrent cache hits), stall timed out in ${ELAPSED}s," \
-     "burst shed $(get shed)/32"
+     "burst shed $(get shed)/32, 3 hang-ups and a 2 MiB line survived"

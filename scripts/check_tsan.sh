@@ -3,8 +3,8 @@
 # (CHF_SANITIZE=thread instruments the whole library — Session workers
 # run the full per-unit pipeline concurrently, see DESIGN.md §9) and
 # run every ctest labeled "parallel" or "fuzz": the session
-# determinism gate, the deadline/retry gate (watchdog thread vs.
-# session workers), the formation references (cold vs warm trial memo,
+# determinism gate, the time-budget gate (timed-out units among
+# 4-worker batches), the formation references (cold vs warm trial memo,
 # whose clearTrialMemo touches the shared store), and the
 # generated-program differential fuzz smoke (whose matrix includes
 # 4-worker sessions).

@@ -115,10 +115,11 @@ expandBlock(MergeEngine &engine, Policy &policy, BlockId seed,
     uint64_t cached_epoch = 0;
     bool cache_valid = false;
 
-    // Cancellation poll (DESIGN.md §12): the unit's token is read once,
-    // then costs one acquire load per merge round -- between rounds the
-    // CFG is structurally consistent, so the CancelledError this may
-    // raise is rollback-safe.
+    // Deadline poll (DESIGN.md §12): the unit's token is read once, then
+    // polled every merge round (a clock read only when the unit has a
+    // time budget) -- between rounds the CFG is structurally
+    // consistent, so the CancelledError this may raise is
+    // rollback-safe.
     const CancellationToken cancel = CancellationToken::current();
 
     size_t merges = 0;

@@ -49,7 +49,8 @@ struct FormationResult
  * Expand a single hyperblock (the paper's ExpandBlock): repeatedly
  * selects and merges successors of @p seed until the policy stops or
  * no candidate fits. Returns the number of successful merges. Polls
- * CancellationToken::current() once per merge round (DESIGN.md §12).
+ * the unit's deadline, CancellationToken::current(), once per merge
+ * round (DESIGN.md §12).
  */
 size_t expandBlock(MergeEngine &engine, Policy &policy, BlockId seed,
                    size_t max_merges = 512);

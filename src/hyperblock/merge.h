@@ -28,7 +28,7 @@
  * tryMerge is the one implementation of a merge trial. The trials of
  * one function run serially on the thread compiling it; a Session
  * runs units in parallel, never the trials within one (DESIGN.md §9).
- * The engine takes no cancellation token: expandBlock polls the unit's
+ * The engine takes no deadline: expandBlock polls the unit's
  * CancellationToken::current() between merge rounds (DESIGN.md §12).
  *
  * Trial-merge fast path (DESIGN.md §10). The convergent loop retries

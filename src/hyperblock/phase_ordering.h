@@ -83,8 +83,9 @@ struct CompileOptions
      * here, and compilation continues with the degraded pipeline. Null
      * (the default) is strict mode: the same phase bodies run with no
      * snapshots and no fault hooks, and verifyOrDie checks every stage.
-     * Cancellation reaches the pipeline through CancellationScope
-     * (DESIGN.md §12), not through these options.
+     * The unit's deadline and fault reach the pipeline through the
+     * thread's CancellationScope and FaultScope (DESIGN.md §12), not
+     * through these options.
      */
     DiagnosticEngine *diags = nullptr;
 };
@@ -128,10 +129,10 @@ namespace detail {
 /**
  * The phase pipeline for one compilation unit (formation → regalloc →
  * fanout → schedule), each phase one runPhase call. Session workers
- * call this once per unit, inside the unit's CancellationScope; it
- * touches nothing but @p program, @p options.diags, and the
- * process-wide FaultInjector (which is mutex-protected), so concurrent
- * calls on distinct programs are safe.
+ * call this once per unit, inside the unit's CancellationScope and
+ * FaultScope; it touches nothing but @p program, @p options.diags, and
+ * those thread-local scopes, so concurrent calls on distinct programs
+ * are safe.
  */
 CompileResult compileUnit(Program &program, const ProfileData &profile,
                           const CompileOptions &options);

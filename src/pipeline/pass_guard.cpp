@@ -35,12 +35,12 @@ runPhase(Function &fn, const char *phase, DiagnosticEngine *diags,
             failed = true;
         }
     } catch (const CancelledError &) {
-        // Cancellation aborts the whole unit, not just this phase: roll
+        // A timeout aborts the whole unit, not just this phase: roll
         // the function back to a consistent state (so keep-going units
         // degrade cleanly) and rethrow for the Session-level handler,
-        // which records the single deterministic timeout/cancelled
-        // diagnostic. No per-phase diagnostic here — which phase the
-        // poll happened to land in is schedule-dependent.
+        // which records the single deterministic timeout diagnostic.
+        // No per-phase diagnostic here — which phase the poll happened
+        // to land in is schedule-dependent.
         roll_back();
         throw;
     } catch (const RecoverableError &e) {

@@ -38,15 +38,17 @@ class AnalysisManager;
  * Run @p body over @p fn as the phase named @p phase.
  *
  * First polls CancellationToken::current() (DESIGN.md §12): between
- * phases the function is consistent, so a tripped token aborts the
- * unit here with CancelledError. With a null @p diags the body runs
+ * phases the function is consistent, so a unit past its deadline
+ * aborts here with CancelledError. With a null @p diags the body runs
  * bare and the result is true.
  *
  * With @p diags, returns true when the body returned and verify(fn) is
  * clean. On failure returns false with @p fn moved back to its
  * pre-phase snapshot, @p analyses (if given) fully invalidated, and an
- * Error plus rollback Note recorded in @p diags. A CancelledError
- * raised inside the body also restores the snapshot, then propagates.
+ * Error plus rollback Note recorded in @p diags. The fault hook fires
+ * the thread's FaultScope (support/fault_inject.h) after the body. A
+ * CancelledError raised inside the body also restores the snapshot,
+ * then propagates.
  */
 bool runPhase(Function &fn, const char *phase, DiagnosticEngine *diags,
               const std::function<void()> &body,

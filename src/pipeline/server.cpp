@@ -456,8 +456,6 @@ CompileServer::handle(const std::string &line)
     const bool emit_asm = req.boolean("emit_asm", false);
     const int timeout_ms = static_cast<int>(
         req.number("timeout_ms", opts.defaultTimeoutMs));
-    const int retries = static_cast<int>(req.number("retry", 0));
-    const int backoff_ms = static_cast<int>(req.number("backoff_ms", 0));
     const std::string *fault = req.str("fault");
 
     // Per-request target selection: a registry name ("trips",
@@ -520,7 +518,7 @@ CompileServer::handle(const std::string &line)
     try {
         response = handleCompileAdmitted(req, id, fault, cacheable,
                                          cache_key, keep_going, emit_asm,
-                                         timeout_ms, retries, backoff_ms);
+                                         timeout_ms);
     } catch (const std::exception &e) {
         std::lock_guard<std::mutex> lock(mutex);
         ++counters.errors;
@@ -534,7 +532,7 @@ std::string
 CompileServer::handleCompileAdmitted(
     const Request &req, const std::string &id, const std::string *fault,
     bool cacheable, uint64_t cache_key, bool keep_going, bool emit_asm,
-    int timeout_ms, int retries, int backoff_ms)
+    int timeout_ms)
 {
     const std::string *source = req.str("source");
     const std::string *gen = req.str("gen");
@@ -544,23 +542,17 @@ CompileServer::handleCompileAdmitted(
     const TargetModel &target =
         *findTarget(target_field ? *target_field : "trips");
 
-    // The FaultInjector is process-wide: a fault request must not
-    // share the pipeline with anyone, and nobody may compile while an
-    // injected fault is armed.
-    std::shared_lock<std::shared_mutex> shared;
-    std::unique_lock<std::shared_mutex> exclusive;
+    // The request's fault is scoped to this thread's compile, so it
+    // runs beside every other request.
+    std::optional<FaultSpec> spec;
     if (fault) {
-        FaultSpec spec;
+        spec.emplace();
         std::string err;
-        if (!parseFaultSpec(*fault, &spec, &err)) {
+        if (!parseFaultSpec(*fault, &*spec, &err)) {
             std::lock_guard<std::mutex> lock(mutex);
             ++counters.errors;
             return errorResponse(id, "bad fault spec: " + err);
         }
-        exclusive = std::unique_lock<std::shared_mutex>(faultLock);
-        FaultInjector::instance().arm(spec);
-    } else {
-        shared = std::shared_lock<std::shared_mutex>(faultLock);
     }
 
     DiagnosticEngine diags;
@@ -568,8 +560,6 @@ CompileServer::handleCompileAdmitted(
     if (source) {
         std::optional<Program> fe = Session::frontend(*source, diags);
         if (!fe) {
-            if (fault)
-                FaultInjector::instance().disarm();
             std::lock_guard<std::mutex> lock(mutex);
             ++counters.errors;
             return errorResponse(id, "frontend: " + diags.toString());
@@ -580,8 +570,6 @@ CompileServer::handleCompileAdmitted(
         GeneratorShape shape;
         std::string err;
         if (!parseGenSpec(*gen, &seed, &shape, &err)) {
-            if (fault)
-                FaultInjector::instance().disarm();
             std::lock_guard<std::mutex> lock(mutex);
             ++counters.errors;
             return errorResponse(id, "bad gen spec: " + err);
@@ -591,27 +579,39 @@ CompileServer::handleCompileAdmitted(
     if (args && !args->empty())
         program.defaultArgs = *args;
 
-    ProfileData profile = prepareProgram(
-        program, {}, true, keep_going ? &diags : nullptr, keep_going);
+    // Prepare runs outside the Session, in its own fault scope, as
+    // unit 0. The request's fault fires at most once, so the Session
+    // only gets it if prepare's scope did not fire. A rolled-back
+    // prepare `unroll` is a failed phase of the request like any other.
+    SessionOptions options = SessionOptions()
+                                 .withPipeline(Pipeline::IUPO_fused)
+                                 .withTarget(target)
+                                 .withBackend(opts.runBackend)
+                                 .withKeepGoing(keep_going)
+                                 .withUnitTimeout(timeout_ms);
+    ProfileData profile;
+    {
+        FaultScope prepare_fault(spec ? &*spec : nullptr);
+        profile = prepareProgram(program, {}, true,
+                                 keep_going ? &diags : nullptr, keep_going);
+        if (spec && !prepare_fault.fired())
+            options.withFault(*spec);
+    }
+    std::vector<std::string> failed_phases;
+    if (diags.hasPhase("unroll"))
+        failed_phases.push_back("unroll");
 
-    Session session(SessionOptions()
-                        .withPipeline(Pipeline::IUPO_fused)
-                        .withTarget(target)
-                        .withBackend(opts.runBackend)
-                        .withKeepGoing(keep_going)
-                        .withUnitTimeout(timeout_ms)
-                        .withRetry(retries, backoff_ms));
+    Session session(options);
     session.addProgramRef(program, profile);
     SessionResult result = session.compile();
     diags.append(result.diagnostics);
 
-    if (fault)
-        FaultInjector::instance().disarm();
-
     const FunctionResult &fr = result.functions[0];
+    failed_phases.insert(failed_phases.end(), fr.failedPhases.begin(),
+                         fr.failedPhases.end());
     bool timed_out = false;
     for (const std::string &phase : fr.failedPhases)
-        if (phase == "timeout" || phase == "deadline")
+        if (phase == "timeout")
             timed_out = true;
 
     {
@@ -625,12 +625,11 @@ CompileServer::handleCompileAdmitted(
     // copy can be re-wrapped per request.
     std::ostringstream body;
     body << "\"status\":" << (timed_out ? "\"timeout\"" : "\"ok\"")
-         << ",\"degraded\":" << (fr.degraded() ? "true" : "false")
-         << ",\"attempts\":" << fr.attempts
+         << ",\"degraded\":" << (failed_phases.empty() ? "false" : "true")
          << ",\"blocks\":" << fr.blocks << ",\"insts\":" << fr.insts
          << ",\"failed_phases\":[";
-    for (size_t i = 0; i < fr.failedPhases.size(); ++i)
-        body << (i ? "," : "") << jsonQuote(fr.failedPhases[i]);
+    for (size_t i = 0; i < failed_phases.size(); ++i)
+        body << (i ? "," : "") << jsonQuote(failed_phases[i]);
     body << "],\"diagnostics\":" << diagnosticsJson(diags);
     if (emit_asm && !timed_out)
         body << ",\"asm\":" << jsonQuote(writeFunctionAsm(program.fn));

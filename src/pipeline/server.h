@@ -23,8 +23,8 @@
  * is refused with an error listing the registry.
  *
  * Responses always carry "status": "ok" (compiled; "degraded":true if
- * phases rolled back), "timeout" (the unit's time budget or the
- * session deadline expired), "shed" (the server was over its
+ * phases rolled back, including prepare's "unroll"), "timeout" (the
+ * request's time budget expired), "shed" (the server was over its
  * in-flight cap and refused the compile), or "error" (malformed
  * request or unrecoverable input). An "id" field in the request is
  * echoed back verbatim so pipelined clients can match responses.
@@ -35,12 +35,12 @@
  *    requests are cached under a hash of every output-affecting field;
  *    hits are served without compiling and marked "cached":true.
  *    Timeout results and fault-carrying requests are never cached.
- *  - Overload shedding: at most maxInFlight compiles run or wait at
- *    once; a request beyond that is refused immediately with
- *    status "shed" rather than queued without bound.
- *  - Fault isolation: the FaultInjector is process-wide, so a request
- *    carrying "fault" runs exclusively (writer side of an RW lock)
- *    and normal requests share the read side.
+ *  - Overload shedding: at most maxInFlight compiles run at once; a
+ *    request beyond that is refused immediately with status "shed"
+ *    rather than queued without bound.
+ *  - Fault isolation: a request's "fault" is armed in a FaultScope on
+ *    the thread compiling it (support/fault_inject.h), so a faulted
+ *    request runs beside every other and fires at most once.
  */
 
 #ifndef CHF_PIPELINE_SERVER_H
@@ -50,7 +50,6 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
@@ -111,19 +110,15 @@ class CompileServer
                                       const std::string *fault,
                                       bool cacheable, uint64_t cache_key,
                                       bool keep_going, bool emit_asm,
-                                      int timeout_ms, int retries,
-                                      int backoff_ms);
+                                      int timeout_ms);
 
     bool cacheLookup(uint64_t key, std::string *response);
     void cacheInsert(uint64_t key, const std::string &response);
 
     ServerOptions opts;
 
-    /** Compiles admitted (running or waiting on faultLock). */
+    /** Compiles admitted and running. */
     std::atomic<int> inFlight{0};
-
-    /** Fault-carrying requests take the writer side. */
-    std::shared_mutex faultLock;
 
     mutable std::mutex mutex; ///< guards counters + cache
     ServerStats counters;

@@ -28,19 +28,7 @@ struct UnitSlot
     CompileResult result;
     DiagnosticEngine diags;
     std::exception_ptr error;
-    int attempts = 1;
 };
-
-/** Deep copy of a unit's pre-compilation state for bounded retry. */
-Program
-snapshotProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
 
 } // namespace
 
@@ -172,35 +160,16 @@ SessionResult
 Session::compile(int threads)
 {
     Timer wall;
-    if (opts.faultSpec)
-        FaultInjector::instance().arm(*opts.faultSpec);
-
     const TrialMemoStats memo_before = trialMemoStats();
     const size_t n = units.size();
     std::vector<UnitSlot> slots(n);
+    const FaultSpec *fault = opts.faultSpec ? &*opts.faultSpec : nullptr;
 
-    // Deadline governance (DESIGN.md §12): the watchdog thread exists
-    // only when some unit can actually time out — otherwise tokens stay
-    // null and the pipeline runs its historical code verbatim.
-    bool need_watchdog = opts.deadlineMs > 0 || opts.unitTimeoutMs > 0;
-    for (const Unit &u : units)
-        if (u.overrides && u.overrides->unitTimeoutMs > 0)
-            need_watchdog = true;
-    std::unique_ptr<DeadlineWatchdog> watchdog;
-    std::optional<DeadlineWatchdog::Clock::time_point> session_deadline;
-    if (need_watchdog) {
-        watchdog = std::make_unique<DeadlineWatchdog>();
-        if (opts.deadlineMs > 0)
-            session_deadline =
-                DeadlineWatchdog::Clock::now() +
-                std::chrono::milliseconds(opts.deadlineMs);
-    }
-
-    // The per-unit pipeline. Every mutable object in here is either
-    // unit-local (program, analyses, phase snapshots, the diagnostic
-    // engine) or mutex-protected (the FaultInjector), so units can run
-    // on any thread; FaultUnitScope keys fault matching to the unit
-    // index so injection is schedule-independent too.
+    // The per-unit pipeline. Every mutable object in here is unit-local
+    // (program, analyses, phase snapshots, the diagnostic engine, and
+    // the thread-local deadline and fault scopes), so units can run on
+    // any thread; the fault scope is keyed to the unit index, so
+    // injection is schedule-independent too.
     auto run_unit = [&](size_t i) {
         UnitSlot &slot = slots[i];
         const Unit &unit = units[i];
@@ -215,74 +184,27 @@ Session::compile(int threads)
         co.blockSplitting = conf.blockSplitting;
         co.diags = conf.keepGoing ? &slot.diags : nullptr;
 
-        const int max_retries = conf.retryAttempts;
-
-        // Compilation mutates the program in place, so retry needs the
-        // pre-attempt state back. Snapshot once, restore per retry.
-        std::optional<Program> snapshot;
-        if (max_retries > 0)
-            snapshot = snapshotProgram(unit.prog());
-
-        FaultUnitScope fault_scope(static_cast<int>(i));
-        for (int attempt = 0;; ++attempt) {
-            if (attempt > 0) {
-                unit.prog().fn = snapshot->fn.clone();
-                unit.prog().memory = snapshot->memory;
-                unit.prog().defaultArgs = snapshot->defaultArgs;
-                slot.result = CompileResult();
-                if (conf.retryBackoffMs > 0)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(conf.retryBackoffMs));
-            }
-            slot.attempts = attempt + 1;
-
-            // Per-attempt cancellation: a fresh source, watched for
-            // the session deadline and/or this attempt's time budget.
-            CancellationSource source;
-            CancellationToken token;
-            std::vector<uint64_t> watches;
-            if (watchdog) {
-                if (session_deadline)
-                    watches.push_back(watchdog->watch(
-                        source, *session_deadline,
-                        CancelKind::Deadline));
-                if (conf.unitTimeoutMs > 0)
-                    watches.push_back(watchdog->watch(
-                        source,
-                        DeadlineWatchdog::Clock::now() +
-                            std::chrono::milliseconds(
-                                conf.unitTimeoutMs),
-                        CancelKind::Timeout));
-                token = source.token();
-            }
-
-            // The one channel the pipeline's polls read the token from.
-            CancellationScope cancel_scope(token);
-            FaultAttemptScope attempt_scope(attempt);
-            bool cancelled = false;
-            try {
-                slot.result =
-                    detail::compileUnit(unit.prog(), unit.prof(), co);
-            } catch (const CancelledError &e) {
-                // Deterministic surface: one fixed diagnostic, the
-                // cancel kind recorded as the unit's failed phase.
-                slot.diags.report(e.diagnostic());
-                slot.result.failedPhases.push_back(
-                    cancelKindName(e.kind()));
-                cancelled = true;
-            } catch (...) {
-                slot.error = std::current_exception();
-            }
-            for (uint64_t id : watches)
-                watchdog->unwatch(id);
-
-            // Cancelled attempts and hard errors are terminal; only a
-            // degraded (rolled-back) attempt earns a retry.
-            if (slot.error || cancelled)
-                break;
-            if (!slot.result.degraded() || attempt >= max_retries)
-                break;
+        // The unit's request state: the scopes the pipeline's poll and
+        // hook sites read (DESIGN.md §12).
+        CancellationToken budget;
+        if (conf.unitTimeoutMs > 0)
+            budget = CancellationToken(
+                CancellationToken::Clock::now() +
+                std::chrono::milliseconds(conf.unitTimeoutMs));
+        CancellationScope cancel_scope(budget);
+        FaultScope fault_scope(fault, static_cast<int>(i));
+        try {
+            slot.result = detail::compileUnit(unit.prog(), unit.prof(), co);
+        } catch (const CancelledError &e) {
+            // Deterministic surface: one fixed diagnostic, and
+            // "timeout" recorded as the unit's failed phase.
+            slot.diags.report(e.diagnostic());
+            slot.result.failedPhases.push_back(e.diagnostic().phase);
+        } catch (...) {
+            slot.error = std::current_exception();
         }
+        if (fault)
+            slot.result.stats.set("faultsFired", fault_scope.fired() ? 1 : 0);
     };
 
     const size_t workers =
@@ -330,7 +252,6 @@ Session::compile(int threads)
         fr.insts = units[i].prog().fn.totalInsts();
         fr.stats = std::move(slot.result.stats);
         fr.failedPhases = std::move(slot.result.failedPhases);
-        fr.attempts = slot.attempts;
 
         out.totals.merge(fr.stats);
         out.diagnostics.append(slot.diags, static_cast<int>(i));
@@ -341,10 +262,6 @@ Session::compile(int threads)
     out.totals.set("unitsCompiled", static_cast<int64_t>(n));
     out.totals.set("unitsDegraded",
                    static_cast<int64_t>(out.degradedCount()));
-    int64_t retried = 0;
-    for (const FunctionResult &fr : out.functions)
-        retried += fr.attempts > 1 ? 1 : 0;
-    out.totals.set("unitsRetried", retried);
     out.totals.set("usSessionWall", wall.elapsedMicros());
 
     // Trial-memo store activity attributable to this compile: the

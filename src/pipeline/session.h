@@ -6,8 +6,8 @@
  * its ProfileData), a SessionOptions configuration, and compiles every
  * unit through the phase pipeline (formation → regalloc → fanout →
  * schedule). Units are independent by construction — each worker gets
- * its own AnalysisManager, phase snapshots, DiagnosticEngine and
- * CancellationScope — so compile(nThreads) runs units on up to
+ * its own AnalysisManager, phase snapshots, DiagnosticEngine, time
+ * budget and fault scope — so compile(nThreads) runs units on up to
  * nThreads worker threads, each claiming the next unit index from one
  * shared counter, and still produces bit-identical output at any
  * thread count:
@@ -15,7 +15,7 @@
  *  - per-unit results land in per-unit slots, merged in unit order;
  *  - per-worker diagnostics are stamped with the unit index and merged
  *    with the stable (function, phase, location) sort;
- *  - fault injection matches on unit index (see FaultUnitScope), so
+ *  - each unit runs in its own FaultScope keyed by its index, so
  *    --fault=phase:P,fn:N fires exactly once under any thread count.
  *
  * compile() with one thread (or one unit) spawns no threads at all and
@@ -81,37 +81,19 @@ struct SessionOptions
     /** Worker threads for compile(); 1 = the sequential code path. */
     int threads = 1;
 
-    /** Armed on the process-wide FaultInjector when compile() starts. */
+    /**
+     * Armed in one FaultScope per unit while compile() runs, with the
+     * unit's index, so fn:<n> names unit n. Each unit then records a
+     * faultsFired counter (0 or 1) in its stats.
+     */
     std::optional<FaultSpec> faultSpec;
 
     /**
-     * Whole-session deadline in milliseconds (0 = none), measured from
-     * compile() entry. Units still running when it expires abort at
-     * their next cancellation poll with a `deadline` diagnostic and
-     * degrade; finished units are untouched. Session-wide like threads
-     * and faultSpec — the field is ignored in per-unit overrides.
-     */
-    int deadlineMs = 0;
-
-    /**
-     * Per-attempt time budget for each unit in milliseconds (0 =
-     * none). An attempt that exceeds it aborts with a `timeout`
-     * diagnostic and the unit degrades.
+     * Time budget for each unit in milliseconds (0 = none). The unit's
+     * deadline is set when it starts; a unit still running past it
+     * aborts at its next poll with a `timeout` diagnostic and degrades.
      */
     int unitTimeoutMs = 0;
-
-    /**
-     * Bounded retry: a degraded attempt (at least one rolled-back
-     * phase, keepGoing mode) is re-run up to this many extra times on
-     * a restored snapshot of the unit's program. Diagnostics from
-     * every attempt survive, in attempt order (DESIGN.md §9 stable
-     * sort); a unit whose final attempt is clean is not degraded.
-     * Timeout / deadline / cancelled aborts are not retried.
-     */
-    int retryAttempts = 0;
-
-    /** Fixed sleep between retry attempts, in milliseconds. */
-    int retryBackoffMs = 0;
 
     SessionOptions &withPipeline(Pipeline p) { pipeline = p; return *this; }
     SessionOptions &withPolicy(PolicyKind k) { policy = k; return *this; }
@@ -145,20 +127,10 @@ struct SessionOptions
         return *this;
     }
 
-    SessionOptions &withDeadline(int ms) { deadlineMs = ms; return *this; }
-
     SessionOptions &
     withUnitTimeout(int ms)
     {
         unitTimeoutMs = ms;
-        return *this;
-    }
-
-    SessionOptions &
-    withRetry(int attempts, int backoff_ms = 0)
-    {
-        retryAttempts = attempts;
-        retryBackoffMs = backoff_ms;
         return *this;
     }
 };
@@ -175,16 +147,14 @@ struct FunctionResult
     /** Final static instruction count. */
     size_t insts = 0;
 
-    /** m/t/u/p counters, backend numbers, usXxx phase timers. */
+    /** m/t/u/p counters, backend numbers, usXxx phase timers, and
+     *  faultsFired when SessionOptions::faultSpec is set. */
     StatSet stats;
 
     /** Phases rolled back in keepGoing mode (empty on a clean run).
-     *  A cancelled unit records the cancel kind ("timeout",
-     *  "deadline", "cancelled") as its failed phase. */
+     *  A unit past its time budget records "timeout" as its failed
+     *  phase. */
     std::vector<std::string> failedPhases;
-
-    /** Compile attempts consumed (1 unless bounded retry re-ran it). */
-    int attempts = 1;
 
     bool degraded() const { return !failedPhases.empty(); }
 };

@@ -53,10 +53,10 @@ parseFaultSpec(const std::string &text, FaultSpec *out, std::string *err)
             char *end = nullptr;
             long n = std::strtol(value.c_str(), &end, 10);
             if (end == value.c_str() || *end != '\0' || n < 0) {
-                *err = concat("bad fault occurrence '", value, "'");
+                *err = concat("bad fault unit '", value, "'");
                 return false;
             }
-            spec.occurrence = static_cast<int>(n);
+            spec.unit = static_cast<int>(n);
         } else if (key == "kind") {
             if (value == "corrupt-ir") {
                 spec.kind = FaultSpec::Kind::CorruptIr;
@@ -72,24 +72,9 @@ parseFaultSpec(const std::string &text, FaultSpec *out, std::string *err)
                 }
                 spec.kind = FaultSpec::Kind::Stall;
                 spec.stallMs = static_cast<int>(ms);
-            } else if (value == "transient" ||
-                       value.rfind("transient:", 0) == 0) {
-                spec.kind = FaultSpec::Kind::Transient;
-                if (value.size() > 9 && value[9] == ':') {
-                    char *end = nullptr;
-                    long k = std::strtol(value.c_str() + 10, &end, 10);
-                    if (end == value.c_str() + 10 || *end != '\0' ||
-                        k < 1) {
-                        *err = concat("bad transient count in '", value,
-                                      "' (want transient:<k>, k >= 1)");
-                        return false;
-                    }
-                    spec.transientFailures = static_cast<int>(k);
-                }
             } else {
                 *err = concat("unknown fault kind '", value,
-                              "' (want corrupt-ir, throw, stall:<ms>, "
-                              "or transient[:<k>])");
+                              "' (want corrupt-ir, throw or stall:<ms>)");
                 return false;
             }
         } else {
@@ -101,197 +86,52 @@ parseFaultSpec(const std::string &text, FaultSpec *out, std::string *err)
     return true;
 }
 
-FaultInjector::FaultInjector()
-{
-    const char *env = std::getenv("CHF_FAULT");
-    if (env != nullptr && env[0] != '\0') {
-        FaultSpec parsed;
-        std::string err;
-        if (!parseFaultSpec(env, &parsed, &err))
-            fatal(concat("CHF_FAULT: ", err));
-        spec = parsed;
-        isArmed = true;
-    }
-}
-
-FaultInjector &
-FaultInjector::instance()
-{
-    static FaultInjector injector;
-    return injector;
-}
-
-void
-FaultInjector::arm(const FaultSpec &new_spec)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    spec = new_spec;
-    isArmed = true;
-    seen = 0;
-    fired = 0;
-    lastTransientAttempt = -1;
-    lastFiredSite.clear();
-}
-
-void
-FaultInjector::disarm()
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    isArmed = false;
-    seen = 0;
-    fired = 0;
-    lastTransientAttempt = -1;
-    lastFiredSite.clear();
-}
-
-bool
-FaultInjector::armed() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return isArmed;
-}
-
-size_t
-FaultInjector::firedCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return fired;
-}
-
-std::string
-FaultInjector::lastSite() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return lastFiredSite;
-}
-
 namespace {
 
-/** Unit index the current thread is compiling (-1 outside a session). */
-thread_local int current_fault_unit = -1;
+/** Innermost FaultScope of this thread (null outside any). */
+thread_local FaultScope *current_scope = nullptr;
 
 } // namespace
 
-FaultUnitScope::FaultUnitScope(int unit_index)
-    : previous(current_fault_unit)
+FaultScope::FaultScope(const FaultSpec *armed, int unit_index)
+    : spec(armed), unit(unit_index), previous(current_scope)
 {
-    current_fault_unit = unit_index;
+    current_scope = this;
 }
 
-FaultUnitScope::~FaultUnitScope()
+FaultScope::~FaultScope()
 {
-    current_fault_unit = previous;
-}
-
-int
-FaultUnitScope::current()
-{
-    return current_fault_unit;
-}
-
-namespace {
-
-/** Retry attempt the current thread is running (0 outside a scope). */
-thread_local int current_fault_attempt = 0;
-
-} // namespace
-
-FaultAttemptScope::FaultAttemptScope(int attempt)
-    : previous(current_fault_attempt)
-{
-    current_fault_attempt = attempt;
-}
-
-FaultAttemptScope::~FaultAttemptScope()
-{
-    current_fault_attempt = previous;
-}
-
-int
-FaultAttemptScope::current()
-{
-    return current_fault_attempt;
+    current_scope = previous;
 }
 
 void
-FaultInjector::hook(const char *phase, Function &fn)
+faultInjectionPoint(const char *phase, Function &fn)
 {
-    FaultSpec::Kind kind;
-    int stall_ms = 0;
-    std::string site;
+    FaultScope *scope = current_scope;
+    if (scope == nullptr || scope->spec == nullptr || scope->hasFired)
+        return;
+    const FaultSpec &spec = *scope->spec;
+    if (scope->unit != spec.unit)
+        return;
+    if (!spec.phase.empty() && spec.phase != phase)
+        return;
+    scope->hasFired = true;
 
-    // Decide-then-act: the match decision and counter updates happen
-    // under the mutex, but the fault itself executes outside it — a
-    // stalled unit sleeping seconds inside the hook must not serialize
-    // every other unit's armed()/hook() calls.
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!isArmed)
-            return;
-        // At most one firing per arm(), whatever the matching mode:
-        // the same phase name can appear both outside a session
-        // (prepare's "unroll" transaction) and inside one, and must
-        // not fire twice. Transient is the exception — it fires once
-        // per *attempt* for the first transientFailures attempts, so
-        // a retried unit re-encounters it deterministically.
-        const bool transient = spec.kind == FaultSpec::Kind::Transient;
-        if (fired > 0 && !transient)
-            return;
-        if (!spec.phase.empty() && spec.phase != phase)
-            return;
-
-        int unit = FaultUnitScope::current();
-        if (unit >= 0) {
-            // Session mode: fn:<n> names the unit, so the decision
-            // depends only on which unit this thread is compiling —
-            // identical at any thread count.
-            if (unit != spec.occurrence)
-                return;
-        } else {
-            // Legacy mode: n-th matching hook firing, in program order.
-            // A transient retry replays the same hooks, so the counter
-            // only advances on fresh (attempt-0) passes.
-            if (transient && FaultAttemptScope::current() > 0) {
-                // fall through to the attempt check below
-            } else if (seen++ != spec.occurrence) {
-                return;
-            }
-        }
-
-        if (transient) {
-            const int attempt = FaultAttemptScope::current();
-            if (attempt >= spec.transientFailures)
-                return; // attempt survived: the fault was transient
-            if (attempt == lastTransientAttempt)
-                return; // already fired on this attempt
-            lastTransientAttempt = attempt;
-        }
-
-        ++fired;
-        lastFiredSite = concat(phase, "#", spec.occurrence);
-        kind = spec.kind;
-        stall_ms = spec.stallMs;
-        site = lastFiredSite;
-    }
-
-    if (kind == FaultSpec::Kind::Throw ||
-        kind == FaultSpec::Kind::Transient) {
-        const char *what = kind == FaultSpec::Kind::Throw
-                               ? "injected fault (throw) at "
-                               : "injected transient fault at ";
-        Diagnostic d = Diagnostic::error(phase, concat(what, site));
+    if (spec.kind == FaultSpec::Kind::Throw) {
+        Diagnostic d = Diagnostic::error(
+            phase, concat("injected fault (throw) at ", phase, "#", spec.unit));
         d.function = fn.name();
         throw RecoverableError(std::move(d));
     }
 
-    if (kind == FaultSpec::Kind::Stall) {
-        // Sleep the budget in small slices, polling the unit's
-        // cancellation token: with a watchdog armed the stall aborts
-        // within one slice of the timeout; without one it just sleeps
-        // the full budget and the phase continues normally.
+    if (spec.kind == FaultSpec::Kind::Stall) {
+        // Sleep the budget in small slices, polling the unit's deadline:
+        // with a time budget the stall aborts within one slice of it;
+        // without one it just sleeps the full budget and the phase
+        // continues normally.
         const CancellationToken token = CancellationToken::current();
         const auto end = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(stall_ms);
+                         std::chrono::milliseconds(spec.stallMs);
         while (std::chrono::steady_clock::now() < end) {
             token.throwIfCancelled();
             std::this_thread::sleep_for(std::chrono::milliseconds(1));

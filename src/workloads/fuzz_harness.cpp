@@ -65,7 +65,7 @@ runCell(const Program &prepared, const ProfileData &profile,
     if (config.faultCorruptIr) {
         FaultSpec fault;
         fault.phase = "formation";
-        fault.occurrence = 0; // unit index inside the session
+        fault.unit = 0;
         fault.kind = FaultSpec::Kind::CorruptIr;
         conf.withKeepGoing(true).withFault(fault);
     }
@@ -73,7 +73,6 @@ runCell(const Program &prepared, const ProfileData &profile,
     Session session(conf);
     session.addProgramRef(unit, profile);
     SessionResult result = session.compile();
-    FaultInjector::instance().disarm();
 
     FuncSimOptions simOptions;
     simOptions.maxBlocks = kSimBlockBudget;
@@ -142,7 +141,6 @@ checkProgram(uint64_t seed, const GeneratorShape &shape,
         try {
             cell = runCell(prepared, profile, config);
         } catch (const std::exception &e) {
-            FaultInjector::instance().disarm();
             failure.config = config.label();
             failure.detail = std::string("compile threw: ") + e.what();
             return failure;

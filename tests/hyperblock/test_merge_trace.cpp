@@ -726,7 +726,7 @@ TEST_P(TrialMemoMatrix, FormationCorruptIr)
     auto [policy, threads] = GetParam();
     FaultSpec fault;
     fault.phase = "formation";
-    fault.occurrence = 1;
+    fault.unit = 1;
     fault.kind = FaultSpec::Kind::CorruptIr;
     expectColdWarmBatchIdentical(policy, threads, &fault);
 }
@@ -736,7 +736,7 @@ TEST_P(TrialMemoMatrix, FormationThrow)
     auto [policy, threads] = GetParam();
     FaultSpec fault;
     fault.phase = "formation";
-    fault.occurrence = 1;
+    fault.unit = 1;
     fault.kind = FaultSpec::Kind::Throw;
     expectColdWarmBatchIdentical(policy, threads, &fault);
 }

@@ -114,25 +114,18 @@ TEST(RunGuarded, RecoverableErrorRollsBack)
               std::string::npos);
 }
 
-class GuardedPipeline : public ::testing::Test
-{
-  protected:
-    void TearDown() override { FaultInjector::instance().disarm(); }
-};
-
-TEST_F(GuardedPipeline, PerSeedRollbackKeepsOtherSeeds)
+TEST(GuardedPipeline, PerSeedRollbackKeepsOtherSeeds)
 {
     Program program = makeProgram();
     prepareProgram(program);
     FuncSimResult oracle = runFunctional(program);
     size_t blocks_before = program.fn.numBlocks();
 
-    // Fail the second seed expansion; the others must still merge.
+    // Fail the first seed expansion; the others must still merge.
     FaultSpec spec;
     spec.phase = "formation-seed";
-    spec.occurrence = 1;
     spec.kind = FaultSpec::Kind::CorruptIr;
-    FaultInjector::instance().arm(spec);
+    FaultScope scope(&spec);
 
     DiagnosticEngine diags;
     BreadthFirstPolicy policy;
@@ -140,7 +133,7 @@ TEST_F(GuardedPipeline, PerSeedRollbackKeepsOtherSeeds)
     options.diags = &diags;
     formHyperblocks(program.fn, policy, options);
 
-    EXPECT_EQ(FaultInjector::instance().firedCount(), 1u);
+    EXPECT_TRUE(scope.fired());
     EXPECT_TRUE(diags.hasPhase("formation-seed"));
     EXPECT_TRUE(verify(program.fn).empty());
     EXPECT_LT(program.fn.numBlocks(), blocks_before)
@@ -151,7 +144,7 @@ TEST_F(GuardedPipeline, PerSeedRollbackKeepsOtherSeeds)
     EXPECT_EQ(run.memoryHash, oracle.memoryHash);
 }
 
-TEST_F(GuardedPipeline, DegradedCompileMatchesOracle)
+TEST(GuardedPipeline, DegradedCompileMatchesOracle)
 {
     Program program = makeProgram();
     ProfileData profile = prepareProgram(program);
@@ -160,16 +153,16 @@ TEST_F(GuardedPipeline, DegradedCompileMatchesOracle)
     FaultSpec spec;
     spec.phase = "formation";
     spec.kind = FaultSpec::Kind::CorruptIr;
-    FaultInjector::instance().arm(spec);
 
     Session session(SessionOptions()
                         .withPipeline(Pipeline::IUPO_fused)
-                        .withKeepGoing(true));
+                        .withKeepGoing(true)
+                        .withFault(spec));
     session.addProgramRef(program, profile);
     SessionResult result = session.compile();
     const FunctionResult &compiled = result.functions[0];
 
-    EXPECT_EQ(FaultInjector::instance().firedCount(), 1u);
+    EXPECT_EQ(compiled.stats.get("faultsFired"), 1);
     EXPECT_TRUE(compiled.degraded());
     ASSERT_EQ(compiled.failedPhases.size(), 1u);
     EXPECT_EQ(compiled.failedPhases[0], "formation");
@@ -183,7 +176,7 @@ TEST_F(GuardedPipeline, DegradedCompileMatchesOracle)
     EXPECT_EQ(run.memoryHash, oracle.memoryHash);
 }
 
-TEST_F(GuardedPipeline, RegallocRollbackRestoresMemory)
+TEST(GuardedPipeline, RegallocRollbackRestoresMemory)
 {
     // synth64 spills, so regalloc allocates its "spill" region before
     // the injected fault fires; the generated fault-matrix programs
@@ -217,7 +210,7 @@ TEST_F(GuardedPipeline, RegallocRollbackRestoresMemory)
         session.addProgramRef(program, profile);
         SessionResult result = session.compile();
 
-        EXPECT_EQ(FaultInjector::instance().firedCount(), 1u);
+        EXPECT_EQ(result.functions[0].stats.get("faultsFired"), 1);
         EXPECT_EQ(result.functions[0].failedPhases,
                   std::vector<std::string>{"regalloc"});
         EXPECT_FALSE(program.memory.hasRegion("spill"))
@@ -268,7 +261,7 @@ compileCell(const Program &prepared, const ProfileData &profile,
     return out;
 }
 
-TEST_F(GuardedPipeline, CleanKeepGoingRunMatchesStrictRun)
+TEST(GuardedPipeline, CleanKeepGoingRunMatchesStrictRun)
 {
     // The 24 Table 1/2 kernels and the generator's "bench" seeds 1..20.
     std::vector<std::pair<std::string, Program>> corpus;
@@ -327,14 +320,20 @@ TEST_F(GuardedPipeline, CleanKeepGoingRunMatchesStrictRun)
     // Strict mode calls no fault hook, so an armed fault never fires
     // there, in preparation or in the compile.
     FaultSpec any_phase;
-    FaultInjector::instance().arm(any_phase);
     Program program = cloneProgram(corpus.front().second);
     DiagnosticEngine diags;
-    ProfileData profile = prepareProgram(program, {}, true, &diags, false);
-    Session session(SessionOptions().withPipeline(Pipeline::IUPO_fused));
+    ProfileData profile;
+    {
+        FaultScope prepare_fault(&any_phase);
+        profile = prepareProgram(program, {}, true, &diags, false);
+        EXPECT_FALSE(prepare_fault.fired());
+    }
+    Session session(SessionOptions()
+                        .withPipeline(Pipeline::IUPO_fused)
+                        .withFault(any_phase));
     session.addProgramRef(program, profile);
     SessionResult result = session.compile();
-    EXPECT_EQ(FaultInjector::instance().firedCount(), 0u);
+    EXPECT_EQ(result.functions[0].stats.get("faultsFired"), 0);
     EXPECT_FALSE(result.degraded());
     EXPECT_TRUE(diags.empty());
     EXPECT_EQ(writeFunctionAsm(program.fn), reference_asm);

@@ -2,20 +2,20 @@
  * @file
  * Protocol tests for CompileServer (src/pipeline/server.h): request
  * parsing and error reporting, the content-addressed LRU cache,
- * overload shedding, per-request timeouts, and the stats counters —
- * all in-process, no sockets. The end-to-end daemon (transport,
- * concurrent connections, the replay client) is covered by
- * scripts/check_server.sh.
+ * overload shedding, per-request timeouts, per-request fault scopes,
+ * and the stats counters — all in-process, no sockets. The end-to-end
+ * daemon (transport, concurrent connections, hostile clients, the
+ * replay client) is covered by scripts/check_server.sh.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "pipeline/server.h"
-#include "support/fault_inject.h"
 
 namespace chf {
 namespace {
@@ -206,12 +206,60 @@ TEST(ServerTimeout, StalledRequestTimesOutAndIsNotCached)
     EXPECT_TRUE(hasField(response, "\"timeout\""));
     EXPECT_EQ(server.stats().timeouts, 1u);
 
-    // The injector must be disarmed afterwards, and the timed-out
-    // response must not have poisoned the cache.
-    EXPECT_FALSE(FaultInjector::instance().armed());
+    // The timed-out response must not have poisoned the cache.
     std::string again = server.handle(stalled);
     EXPECT_EQ(status(again), "timeout");
     EXPECT_EQ(server.stats().cacheHits, 0u);
+}
+
+TEST(ServerProtocol, RolledBackPrepareUnrollIsDegraded)
+{
+    // Prepare runs before the Session, so its "unroll" phase is the
+    // first hook a request's fault can reach: fn:0 names it, and so
+    // does the default any-phase fault. The fault fires once.
+    for (const char *fault : {"phase:unroll,fn:0,kind:throw", "kind:throw"}) {
+        SCOPED_TRACE(fault);
+        CompileServer server;
+        std::string response = server.handle(
+            std::string(R"({"op":"compile","gen":"seed:3,shape:bench",)") +
+            R"("fault":")" + fault + R"("})");
+        EXPECT_EQ(status(response), "ok") << response;
+        EXPECT_TRUE(hasField(response, "\"degraded\":true")) << response;
+        EXPECT_TRUE(hasField(response, "\"failed_phases\":[\"unroll\"]"))
+            << response;
+        EXPECT_TRUE(hasField(response, "rolled back 'unroll'")) << response;
+    }
+}
+
+TEST(ServerFaultIsolation, StalledFaultRequestDoesNotBlockCleanOne)
+{
+    ServerOptions opts;
+    opts.maxInFlight = 2;
+    CompileServer server(opts);
+
+    std::atomic<bool> stalled_done{false};
+    std::thread stalled([&] {
+        server.handle(
+            R"({"op":"compile","gen":"seed:9,shape:bench",)"
+            R"("fault":"phase:formation,fn:0,kind:stall:2000"})");
+        stalled_done = true;
+    });
+    for (int i = 0; i < 1000; ++i) {
+        if (hasField(server.handle(R"({"op":"health"})"),
+                     "\"in_flight\":1"))
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Give the stalled request time to reach its stall.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    const char *clean =
+        R"({"op":"compile","gen":"seed:6,shape:bench","emit_asm":true})";
+    std::string response = server.handle(clean);
+    EXPECT_FALSE(stalled_done.load())
+        << "the clean request waited for the stalled one";
+    stalled.join();
+    EXPECT_EQ(response, CompileServer().handle(clean));
 }
 
 TEST(ServerShedding, OverCapacityBurstsAreRefused)

@@ -79,7 +79,7 @@ compileBatch(PolicyKind policy, int threads)
 
     FaultSpec fault;
     fault.phase = "formation";
-    fault.occurrence = 1; // unit index inside a session
+    fault.unit = 1;
     fault.kind = FaultSpec::Kind::CorruptIr;
 
     Session session(SessionOptions()
@@ -110,8 +110,6 @@ compileBatch(PolicyKind policy, int threads)
 class SessionDeterminism
     : public ::testing::TestWithParam<PolicyKind>
 {
-  protected:
-    void TearDown() override { FaultInjector::instance().disarm(); }
 };
 
 TEST_P(SessionDeterminism, ParallelOutputMatchesSequentialByteForByte)
@@ -143,13 +141,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, SessionDeterminism,
 
 // ----- fault matrix at 4 threads -----
 
-class SessionFaultMatrix : public ::testing::Test
-{
-  protected:
-    void TearDown() override { FaultInjector::instance().disarm(); }
-};
-
-TEST_F(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
+TEST(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
 {
     Program base = makeProgram();
     ProfileData profile = prepareProgram(base);
@@ -209,20 +201,20 @@ TEST_F(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
                               : "throw"));
             FaultSpec spec;
             spec.phase = phase;
-            spec.occurrence = kFaultUnit;
+            spec.unit = kFaultUnit;
             spec.kind = kind;
 
             std::vector<std::string> asmText;
             SessionResult result;
             runBatch(pipeline, spec, &asmText, &result);
 
-            // Exactly one firing, attributed to the faulted unit,
-            // under 4 worker threads.
-            FaultInjector &injector = FaultInjector::instance();
-            ASSERT_EQ(injector.firedCount(), 1u);
-            ASSERT_EQ(injector.lastSite(),
-                      std::string(phase) + "#" +
-                          std::to_string(kFaultUnit));
+            // Exactly one firing, in the faulted unit, under 4
+            // worker threads.
+            ASSERT_EQ(result.totals.get("faultsFired"), 1);
+            for (int u = 0; u < kUnits; ++u)
+                ASSERT_EQ(result.functions[u].stats.get("faultsFired"),
+                          u == kFaultUnit ? 1 : 0)
+                    << "unit " << u;
 
             // Only the faulted unit degrades; the merged views name
             // it; every other unit compiles bit-identically to the
@@ -246,8 +238,6 @@ TEST_F(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
                  result.diagnostics.diagnostics()) {
                 ASSERT_EQ(d.functionIndex, kFaultUnit);
             }
-
-            injector.disarm();
         }
     }
 }

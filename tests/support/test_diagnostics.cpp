@@ -115,7 +115,7 @@ TEST(FaultSpecParse, FullSpec)
                                &spec, &err))
         << err;
     EXPECT_EQ(spec.phase, "formation");
-    EXPECT_EQ(spec.occurrence, 2);
+    EXPECT_EQ(spec.unit, 2);
     EXPECT_EQ(spec.kind, FaultSpec::Kind::CorruptIr);
 }
 
@@ -125,7 +125,7 @@ TEST(FaultSpecParse, DefaultsAndAliases)
     std::string err;
     ASSERT_TRUE(parseFaultSpec("kind:throw", &spec, &err)) << err;
     EXPECT_TRUE(spec.phase.empty() || spec.phase == "any");
-    EXPECT_EQ(spec.occurrence, 0);
+    EXPECT_EQ(spec.unit, 0);
     EXPECT_EQ(spec.kind, FaultSpec::Kind::Throw);
 
     // "occ" is an alias for "fn"; field order is free.
@@ -133,7 +133,7 @@ TEST(FaultSpecParse, DefaultsAndAliases)
                                &spec, &err))
         << err;
     EXPECT_EQ(spec.phase, "peel");
-    EXPECT_EQ(spec.occurrence, 1);
+    EXPECT_EQ(spec.unit, 1);
     EXPECT_EQ(spec.kind, FaultSpec::Kind::CorruptIr);
 }
 
@@ -154,8 +154,6 @@ TEST(FaultSpecParse, RejectsGarbage)
 class FaultInjectorTest : public ::testing::Test
 {
   protected:
-    void TearDown() override { FaultInjector::instance().disarm(); }
-
     Function
     makeFunction()
     {
@@ -169,47 +167,49 @@ TEST_F(FaultInjectorTest, FiresOnMatchingOccurrence)
 {
     FaultSpec spec;
     spec.phase = "formation";
-    spec.occurrence = 1;
+    spec.unit = 1;
     spec.kind = FaultSpec::Kind::Throw;
-    FaultInjector &injector = FaultInjector::instance();
-    injector.arm(spec);
-    ASSERT_TRUE(injector.armed());
-
     Function fn = makeFunction();
-    // Occurrence 0 does not fire; occurrence 1 throws.
-    faultInjectionPoint("formation", fn);
-    EXPECT_EQ(injector.firedCount(), 0u);
-    EXPECT_THROW(faultInjectionPoint("formation", fn),
-                 RecoverableError);
-    EXPECT_EQ(injector.firedCount(), 1u);
-    EXPECT_EQ(injector.lastSite(), "formation#1");
+
+    // fn:1 names unit 1: a scope for unit 0 never fires.
+    {
+        FaultScope other_unit(&spec, 0);
+        faultInjectionPoint("formation", fn);
+        EXPECT_FALSE(other_unit.fired());
+    }
+
+    // In unit 1 it fires at the first matching hook, and only once.
+    FaultScope scope(&spec, 1);
+    EXPECT_THROW(faultInjectionPoint("formation", fn), RecoverableError);
+    EXPECT_TRUE(scope.fired());
+    faultInjectionPoint("formation", fn); // must not throw again
 }
 
 TEST_F(FaultInjectorTest, PhaseFilterSkipsOtherPhases)
 {
     FaultSpec spec;
     spec.phase = "regalloc";
-    FaultInjector::instance().arm(spec);
+    FaultScope scope(&spec);
 
     Function fn = makeFunction();
     faultInjectionPoint("formation", fn);
     faultInjectionPoint("unroll", fn);
-    EXPECT_EQ(FaultInjector::instance().firedCount(), 0u);
+    EXPECT_FALSE(scope.fired());
     EXPECT_THROW(faultInjectionPoint("regalloc", fn),
                  RecoverableError);
-    EXPECT_EQ(FaultInjector::instance().firedCount(), 1u);
+    EXPECT_TRUE(scope.fired());
 }
 
 TEST_F(FaultInjectorTest, CorruptIrIsCaughtByVerifier)
 {
     FaultSpec spec;
     spec.kind = FaultSpec::Kind::CorruptIr;
-    FaultInjector::instance().arm(spec);
+    FaultScope scope(&spec);
 
     Function fn = makeFunction();
     ASSERT_TRUE(verify(fn).empty());
     faultInjectionPoint("formation", fn);
-    EXPECT_EQ(FaultInjector::instance().firedCount(), 1u);
+    EXPECT_TRUE(scope.fired());
     EXPECT_FALSE(verify(fn).empty())
         << "injected corruption must be verifier-detectable";
 }
@@ -217,13 +217,16 @@ TEST_F(FaultInjectorTest, CorruptIrIsCaughtByVerifier)
 TEST_F(FaultInjectorTest, DisarmStopsFiring)
 {
     FaultSpec spec;
-    FaultInjector::instance().arm(spec);
-    FaultInjector::instance().disarm();
-    EXPECT_FALSE(FaultInjector::instance().armed());
-
     Function fn = makeFunction();
+    {
+        FaultScope scope(&spec);
+        // An inner scope with no spec shadows the armed one.
+        FaultScope unarmed(nullptr);
+        faultInjectionPoint("formation", fn); // must not throw
+        EXPECT_FALSE(scope.fired());
+    }
+    // Outside every scope nothing is armed.
     faultInjectionPoint("formation", fn); // must not throw
-    EXPECT_EQ(FaultInjector::instance().firedCount(), 0u);
 }
 
 } // namespace
