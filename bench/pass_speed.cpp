@@ -6,21 +6,22 @@
  *
  * Three modes:
  *
- *  - default: google-benchmark micro suite, then a formation wall-time
- *    sweep over every speclike workload, then a parallel-session sweep
- *    (an 8-unit synth64 batch at 1/2/4/8 worker threads) and the
- *    generated tier, all written to BENCH_pass_speed.json for
- *    trajectory tracking.
+ *  - default: google-benchmark micro suite, then a prepare and
+ *    formation wall-time sweep over every speclike workload, then a
+ *    parallel-session sweep (an 8-unit synth64 batch at 1/2/4/8 worker
+ *    threads) and the generated tier, all written to
+ *    BENCH_pass_speed.json for trajectory tracking.
  *  - --json-only: skip the micro suite, emit only the JSON sweeps.
- *  - --smoke <baseline.json>: time formation of the largest speclike
- *    workload (best of 3) and the 4-thread batch config, and
- *    fail if either regressed more than 2x against the recorded
- *    baseline. Wired into ctest so compile-time regressions fail
- *    tier-1. Skipped in unoptimized builds.
+ *  - --smoke <baseline.json>: time prepareProgram and formation of the
+ *    baseline workload (median of 5 each) and the 4-thread batch
+ *    config, and fail if any regressed more than 2x against the
+ *    recorded baseline. Wired into ctest so compile-time regressions
+ *    fail tier-1. Skipped in unoptimized builds.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -214,6 +215,7 @@ struct FormationTiming
     std::string name;
     size_t blocks = 0;
     size_t insts = 0;
+    int64_t prepareUs = 0;
     int64_t formationUs = 0;
     int64_t merges = 0;
 
@@ -250,12 +252,36 @@ buildNamed(const std::string &name, Program *out)
     return true;
 }
 
-/** Formation time (the usFormation counter), best of @p repeats. */
+/** Timed repeats per measurement: the median of this many runs. */
+constexpr int kRepeats = 5;
+
+int64_t
+median(std::vector<int64_t> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+}
+
+/** prepareProgram wall time on copies of @p built, median of @p repeats. */
+int64_t
+timePrepareUs(const Program &built, int repeats)
+{
+    std::vector<int64_t> samples;
+    for (int r = 0; r < repeats; ++r) {
+        Program copy = cloneProgram(built);
+        Timer timer;
+        prepareProgram(copy);
+        samples.push_back(timer.elapsedMicros());
+    }
+    return median(std::move(samples));
+}
+
+/** Formation time (the usFormation counter), median of @p repeats. */
 int64_t
 timeFormationUs(const Program &prepared, int repeats,
                 FormationTiming *fill = nullptr)
 {
-    int64_t best = -1;
+    std::vector<int64_t> samples;
     for (int r = 0; r < repeats; ++r) {
         Program copy = cloneProgram(prepared);
         FunctionResult result = compileOne(
@@ -263,9 +289,7 @@ timeFormationUs(const Program &prepared, int repeats,
             SessionOptions()
                 .withPipeline(Pipeline::IUPO_fused)
                 .withBackend(false));
-        int64_t us = result.stats.get("usFormation");
-        if (best < 0 || us < best)
-            best = us;
+        samples.push_back(result.stats.get("usFormation"));
         if (fill) {
             fill->merges = result.stats.get("blocksMerged");
             fill->trialsRun = result.stats.get("trialsRun");
@@ -280,7 +304,7 @@ timeFormationUs(const Program &prepared, int repeats,
             fill->usOptCoalesce = result.stats.get("usOptCoalesce");
         }
     }
-    return best;
+    return median(std::move(samples));
 }
 
 std::vector<FormationTiming>
@@ -290,14 +314,17 @@ sweepFormation(int repeats)
     suite.push_back(synthFormationWorkload(64));
     std::vector<FormationTiming> out;
     for (const Workload &w : suite) {
-        Program prepared = buildWorkload(w);
-        prepareProgram(prepared);
+        const Program built = buildWorkload(w);
         FormationTiming t;
         t.name = w.name;
+        // Untimed warmups so the timed runs do not absorb the
+        // workload's cold-start (allocator, page faults).
+        timePrepareUs(built, 1);
+        t.prepareUs = timePrepareUs(built, repeats);
+        Program prepared = cloneProgram(built);
+        prepareProgram(prepared);
         t.blocks = prepared.fn.numBlocks();
         t.insts = prepared.fn.totalInsts();
-        // Untimed warmup so the timed runs do not absorb the
-        // workload's cold-start (allocator, page faults).
         timeFormationUs(prepared, 1);
         t.formationUs = timeFormationUs(prepared, repeats, &t);
         out.push_back(std::move(t));
@@ -504,6 +531,7 @@ writeJson(const std::string &path,
         os << "    {\"name\": \"" << t.name << "\", \"blocks\": "
            << t.blocks << ", \"insts\": " << t.insts
            << ", \"merges\": " << t.merges
+           << ", \"prepare_us\": " << t.prepareUs
            << ", \"formation_us_cached\": " << t.formationUs
            << ", \"trials_run\": " << t.trialsRun
            << ", \"trials_memo_hit\": " << t.trialsMemoHit
@@ -586,11 +614,11 @@ jsonString(const std::string &text, const std::string &key)
 }
 
 /**
- * Smoke mode for ctest: time cached formation of the largest speclike
- * workload and the 4-thread parallel batch, and compare each against
- * the recorded baseline. A >2x regression fails the test. The batch
- * check is skipped when the baseline predates the batch_wall_us_4t
- * key.
+ * Smoke mode for ctest: time prepareProgram and cached formation of the
+ * baseline workload and the 4-thread parallel batch, and compare each
+ * against the recorded baseline. A >2x regression fails the test. The
+ * batch check is skipped when the baseline predates the
+ * batch_wall_us_4t key.
  */
 int
 runSmoke(const char *baseline_path)
@@ -612,22 +640,40 @@ runSmoke(const char *baseline_path)
     std::string baseline = buf.str();
     std::string name = jsonString(baseline, "workload");
     int64_t baseline_us = jsonInt(baseline, "formation_us_cached");
-    if (name.empty() || baseline_us <= 0) {
+    int64_t prepare_baseline_us = jsonInt(baseline, "prepare_us");
+    if (name.empty() || baseline_us <= 0 || prepare_baseline_us <= 0) {
         std::fprintf(stderr, "malformed baseline %s\n", baseline_path);
         return 1;
     }
-    Program prepared;
-    if (!buildNamed(name, &prepared)) {
+    Program built;
+    if (!buildNamed(name, &built)) {
         std::fprintf(stderr, "baseline workload '%s' not found\n",
                      name.c_str());
         return 1;
     }
-    prepareProgram(prepared);
-    // Untimed warmup: the first compile of the process pays allocator
-    // and page-fault costs that would bias whichever configuration is
+    // Untimed warmups: the first run of the process pays allocator and
+    // page-fault costs that would bias whichever configuration is
     // measured first.
+    timePrepareUs(built, 1);
+    int64_t prepare_us = timePrepareUs(built, kRepeats);
+    std::fprintf(stderr,
+                 "formation_speed_smoke: %s prepare %lld us "
+                 "(baseline %lld us, limit %lld us)\n",
+                 name.c_str(), static_cast<long long>(prepare_us),
+                 static_cast<long long>(prepare_baseline_us),
+                 static_cast<long long>(2 * prepare_baseline_us));
+    if (prepare_us > 2 * prepare_baseline_us) {
+        std::fprintf(stderr,
+                     "FAIL: prepareProgram regressed >2x against the "
+                     "recorded baseline (%s)\n",
+                     baseline_path);
+        return 1;
+    }
+
+    Program prepared = cloneProgram(built);
+    prepareProgram(prepared);
     timeFormationUs(prepared, 1);
-    int64_t us = timeFormationUs(prepared, 3);
+    int64_t us = timeFormationUs(prepared, kRepeats);
     std::fprintf(stderr,
                  "formation_speed_smoke: %s formation %lld us "
                  "(baseline %lld us, limit %lld us)\n",
@@ -727,7 +773,7 @@ main(int argc, char **argv)
         benchmark::RunSpecifiedBenchmarks();
     }
 
-    std::vector<FormationTiming> sweep = sweepFormation(3);
+    std::vector<FormationTiming> sweep = sweepFormation(kRepeats);
     std::vector<ParallelTiming> parallel = sweepParallel(3);
     std::vector<GeneratedTiming> generated = sweepGenerated(3);
     writeJson("BENCH_pass_speed.json", sweep, parallel, generated);

@@ -147,13 +147,40 @@ Liveness::update(const Function &fn,
         nv = padded;
     }
 
-    // Edge rewrites can shift reachability. Blocks that fell off the
-    // CFG go to bottom (a from-scratch solve never visits them); blocks
-    // that joined it count as changed so their facts get computed.
+    // Edge rewrites can shift reachability. Refresh the changed blocks'
+    // successor lists, then walk from the entry over the cached lists:
+    // O(blocks + edges), with no scan of unchanged blocks' instructions.
+    // A block that was unreachable at the last solve has no trusted list
+    // (its branches may have been edited while it was off the CFG), so
+    // the walk reads it from the function when it gets there.
+    for (BlockId c : changed_blocks) {
+        if (c >= table)
+            continue;
+        const BasicBlock *bb = fn.block(c);
+        succs[c] = bb ? bb->successors() : std::vector<BlockId>{};
+    }
     std::vector<uint8_t> now(table, 0);
-    for (BlockId id : fn.reversePostOrder())
-        now[id] = 1;
+    std::vector<BlockId> stack;
+    if (fn.entry() != kNoBlock) {
+        now[fn.entry()] = 1;
+        stack.push_back(fn.entry());
+    }
+    while (!stack.empty()) {
+        BlockId b = stack.back();
+        stack.pop_back();
+        if (!reachableBits[b])
+            succs[b] = fn.block(b)->successors();
+        for (BlockId s : succs[b]) {
+            if (s < table && !now[s] && fn.block(s)) {
+                now[s] = 1;
+                stack.push_back(s);
+            }
+        }
+    }
 
+    // Blocks that fell off the CFG go to bottom (a from-scratch solve
+    // never visits them); blocks that joined it count as changed so
+    // their facts get computed.
     std::vector<BlockId> changed = changed_blocks;
     for (size_t i = 0; i < table; ++i) {
         if (reachableBits[i] && !now[i]) {
@@ -169,8 +196,9 @@ Liveness::update(const Function &fn,
     changed.erase(std::unique(changed.begin(), changed.end()),
                   changed.end());
 
-    // Refresh the local facts of the changed blocks; removed or
-    // unreachable ones just go (stay) empty.
+    // Refresh the local facts of the changed blocks (their successor
+    // lists are already current); removed or unreachable ones just go
+    // (stay) empty.
     std::vector<uint8_t> is_seed(table, 0);
     std::vector<BlockId> seeds;
     for (BlockId c : changed) {
@@ -184,7 +212,6 @@ Liveness::update(const Function &fn,
         }
         uses[c] = blockUses(*bb, nv);
         kills[c] = blockKills(*bb, nv);
-        succs[c] = bb->successors();
         seeds.push_back(c);
         is_seed[c] = 1;
     }
@@ -351,16 +378,17 @@ Liveness::update(const Function &fn,
     }
 }
 
-BitVector
-Liveness::liveOutOf(const Function &fn, const BasicBlock &bb) const
+void
+Liveness::liveOutOf(const BasicBlock &bb, BitVector &out) const
 {
     // Size to the universe this analysis was computed over: registers
     // allocated after construction cannot be live across blocks yet.
-    (void)fn;
-    BitVector out(nv);
-    for (BlockId s : bb.successors())
-        out.unionWith(ins.at(s));
-    return out;
+    out.resize(nv);
+    out.reset();
+    for (const Instruction &inst : bb.insts) {
+        if (inst.op == Opcode::Br)
+            out.unionWith(ins.at(inst.target));
+    }
 }
 
 } // namespace chf

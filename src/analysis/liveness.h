@@ -31,8 +31,12 @@ class Liveness
     const BitVector &liveIn(BlockId id) const { return ins.at(id); }
     const BitVector &liveOut(BlockId id) const { return outs.at(id); }
 
-    /** Registers live into any successor of @p bb given this analysis. */
-    BitVector liveOutOf(const Function &fn, const BasicBlock &bb) const;
+    /**
+     * Registers live into any successor of @p bb given this analysis,
+     * written into @p out (resized to universe(); a reused vector keeps
+     * its capacity, so a per-block sweep allocates nothing).
+     */
+    void liveOutOf(const BasicBlock &bb, BitVector &out) const;
 
     /**
      * Virtual-register universe this analysis currently covers. At
@@ -49,8 +53,11 @@ class Liveness
      * blocks may be listed; their sets go empty). @p preds must be the
      * *current* predecessor map. Grows the register universe to
      * fn.numVregs() and accounts for reachability shifts, so the result
-     * is bit-identical to a from-scratch recomputation. Falls back to a
-     * full recomputation when the block table itself grew.
+     * is bit-identical to a from-scratch recomputation. Reachability
+     * comes from the cached successor lists (the changed blocks'
+     * refreshed first), not from a scan of the function's instructions.
+     * Falls back to a full recomputation when the block table itself
+     * grew.
      */
     void update(const Function &fn,
                 const std::vector<BlockId> &changed_blocks,

@@ -57,7 +57,8 @@ std::string
 writeBlockAsm(const Function &fn, const BasicBlock &bb,
               const Liveness &liveness)
 {
-    BitVector live_out = liveness.liveOutOf(fn, bb);
+    BitVector live_out;
+    liveness.liveOutOf(bb, live_out);
     if (bb.hasReturn()) {
         // The returned value is an architectural output too.
         for (const auto &inst : bb.insts) {

@@ -12,11 +12,8 @@ namespace chf {
 BlockResources
 analyzeBlock(const Function &fn, const BasicBlock &bb,
              const BitVector &live_out, const TargetModel &target,
-             BlockAnalysisScratch *scratch)
+             BlockAnalysisScratch &t)
 {
-    BlockAnalysisScratch local;
-    BlockAnalysisScratch &t = scratch ? *scratch : local;
-
     BlockResources res;
     res.insts = bb.size();
     res.memOps = bb.memoryOpCount();
@@ -133,7 +130,7 @@ checkBlockLegal(const BlockResources &res, const TargetModel &target,
 std::string
 checkBlockLegal(const Function &fn, const BasicBlock &bb,
                 const BitVector &live_out, const TargetModel &target,
-                size_t headroom, BlockAnalysisScratch *scratch)
+                size_t headroom, BlockAnalysisScratch &scratch)
 {
     return checkBlockLegal(analyzeBlock(fn, bb, live_out, target, scratch),
                            target, headroom);

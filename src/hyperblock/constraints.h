@@ -68,7 +68,7 @@ struct BlockAnalysisScratch
 BlockResources analyzeBlock(const Function &fn, const BasicBlock &bb,
                             const BitVector &live_out,
                             const TargetModel &target,
-                            BlockAnalysisScratch *scratch = nullptr);
+                            BlockAnalysisScratch &scratch);
 
 /**
  * The exact rejection string checkBlockLegal returns when the size
@@ -96,9 +96,8 @@ std::string checkBlockLegal(const BlockResources &res,
 /** Convenience: analyze + check. */
 std::string checkBlockLegal(const Function &fn, const BasicBlock &bb,
                             const BitVector &live_out,
-                            const TargetModel &target,
-                            size_t headroom = 0,
-                            BlockAnalysisScratch *scratch = nullptr);
+                            const TargetModel &target, size_t headroom,
+                            BlockAnalysisScratch &scratch);
 
 } // namespace chf
 

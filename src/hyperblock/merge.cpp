@@ -418,7 +418,7 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
     {
         ScopedStatTimer timer(counters, "usMergeCombine");
         if (!combineBlocks(fn, scratch, arena.sourceCopy, share,
-                           &arena.combine)) {
+                           arena.combine)) {
             outcome.reason = "no branch to successor";
             return record(hb, s, outcome);
         }
@@ -453,7 +453,7 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
     if (opts.optimizeDuringMerge) {
         ScopedStatTimer timer(counters, "usMergeOptimize");
         OptPassStats pass_stats;
-        optimizeBlock(fn, scratch, live_out, &arena.opt, &pass_stats);
+        optimizeBlock(fn, scratch, live_out, arena.opt, &pass_stats);
         addOptStats(pass_stats);
     }
 
@@ -461,7 +461,7 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
     Timer legal_timer;
     const std::string illegal =
         checkBlockLegal(fn, scratch, live_out, opts.target,
-                        opts.sizeHeadroom, &arena.legal);
+                        opts.sizeHeadroom, arena.legal);
     counters.add("usMergeLegal", legal_timer.elapsedMicros());
 
     if (illegal.empty()) {

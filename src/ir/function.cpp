@@ -94,9 +94,7 @@ Function::reversePostOrder() const
     // place; revisits of a duplicate target are skipped by the visited
     // bits, so the traversal (and thus the order) matches what a
     // deduplicated successor list would produce -- without
-    // materializing one per block. This runs once per incremental
-    // liveness update, i.e. once per committed merge, so it must not
-    // allocate per block.
+    // materializing one per block.
     std::vector<std::pair<BlockId, size_t>> stack;
     if (entryBlock == kNoBlock)
         return post;

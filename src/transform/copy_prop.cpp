@@ -1,21 +1,16 @@
 #include "transform/copy_prop.h"
 
 #include <algorithm>
-#include <map>
-
-#include "analysis/liveness.h"
 
 namespace chf {
 
 size_t
-copyPropagateBlock(BasicBlock &bb, CopyPropScratch *scratch)
+copyPropagateBlock(BasicBlock &bb, CopyPropScratch &t)
 {
     // Dense map from copy destination to its source operand, valid
     // until either side is redefined. Epoch stamping makes the
     // cross-call reset O(1); the active list bounds invalidation scans
     // to destinations actually touched in this block.
-    CopyPropScratch local;
-    CopyPropScratch &t = scratch ? *scratch : local;
     if (++t.epoch == 0) {
         // Stamp wraparound (2^32 calls): flush everything once.
         std::fill(t.stamp.begin(), t.stamp.end(), 0u);
@@ -81,25 +76,14 @@ copyPropagateBlock(BasicBlock &bb, CopyPropScratch *scratch)
 }
 
 size_t
-copyPropagateFunction(Function &fn)
-{
-    size_t total = 0;
-    for (BlockId id : fn.blockIds())
-        total += copyPropagateBlock(*fn.block(id));
-    return total;
-}
-
-size_t
 coalesceMoves(BasicBlock &bb, const BitVector &live_out,
-              CoalesceScratch *scratch)
+              CoalesceScratch &sc)
 {
     size_t nv = live_out.size();
 
     // Per-register def counts, use counts, and predicate-use flags,
     // epoch-stamped: a register's slots are zeroed on first touch, so
     // a call costs O(registers mentioned) instead of O(numVregs).
-    CoalesceScratch local;
-    CoalesceScratch &sc = scratch ? *scratch : local;
     if (++sc.epoch == 0) {
         std::fill(sc.stamp.begin(), sc.stamp.end(), 0u);
         sc.epoch = 1;
@@ -197,18 +181,6 @@ coalesceMoves(BasicBlock &bb, const BitVector &live_out,
         }
     }
     return coalesced;
-}
-
-size_t
-coalesceMovesFunction(Function &fn)
-{
-    Liveness liveness(fn);
-    size_t total = 0;
-    for (BlockId id : fn.blockIds()) {
-        BasicBlock *bb = fn.block(id);
-        total += coalesceMoves(*bb, liveness.liveOutOf(fn, *bb));
-    }
-    return total;
 }
 
 } // namespace chf

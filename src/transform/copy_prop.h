@@ -31,11 +31,7 @@ struct CopyPropScratch
  * Propagate copies within @p bb.
  * @return number of uses rewritten.
  */
-size_t copyPropagateBlock(BasicBlock &bb,
-                          CopyPropScratch *scratch = nullptr);
-
-/** Apply to every block. @return total uses rewritten. */
-size_t copyPropagateFunction(Function &fn);
+size_t copyPropagateBlock(BasicBlock &bb, CopyPropScratch &scratch);
 
 /**
  * Reusable per-register count vectors for coalesceMoves,
@@ -60,10 +56,7 @@ struct CoalesceScratch
  * @return number of moves coalesced.
  */
 size_t coalesceMoves(BasicBlock &bb, const BitVector &live_out,
-                     CoalesceScratch *scratch = nullptr);
-
-/** Apply coalesceMoves to every block. @return total coalesced. */
-size_t coalesceMovesFunction(Function &fn);
+                     CoalesceScratch &scratch);
 
 } // namespace chf
 

@@ -1,15 +1,10 @@
 #include "transform/dce.h"
 
-#include "analysis/liveness.h"
-
 namespace chf {
 
 size_t
-eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
-                  DceScratch *scratch)
+eliminateDeadCode(BasicBlock &bb, const BitVector &live_out, DceScratch &t)
 {
-    DceScratch local;
-    DceScratch &t = scratch ? *scratch : local;
     BitVector &live = t.live;
     live = live_out;
     std::vector<uint8_t> &keep = t.keep;
@@ -46,27 +41,6 @@ eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
         bb.insts.swap(kept);
     }
     return removed;
-}
-
-size_t
-eliminateDeadCodeFunction(Function &fn)
-{
-    size_t total = 0;
-    // Removing uses in one block can make defs in another dead, so
-    // iterate; bounded by a few rounds in practice.
-    for (int round = 0; round < 8; ++round) {
-        Liveness liveness(fn);
-        size_t removed = 0;
-        for (BlockId id : fn.blockIds()) {
-            BasicBlock *bb = fn.block(id);
-            removed += eliminateDeadCode(
-                *bb, liveness.liveOutOf(fn, *bb));
-        }
-        total += removed;
-        if (removed == 0)
-            break;
-    }
-    return total;
 }
 
 } // namespace chf

@@ -28,13 +28,7 @@ struct DceScratch
  * exit. @return number of instructions removed.
  */
 size_t eliminateDeadCode(BasicBlock &bb, const BitVector &live_out,
-                         DceScratch *scratch = nullptr);
-
-/**
- * Whole-function DCE to a fixed point (removing a use can kill an
- * upstream def in another block). @return total removed.
- */
-size_t eliminateDeadCodeFunction(Function &fn);
+                         DceScratch &scratch);
 
 } // namespace chf
 

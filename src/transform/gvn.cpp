@@ -447,11 +447,9 @@ simplifyAlgebraic(const Instruction &inst, ValueTable &table)
 } // namespace
 
 size_t
-valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch *scratch)
+valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch &regs)
 {
     (void)fn;
-    GvnScratch local;
-    GvnScratch &regs = scratch ? *scratch : local;
     if (++regs.epoch == 0) {
         // Stamp wraparound (2^32 calls): flush everything once.
         std::fill(regs.regStamp.begin(), regs.regStamp.end(), 0u);
@@ -645,15 +643,6 @@ valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch *scratch)
     return simplified;
 }
 
-size_t
-valueNumberFunction(Function &fn)
-{
-    size_t total = 0;
-    for (BlockId id : fn.blockIds())
-        total += valueNumberBlock(fn, *fn.block(id));
-    return total;
-}
-
 namespace {
 
 /** Expression over single-assignment values: opcode + raw operands. */
@@ -677,7 +666,7 @@ struct GlobalExprKey
 } // namespace
 
 size_t
-valueNumberFunctionDominator(Function &fn)
+valueNumberFunctionDominator(Function &fn, std::vector<BlockId> &changed)
 {
     // Registers assigned exactly once anywhere in the function: their
     // value is unique, so an expression over them computes the same
@@ -706,6 +695,7 @@ valueNumberFunctionDominator(Function &fn)
     std::function<void(BlockId)> walk = [&](BlockId id) {
         std::vector<GlobalExprKey> added;
         BasicBlock *bb = fn.block(id);
+        const size_t rewritten_before = rewritten;
         for (auto &inst : bb->insts) {
             bool eligible = opcodeIsPure(inst.op) && inst.hasDest() &&
                             !inst.pred.valid() &&
@@ -743,6 +733,8 @@ valueNumberFunctionDominator(Function &fn)
                 added.push_back(key);
             }
         }
+        if (rewritten != rewritten_before)
+            changed.push_back(id);
         for (BlockId child : dom.children(id))
             walk(child);
         for (const auto &key : added)

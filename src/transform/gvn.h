@@ -7,7 +7,7 @@
  * numbering" to the merged block. Because convergent formation merges
  * whole blocks, the scope that matters is the single merged hyperblock,
  * so this pass implements predicate-aware local value numbering over a
- * block. A function-wide driver applies it to every block.
+ * block; optimizeFunction applies it to every block.
  *
  * Predicate awareness: two instructions are redundant only if their
  * opcode, operand value numbers, and predicate (register value number
@@ -92,11 +92,7 @@ struct GvnScratch
  * @return number of instructions simplified (folded, strength-reduced,
  *         or rewritten to moves).
  */
-size_t valueNumberBlock(Function &fn, BasicBlock &bb,
-                        GvnScratch *scratch = nullptr);
-
-/** Apply valueNumberBlock to every block. @return total simplified. */
-size_t valueNumberFunction(Function &fn);
+size_t valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch &scratch);
 
 /**
  * Dominator-based global value numbering (the pass the paper's
@@ -106,9 +102,11 @@ size_t valueNumberFunction(Function &fn);
  * function participate -- exactly the subset whose values are
  * path-independent wherever they are visible. A redundant computation
  * in a dominated block becomes a move from the dominating holder.
+ * Every block it rewrote is appended to @p changed, once.
  * @return number of instructions rewritten.
  */
-size_t valueNumberFunctionDominator(Function &fn);
+size_t valueNumberFunctionDominator(Function &fn,
+                                    std::vector<BlockId> &changed);
 
 } // namespace chf
 

@@ -108,11 +108,8 @@ invalidateFolds(std::vector<CombineScratch::FoldEntry> &cache, Vreg dest)
 
 bool
 combineBlocks(Function &fn, BasicBlock &hb, const BasicBlock &s,
-              double freq_share, CombineScratch *scratch)
+              double freq_share, CombineScratch &sc)
 {
-    CombineScratch local;
-    CombineScratch &sc = scratch ? *scratch : local;
-
     collectConsumed(hb, s.id(), sc.consumed);
     if (sc.consumed.empty())
         return false;

@@ -60,12 +60,12 @@ struct CombineScratch
  * @param freq_share  Factor applied to the appended branch frequencies:
  *                    the share of S's profiled executions that flow
  *                    through HB.
- * @param scratch     Optional reusable working storage; when null a
- *                    fresh local scratch is used (identical behavior).
+ * @param scratch     Reusable working storage; a fresh and a reused
+ *                    scratch give identical results.
  * @return false if HB has no branch to S (nothing changed).
  */
 bool combineBlocks(Function &fn, BasicBlock &hb, const BasicBlock &s,
-                   double freq_share, CombineScratch *scratch = nullptr);
+                   double freq_share, CombineScratch &scratch);
 
 } // namespace chf
 

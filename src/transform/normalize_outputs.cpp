@@ -84,10 +84,12 @@ size_t
 normalizeOutputsFunction(Function &fn)
 {
     Liveness liveness(fn);
+    BitVector live_out;
     size_t total = 0;
     for (BlockId id : fn.blockIds()) {
         BasicBlock *bb = fn.block(id);
-        total += normalizeOutputs(fn, *bb, liveness.liveOutOf(fn, *bb));
+        liveness.liveOutOf(*bb, live_out);
+        total += normalizeOutputs(fn, *bb, live_out);
     }
     return total;
 }

@@ -18,10 +18,10 @@
 namespace chf {
 
 /**
- * Bundled working storage for one optimizeBlock invocation. The merge
- * engine keeps a single instance alive across all trials of a
- * function, so the per-pass vectors/bitvectors amortize to zero
- * allocations once warm.
+ * Bundled working storage for the per-block passes. The merge engine
+ * keeps a single instance alive across all trials of a function, and
+ * optimizeFunction one across every block of a call, so the per-pass
+ * vectors/bitvectors amortize to zero allocations once warm.
  */
 struct BlockOptScratch
 {
@@ -51,13 +51,17 @@ struct OptPassStats
  * per-pass wall time is accumulated into it. @return total changes.
  */
 size_t optimizeBlock(Function &fn, BasicBlock &bb,
-                     const BitVector &live_out,
-                     BlockOptScratch *scratch = nullptr,
+                     const BitVector &live_out, BlockOptScratch &scratch,
                      OptPassStats *stats = nullptr);
 
 /**
  * Whole-function scalar optimization (the discrete "O" phase of the
- * paper's pipelines). @return total changes.
+ * paper's pipelines): up to 3 rounds of copy propagation, local and
+ * dominator value numbering, predicate optimization, DCE to its fixed
+ * point, and move coalescing. Linear in function size per pass: one
+ * scratch and one Liveness per call, patched with Liveness::update
+ * after the passes that edit blocks, so each pass reads liveness as it
+ * stood when the pass started (DESIGN.md §11). @return total changes.
  */
 size_t optimizeFunction(Function &fn);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/liveness.h"
-
 namespace chf {
 
 namespace {
@@ -194,10 +192,8 @@ dropImplicit(BasicBlock &bb, const BitVector &live_out,
 
 size_t
 optimizePredicates(BasicBlock &bb, const BitVector &live_out,
-                   PredOptScratch *scratch)
+                   PredOptScratch &sc)
 {
-    PredOptScratch local;
-    PredOptScratch &sc = scratch ? *scratch : local;
     if (++sc.epoch == 0) {
         // Stamp wraparound (2^32 calls): flush everything once.
         std::fill(sc.reqStamp.begin(), sc.reqStamp.end(), 0u);
@@ -208,18 +204,6 @@ optimizePredicates(BasicBlock &bb, const BitVector &live_out,
     changes += mergeComplementary(bb);
     changes += dropImplicit(bb, live_out, sc);
     return changes;
-}
-
-size_t
-optimizePredicatesFunction(Function &fn)
-{
-    Liveness liveness(fn);
-    size_t total = 0;
-    for (BlockId id : fn.blockIds()) {
-        BasicBlock *bb = fn.block(id);
-        total += optimizePredicates(*bb, liveness.liveOutOf(fn, *bb));
-    }
-    return total;
 }
 
 } // namespace chf

@@ -47,10 +47,7 @@ struct PredOptScratch
  * @return number of instructions merged plus predicates dropped.
  */
 size_t optimizePredicates(BasicBlock &bb, const BitVector &live_out,
-                          PredOptScratch *scratch = nullptr);
-
-/** Apply to every block of @p fn. @return total changes. */
-size_t optimizePredicatesFunction(Function &fn);
+                          PredOptScratch &scratch);
 
 } // namespace chf
 

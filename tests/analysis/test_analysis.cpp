@@ -212,6 +212,181 @@ TEST(Liveness, LoopCarried)
     EXPECT_TRUE(live.liveOut(2).test(i)); // body carries it back
 }
 
+// ----- Liveness::update: reachability from the cached successor lists -----
+
+/**
+ * Every block's live-in and live-out in @p live, removed and
+ * unreachable blocks included, equal those of a fresh solve (universe
+ * padding ignored).
+ */
+void
+expectUpdateMatchesFresh(const Liveness &live, const Function &fn)
+{
+    Liveness fresh(fn);
+    ASSERT_GE(live.universe(), fn.numVregs());
+    for (BlockId id = 0; id < fn.blockTableSize(); ++id) {
+        for (Vreg v = 0; v < fn.numVregs(); ++v) {
+            EXPECT_EQ(live.liveIn(id).test(v), fresh.liveIn(id).test(v))
+                << "live-in bb" << id << " v" << v;
+            EXPECT_EQ(live.liveOut(id).test(v), fresh.liveOut(id).test(v))
+                << "live-out bb" << id << " v" << v;
+        }
+    }
+}
+
+/** Replace @p id's instructions with one unconditional branch. */
+void
+rewriteToBranch(Function &fn, BlockId id, BlockId target)
+{
+    fn.block(id)->insts.clear();
+    IRBuilder b(fn);
+    b.setBlock(id);
+    b.br(target);
+}
+
+TEST(LivenessUpdate, DroppedEdgeSendsRegionToBottom)
+{
+    // entry -> mid -> {r1 <-> r2 loop} -> exit; mid is the only way
+    // into the loop. Retargeting mid straight to exit leaves the loop
+    // unreachable, so its sets must go empty as in a fresh solve.
+    Function fn;
+    IRBuilder b(fn);
+    BlockId entry = b.makeBlock("entry");
+    BlockId mid = b.makeBlock("mid");
+    BlockId r1 = b.makeBlock("r1");
+    BlockId r2 = b.makeBlock("r2");
+    BlockId exit = b.makeBlock("exit");
+    fn.setEntry(entry);
+    Vreg x = fn.newVreg(), y = fn.newVreg();
+    fn.argRegs = {x, y};
+    b.setBlock(entry);
+    b.br(mid);
+    b.setBlock(mid);
+    b.br(r1);
+    b.setBlock(r1);
+    Vreg t = b.binary(Opcode::Tlt, IRBuilder::r(x), IRBuilder::r(y));
+    b.brCond(t, r2, exit);
+    b.setBlock(r2);
+    b.movTo(x, IRBuilder::r(y));
+    b.br(r1);
+    b.setBlock(exit);
+    b.ret(IRBuilder::r(x));
+
+    Liveness live(fn);
+    ASSERT_TRUE(live.liveIn(r1).test(y));
+
+    rewriteToBranch(fn, mid, exit);
+    live.update(fn, {mid}, fn.predecessors());
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveIn(r1).none());
+    EXPECT_TRUE(live.liveOut(r2).none());
+    EXPECT_FALSE(live.liveIn(mid).test(y));
+}
+
+TEST(LivenessUpdate, RejoinedBlockIsReadFromTheFunction)
+{
+    // entry -> o -> t1 -> exit, and a spare t2 -> exit. First entry
+    // stops branching to o, leaving o, t1 and t2 unreachable; then o is
+    // retargeted to t2 without being listed; then entry branches to o
+    // again. The cached list of o still says t1: the update must read
+    // o's branches from the function when reachability reaches it.
+    Function fn;
+    IRBuilder b(fn);
+    BlockId entry = b.makeBlock("entry");
+    BlockId o = b.makeBlock("o");
+    BlockId t1 = b.makeBlock("t1");
+    BlockId t2 = b.makeBlock("t2");
+    BlockId exit = b.makeBlock("exit");
+    fn.setEntry(entry);
+    Vreg x = fn.newVreg(), y = fn.newVreg();
+    fn.argRegs = {x, y};
+    b.setBlock(entry);
+    b.br(o);
+    b.setBlock(o);
+    b.br(t1);
+    b.setBlock(t1);
+    b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(x));
+    b.br(exit);
+    b.setBlock(t2);
+    b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(y));
+    b.br(exit);
+    b.setBlock(exit);
+    b.ret();
+
+    Liveness live(fn);
+    ASSERT_TRUE(live.liveIn(o).test(x));
+
+    rewriteToBranch(fn, entry, exit);
+    live.update(fn, {entry}, fn.predecessors());
+    expectUpdateMatchesFresh(live, fn);
+
+    rewriteToBranch(fn, o, t2); // unlisted: o is off the CFG
+    rewriteToBranch(fn, entry, o);
+    live.update(fn, {entry}, fn.predecessors());
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveIn(o).test(y));
+    EXPECT_FALSE(live.liveIn(o).test(x));
+    EXPECT_TRUE(live.liveIn(t1).none());
+}
+
+TEST(LivenessUpdate, RemovedListedBlockGoesEmpty)
+{
+    // A diamond whose then-arm is removed after the entry stops
+    // branching to it; the removed block is listed with the entry.
+    Function fn;
+    IRBuilder b(fn);
+    BlockId entry = b.makeBlock("entry");
+    BlockId then_b = b.makeBlock("then");
+    BlockId else_b = b.makeBlock("else");
+    BlockId join = b.makeBlock("join");
+    fn.setEntry(entry);
+    Vreg x = fn.newVreg(), y = fn.newVreg(), p = fn.newVreg();
+    fn.argRegs = {x, y, p};
+    b.setBlock(entry);
+    b.brCond(p, then_b, else_b);
+    b.setBlock(then_b);
+    Vreg s = b.add(IRBuilder::r(x), IRBuilder::r(y));
+    b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(s));
+    b.br(join);
+    b.setBlock(else_b);
+    b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(y));
+    b.br(join);
+    b.setBlock(join);
+    b.ret();
+
+    Liveness live(fn);
+    ASSERT_TRUE(live.liveIn(entry).test(x));
+
+    rewriteToBranch(fn, entry, else_b);
+    fn.removeBlock(then_b);
+    live.update(fn, {entry, then_b}, fn.predecessors());
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveIn(then_b).none());
+    EXPECT_FALSE(live.liveIn(entry).test(x));
+    EXPECT_FALSE(live.liveIn(entry).test(p));
+}
+
+TEST(LivenessUpdate, InstructionEditWithSameEdges)
+{
+    // The loop body gains a use of a new register and drops its def of
+    // the induction variable: no edge changes, the universe grows.
+    Function fn = makeLoop();
+    const BlockId entry = 0, head = 1, body = 2;
+    Liveness live(fn);
+    Vreg z = fn.newVreg();
+    BasicBlock &bb = *fn.block(body);
+    bb.insts.erase(bb.insts.begin(), bb.insts.end() - 1);
+    bb.insts.insert(bb.insts.begin(),
+                    Instruction::store(Operand::makeImm(0),
+                                       Operand::makeImm(0),
+                                       Operand::makeReg(z)));
+
+    live.update(fn, {body}, fn.predecessors());
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveIn(head).test(z));
+    EXPECT_TRUE(live.liveIn(entry).test(z));
+}
+
 TEST(Profile, EdgeCountsAndBlockCounts)
 {
     EdgeProfile profile;

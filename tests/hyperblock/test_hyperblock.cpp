@@ -48,8 +48,9 @@ TEST(Constraints, CountsMemOpsAndRegisters)
     TargetModel constraints;
     BitVector live_out(fn.numVregs());
     live_out.set(out);
+    BlockAnalysisScratch scratch;
     BlockResources res =
-        analyzeBlock(fn, *fn.block(id), live_out, constraints);
+        analyzeBlock(fn, *fn.block(id), live_out, constraints, scratch);
     EXPECT_EQ(res.memOps, 2u);
     EXPECT_EQ(res.regReads, 2u);  // in1, in2 upward exposed
     EXPECT_EQ(res.regWrites, 1u); // out only
@@ -72,8 +73,9 @@ TEST(Constraints, PredictsFanout)
 
     TargetModel constraints;
     BitVector live_out(fn.numVregs());
+    BlockAnalysisScratch scratch;
     BlockResources res =
-        analyzeBlock(fn, *fn.block(id), live_out, constraints);
+        analyzeBlock(fn, *fn.block(id), live_out, constraints, scratch);
     EXPECT_EQ(res.fanoutMoves, 2u); // 4 uses - 2 targets
 }
 

@@ -13,7 +13,7 @@
  *  - TrialScratchReuse: every mergeable pair of the same programs
  *    (plus two generated ones) goes through combine, optimize and
  *    legality on one long-lived scratch set, and must match the same
- *    calls on fresh (nullptr) scratch.
+ *    calls on a new scratch set per trial.
  *  - MergeTraceDifferential / TrialFastPath: a formation on a cleared
  *    failed-trial memo (clearTrialMemo) runs cold and is the reference
  *    a warm re-run must match: same decisions, vreg burn and IR.
@@ -377,31 +377,28 @@ struct ReusedScratch
     BlockAnalysisScratch legal;
 };
 
-/** Run one trial of @p s into @p hb on @p fn; @p reused null means
- *  fresh blocks and nullptr scratch for every call. */
+/** Run one trial of @p s into @p hb on @p fn in @p scratch's blocks
+ *  and working storage. */
 TrialResult
 runTrial(Function &fn, const Liveness &live, const BasicBlock &hb,
-         const BasicBlock &s, ReusedScratch *reused)
+         const BasicBlock &s, ReusedScratch &scratch)
 {
     const TargetModel target;
     const size_t headroom = 4;
     const uint32_t before = fn.numVregs();
-    BasicBlock fresh_hb(hb.id(), hb.name());
-    BasicBlock fresh_s(s.id(), s.name());
-    BasicBlock &block = reused ? reused->scratch : fresh_hb;
-    BasicBlock &source = reused ? reused->sourceCopy : fresh_s;
+    BasicBlock &block = scratch.scratch;
+    BasicBlock &source = scratch.sourceCopy;
     block.assignFrom(hb);
     source.assignFrom(s);
 
     TrialResult r;
     r.combined = combineBlocks(fn, block, source, entryShare(hb, s),
-                               reused ? &reused->combine : nullptr);
+                               scratch.combine);
     if (r.combined) {
         BitVector live_out = targetLiveIns(fn, live, block);
-        optimizeBlock(fn, block, live_out,
-                      reused ? &reused->opt : nullptr);
+        optimizeBlock(fn, block, live_out, scratch.opt);
         r.reason = checkBlockLegal(fn, block, live_out, target, headroom,
-                                   reused ? &reused->legal : nullptr);
+                                   scratch.legal);
     }
     r.insts = block.insts;
     r.vregsBurned = fn.numVregs() - before;
@@ -487,10 +484,11 @@ TEST(TrialScratchReuse, MatchesFreshScratchOnEveryPair)
             for (const auto &[hb, s] : pairs) {
                 const BasicBlock &hb_block = *fn->block(hb);
                 const BasicBlock &s_block = *fn->block(s);
+                ReusedScratch fresh;
                 TrialResult got =
-                    runTrial(with_reuse, live, hb_block, s_block, &reused);
+                    runTrial(with_reuse, live, hb_block, s_block, reused);
                 TrialResult want =
-                    runTrial(with_fresh, live, hb_block, s_block, nullptr);
+                    runTrial(with_fresh, live, hb_block, s_block, fresh);
                 SCOPED_TRACE(testing::Message() << "bb" << hb << " <- bb"
                                                 << s);
                 EXPECT_EQ(got.combined, want.combined);

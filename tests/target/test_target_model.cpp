@@ -189,8 +189,9 @@ TEST(TargetModel, BankGeometryChangesBankReadEstimates)
     auto analyzed = [&](size_t banks) {
         TargetModel model;
         model.numRegBanks = banks;
-        return analyzeBlock(fx.fn, *fx.fn.block(fx.id), live_out,
-                            model);
+        BlockAnalysisScratch scratch;
+        return analyzeBlock(fx.fn, *fx.fn.block(fx.id), live_out, model,
+                            scratch);
     };
 
     BlockResources four = analyzed(4);
@@ -242,9 +243,10 @@ TEST(TargetModel, TightBankGeometryRejectsWhatTripsAccepts)
 {
     SkewedReadFixture fx;
     BitVector live_out(fx.fn.numVregs());
+    BlockAnalysisScratch scratch;
 
     EXPECT_TRUE(checkBlockLegal(fx.fn, *fx.fn.block(fx.id), live_out,
-                                tripsTarget())
+                                tripsTarget(), 0, scratch)
                     .empty());
 
     // 6 upward-exposed reads, all even vregs: a 2-bank model sees all
@@ -254,7 +256,7 @@ TEST(TargetModel, TightBankGeometryRejectsWhatTripsAccepts)
     narrow.numRegBanks = 2;
     narrow.maxReadsPerBank = 4;
     BlockResources res = analyzeBlock(fx.fn, *fx.fn.block(fx.id),
-                                      live_out, narrow);
+                                      live_out, narrow, scratch);
     EXPECT_EQ(res.regReads, 6u);
     EXPECT_EQ(res.bankReads[0], 6u);
     EXPECT_EQ(res.bankReads[1], 0u);

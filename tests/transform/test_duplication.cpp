@@ -108,7 +108,8 @@ TEST(Combine, SimpleSuccessorMerge)
 
     BasicBlock scratch(a, "A");
     scratch.insts = fn.block(a)->insts;
-    ASSERT_TRUE(combineBlocks(fn, scratch, *fn.block(bb), 1.0));
+    CombineScratch combine;
+    ASSERT_TRUE(combineBlocks(fn, scratch, *fn.block(bb), 1.0, combine));
     // No branch to B remains; B's code is appended unpredicated.
     EXPECT_TRUE(branchesTo(scratch, bb).empty());
     for (const auto &inst : scratch.insts)
@@ -136,7 +137,8 @@ TEST(Combine, ConditionalMergePredicates)
 
     BasicBlock scratch(a, "A");
     scratch.insts = fn.block(a)->insts;
-    ASSERT_TRUE(combineBlocks(fn, scratch, *fn.block(bb), 1.0));
+    CombineScratch combine;
+    ASSERT_TRUE(combineBlocks(fn, scratch, *fn.block(bb), 1.0, combine));
 
     // The appended mov/ret are guarded by (c, true); the branch to C
     // survives under (c, false).
@@ -169,7 +171,8 @@ TEST(Combine, ComplementaryEntryIsUnpredicated)
 
     BasicBlock scratch(a, "A");
     scratch.insts = fn.block(a)->insts;
-    ASSERT_TRUE(combineBlocks(fn, scratch, *fn.block(d), 1.0));
+    CombineScratch combine;
+    ASSERT_TRUE(combineBlocks(fn, scratch, *fn.block(d), 1.0, combine));
     for (const auto &inst : scratch.insts)
         EXPECT_FALSE(inst.pred.valid());
 }
@@ -201,7 +204,8 @@ TEST(Combine, SnapshotsWhenPredicateRedefined)
 
     BasicBlock scratch(a, "A");
     scratch.insts = fn.block(a)->insts;
-    ASSERT_TRUE(combineBlocks(fn, scratch, *fn.block(s), 1.0));
+    CombineScratch combine;
+    ASSERT_TRUE(combineBlocks(fn, scratch, *fn.block(s), 1.0, combine));
     fn.block(a)->insts = scratch.insts;
     fn.removeBlock(s);
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/liveness.h"
 #include "ir/builder.h"
 #include "ir/printer.h"
@@ -30,6 +32,53 @@ countOp(const BasicBlock &bb, Opcode op)
             ++n;
     }
     return n;
+}
+
+/**
+ * Fresh-scratch calls of the per-block passes: every call gets its own
+ * working storage, the behavior a reused scratch must reproduce.
+ */
+size_t
+gvn(Function &fn, BasicBlock &bb)
+{
+    GvnScratch scratch;
+    return valueNumberBlock(fn, bb, scratch);
+}
+
+size_t
+copyProp(BasicBlock &bb)
+{
+    CopyPropScratch scratch;
+    return copyPropagateBlock(bb, scratch);
+}
+
+size_t
+coalesce(BasicBlock &bb, const BitVector &live_out)
+{
+    CoalesceScratch scratch;
+    return coalesceMoves(bb, live_out, scratch);
+}
+
+size_t
+dce(BasicBlock &bb, const BitVector &live_out)
+{
+    DceScratch scratch;
+    return eliminateDeadCode(bb, live_out, scratch);
+}
+
+size_t
+predOpt(BasicBlock &bb, const BitVector &live_out)
+{
+    PredOptScratch scratch;
+    return optimizePredicates(bb, live_out, scratch);
+}
+
+size_t
+optimize(Function &fn, BasicBlock &bb, const BitVector &live_out,
+         OptPassStats *stats = nullptr)
+{
+    BlockOptScratch scratch;
+    return optimizeBlock(fn, bb, live_out, scratch, stats);
 }
 
 struct BlockFixture
@@ -58,7 +107,7 @@ TEST(Gvn, ConstantFolding)
     Vreg c = f.builder.mul(IRBuilder::r(a), IRBuilder::r(b));
     f.builder.ret(IRBuilder::r(c));
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     // The multiply became mov c, #42.
     const Instruction &inst = f.bb().insts[2];
     EXPECT_EQ(inst.op, Opcode::Mov);
@@ -80,7 +129,7 @@ TEST(Gvn, CommonSubexpressionElimination)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    EXPECT_GT(valueNumberBlock(f.fn, f.bb()), 0u);
+    EXPECT_GT(gvn(f.fn, f.bb()), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 1u);
 }
 
@@ -97,7 +146,7 @@ TEST(Gvn, CommutativeCanonicalizationHits)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 1u);
 }
 
@@ -115,7 +164,7 @@ TEST(Gvn, CseRespectsRedefinition)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 2u); // both stay
 }
 
@@ -128,7 +177,7 @@ TEST(Gvn, AlgebraicIdentities)
     Vreg c = f.builder.sub(IRBuilder::r(b), IRBuilder::r(b));
     f.builder.ret(IRBuilder::r(c));
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Mul), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Sub), 0u);
@@ -148,7 +197,7 @@ TEST(Gvn, BooleanRules)
                               IRBuilder::r(n));
     f.builder.ret(IRBuilder::r(g));
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Tne), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Band), 0u);
 }
@@ -170,7 +219,7 @@ TEST(Gvn, DiamondJoinGuardCollapses)
                               IRBuilder::r(b));
     f.builder.ret(IRBuilder::r(j));
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Or), 0u);
 }
 
@@ -186,7 +235,7 @@ TEST(Gvn, RedundantLoadElimination)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Load), 1u);
 }
 
@@ -204,7 +253,7 @@ TEST(Gvn, LoadNotEliminatedAcrossStore)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Load), 2u);
 }
 
@@ -218,7 +267,7 @@ TEST(Gvn, ConstantPredicateResolved)
     f.builder.emit(guarded);
     f.builder.ret();
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_FALSE(f.bb().insts[1].pred.valid()); // guard dropped
 }
 
@@ -239,7 +288,7 @@ TEST(Gvn, PredicatedCseKeepsPredicate)
     f.builder.emit(second);
     f.builder.ret();
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 1u);
     // The forwarding move stays guarded so the merge semantics hold.
     EXPECT_EQ(f.bb().insts[1].op, Opcode::Mov);
@@ -257,7 +306,7 @@ TEST(CopyProp, ForwardsThroughMoves)
     Vreg z = f.builder.add(IRBuilder::r(y), IRBuilder::imm(1));
     f.builder.ret(IRBuilder::r(z));
 
-    EXPECT_GT(copyPropagateBlock(f.bb()), 0u);
+    EXPECT_GT(copyProp(f.bb()), 0u);
     const Instruction &add = f.bb().insts[1];
     EXPECT_TRUE(add.srcs[0].isReg());
     EXPECT_EQ(add.srcs[0].reg, x);
@@ -273,7 +322,7 @@ TEST(CopyProp, StopsAtRedefinition)
     Vreg z = f.builder.add(IRBuilder::r(y), IRBuilder::imm(1));
     f.builder.ret(IRBuilder::r(z));
 
-    copyPropagateBlock(f.bb());
+    copyProp(f.bb());
     const Instruction &add = f.bb().insts[2];
     EXPECT_EQ(add.srcs[0].reg, y);
 }
@@ -291,7 +340,7 @@ TEST(CopyProp, DoesNotForwardPredicatedMoves)
     Vreg z = f.builder.add(IRBuilder::r(y), IRBuilder::imm(1));
     f.builder.ret(IRBuilder::r(z));
 
-    copyPropagateBlock(f.bb());
+    copyProp(f.bb());
     EXPECT_EQ(f.bb().insts[2].srcs[0].reg, y);
 }
 
@@ -305,7 +354,7 @@ TEST(CoalesceMoves, FoldsTempIntoVariable)
     f.builder.ret(IRBuilder::r(i));
 
     BitVector live_out(f.fn.numVregs());
-    EXPECT_EQ(coalesceMoves(f.bb(), live_out), 1u);
+    EXPECT_EQ(coalesce(f.bb(), live_out), 1u);
     EXPECT_EQ(f.bb().insts[0].op, Opcode::Add);
     EXPECT_EQ(f.bb().insts[0].dest, i);
     EXPECT_EQ(countOp(f.bb(), Opcode::Mov), 0u);
@@ -322,7 +371,7 @@ TEST(CoalesceMoves, RefusesWhenTempHasOtherUses)
     f.builder.ret(IRBuilder::r(i));
 
     BitVector live_out(f.fn.numVregs());
-    EXPECT_EQ(coalesceMoves(f.bb(), live_out), 0u);
+    EXPECT_EQ(coalesce(f.bb(), live_out), 0u);
 }
 
 TEST(CoalesceMoves, RefusesWhenDestReadBetween)
@@ -336,7 +385,7 @@ TEST(CoalesceMoves, RefusesWhenDestReadBetween)
     f.builder.ret(IRBuilder::r(i));
 
     BitVector live_out(f.fn.numVregs());
-    EXPECT_EQ(coalesceMoves(f.bb(), live_out), 0u);
+    EXPECT_EQ(coalesce(f.bb(), live_out), 0u);
 }
 
 // ----- DCE -----
@@ -350,7 +399,7 @@ TEST(Dce, RemovesDeadPureCode)
     f.builder.ret(IRBuilder::r(y));
 
     BitVector live_out(f.fn.numVregs());
-    EXPECT_EQ(eliminateDeadCode(f.bb(), live_out), 1u);
+    EXPECT_EQ(dce(f.bb(), live_out), 1u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Mul), 1u);
 }
@@ -364,7 +413,7 @@ TEST(Dce, KeepsLiveOutValues)
 
     BitVector live_out(f.fn.numVregs());
     live_out.set(y);
-    EXPECT_EQ(eliminateDeadCode(f.bb(), live_out), 0u);
+    EXPECT_EQ(dce(f.bb(), live_out), 0u);
 }
 
 TEST(Dce, KeepsStoresAndRemovesDeadLoads)
@@ -376,7 +425,7 @@ TEST(Dce, KeepsStoresAndRemovesDeadLoads)
     f.builder.ret();
 
     BitVector live_out(f.fn.numVregs());
-    EXPECT_EQ(eliminateDeadCode(f.bb(), live_out), 1u);
+    EXPECT_EQ(dce(f.bb(), live_out), 1u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Store), 1u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Load), 0u);
 }
@@ -390,7 +439,7 @@ TEST(Dce, DeadChainRemovedInOnePass)
     f.builder.ret(IRBuilder::imm(0));
 
     BitVector live_out(f.fn.numVregs());
-    EXPECT_EQ(eliminateDeadCode(f.bb(), live_out), 3u);
+    EXPECT_EQ(dce(f.bb(), live_out), 3u);
     EXPECT_EQ(f.bb().size(), 1u); // only the ret remains
 }
 
@@ -412,7 +461,7 @@ TEST(PredOpt, MergesComplementaryPairs)
     f.builder.ret(IRBuilder::r(d));
 
     BitVector live_out(f.fn.numVregs());
-    EXPECT_EQ(optimizePredicates(f.bb(), live_out), 1u);
+    EXPECT_EQ(predOpt(f.bb(), live_out), 1u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 1u);
     EXPECT_FALSE(f.bb().insts[0].pred.valid());
 }
@@ -435,7 +484,7 @@ TEST(PredOpt, NoMergeWhenDestReadBetween)
     f.builder.ret(IRBuilder::r(d));
 
     BitVector live_out(f.fn.numVregs());
-    optimizePredicates(f.bb(), live_out);
+    predOpt(f.bb(), live_out);
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 2u);
 }
 
@@ -461,7 +510,7 @@ TEST(PredOpt, DropsInteriorChainPredicates)
 
     BitVector live_out(f.fn.numVregs());
     live_out.set(out);
-    EXPECT_EQ(optimizePredicates(f.bb(), live_out), 2u);
+    EXPECT_EQ(predOpt(f.bb(), live_out), 2u);
     EXPECT_FALSE(f.bb().insts[0].pred.valid()); // t1 unguarded
     EXPECT_FALSE(f.bb().insts[1].pred.valid()); // t2 unguarded
     EXPECT_TRUE(f.bb().insts[2].pred.valid());  // out keeps its guard
@@ -488,7 +537,7 @@ TEST(PredOpt, KeepsGuardWhenConsumersDiffer)
 
     BitVector live_out(f.fn.numVregs());
     live_out.set(out);
-    optimizePredicates(f.bb(), live_out);
+    predOpt(f.bb(), live_out);
     EXPECT_TRUE(f.bb().insts[0].pred.valid()); // must stay guarded
 }
 
@@ -507,7 +556,7 @@ TEST(PredOpt, NeverDropsStoreOrBranchGuards)
                          Predicate::onReg(p, false)));
 
     BitVector live_out(f.fn.numVregs());
-    optimizePredicates(f.bb(), live_out);
+    predOpt(f.bb(), live_out);
     EXPECT_TRUE(f.bb().insts[0].pred.valid());
     EXPECT_TRUE(f.bb().insts[1].pred.valid());
 }
@@ -528,7 +577,7 @@ TEST(Gvn, StrengthReducesPowerOfTwoMultiply)
     Vreg z = f.builder.mul(IRBuilder::imm(16), IRBuilder::r(y));
     f.builder.ret(IRBuilder::r(z));
 
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Mul), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Shl), 2u);
     EXPECT_EQ(f.bb().insts[0].srcs[1].imm, 3);  // 8 = 1<<3
@@ -540,7 +589,7 @@ TEST(Gvn, NoStrengthReductionForNonPowers)
     Vreg x = f.fn.newVreg();
     Vreg y = f.builder.mul(IRBuilder::r(x), IRBuilder::imm(6));
     f.builder.ret(IRBuilder::r(y));
-    valueNumberBlock(f.fn, f.bb());
+    gvn(f.fn, f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Mul), 1u);
 }
 
@@ -567,7 +616,10 @@ TEST(DominatorGvn, HoistsRedundancyFromDominatedBlocks)
     Vreg e = b.add(IRBuilder::r(y), IRBuilder::r(x)); // commuted copy
     b.ret(IRBuilder::r(e));
 
-    EXPECT_EQ(valueNumberFunctionDominator(fn), 2u);
+    std::vector<BlockId> changed;
+    EXPECT_EQ(valueNumberFunctionDominator(fn, changed), 2u);
+    std::sort(changed.begin(), changed.end());
+    EXPECT_EQ(changed, (std::vector<BlockId>{then_b, else_b}));
     EXPECT_EQ(fn.block(then_b)->insts[0].op, Opcode::Mov);
     EXPECT_EQ(fn.block(then_b)->insts[0].srcs[0].reg, base);
     EXPECT_EQ(fn.block(else_b)->insts[0].op, Opcode::Mov);
@@ -595,7 +647,9 @@ TEST(DominatorGvn, SiblingsDoNotShare)
     Vreg e = b.mul(IRBuilder::r(x), IRBuilder::r(y));
     b.ret(IRBuilder::r(e));
 
-    EXPECT_EQ(valueNumberFunctionDominator(fn), 0u);
+    std::vector<BlockId> changed;
+    EXPECT_EQ(valueNumberFunctionDominator(fn, changed), 0u);
+    EXPECT_TRUE(changed.empty());
 }
 
 TEST(DominatorGvn, SkipsMultiplyAssignedRegisters)
@@ -626,7 +680,9 @@ TEST(DominatorGvn, SkipsMultiplyAssignedRegisters)
     b.setBlock(body);
     b.ret(IRBuilder::r(i));
 
-    EXPECT_EQ(valueNumberFunctionDominator(fn), 0u);
+    std::vector<BlockId> changed;
+    EXPECT_EQ(valueNumberFunctionDominator(fn, changed), 0u);
+    EXPECT_TRUE(changed.empty());
 }
 
 // ----- optimizeBlock: the per-trial pipeline -----
@@ -657,7 +713,7 @@ TEST(OptimizeBlock, RemovesRedundanciesToAFixpoint)
 
     BitVector live_out(f.fn.numVregs());
     OptPassStats stats;
-    EXPECT_GT(optimizeBlock(f.fn, f.bb(), live_out, nullptr, &stats), 0u);
+    EXPECT_GT(optimize(f.fn, f.bb(), live_out, &stats), 0u);
 
     // The repeated add folds into the first; the dead multiply goes,
     // the stored one stays; no copy survives.
@@ -668,7 +724,7 @@ TEST(OptimizeBlock, RemovesRedundanciesToAFixpoint)
 
     // The result is a fixpoint: a second run changes nothing.
     std::string once = toString(f.fn);
-    EXPECT_EQ(optimizeBlock(f.fn, f.bb(), live_out), 0u);
+    EXPECT_EQ(optimize(f.fn, f.bb(), live_out), 0u);
     EXPECT_EQ(toString(f.fn), once);
 }
 
