@@ -50,7 +50,7 @@ main()
             options.pipeline = pipeline;
             Session session(options);
             size_t unit =
-                session.addProgram(cloneProgram(base), profile);
+                session.addProgram(base.clone(), profile);
             SessionResult compiled = session.compile();
             ConfigResult run = measureCompiled(
                 session.program(unit),

@@ -24,17 +24,6 @@
 
 namespace chf::bench {
 
-/** Deep copy of a program (Function holds unique_ptrs). */
-inline Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 /** Parse --threads=N from argv; defaults to 1 (sequential). */
 inline int
 parseThreadsFlag(int argc, char **argv)
@@ -91,7 +80,7 @@ measure(const Program &prepared, const ProfileData &profile,
 {
     Session session(options);
     size_t unit =
-        session.addProgram(cloneProgram(prepared), profile);
+        session.addProgram(prepared.clone(), profile);
     SessionResult compiled = session.compile(1);
     return measureCompiled(session.program(unit),
                            std::move(compiled.functions[unit].stats),
@@ -110,9 +99,9 @@ compileClone(const Program &prepared, const ProfileData &profile,
              const SessionOptions &options)
 {
     Session session(options);
-    size_t unit = session.addProgram(cloneProgram(prepared), profile);
+    size_t unit = session.addProgram(prepared.clone(), profile);
     session.compile(1);
-    return cloneProgram(session.program(unit));
+    return session.program(unit).clone();
 }
 
 /** Percent improvement of @p cycles over @p base_cycles. */

@@ -62,16 +62,6 @@ preparedWorkload()
     return program;
 }
 
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 /**
  * Compile @p program in place through a single-unit Session and return
  * that unit's result.
@@ -125,7 +115,7 @@ BM_ScalarOptimize(benchmark::State &state)
     const Program &p = preparedWorkload();
     for (auto _ : state) {
         state.PauseTiming();
-        Program copy = cloneProgram(p);
+        Program copy = p.clone();
         state.ResumeTiming();
         optimizeFunction(copy.fn);
     }
@@ -146,7 +136,7 @@ BM_ConvergentFormation(benchmark::State &state)
     const Program &p = preparedWorkload();
     for (auto _ : state) {
         state.PauseTiming();
-        Program copy = cloneProgram(p);
+        Program copy = p.clone();
         state.ResumeTiming();
         runFormation(copy);
     }
@@ -159,7 +149,7 @@ BM_FullPipeline(benchmark::State &state)
     const Program &p = preparedWorkload();
     for (auto _ : state) {
         state.PauseTiming();
-        Program copy = cloneProgram(p);
+        Program copy = p.clone();
         state.ResumeTiming();
         compileOne(copy,
                    SessionOptions().withPipeline(Pipeline::IUPO_fused));
@@ -170,7 +160,7 @@ BENCHMARK(BM_FullPipeline);
 void
 BM_Scheduler(benchmark::State &state)
 {
-    Program compiled = cloneProgram(preparedWorkload());
+    Program compiled = preparedWorkload().clone();
     compileOne(compiled,
                SessionOptions().withPipeline(Pipeline::IUPO_fused));
     for (auto _ : state) {
@@ -268,7 +258,7 @@ timePrepareUs(const Program &built, int repeats)
 {
     std::vector<int64_t> samples;
     for (int r = 0; r < repeats; ++r) {
-        Program copy = cloneProgram(built);
+        Program copy = built.clone();
         Timer timer;
         prepareProgram(copy);
         samples.push_back(timer.elapsedMicros());
@@ -283,7 +273,7 @@ timeFormationUs(const Program &prepared, int repeats,
 {
     std::vector<int64_t> samples;
     for (int r = 0; r < repeats; ++r) {
-        Program copy = cloneProgram(prepared);
+        Program copy = prepared.clone();
         FunctionResult result = compileOne(
             copy,
             SessionOptions()
@@ -321,7 +311,7 @@ sweepFormation(int repeats)
         // workload's cold-start (allocator, page faults).
         timePrepareUs(built, 1);
         t.prepareUs = timePrepareUs(built, repeats);
-        Program prepared = cloneProgram(built);
+        Program prepared = built.clone();
         prepareProgram(prepared);
         t.blocks = prepared.fn.numBlocks();
         t.insts = prepared.fn.totalInsts();
@@ -369,7 +359,7 @@ timeBatchWallUs(const Program &prepared, int units, int threads,
                             .withBackend(false)
                             .withThreads(threads));
         for (int u = 0; u < units; ++u)
-            session.addProgram(cloneProgram(prepared), ProfileData{});
+            session.addProgram(prepared.clone(), ProfileData{});
         Timer timer;
         session.compile();
         int64_t us = timer.elapsedMicros();
@@ -477,7 +467,7 @@ sweepGenerated(int repeats)
                                 .withThreads(threads));
             for (int i = 0; i < kGeneratedCount; ++i) {
                 session.addProgram(
-                    cloneProgram(prepared[static_cast<size_t>(i)]),
+                    prepared[static_cast<size_t>(i)].clone(),
                     ProfileData(profiles[static_cast<size_t>(i)]));
             }
             Timer timer;
@@ -670,7 +660,7 @@ runSmoke(const char *baseline_path)
         return 1;
     }
 
-    Program prepared = cloneProgram(built);
+    Program prepared = built.clone();
     prepareProgram(prepared);
     timeFormationUs(prepared, 1);
     int64_t us = timeFormationUs(prepared, kRepeats);

@@ -59,11 +59,11 @@ main(int argc, char **argv)
         entry.name = workload.name;
         entry.oracle = runFunctional(base);
         entry.bbUnit = session.addProgram(
-            cloneProgram(base), profile, workload.name + "/BB",
+            base.clone(), profile, workload.name + "/BB",
             SessionOptions().withPipeline(Pipeline::BB));
         for (const Config &config : configs) {
             entry.units.push_back(session.addProgram(
-                cloneProgram(base), profile,
+                base.clone(), profile,
                 workload.name + "/" + config.label,
                 SessionOptions().withPipeline(config.pipeline)));
         }

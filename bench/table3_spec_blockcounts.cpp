@@ -51,11 +51,11 @@ main(int argc, char **argv)
         entry.name = workload.name;
         entry.oracle = runFunctional(base);
         entry.bbUnit = session.addProgram(
-            cloneProgram(base), profile, workload.name + "/BB",
+            base.clone(), profile, workload.name + "/BB",
             SessionOptions().withPipeline(Pipeline::BB));
         for (const auto &config : configs) {
             entry.units.push_back(session.addProgram(
-                cloneProgram(base), profile,
+                base.clone(), profile,
                 workload.name + "/" + config.first,
                 SessionOptions().withPipeline(config.second)));
         }

@@ -16,7 +16,6 @@
  *   --cache-cap=N     LRU compile-cache entries (default 256)
  *   --max-inflight=N  concurrent compiles before shedding (default 8)
  *   --timeout-ms=N    default per-request budget (default none)
- *   --no-backend      formation only, skip regalloc/fanout/schedule
  *
  * Client mode sends every line of --replay (stdin if omitted) over
  * --concurrency connections, prints each response, and with --summary
@@ -359,8 +358,6 @@ main(int argc, char **argv)
             opts.maxInFlight = std::atoi(a + 15);
         else if (std::strncmp(a, "--timeout-ms=", 13) == 0)
             opts.defaultTimeoutMs = std::atoi(a + 13);
-        else if (std::strcmp(a, "--no-backend") == 0)
-            opts.runBackend = false;
         else {
             std::fprintf(stderr, "unknown flag %s\n", a);
             return 1;

@@ -28,16 +28,6 @@ using namespace chf;
 
 namespace {
 
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 /** --tune mode: search policy × knob space, print the Pareto report. */
 int
 runTuner(const Workload &workload, const TargetModel &target,
@@ -181,7 +171,7 @@ main(int argc, char **argv)
     // One session unit per policy, compiled as a batch.
     Session session;
     for (const auto &[label, policy] : policies) {
-        session.addProgram(cloneProgram(base), profile, label,
+        session.addProgram(base.clone(), profile, label,
                            SessionOptions()
                                .withPipeline(Pipeline::IUPO_fused)
                                .withPolicy(policy)

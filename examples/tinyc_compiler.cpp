@@ -237,7 +237,6 @@ main(int argc, char **argv)
         }
     }
 
-    DiagnosticEngine diags;
     Program program;
     if (!gen_spec.empty()) {
         uint64_t seed = 0;
@@ -253,8 +252,6 @@ main(int argc, char **argv)
         // buildGenerated, not the source path: irreducible-edge
         // injection happens at the IR level after lowering.
         program = buildGenerated(generated);
-        if (!args.empty())
-            program.defaultArgs = args; // override the reference vector
     } else {
         std::ifstream in(argv[argi]);
         if (!in) {
@@ -265,6 +262,7 @@ main(int argc, char **argv)
         buffer << in.rdbuf();
 
         if (keep_going) {
+            DiagnosticEngine diags;
             std::optional<Program> compiled_fe =
                 Session::frontend(buffer.str(), diags);
             if (!compiled_fe) {
@@ -275,46 +273,39 @@ main(int argc, char **argv)
         } else {
             program = Session::frontend(buffer.str());
         }
-        if (!args.empty())
-            program.defaultArgs = args;
     }
+    if (!args.empty())
+        program.defaultArgs = args; // override the reference vector
 
-    // Prepare runs in its own fault scope, as unit 0; the fault fires
-    // at most once, so the Session only gets it if prepare's did not.
+    // Unit 0 is the compile, so fn:0 names it. Unit 1 is the paper's
+    // basic-block baseline the simulators compare against: the same
+    // program, prepared and left unformed.
     SessionOptions options = SessionOptions()
                                  .withPipeline(Pipeline::IUPO_fused)
                                  .withTarget(*target)
                                  .withKeepGoing(keep_going);
-    ProfileData profile;
-    {
-        FaultScope prepare_fault(spec ? &*spec : nullptr);
-        profile = prepareProgram(program, {}, true,
-                                 keep_going ? &diags : nullptr, keep_going);
-        if (spec && !prepare_fault.fired())
-            options.withFault(*spec);
-    }
-    std::vector<std::string> failed_phases;
-    if (diags.hasPhase("unroll"))
-        failed_phases.push_back("unroll");
-    FuncSimResult baseline = runFunctional(program);
-    TimingResult bb_timing = runTiming(program);
-
+    if (spec)
+        options.withFault(*spec);
     Session session(options);
-    session.addProgramRef(program, profile);
+    session.addLowered(program.clone());
+    session.addLowered(std::move(program), "baseline",
+                       SessionOptions(options)
+                           .withPipeline(Pipeline::BB)
+                           .withBackend(false));
     SessionResult result = session.compile();
-    FunctionResult &compiled = result.functions[0];
-    diags.append(result.diagnostics);
-    failed_phases.insert(failed_phases.end(),
-                         compiled.failedPhases.begin(),
-                         compiled.failedPhases.end());
+    const FunctionResult &compiled = result.functions[0];
+    const Program &out = session.program(0);
+    const Program &bb = session.program(1);
 
     if (dump)
-        std::printf("%s\n", toString(program.fn).c_str());
+        std::printf("%s\n", toString(out.fn).c_str());
     if (emit_asm)
-        std::printf("%s\n", writeFunctionAsm(program.fn).c_str());
+        std::printf("%s\n", writeFunctionAsm(out.fn).c_str());
 
-    FuncSimResult run = runFunctional(program);
-    TimingResult timing = runTiming(program);
+    FuncSimResult baseline = runFunctional(bb);
+    TimingResult bb_timing = runTiming(bb);
+    FuncSimResult run = runFunctional(out);
+    TimingResult timing = runTiming(out);
 
     std::printf("result               %lld\n",
                 static_cast<long long>(run.returnValue));
@@ -327,7 +318,7 @@ main(int argc, char **argv)
                     ? "yes"
                     : "NO -- COMPILER BUG");
     std::printf("hyperblocks          %zu (from %zu basic blocks)\n",
-                program.fn.numBlocks(),
+                out.fn.numBlocks(),
                 static_cast<size_t>(
                     compiled.stats.get("finalBlocks") +
                     compiled.stats.get("blocksMerged")));
@@ -349,16 +340,16 @@ main(int argc, char **argv)
                 timing.mispredictRate() * 100);
 
     if (keep_going) {
-        if (!failed_phases.empty()) {
+        if (compiled.degraded()) {
             std::printf("degraded phases      ");
-            for (size_t i = 0; i < failed_phases.size(); ++i) {
+            for (size_t i = 0; i < compiled.failedPhases.size(); ++i) {
                 std::printf("%s%s", i ? ", " : "",
-                            failed_phases[i].c_str());
+                            compiled.failedPhases[i].c_str());
             }
             std::printf("\n");
         }
-        if (!diags.empty())
-            diags.print(stderr);
+        if (!result.diagnostics.empty())
+            result.diagnostics.print(stderr);
     }
     return 0;
 }

@@ -19,20 +19,6 @@
 
 using namespace chf;
 
-namespace {
-
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
-} // namespace
-
 int
 main()
 {
@@ -88,7 +74,7 @@ int main() {
     // One session unit per pipeline, compiled as a batch.
     Session session;
     for (const auto &[label, pipeline] : configs) {
-        session.addProgram(cloneProgram(base), profile, label,
+        session.addProgram(base.clone(), profile, label,
                            SessionOptions().withPipeline(pipeline));
     }
     SessionResult compiled = session.compile();

@@ -19,7 +19,8 @@
  *
  * All pipelines assume the front end already ran (inlining, for-loop
  * unrolling, CFG simplification, scalar optimization, profiling); use
- * prepareProgram() for that.
+ * prepareProgram() for that, or let a Session unit do it
+ * (Session::addLowered).
  */
 
 #ifndef CHF_HYPERBLOCK_PHASE_ORDERING_H

@@ -1,4 +1,15 @@
 #include "ir/program.h"
 
-// Program is an aggregate; this translation unit exists so the target
-// has a stable home for future non-inline members.
+namespace chf {
+
+Program
+Program::clone() const
+{
+    Program copy;
+    copy.fn = fn.clone();
+    copy.memory = memory;
+    copy.defaultArgs = defaultArgs;
+    return copy;
+}
+
+} // namespace chf

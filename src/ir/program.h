@@ -22,6 +22,9 @@ struct Program
 
     /** Default argument values bound to fn.argRegs on simulation. */
     std::vector<int64_t> defaultArgs;
+
+    /** Deep copy (Function holds its blocks through unique_ptrs). */
+    Program clone() const;
 };
 
 } // namespace chf

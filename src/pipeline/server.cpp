@@ -346,7 +346,9 @@ ServerStats
 CompileServer::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex);
-    return counters;
+    ServerStats s = counters;
+    s.cacheEntries = cacheIndex.size();
+    return s;
 }
 
 bool
@@ -426,7 +428,7 @@ CompileServer::handle(const std::string &line)
            << ",\"shed\":" << s.shed
            << ",\"timeouts\":" << s.timeouts
            << ",\"errors\":" << s.errors
-           << ",\"cache_entries\":" << cacheIndex.size()
+           << ",\"cache_entries\":" << s.cacheEntries
            << ",\"trial_memo_hits\":" << memo.hits
            << ",\"trial_memo_misses\":" << memo.misses
            << ",\"trial_memo_entries\":" << memo.entries
@@ -485,7 +487,6 @@ CompileServer::handle(const std::string &line)
         h.u8(source ? 1 : 2);
         h.u8(keep_going ? 1 : 0);
         h.u8(emit_asm ? 1 : 0);
-        h.u8(opts.runBackend ? 1 : 0);
         h.u64(args ? args->size() : 0);
         if (args)
             for (int64_t a : *args)
@@ -555,9 +556,9 @@ CompileServer::handleCompileAdmitted(
         }
     }
 
-    DiagnosticEngine diags;
     Program program;
     if (source) {
+        DiagnosticEngine diags;
         std::optional<Program> fe = Session::frontend(*source, diags);
         if (!fe) {
             std::lock_guard<std::mutex> lock(mutex);
@@ -579,36 +580,20 @@ CompileServer::handleCompileAdmitted(
     if (args && !args->empty())
         program.defaultArgs = *args;
 
-    // Prepare runs outside the Session, in its own fault scope, as
-    // unit 0. The request's fault fires at most once, so the Session
-    // only gets it if prepare's scope did not fire. A rolled-back
-    // prepare `unroll` is a failed phase of the request like any other.
+    // The request is one lowered unit: the Session prepares it inside
+    // the unit's deadline and fault scopes, like every other phase.
     SessionOptions options = SessionOptions()
                                  .withPipeline(Pipeline::IUPO_fused)
                                  .withTarget(target)
-                                 .withBackend(opts.runBackend)
                                  .withKeepGoing(keep_going)
                                  .withUnitTimeout(timeout_ms);
-    ProfileData profile;
-    {
-        FaultScope prepare_fault(spec ? &*spec : nullptr);
-        profile = prepareProgram(program, {}, true,
-                                 keep_going ? &diags : nullptr, keep_going);
-        if (spec && !prepare_fault.fired())
-            options.withFault(*spec);
-    }
-    std::vector<std::string> failed_phases;
-    if (diags.hasPhase("unroll"))
-        failed_phases.push_back("unroll");
-
+    if (spec)
+        options.withFault(*spec);
     Session session(options);
-    session.addProgramRef(program, profile);
+    session.addLowered(std::move(program));
     SessionResult result = session.compile();
-    diags.append(result.diagnostics);
 
     const FunctionResult &fr = result.functions[0];
-    failed_phases.insert(failed_phases.end(), fr.failedPhases.begin(),
-                         fr.failedPhases.end());
     bool timed_out = false;
     for (const std::string &phase : fr.failedPhases)
         if (phase == "timeout")
@@ -625,14 +610,15 @@ CompileServer::handleCompileAdmitted(
     // copy can be re-wrapped per request.
     std::ostringstream body;
     body << "\"status\":" << (timed_out ? "\"timeout\"" : "\"ok\"")
-         << ",\"degraded\":" << (failed_phases.empty() ? "false" : "true")
+         << ",\"degraded\":" << (fr.degraded() ? "true" : "false")
          << ",\"blocks\":" << fr.blocks << ",\"insts\":" << fr.insts
          << ",\"failed_phases\":[";
-    for (size_t i = 0; i < failed_phases.size(); ++i)
-        body << (i ? "," : "") << jsonQuote(failed_phases[i]);
-    body << "],\"diagnostics\":" << diagnosticsJson(diags);
+    for (size_t i = 0; i < fr.failedPhases.size(); ++i)
+        body << (i ? "," : "") << jsonQuote(fr.failedPhases[i]);
+    body << "],\"diagnostics\":" << diagnosticsJson(result.diagnostics);
     if (emit_asm && !timed_out)
-        body << ",\"asm\":" << jsonQuote(writeFunctionAsm(program.fn));
+        body << ",\"asm\":"
+             << jsonQuote(writeFunctionAsm(session.program(0).fn));
 
     std::string tail = body.str();
     if (cacheable && !timed_out)

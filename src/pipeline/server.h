@@ -38,9 +38,11 @@
  *  - Overload shedding: at most maxInFlight compiles run at once; a
  *    request beyond that is refused immediately with status "shed"
  *    rather than queued without bound.
- *  - Fault isolation: a request's "fault" is armed in a FaultScope on
- *    the thread compiling it (support/fault_inject.h), so a faulted
- *    request runs beside every other and fires at most once.
+ *  - One compile path: a request is one lowered unit of a Session,
+ *    which prepares and compiles it inside the unit's deadline and
+ *    fault scopes (DESIGN.md §12). So "timeout_ms" covers prepare too,
+ *    and a request's "fault" is armed only on the thread compiling it:
+ *    a faulted request runs beside every other and fires at most once.
  */
 
 #ifndef CHF_PIPELINE_SERVER_H
@@ -67,12 +69,9 @@ struct ServerOptions
     /** Default per-request compile budget in ms (0 = none); a
      *  request's "timeout_ms" overrides it. */
     int defaultTimeoutMs = 0;
-
-    /** Run the backend phases (regalloc/fanout/schedule). */
-    bool runBackend = true;
 };
 
-/** Monotonic service counters, returned by the "stats" op. */
+/** Service counters, returned by the "stats" op. */
 struct ServerStats
 {
     uint64_t requests = 0;  ///< lines handled, including malformed
@@ -81,6 +80,10 @@ struct ServerStats
     uint64_t shed = 0;      ///< refused over the in-flight cap
     uint64_t timeouts = 0;  ///< compiles that hit their time budget
     uint64_t errors = 0;    ///< malformed requests + input errors
+
+    /** LRU occupancy when stats() read it (the one non-monotonic
+     *  field), read under the same lock as the counters. */
+    uint64_t cacheEntries = 0;
 };
 
 namespace server_detail {

@@ -118,15 +118,23 @@ Session::addProgramRef(Program &program, const ProfileData &profile,
 }
 
 size_t
+Session::addLowered(Program program, std::string name,
+                    std::optional<SessionOptions> unit_options)
+{
+    size_t unit = addProgram(std::move(program), ProfileData{},
+                             std::move(name), std::move(unit_options));
+    units[unit].lowered = true;
+    return unit;
+}
+
+size_t
 Session::addSource(const std::string &source, std::string name,
                    const std::vector<int64_t> &profile_args)
 {
     Program program = frontend(source);
     if (!profile_args.empty())
         program.defaultArgs = profile_args;
-    ProfileData profile = prepareProgram(program, profile_args);
-    return addProgram(std::move(program), std::move(profile),
-                      std::move(name));
+    return addLowered(std::move(program), std::move(name));
 }
 
 Program &
@@ -193,18 +201,40 @@ Session::compile(int threads)
                 std::chrono::milliseconds(conf.unitTimeoutMs));
         CancellationScope cancel_scope(budget);
         FaultScope fault_scope(fault, static_cast<int>(i));
+        CompileResult &out = slot.result;
         try {
-            slot.result = detail::compileUnit(unit.prog(), unit.prof(), co);
+            // A lowered unit is prepared here, inside its scopes, so its
+            // deadline and fault cover prepare like any other phase. A
+            // rolled-back for-loop unroll is its first failed phase.
+            int64_t prepare_us = 0;
+            if (unit.lowered) {
+                Timer prepare;
+                *unit.ownedProfile = prepareProgram(
+                    unit.prog(), {}, true, co.diags, conf.keepGoing);
+                prepare_us = prepare.elapsedMicros();
+                if (slot.diags.hasPhase("unroll"))
+                    out.failedPhases.push_back("unroll");
+            }
+            CompileResult compiled =
+                detail::compileUnit(unit.prog(), unit.prof(), co);
+            out.stats = std::move(compiled.stats);
+            out.failedPhases.insert(out.failedPhases.end(),
+                                    compiled.failedPhases.begin(),
+                                    compiled.failedPhases.end());
+            if (unit.lowered) {
+                out.stats.set("usPrepare", prepare_us);
+                out.stats.add("usCompileTotal", prepare_us);
+            }
         } catch (const CancelledError &e) {
             // Deterministic surface: one fixed diagnostic, and
             // "timeout" recorded as the unit's failed phase.
             slot.diags.report(e.diagnostic());
-            slot.result.failedPhases.push_back(e.diagnostic().phase);
+            out.failedPhases.push_back(e.diagnostic().phase);
         } catch (...) {
             slot.error = std::current_exception();
         }
         if (fault)
-            slot.result.stats.set("faultsFired", fault_scope.fired() ? 1 : 0);
+            out.stats.set("faultsFired", fault_scope.fired() ? 1 : 0);
     };
 
     const size_t workers =

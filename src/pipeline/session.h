@@ -3,9 +3,10 @@
  * chf::Session — the unified compilation façade and parallel driver.
  *
  * A Session owns a batch of compilation units (a prepared Program plus
- * its ProfileData), a SessionOptions configuration, and compiles every
- * unit through the phase pipeline (formation → regalloc → fanout →
- * schedule). Units are independent by construction — each worker gets
+ * its ProfileData, or a lowered Program the unit prepares itself), a
+ * SessionOptions configuration, and compiles every unit through the
+ * phase pipeline (prepare → formation → regalloc → fanout → schedule).
+ * Units are independent by construction — each worker gets
  * its own AnalysisManager, phase snapshots, DiagnosticEngine, time
  * budget and fault scope — so compile(nThreads) runs units on up to
  * nThreads worker threads, each claiming the next unit index from one
@@ -50,8 +51,8 @@ namespace chf {
  *                       .withThreads(4));
  *
  * The pipeline/policy/constraint fields configure every unit (units
- * may override them individually via addProgram); threads and
- * faultSpec are session-wide.
+ * may override them individually via addProgram or addLowered);
+ * threads and faultSpec are session-wide.
  */
 struct SessionOptions
 {
@@ -218,10 +219,20 @@ class Session
                          std::optional<SessionOptions> unit_options = {});
 
     /**
-     * Front end + preparation in one step: parse and lower TinyC,
-     * then run prepareProgram (cleanup, profiling, for-loop
-     * unrolling) with @p profile_args. Fatal on malformed input, like
-     * Session::frontend.
+     * Add a lowered, unprepared unit (Session::frontend or
+     * buildGenerated output; its defaultArgs are the profiling
+     * arguments). compile() runs prepareProgram in the unit's worker,
+     * inside its deadline and fault scopes, strict or keep-going as the
+     * unit's options say; a rolled-back prepare "unroll" is its first
+     * failed phase, and its usCompileTotal includes its usPrepare.
+     */
+    size_t addLowered(Program program, std::string name = "",
+                      std::optional<SessionOptions> unit_options = {});
+
+    /**
+     * Session::frontend on the calling thread (fatal on malformed
+     * input), @p profile_args as defaultArgs when given, then
+     * addLowered.
      */
     size_t addSource(const std::string &source, std::string name = "",
                      const std::vector<int64_t> &profile_args = {});
@@ -268,6 +279,10 @@ class Session
         /** Owned storage (null for addProgramRef units). */
         std::unique_ptr<Program> ownedProgram;
         std::unique_ptr<ProfileData> ownedProfile;
+
+        /** Added by addLowered: compile() prepares it, filling
+         *  ownedProfile. */
+        bool lowered = false;
 
         /** Caller-owned storage (null for owned units). */
         Program *externalProgram = nullptr;

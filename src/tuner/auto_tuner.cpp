@@ -12,17 +12,6 @@ namespace chf {
 
 namespace {
 
-/** Deep copy of a program (Function holds unique_ptrs). */
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 size_t
 staticInsts(const Function &fn)
 {
@@ -118,7 +107,7 @@ AutoTuner::tune(const Program &prepared, const ProfileData &profile)
         Session session(SessionOptions().withThreads(opts.threads));
         for (const Candidate &c : batch) {
             session.addProgram(
-                cloneProgram(prepared), profile, c.label,
+                prepared.clone(), profile, c.label,
                 SessionOptions()
                     .withPipeline(opts.pipeline)
                     .withPolicy(c.policy)

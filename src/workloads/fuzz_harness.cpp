@@ -26,16 +26,6 @@ policyShortName(PolicyKind kind)
     return "?";
 }
 
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 /** What one matrix cell produced. */
 struct CellOutput
 {
@@ -57,7 +47,7 @@ CellOutput
 runCell(const Program &prepared, const ProfileData &profile,
         const FuzzConfig &config)
 {
-    Program unit = cloneProgram(prepared);
+    Program unit = prepared.clone();
 
     SessionOptions conf = SessionOptions()
                               .withPolicy(config.policy)
@@ -126,7 +116,7 @@ checkProgram(uint64_t seed, const GeneratorShape &shape,
     }
     uint64_t oracleHash = oracle.memory.userHash();
 
-    Program prepared = cloneProgram(raw);
+    Program prepared = raw.clone();
     ProfileData profile = prepareProgram(prepared);
 
     // Cells that must agree byte-for-byte: same policy and fault, any

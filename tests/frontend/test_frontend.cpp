@@ -423,10 +423,7 @@ TEST(Lowering, DoWhileSurvivesAllPipelines)
     FuncSimResult oracle = runFunctional(base);
     for (Pipeline pipeline :
          {Pipeline::UPIO, Pipeline::IUPO, Pipeline::IUPO_fused}) {
-        Program compiled;
-        compiled.fn = base.fn.clone();
-        compiled.memory = base.memory;
-        compiled.defaultArgs = base.defaultArgs;
+        Program compiled = base.clone();
         Session session(SessionOptions().withPipeline(pipeline));
         session.addProgramRef(compiled, profile);
         session.compile();

@@ -169,16 +169,6 @@ class ProgramGenerator
     int loopCounter = 0;
 };
 
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 class FuzzPipelines : public ::testing::TestWithParam<uint64_t>
 {
 };
@@ -204,7 +194,7 @@ TEST_P(FuzzPipelines, AllConfigurationsPreserveSemantics)
         {Pipeline::IUPO_fused, PolicyKind::VliwConvergent},
     };
     for (const auto &[pipeline, policy] : cases) {
-        Program compiled = cloneProgram(base);
+        Program compiled = base.clone();
         Session session(
             SessionOptions().withPipeline(pipeline).withPolicy(policy));
         session.addProgramRef(compiled, profile);
@@ -238,7 +228,7 @@ TEST_P(FuzzInputs, RandomArgumentsMatch)
     ProfileData profile = prepareProgram(
         base, {static_cast<int64_t>(GetParam()), 3});
 
-    Program compiled = cloneProgram(base);
+    Program compiled = base.clone();
     Session session(SessionOptions().withPipeline(Pipeline::IUPO_fused));
     session.addProgramRef(compiled, profile);
     session.compile();
@@ -302,7 +292,7 @@ TEST_P(FaultMatrix, EveryPhaseSurvivesInjectedFaults)
             spec.phase = phase;
             spec.kind = kind;
 
-            Program compiled = cloneProgram(base);
+            Program compiled = base.clone();
             Session session(SessionOptions()
                                 .withPipeline(pipeline)
                                 .withKeepGoing(true)

@@ -18,16 +18,6 @@
 namespace chf {
 namespace {
 
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 struct PipelineCase
 {
     Pipeline pipeline;
@@ -67,7 +57,7 @@ TEST_P(WorkloadPipelineTest, AllPipelinesPreserveSemantics)
     };
 
     for (const auto &c : cases) {
-        Program compiled = cloneProgram(base);
+        Program compiled = base.clone();
         Session session(
             SessionOptions().withPipeline(c.pipeline).withPolicy(c.policy));
         session.addProgramRef(compiled, profile);
@@ -138,7 +128,7 @@ TEST_P(StrictInvariants, FinalBlocksRespectIsaLimits)
     ProfileData profile = prepareProgram(base);
     FuncSimResult bb_run = runFunctional(base);
 
-    Program compiled = cloneProgram(base);
+    Program compiled = base.clone();
     Session session(SessionOptions().withPipeline(Pipeline::IUPO_fused));
     session.addProgramRef(compiled, profile);
     session.compile();

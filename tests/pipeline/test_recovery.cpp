@@ -47,16 +47,6 @@ makeProgram()
     return program;
 }
 
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 /** Smash the function so the verifier must reject it. */
 void
 corrupt(Function &fn)
@@ -190,7 +180,7 @@ TEST(GuardedPipeline, RegallocRollbackRestoresMemory)
     FuncSimResult oracle = runFunctional(prepared);
 
     {
-        Program clean = cloneProgram(prepared);
+        Program clean = prepared.clone();
         Session session(SessionOptions().withKeepGoing(true));
         session.addProgramRef(clean, profile);
         SessionResult result = session.compile();
@@ -204,7 +194,7 @@ TEST(GuardedPipeline, RegallocRollbackRestoresMemory)
         FaultSpec spec;
         spec.phase = "regalloc";
         spec.kind = kind;
-        Program program = cloneProgram(prepared);
+        Program program = prepared.clone();
         Session session(
             SessionOptions().withKeepGoing(true).withFault(spec));
         session.addProgramRef(program, profile);
@@ -238,24 +228,27 @@ struct CellOutput
     std::vector<int64_t> counters;
 };
 
-/** Compile a copy of @p prepared under one cell; the run must be clean. */
+/**
+ * Compile a copy of the lowered @p source under one cell, prepared by
+ * the Session in the cell's mode as the CLI and the daemon do; the run
+ * (prepare included) must be clean.
+ */
 CellOutput
-compileCell(const Program &prepared, const ProfileData &profile,
-            Pipeline pipeline, PolicyKind policy, bool keep_going)
+compileCell(const Program &source, Pipeline pipeline, PolicyKind policy,
+            bool keep_going)
 {
-    Program program = cloneProgram(prepared);
     Session session(SessionOptions()
                         .withPipeline(pipeline)
                         .withPolicy(policy)
                         .withKeepGoing(keep_going));
-    session.addProgramRef(program, profile);
+    session.addLowered(source.clone());
     SessionResult result = session.compile();
     EXPECT_FALSE(result.degraded());
     EXPECT_TRUE(result.diagnostics.empty())
         << result.diagnostics.toString();
 
     CellOutput out;
-    out.asmText = writeFunctionAsm(program.fn);
+    out.asmText = writeFunctionAsm(session.program(0).fn);
     for (const char *name : kModeCounters)
         out.counters.push_back(result.functions[0].stats.get(name));
     return out;
@@ -288,24 +281,13 @@ TEST(GuardedPipeline, CleanKeepGoingRunMatchesStrictRun)
 
     std::string reference_asm;
     for (const auto &[name, source] : corpus) {
-        // Each mode prepares its own copy, as the CLI and daemon do.
-        Program prepared[2];
-        ProfileData profile[2];
-        for (int keep_going = 0; keep_going < 2; ++keep_going) {
-            DiagnosticEngine diags;
-            prepared[keep_going] = cloneProgram(source);
-            profile[keep_going] =
-                prepareProgram(prepared[keep_going], {}, true, &diags,
-                               keep_going == 1);
-            EXPECT_TRUE(diags.empty()) << name << ": " << diags.toString();
-        }
         for (const auto &[pipeline, policy] : cells) {
             SCOPED_TRACE(name + " " + pipelineName(pipeline) + "/" +
                          policyKindName(policy));
-            CellOutput strict = compileCell(prepared[0], profile[0],
-                                            pipeline, policy, false);
-            CellOutput guarded = compileCell(prepared[1], profile[1],
-                                             pipeline, policy, true);
+            CellOutput strict =
+                compileCell(source, pipeline, policy, false);
+            CellOutput guarded =
+                compileCell(source, pipeline, policy, true);
             EXPECT_EQ(guarded.asmText, strict.asmText)
                 << "with no faults, keep-going must compile identically";
             EXPECT_EQ(guarded.counters, strict.counters);
@@ -318,25 +300,17 @@ TEST(GuardedPipeline, CleanKeepGoingRunMatchesStrictRun)
     }
 
     // Strict mode calls no fault hook, so an armed fault never fires
-    // there, in preparation or in the compile.
+    // there, in preparation or in the compile: one scope covers both.
     FaultSpec any_phase;
-    Program program = cloneProgram(corpus.front().second);
-    DiagnosticEngine diags;
-    ProfileData profile;
-    {
-        FaultScope prepare_fault(&any_phase);
-        profile = prepareProgram(program, {}, true, &diags, false);
-        EXPECT_FALSE(prepare_fault.fired());
-    }
     Session session(SessionOptions()
                         .withPipeline(Pipeline::IUPO_fused)
                         .withFault(any_phase));
-    session.addProgramRef(program, profile);
+    session.addLowered(corpus.front().second.clone());
     SessionResult result = session.compile();
     EXPECT_EQ(result.functions[0].stats.get("faultsFired"), 0);
     EXPECT_FALSE(result.degraded());
-    EXPECT_TRUE(diags.empty());
-    EXPECT_EQ(writeFunctionAsm(program.fn), reference_asm);
+    EXPECT_TRUE(result.diagnostics.empty());
+    EXPECT_EQ(writeFunctionAsm(session.program(0).fn), reference_asm);
 }
 
 } // namespace

@@ -196,27 +196,36 @@ TEST(ServerProtocol, UnknownTargetIsRefusedWithTheRegistry)
 
 TEST(ServerTimeout, StalledRequestTimesOutAndIsNotCached)
 {
-    CompileServer server;
-    const char *stalled =
-        R"({"op":"compile","gen":"seed:3,shape:bench","timeout_ms":300,)"
-        R"("fault":"phase:formation,fn:0,kind:stall:10000"})";
-    std::string response = server.handle(stalled);
-    EXPECT_EQ(status(response), "timeout") << response;
-    EXPECT_TRUE(hasField(response, "\"degraded\":true"));
-    EXPECT_TRUE(hasField(response, "\"timeout\""));
-    EXPECT_EQ(server.stats().timeouts, 1u);
+    // A stall in formation, and one in prepare's for-loop unroll: the
+    // request's budget covers prepare too.
+    for (const char *fault : {"phase:formation,fn:0,kind:stall:10000",
+                              "phase:unroll,fn:0,kind:stall:10000"}) {
+        SCOPED_TRACE(fault);
+        CompileServer server;
+        const std::string stalled =
+            std::string(
+                R"({"op":"compile","gen":"seed:3,shape:bench",)"
+                R"("timeout_ms":300,"fault":")") +
+            fault + R"("})";
+        std::string response = server.handle(stalled);
+        EXPECT_EQ(status(response), "timeout") << response;
+        EXPECT_TRUE(hasField(response, "\"degraded\":true"));
+        EXPECT_TRUE(hasField(response, "\"timeout\""));
+        EXPECT_EQ(server.stats().timeouts, 1u);
 
-    // The timed-out response must not have poisoned the cache.
-    std::string again = server.handle(stalled);
-    EXPECT_EQ(status(again), "timeout");
-    EXPECT_EQ(server.stats().cacheHits, 0u);
+        // The timed-out response must not have poisoned the cache.
+        std::string again = server.handle(stalled);
+        EXPECT_EQ(status(again), "timeout");
+        EXPECT_EQ(server.stats().cacheHits, 0u);
+    }
 }
 
 TEST(ServerProtocol, RolledBackPrepareUnrollIsDegraded)
 {
-    // Prepare runs before the Session, so its "unroll" phase is the
-    // first hook a request's fault can reach: fn:0 names it, and so
-    // does the default any-phase fault. The fault fires once.
+    // A request is one lowered Session unit, so prepare's for-loop
+    // "unroll" is the first hook its fault can reach: fn:0 names the
+    // request's unit, and so does the default any-phase fault. The
+    // fault fires once.
     for (const char *fault : {"phase:unroll,fn:0,kind:throw", "kind:throw"}) {
         SCOPED_TRACE(fault);
         CompileServer server;
@@ -299,6 +308,17 @@ TEST(ServerShedding, OverCapacityBurstsAreRefused)
     EXPECT_EQ(status(server.handle(kCompileGen)), "ok");
 }
 
+/** The "cache_entries" count of a stats response (-1 if absent). */
+long
+cacheEntries(const std::string &response)
+{
+    const std::string key = "\"cache_entries\":";
+    size_t at = response.find(key);
+    return at == std::string::npos
+               ? -1
+               : std::stol(response.substr(at + key.size()));
+}
+
 TEST(ServerProtocol, ConcurrentMixedTrafficIsCoherent)
 {
     ServerOptions opts;
@@ -306,25 +326,51 @@ TEST(ServerProtocol, ConcurrentMixedTrafficIsCoherent)
     CompileServer server(opts);
     server.handle(kCompileGen); // warm the cache
 
+    // Every other request is the warm one; the rest are distinct, so
+    // the workers insert cache entries while one thread polls stats.
+    // The cache never fills, so cache_entries never goes down.
     constexpr int kThreads = 4, kPerThread = 25;
     std::vector<std::thread> workers;
     std::atomic<int> bad{0};
     for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&server, &bad] {
+        workers.emplace_back([&server, &bad, t] {
             for (int i = 0; i < kPerThread; ++i) {
-                std::string s = status(server.handle(kCompileGen));
+                std::string line =
+                    i % 2 == 0
+                        ? std::string(kCompileGen)
+                        : R"({"op":"compile","gen":"seed:)" +
+                              std::to_string(100 + t * kPerThread + i) +
+                              R"(,shape:bench"})";
+                std::string s = status(server.handle(line));
                 if (s != "ok" && s != "shed")
                     bad.fetch_add(1);
             }
         });
     }
+    std::atomic<bool> done{false};
+    uint64_t polls = 0;
+    std::thread poller([&] {
+        long last = 0;
+        do {
+            long entries = cacheEntries(server.handle(R"({"op":"stats"})"));
+            ++polls;
+            if (entries < last)
+                bad.fetch_add(1);
+            last = entries;
+        } while (!done.load());
+    });
     for (std::thread &w : workers)
         w.join();
+    done = true;
+    poller.join();
     EXPECT_EQ(bad.load(), 0);
     ServerStats stats = server.stats();
-    EXPECT_EQ(stats.requests, 1u + kThreads * kPerThread);
+    EXPECT_EQ(stats.requests, 1u + kThreads * kPerThread + polls);
     EXPECT_EQ(stats.cacheHits + stats.shed + stats.compiled,
-              stats.requests);
+              stats.requests - polls);
+    EXPECT_EQ(stats.cacheEntries, 1u + kThreads * (kPerThread / 2));
+    EXPECT_EQ(cacheEntries(server.handle(R"({"op":"stats"})")),
+              static_cast<long>(stats.cacheEntries));
 }
 
 TEST(ServerProtocol, JsonQuoteEscapes)

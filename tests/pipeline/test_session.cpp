@@ -23,16 +23,6 @@
 namespace chf {
 namespace {
 
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 /** A while-loop kernel: exercises head duplication, so the discrete
  *  unroll/peel phases of the IUPO pipeline run (and can be faulted). */
 const char *const kSource =
@@ -143,15 +133,18 @@ INSTANTIATE_TEST_SUITE_P(Policies, SessionDeterminism,
 
 TEST(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
 {
-    Program base = makeProgram();
+    const Program lowered = makeProgram();
+    Program base = lowered.clone();
     ProfileData profile = prepareProgram(base);
     FuncSimResult oracle = runFunctional(base);
 
     constexpr int kUnits = 4;
     constexpr int kFaultUnit = 2;
 
+    // Prepared units (addProgram), or lowered ones (addLowered) that
+    // each worker prepares inside its unit's scopes.
     auto runBatch = [&](Pipeline pipeline,
-                        std::optional<FaultSpec> fault,
+                        std::optional<FaultSpec> fault, bool add_lowered,
                         std::vector<std::string> *asm_out,
                         SessionResult *result_out) {
         SessionOptions options = SessionOptions()
@@ -162,8 +155,11 @@ TEST(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
             options.withFault(*fault);
         Session session(options);
         for (int u = 0; u < kUnits; ++u) {
-            session.addProgram(cloneProgram(base), profile,
-                               "u" + std::to_string(u));
+            const std::string name = "u" + std::to_string(u);
+            if (add_lowered)
+                session.addLowered(lowered.clone(), name);
+            else
+                session.addProgram(base.clone(), profile, name);
         }
         *result_out = session.compile();
         asm_out->clear();
@@ -175,30 +171,40 @@ TEST(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
     // Clean single-threaded references, one per pipeline used below.
     std::vector<std::string> ref_fused, ref_iupo;
     SessionResult ref_result;
-    runBatch(Pipeline::IUPO_fused, std::nullopt, &ref_fused,
+    runBatch(Pipeline::IUPO_fused, std::nullopt, false, &ref_fused,
              &ref_result);
     ASSERT_FALSE(ref_result.degraded());
-    runBatch(Pipeline::IUPO, std::nullopt, &ref_iupo, &ref_result);
+    runBatch(Pipeline::IUPO, std::nullopt, false, &ref_iupo, &ref_result);
     ASSERT_FALSE(ref_result.degraded());
 
-    const std::pair<const char *, Pipeline> cases[] = {
-        {"unroll", Pipeline::IUPO},
-        {"peel", Pipeline::IUPO},
-        {"formation", Pipeline::IUPO_fused},
-        {"regalloc", Pipeline::IUPO_fused},
-        {"fanout", Pipeline::IUPO_fused},
-        {"schedule", Pipeline::IUPO_fused},
+    struct Case
+    {
+        const char *phase;
+        Pipeline pipeline;
+        bool lowered;
+    };
+    // The lowered case faults prepare's for-loop "unroll": (IUPO) has
+    // no unroll phase of its own, so the hook can only be prepare's.
+    const Case cases[] = {
+        {"unroll", Pipeline::IUPO, false},
+        {"peel", Pipeline::IUPO, false},
+        {"formation", Pipeline::IUPO_fused, false},
+        {"regalloc", Pipeline::IUPO_fused, false},
+        {"fanout", Pipeline::IUPO_fused, false},
+        {"schedule", Pipeline::IUPO_fused, false},
+        {"unroll", Pipeline::IUPO_fused, true},
     };
     const FaultSpec::Kind kinds[] = {FaultSpec::Kind::CorruptIr,
                                      FaultSpec::Kind::Throw};
-    for (const auto &[phase, pipeline] : cases) {
+    for (const auto &[phase, pipeline, add_lowered] : cases) {
         const std::vector<std::string> &reference =
             pipeline == Pipeline::IUPO ? ref_iupo : ref_fused;
         for (FaultSpec::Kind kind : kinds) {
             SCOPED_TRACE(std::string(phase) + "/" +
                          (kind == FaultSpec::Kind::CorruptIr
                               ? "corrupt-ir"
-                              : "throw"));
+                              : "throw") +
+                         (add_lowered ? "/lowered" : ""));
             FaultSpec spec;
             spec.phase = phase;
             spec.unit = kFaultUnit;
@@ -206,7 +212,7 @@ TEST(SessionFaultMatrix, UnitFaultFiresExactlyOnceAtFourThreads)
 
             std::vector<std::string> asmText;
             SessionResult result;
-            runBatch(pipeline, spec, &asmText, &result);
+            runBatch(pipeline, spec, add_lowered, &asmText, &result);
 
             // Exactly one firing, in the faulted unit, under 4
             // worker threads.
@@ -319,6 +325,11 @@ TEST(SessionBuilder, AddSourceLowersAndPrepares)
     EXPECT_EQ(result.functions[0].name, "demo");
     EXPECT_GT(result.functions[0].blocks, 0u);
     EXPECT_TRUE(verify(session.program(unit).fn).empty());
+
+    // compile() prepared the unit, and its total covers prepare.
+    const StatSet &stats = result.functions[0].stats;
+    EXPECT_TRUE(stats.has("usPrepare"));
+    EXPECT_GE(stats.get("usCompileTotal"), stats.get("usPrepare"));
 }
 
 // ----- parallel stress over synth64 (TSan target) -----
@@ -333,7 +344,7 @@ TEST(SessionStress, ParallelSynthBatchMatchesSequential)
     auto runBatch = [&](int threads) {
         Session session(SessionOptions().withThreads(threads));
         for (int u = 0; u < kUnits; ++u)
-            session.addProgram(cloneProgram(base), profile);
+            session.addProgram(base.clone(), profile);
         SessionResult result = session.compile();
         EXPECT_FALSE(result.degraded());
         EXPECT_EQ(result.totals.get("unitsCompiled"), kUnits);

@@ -141,16 +141,6 @@ fromSource(const std::string &source, const std::vector<int64_t> &args)
     return program;
 }
 
-Program
-cloneProgram(const Program &program)
-{
-    Program copy;
-    copy.fn = program.fn.clone();
-    copy.memory = program.memory;
-    copy.defaultArgs = program.defaultArgs;
-    return copy;
-}
-
 TEST(OptimizerReference, Synth64)
 {
     Workload w = synthFormationWorkload(64);
@@ -171,7 +161,7 @@ TEST(OptimizerReference, TableKernels)
         prepare(prepared, {}, w.name, optimize);
         for (Pipeline p : {Pipeline::BB, Pipeline::IUPO_fused}) {
             const std::string unit = w.name + "/" + pipelineName(p);
-            Program program = cloneProgram(prepared);
+            Program program = prepared.clone();
             expectRecorded(unit, compile(program, p, unit, optimize));
             ++units;
         }
