@@ -37,7 +37,6 @@
 #include "backend/scheduler.h"
 #include "hyperblock/merge.h"
 #include "pipeline/session.h"
-#include "report/block_report.h"
 #include "sim/functional_sim.h"
 #include "sim/timing_sim.h"
 #include "support/timer.h"

@@ -17,6 +17,10 @@
  *   --max-inflight=N  concurrent compiles before shedding (default 8)
  *   --timeout-ms=N    default per-request budget (default none)
  *
+ * Every N is a whole base-10 integer; --max-inflight and --concurrency
+ * must be at least 1, the others at least 0. Any other value prints the
+ * usage and exits 1.
+ *
  * Client mode sends every line of --replay (stdin if omitted) over
  * --concurrency connections, prints each response, and with --summary
  * tallies statuses — scripts/check_server.sh drives the campaign this
@@ -26,7 +30,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -39,6 +42,7 @@
 #include <unistd.h>
 
 #include "pipeline/server.h"
+#include "support/parse_int.h"
 
 using namespace chf;
 
@@ -260,8 +264,6 @@ runClient(const char *path, const char *replay_file, int concurrency,
         std::fprintf(stderr, "no requests to send\n");
         return 1;
     }
-    if (concurrency < 1)
-        concurrency = 1;
 
     std::vector<std::string> responses(requests.size());
     std::atomic<size_t> next{0};
@@ -335,8 +337,19 @@ main(int argc, char **argv)
     int concurrency = 1;
     ServerOptions opts;
 
+    auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: chf_serve --stdio | --socket=PATH "
+                     "[--cache-cap=N] [--max-inflight=N] "
+                     "[--timeout-ms=N]\n"
+                     "       chf_serve --connect=PATH [--replay=FILE] "
+                     "[--concurrency=N] [--summary] [--quiet]\n");
+        return 1;
+    };
+
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
+        bool ok = true;
         if (std::strcmp(a, "--stdio") == 0)
             stdio = true;
         else if (std::strncmp(a, "--socket=", 9) == 0)
@@ -346,21 +359,24 @@ main(int argc, char **argv)
         else if (std::strncmp(a, "--replay=", 9) == 0)
             replay_file = a + 9;
         else if (std::strncmp(a, "--concurrency=", 14) == 0)
-            concurrency = std::atoi(a + 14);
+            ok = parseAtLeast(a + 14, 1, &concurrency);
         else if (std::strcmp(a, "--summary") == 0)
             summary = true;
         else if (std::strcmp(a, "--quiet") == 0)
             quiet = true;
         else if (std::strncmp(a, "--cache-cap=", 12) == 0)
-            opts.cacheCapacity =
-                static_cast<size_t>(std::atoll(a + 12));
+            ok = parseInteger(a + 12, &opts.cacheCapacity);
         else if (std::strncmp(a, "--max-inflight=", 15) == 0)
-            opts.maxInFlight = std::atoi(a + 15);
+            ok = parseAtLeast(a + 15, 1, &opts.maxInFlight);
         else if (std::strncmp(a, "--timeout-ms=", 13) == 0)
-            opts.defaultTimeoutMs = std::atoi(a + 13);
+            ok = parseAtLeast(a + 13, 0, &opts.defaultTimeoutMs);
         else {
             std::fprintf(stderr, "unknown flag %s\n", a);
             return 1;
+        }
+        if (!ok) {
+            std::fprintf(stderr, "bad value in %s\n", a);
+            return usage();
         }
     }
 
@@ -373,11 +389,5 @@ main(int argc, char **argv)
         return runSocketDaemon(server, socket_path);
     if (stdio)
         return runStdio(server);
-
-    std::fprintf(stderr,
-                 "usage: chf_serve --stdio | --socket=PATH "
-                 "[server flags]\n"
-                 "       chf_serve --connect=PATH [--replay=FILE] "
-                 "[--concurrency=N] [--summary] [--quiet]\n");
-    return 1;
+    return usage();
 }

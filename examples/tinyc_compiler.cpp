@@ -18,18 +18,14 @@
  *                  --fault=phase:formation,fn:0,kind:corrupt-ir
  *   --target=NAME  compile for a registry target model ("trips",
  *                  "trips-wide", "small-block", "deep-lsq"; default
- *                  "trips"). Forwarded in the request in --server
- *                  mode, where it participates in the server's
- *                  compile-cache key.
+ *                  "trips")
  *   --gen=SPEC     compile a generated program instead of a file:
  *                  SPEC is the generator spec a fuzz failure prints
  *                  (seed:S,funcs:N,shape:X,...; see docs/testing.md)
  *   --source       with --gen, print the generated TinyC source
- *   --server=SOCK  client mode: ship the compile to a running
- *                  chf_serve daemon on unix socket SOCK instead of
- *                  compiling in-process, and print the JSON response
- *                  (--keep-going, --fault, --asm and program args are
- *                  forwarded in the request; see docs/operations.md)
+ *
+ * To compile through a running chf_serve daemon instead, use
+ * `chf_serve --connect=SOCK` (docs/operations.md).
  */
 
 #include <cctype>
@@ -40,13 +36,8 @@
 #include <fstream>
 #include <sstream>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include "backend/asm_writer.h"
 #include "ir/printer.h"
-#include "pipeline/server.h"
 #include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "sim/timing_sim.h"
@@ -56,62 +47,6 @@
 using namespace chf;
 
 namespace {
-
-/**
- * Client mode: one request line to a chf_serve daemon, one response
- * line to stdout. Exit status reflects transport health, not compile
- * outcome — a "timeout" or "error" response is a successful round
- * trip the caller can inspect.
- */
-int
-runServerClient(const std::string &socket_path,
-                const std::string &request)
-{
-    int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (fd < 0 || socket_path.size() >= sizeof addr.sun_path) {
-        std::fprintf(stderr, "cannot reach %s\n", socket_path.c_str());
-        return 1;
-    }
-    std::strcpy(addr.sun_path, socket_path.c_str());
-    if (connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                sizeof addr) != 0) {
-        std::perror("connect");
-        close(fd);
-        return 1;
-    }
-    std::string line = request + "\n";
-    size_t off = 0;
-    while (off < line.size()) {
-        ssize_t n = write(fd, line.data() + off, line.size() - off);
-        if (n <= 0) {
-            std::perror("write");
-            close(fd);
-            return 1;
-        }
-        off += static_cast<size_t>(n);
-    }
-    std::string response;
-    char chunk[4096];
-    for (;;) {
-        ssize_t n = read(fd, chunk, sizeof chunk);
-        if (n <= 0)
-            break;
-        response.append(chunk, static_cast<size_t>(n));
-        if (response.find('\n') != std::string::npos)
-            break;
-    }
-    close(fd);
-    size_t nl = response.find('\n');
-    if (nl == std::string::npos) {
-        std::fprintf(stderr, "no response from %s\n",
-                     socket_path.c_str());
-        return 1;
-    }
-    std::printf("%s\n", response.substr(0, nl).c_str());
-    return 0;
-}
 
 /** Parse @p text as a whole base-10 integer. */
 bool
@@ -139,7 +74,6 @@ main(int argc, char **argv)
     bool print_source = false;
     std::string gen_spec;
     std::string fault_spec;
-    std::string server_path;
     std::string target_name = "trips";
     int argi = 1;
     while (argi < argc && argv[argi][0] == '-') {
@@ -157,8 +91,6 @@ main(int argc, char **argv)
             target_name = argv[argi] + 9;
         } else if (std::strncmp(argv[argi], "--fault=", 8) == 0) {
             fault_spec = argv[argi] + 8;
-        } else if (std::strncmp(argv[argi], "--server=", 9) == 0) {
-            server_path = argv[argi] + 9;
         } else {
             break;
         }
@@ -185,39 +117,6 @@ main(int argc, char **argv)
         if (!parseInt(argv[i], &value))
             return usage();
         args.push_back(value);
-    }
-
-    if (!server_path.empty()) {
-        std::ostringstream request;
-        request << "{\"op\":\"compile\",";
-        if (!gen_spec.empty()) {
-            request << "\"gen\":" << jsonQuote(gen_spec);
-        } else {
-            std::ifstream in(argv[argi]);
-            if (!in) {
-                std::fprintf(stderr, "cannot open %s\n", argv[argi]);
-                return 1;
-            }
-            std::stringstream buffer;
-            buffer << in.rdbuf();
-            request << "\"source\":" << jsonQuote(buffer.str());
-        }
-        if (!args.empty()) {
-            request << ",\"args\":[";
-            for (size_t i = 0; i < args.size(); ++i)
-                request << (i ? "," : "") << args[i];
-            request << "]";
-        }
-        request << ",\"keep_going\":"
-                << (keep_going ? "true" : "false");
-        if (target_name != "trips")
-            request << ",\"target\":" << jsonQuote(target_name);
-        if (emit_asm)
-            request << ",\"emit_asm\":true";
-        if (!fault_spec.empty())
-            request << ",\"fault\":" << jsonQuote(fault_spec);
-        request << "}";
-        return runServerClient(server_path, request.str());
     }
 
     const TargetModel *target = findTarget(target_name);

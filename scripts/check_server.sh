@@ -6,7 +6,8 @@
 # (status "timeout"), an over-capacity burst refused with status
 # "shed" instead of queued, and hostile clients (hang-ups before the
 # response, an unterminated oversized line) that cost only their own
-# connection.
+# connection. First, every malformed or out-of-range numeric flag must
+# print the usage and exit 1.
 #
 # Usage: scripts/check_server.sh [path-to-chf_serve]
 # Default binary: build/examples/chf_serve. Wired into ctest as the
@@ -35,6 +36,23 @@ fail() {
 }
 
 get() { echo "$SUMMARY" | tr ' ' '\n' | sed -n "s/^$1=//p"; }
+
+# --- flag validation ------------------------------------------------
+# stdin is empty, so a mode that wrongly started would just see EOF.
+bad_flag() {
+    status=0
+    "$SERVE" "$@" < /dev/null > /dev/null 2> "$WORK/flag.err" || status=$?
+    [ "$status" = 1 ] || fail "chf_serve $* exited $status, want 1"
+    grep -q '^usage:' "$WORK/flag.err" || fail "chf_serve $* printed no usage"
+}
+for flag in --max-inflight=abc --max-inflight=0 --max-inflight=-1 \
+            --cache-cap=-1 --cache-cap=abc --cache-cap=8x \
+            --timeout-ms=-5 --timeout-ms=1e3; do
+    bad_flag --stdio "$flag"
+done
+for flag in --concurrency=0 --concurrency=abc; do
+    bad_flag --connect="$SOCK" "$flag"
+done
 
 # A single in-flight slot makes the over-capacity burst deterministic:
 # while one compile holds it, every concurrent compile sheds.

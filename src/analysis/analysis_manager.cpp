@@ -131,20 +131,6 @@ AnalysisManager::branchesRewritten(BlockId id,
 }
 
 void
-AnalysisManager::blockRemoved(BlockId id,
-                              const std::vector<BlockId> &old_succs)
-{
-    patchPredecessors(id, old_succs, {});
-    if (predsValid && id < predsCache.size())
-        predsCache[id].clear();
-    dom.reset();
-    loopInfo.reset();
-    if (live)
-        pendingLive.push_back(id);
-    counters.add("analysisBlockRemovals");
-}
-
-void
 AnalysisManager::blockAbsorbed(BlockId hb, BlockId s,
                                const std::vector<BlockId> &hb_old_succs,
                                const std::vector<BlockId> &s_old_succs)

@@ -86,13 +86,6 @@ class AnalysisManager
                            const std::vector<BlockId> &old_succs);
 
     /**
-     * Block @p id was removed; @p old_succs is the successor set it had
-     * when it was still alive. Callers must have already rewritten any
-     * branches into @p id (Function::removeBlock leaves a hole).
-     */
-    void blockRemoved(BlockId id, const std::vector<BlockId> &old_succs);
-
-    /**
      * A simple merge committed: @p hb (the single predecessor of @p s)
      * absorbed @p s's instructions and @p s was removed. @p hb_old_succs
      * and @p s_old_succs are the successor sets both blocks had before

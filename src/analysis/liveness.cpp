@@ -61,14 +61,6 @@ blockKills(const BasicBlock &bb, uint32_t num_vregs)
     return kills;
 }
 
-BitVector
-blockDefs(const BasicBlock &bb, uint32_t num_vregs)
-{
-    BitVector defs;
-    blockDefsInto(bb, num_vregs, defs);
-    return defs;
-}
-
 void
 blockDefsInto(const BasicBlock &bb, uint32_t num_vregs, BitVector &defs)
 {

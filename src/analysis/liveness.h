@@ -86,14 +86,12 @@ BitVector blockUses(const BasicBlock &bb, uint32_t num_vregs);
 /** Registers written unconditionally (unpredicated defs). */
 BitVector blockKills(const BasicBlock &bb, uint32_t num_vregs);
 
-/** Registers written at all (predicated or not). */
-BitVector blockDefs(const BasicBlock &bb, uint32_t num_vregs);
-
 /**
  * Allocation-free variants for hot per-trial callers: @p uses /
- * @p defs are resized to @p num_vregs and overwritten (capacity is
- * reused across calls); @p killed_scratch is working storage for the
- * upward-exposure computation.
+ * @p defs (registers written at all, predicated or not) are resized
+ * to @p num_vregs and overwritten (capacity is reused across calls);
+ * @p killed_scratch is working storage for the upward-exposure
+ * computation.
  */
 void blockUsesInto(const BasicBlock &bb, uint32_t num_vregs,
                    BitVector &uses, BitVector &killed_scratch);

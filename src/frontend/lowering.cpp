@@ -12,6 +12,9 @@ namespace chf {
 
 namespace {
 
+/** Inlining depth limit; a deeper call chain is an input error. */
+constexpr size_t kMaxInlineDepth = 24;
+
 /** Where an inlined function's `return` should deposit and jump. */
 struct ReturnTarget
 {
@@ -22,21 +25,20 @@ struct ReturnTarget
 class Lowerer
 {
   public:
-    Lowerer(const TranslationUnit &unit, const LoweringOptions &options)
-        : unit(unit), options(options), builder(program.fn)
+    explicit Lowerer(const TranslationUnit &unit)
+        : unit(unit), builder(program.fn)
     {
     }
 
     Program
-    lower(const std::string &entry_name)
+    lower()
     {
         layoutGlobals();
 
-        const FuncDecl *entry = unit.findFunction(entry_name);
+        const FuncDecl *entry = unit.findFunction("main");
         if (!entry) {
             throwInputError("lower", SourceLoc{},
-                            concat("no function named '", entry_name,
-                                   "'"));
+                            "no function named 'main'");
         }
 
         BlockId entry_block = builder.makeBlock("entry");
@@ -303,7 +305,7 @@ class Lowerer
                            "unsupported)"));
             }
         }
-        if (static_cast<int>(callStack.size()) >= options.maxInlineDepth)
+        if (callStack.size() >= kMaxInlineDepth)
             throwInputError("lower", loc, "inline depth exceeded");
         if (expr.args.size() != callee->params.size()) {
             throwInputError("lower", loc,
@@ -624,7 +626,6 @@ class Lowerer
     }
 
     const TranslationUnit &unit;
-    LoweringOptions options;
     Program program;
     IRBuilder builder;
 
@@ -641,11 +642,10 @@ class Lowerer
 } // namespace
 
 Program
-lowerToIR(const TranslationUnit &unit, const std::string &entry_name,
-          const LoweringOptions &options)
+lowerToIR(const TranslationUnit &unit)
 {
-    Lowerer lowerer(unit, options);
-    return lowerer.lower(entry_name);
+    Lowerer lowerer(unit);
+    return lowerer.lower();
 }
 
 } // namespace chf

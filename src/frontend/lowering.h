@@ -11,28 +11,18 @@
 #ifndef CHF_FRONTEND_LOWERING_H
 #define CHF_FRONTEND_LOWERING_H
 
-#include <string>
-
 #include "frontend/ast.h"
 #include "ir/program.h"
 
 namespace chf {
 
-/** Lowering knobs. */
-struct LoweringOptions
-{
-    /** Inlining depth limit; exceeding it is a fatal error. */
-    int maxInlineDepth = 24;
-};
-
 /**
  * Lower @p unit into a runnable Program whose entry function is
- * @p entry_name. Throws RecoverableError on semantic errors (unknown
- * names, recursion, arity mismatches) with source location.
+ * `main`. Throws RecoverableError on semantic errors (unknown names,
+ * recursion, arity mismatches, calls nested deeper than 24) with
+ * source location.
  */
-Program lowerToIR(const TranslationUnit &unit,
-                  const std::string &entry_name = "main",
-                  const LoweringOptions &options = {});
+Program lowerToIR(const TranslationUnit &unit);
 
 } // namespace chf
 

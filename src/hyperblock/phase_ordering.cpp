@@ -9,6 +9,7 @@
 #include "hyperblock/vliw_policy.h"
 #include "ir/verifier.h"
 #include "pipeline/pass_guard.h"
+#include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "support/fatal.h"
 #include "support/timer.h"
@@ -216,11 +217,11 @@ discreteMergeUnrollPeel(Function &fn, const ProfileData &profile,
 
 } // namespace
 
-CompileResult
+void
 detail::compileUnit(Program &program, const ProfileData &profile,
-                    const CompileOptions &options)
+                    const SessionOptions &options, DiagnosticEngine *diags,
+                    FunctionResult &result)
 {
-    CompileResult result;
     Function &fn = program.fn;
     Timer total_timer;
 
@@ -237,19 +238,19 @@ detail::compileUnit(Program &program, const ProfileData &profile,
 
     FormationOptions formation;
     formation.merge = merge;
-    formation.diags = options.diags;
+    formation.diags = diags;
 
     // Every destructive phase runs through runPhase: a null diags (strict
     // mode) runs the body bare, keep-going mode snapshots, verifies and
     // rolls back (DESIGN.md §7). Rolled-back phases are recorded.
     auto phase = [&](const char *name,
                      const std::function<void()> &body) -> bool {
-        bool ok = runPhase(fn, name, options.diags, body);
+        bool ok = runPhase(fn, name, diags, body);
         if (!ok)
             result.failedPhases.push_back(name);
         return ok;
     };
-    const bool strict = options.diags == nullptr;
+    const bool strict = diags == nullptr;
 
     std::unique_ptr<Policy> policy = makePolicy(options.policy);
 
@@ -293,7 +294,7 @@ detail::compileUnit(Program &program, const ProfileData &profile,
             // The discrete unroller now sees accurate hyperblock sizes.
             ScopedStatTimer t(result.stats, "usUnrollPeel");
             result.stats.merge(discreteMergeUnrollPeel(
-                fn, profile, merge, options.diags, result.failedPhases));
+                fn, profile, merge, diags, result.failedPhases));
         }
         ScopedStatTimer t(result.stats, "usScalarOpt");
         optimizeFunction(fn);
@@ -365,7 +366,6 @@ detail::compileUnit(Program &program, const ProfileData &profile,
     result.stats.set("finalInsts",
                      static_cast<int64_t>(fn.totalInsts()));
     result.stats.set("usCompileTotal", total_timer.elapsedMicros());
-    return result;
 }
 
 } // namespace chf

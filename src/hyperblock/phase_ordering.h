@@ -36,6 +36,9 @@
 
 namespace chf {
 
+struct FunctionResult;
+struct SessionOptions;
+
 /** Hyperblock-formation pipeline selector. */
 enum class Pipeline
 {
@@ -59,54 +62,6 @@ enum class PolicyKind
 
 const char *policyKindName(PolicyKind kind);
 
-/** Full compilation configuration. */
-struct CompileOptions
-{
-    Pipeline pipeline = Pipeline::IUPO_fused;
-    PolicyKind policy = PolicyKind::BreadthFirst;
-
-    /** Target description (target/target_model.h): block format, LSQ
-     *  and bank geometry, register file, spill-headroom policy. The
-     *  default is the TRIPS reference model. */
-    TargetModel target;
-
-    /** Run output normalization, register allocation, and fanout. */
-    bool runBackend = true;
-
-    /** Enable basic-block splitting during formation (paper §9). */
-    bool blockSplitting = false;
-
-    /**
-     * Keep-going mode when non-null: each destructive phase (unroll,
-     * peel, formation, regalloc, fanout, schedule) runs under runPhase's
-     * snapshot/verify guard. A phase that throws RecoverableError or
-     * fails the verifier is rolled back bit-identically and recorded
-     * here, and compilation continues with the degraded pipeline. Null
-     * (the default) is strict mode: the same phase bodies run with no
-     * snapshots and no fault hooks, and verifyOrDie checks every stage.
-     * The unit's deadline and fault reach the pipeline through the
-     * thread's CancellationScope and FaultScope (DESIGN.md §12), not
-     * through these options.
-     */
-    DiagnosticEngine *diags = nullptr;
-};
-
-/**
- * Outcome counters of one unit's pipeline run (detail::compileUnit):
- * the m/t/u/p statistics plus backend numbers. Callers see them
- * through chf::Session (pipeline/session.h), whose SessionResult holds
- * one FunctionResult per compilation unit.
- */
-struct CompileResult
-{
-    StatSet stats;
-
-    /** Phases rolled back in keep-going mode (empty on a clean run). */
-    std::vector<std::string> failedPhases;
-
-    bool degraded() const { return !failedPhases.empty(); }
-};
-
 /**
  * Front-end preparation shared by every pipeline: CFG simplification,
  * scalar optimization, profiling, for-loop unrolling (using the
@@ -129,14 +84,24 @@ namespace detail {
 
 /**
  * The phase pipeline for one compilation unit (formation → regalloc →
- * fanout → schedule), each phase one runPhase call. Session workers
- * call this once per unit, inside the unit's CancellationScope and
- * FaultScope; it touches nothing but @p program, @p options.diags, and
- * those thread-local scopes, so concurrent calls on distinct programs
- * are safe.
+ * fanout → schedule), each phase one runPhase call, configured by the
+ * unit's @p options (pipeline, policy, target, runBackend,
+ * blockSplitting). A non-null @p diags is keep-going mode: a phase
+ * that throws RecoverableError or fails the verifier is rolled back
+ * bit-identically, reported to @p diags and appended to
+ * @p result.failedPhases, and compilation continues. A null @p diags
+ * is strict mode: the same phase bodies run with no snapshots and no
+ * fault hooks, and verifyOrDie checks every stage. Counters are added
+ * to @p result.stats.
+ *
+ * Session workers call this once per unit, inside the unit's
+ * CancellationScope and FaultScope (DESIGN.md §12); it touches nothing
+ * but @p program, @p diags, @p result and those thread-local scopes,
+ * so concurrent calls on distinct programs are safe.
  */
-CompileResult compileUnit(Program &program, const ProfileData &profile,
-                          const CompileOptions &options);
+void compileUnit(Program &program, const ProfileData &profile,
+                 const SessionOptions &options, DiagnosticEngine *diags,
+                 FunctionResult &result);
 
 } // namespace detail
 

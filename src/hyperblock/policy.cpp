@@ -2,17 +2,24 @@
 
 namespace chf {
 
+namespace {
+
+/** Blocks larger than this (instructions) are tail-duplicated only
+ *  when the hyperblock owns most of their executions. */
+constexpr size_t kTailDupLimit = 48;
+
+/** Smallest share of a candidate's executions that justifies
+ *  duplicating it into this hyperblock. */
+constexpr double kDupShareFloor = 0.4;
+
+} // namespace
+
 int
 BreadthFirstPolicy::select(const Function &fn, BlockId hb,
                            const std::vector<MergeCandidate> &candidates)
 {
     (void)fn;
     (void)hb;
-    // Total frequency leaving HB, for the cold-path filter.
-    double total = 0.0;
-    for (const auto &c : candidates)
-        total += c.entryFreq;
-
     int best = -1;
     int best_order = 0;
     for (size_t i = 0; i < candidates.size(); ++i) {
@@ -25,13 +32,13 @@ BreadthFirstPolicy::select(const Function &fn, BlockId hb,
         // when this hyperblock owns nearly all of the candidate's
         // executions: the "duplicate" then effectively absorbs it.
         if (c.needsDup && !c.isLoopHeader && !c.isBackEdge &&
-            c.blockSize > tailDupLimit &&
+            c.blockSize > kTailDupLimit &&
             c.entryFreq < 0.75 * c.candFreq) {
             continue;
         }
         if (c.needsDup && !c.isLoopHeader && !c.isBackEdge &&
             c.candFreq > 0.0 &&
-            c.entryFreq < dupShareFloor * c.candFreq) {
+            c.entryFreq < kDupShareFloor * c.candFreq) {
             continue;
         }
         // Merging post-loop code into a loop body makes every
@@ -56,10 +63,6 @@ BreadthFirstPolicy::select(const Function &fn, BlockId hb,
         // loop bloats the predecessor for a 1.5% frequency shift.
         if (c.isLoopHeader && !c.isBackEdge && c.candFreq > 0.0 &&
             c.entryFreq < 0.25 * c.candFreq) {
-            continue;
-        }
-        if (minFreqRatio > 0.0 && total > 0.0 &&
-            c.entryFreq < minFreqRatio * total) {
             continue;
         }
         if (best < 0 || c.discoveryOrder < best_order) {

@@ -90,23 +90,10 @@ class Policy
 class BreadthFirstPolicy : public Policy
 {
   public:
-    explicit BreadthFirstPolicy(size_t tail_dup_limit = 48,
-                                double min_freq_ratio = 0.0,
-                                double dup_share_floor = 0.4)
-        : tailDupLimit(tail_dup_limit), minFreqRatio(min_freq_ratio),
-          dupShareFloor(dup_share_floor)
-    {
-    }
-
     const char *name() const override { return "breadth-first"; }
 
     int select(const Function &fn, BlockId hb,
                const std::vector<MergeCandidate> &candidates) override;
-
-  private:
-    size_t tailDupLimit;
-    double minFreqRatio;
-    double dupShareFloor;
 };
 
 /**

@@ -32,6 +32,18 @@ blockDependenceHeight(const BasicBlock &bb)
 
 namespace {
 
+/** Admit blocks on paths with priority >= best priority * this. */
+constexpr double kInclusionThreshold = 0.10;
+
+constexpr size_t kMaxPaths = 128;
+constexpr size_t kMaxPathLength = 24;
+
+/** Exponent of the dependence-height penalty. */
+constexpr double kHeightPenalty = 1.0;
+
+/** Exponent of the resource (instruction count) penalty. */
+constexpr double kResourcePenalty = 0.5;
+
 /** One enumerated path and its scheduling figures. */
 struct PathInfo
 {
@@ -70,13 +82,13 @@ VliwPolicy::buildAdmitted(const Function &fn, const LoopInfo &loops,
     // Explicit DFS with path state.
     std::function<void(BlockId, double)> walk = [&](BlockId id,
                                                     double prob) {
-        if (paths.size() >= opts.maxPaths)
+        if (paths.size() >= kMaxPaths)
             return;
         current.push_back(id);
         const BasicBlock *bb = fn.block(id);
 
         bool extended = false;
-        if (current.size() < opts.maxPathLength) {
+        if (current.size() < kMaxPathLength) {
             double out_total = 0.0;
             for (BlockId succ : bb->successors())
                 out_total += branchFreqTo(*bb, succ);
@@ -128,14 +140,14 @@ VliwPolicy::buildAdmitted(const Function &fn, const LoopInfo &loops,
         double h = std::max(p.height, 1.0);
         double s = std::max(p.size, 1.0);
         priority[i] = p.freq *
-                      std::pow(min_height / h, opts.heightPenalty) *
-                      std::pow(min_size / s, opts.resourcePenalty);
+                      std::pow(min_height / h, kHeightPenalty) *
+                      std::pow(min_size / s, kResourcePenalty);
         best_priority = std::max(best_priority, priority[i]);
     }
 
     // Admit blocks on paths within the threshold.
     for (size_t i = 0; i < paths.size(); ++i) {
-        if (priority[i] < opts.inclusionThreshold * best_priority)
+        if (priority[i] < kInclusionThreshold * best_priority)
             continue;
         for (BlockId b : paths[i].blocks) {
             auto it = admitted.find(b);

@@ -24,31 +24,10 @@ namespace chf {
 
 class LoopInfo;
 
-/** Tuning knobs of the VLIW heuristic. */
-struct VliwPolicyOptions
-{
-    /** Admit blocks on paths with priority >= bestPriority * this. */
-    double inclusionThreshold = 0.10;
-
-    size_t maxPaths = 128;
-    size_t maxPathLength = 24;
-
-    /** Exponent of the dependence-height penalty. */
-    double heightPenalty = 1.0;
-
-    /** Exponent of the resource (instruction count) penalty. */
-    double resourcePenalty = 0.5;
-};
-
 /** Mahlke-style path-based selection. */
 class VliwPolicy : public Policy
 {
   public:
-    explicit VliwPolicy(const VliwPolicyOptions &options = {})
-        : opts(options)
-    {
-    }
-
     const char *name() const override { return "vliw-path"; }
 
     /** Enumerates the seed's paths over the loop analysis in
@@ -61,8 +40,6 @@ class VliwPolicy : public Policy
   private:
     void buildAdmitted(const Function &fn, const LoopInfo &loops,
                        BlockId seed);
-
-    VliwPolicyOptions opts;
 
     /** Priority of each block admitted for the current seed. */
     std::map<BlockId, double> admitted;

@@ -29,7 +29,6 @@ class BasicBlock
 
     BlockId id() const { return blockId; }
     const std::string &name() const { return blockName; }
-    void setName(std::string name) { blockName = std::move(name); }
 
     /**
      * Become a copy of @p other (id, name, and instructions) while

@@ -31,7 +31,6 @@ class IRBuilder
 
     /** Set the block new instructions are appended to. */
     void setBlock(BlockId id) { current = id; }
-    BlockId currentBlock() const { return current; }
 
     /** Append an arbitrary instruction. */
     void

@@ -38,14 +38,6 @@ Function::removeBlock(BlockId id)
     blocks[id].reset();
 }
 
-void
-Function::replaceBlockContents(BlockId id, const BasicBlock &src)
-{
-    BasicBlock *bb = block(id);
-    CHF_ASSERT(bb, "replaceBlockContents on removed block");
-    bb->insts = src.insts;
-}
-
 std::vector<BlockId>
 Function::blockIds() const
 {

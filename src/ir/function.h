@@ -44,9 +44,6 @@ class Function
     /** Remove a block, leaving a hole at its id. */
     void removeBlock(BlockId id);
 
-    /** Replace the instructions of block @p id with those of @p src. */
-    void replaceBlockContents(BlockId id, const BasicBlock &src);
-
     /** Ids of all live blocks, ascending. */
     std::vector<BlockId> blockIds() const;
 

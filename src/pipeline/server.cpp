@@ -1,15 +1,17 @@
 #include "pipeline/server.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <cstdio>
 #include <sstream>
 #include <vector>
 
 #include "backend/asm_writer.h"
 #include "hyperblock/merge.h"
 #include "pipeline/session.h"
+#include "support/fatal.h"
 #include "support/fault_inject.h"
 #include "support/hash.h"
+#include "support/parse_int.h"
 #include "workloads/generator.h"
 
 namespace chf {
@@ -45,15 +47,17 @@ namespace server_detail {
 
 /**
  * The flat slice of JSON the protocol needs: one object of string /
- * number / bool / array-of-number fields. Nested containers are a
+ * number / bool / array-of-integer fields. Nested containers are a
  * protocol violation and parse errors report why. Enough for every
  * request shape in docs/operations.md without pulling in a JSON
- * dependency the image does not have.
+ * dependency the image does not have. A number field keeps its token
+ * text, so a numeric id echoes verbatim and each consumer converts the
+ * token to exactly the type it needs.
  */
 struct Request
 {
     std::vector<std::pair<std::string, std::string>> strings;
-    std::vector<std::pair<std::string, double>> numbers;
+    std::vector<std::pair<std::string, std::string>> numbers;
     std::vector<std::pair<std::string, bool>> bools;
     std::vector<std::pair<std::string, std::vector<int64_t>>> arrays;
 
@@ -75,13 +79,14 @@ struct Request
         return fallback;
     }
 
-    double
-    number(const std::string &key, double fallback) const
+    /** The number token of field @p key, or null. */
+    const std::string *
+    number(const std::string &key) const
     {
         for (const auto &f : numbers)
             if (f.first == key)
-                return f.second;
-        return fallback;
+                return &f.second;
+        return nullptr;
     }
 
     const std::vector<int64_t> *
@@ -216,15 +221,32 @@ class RequestParser
     }
 
     bool
-    parseNumber(double *out)
+    digits()
     {
-        const char *start = text.c_str() + pos;
-        char *end = nullptr;
-        double v = std::strtod(start, &end);
-        if (end == start)
+        const size_t start = pos;
+        while (pos < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[pos])))
+            ++pos;
+        return pos > start;
+    }
+
+    /** One JSON number token (RFC 8259 grammar), as text. */
+    bool
+    parseNumber(std::string *out)
+    {
+        const size_t start = pos;
+        consume('-');
+        if (!consume('0') && !digits())
             return false;
-        pos += static_cast<size_t>(end - start);
-        *out = v;
+        if (consume('.') && !digits())
+            return false;
+        if (consume('e') || consume('E')) {
+            if (!consume('+'))
+                consume('-');
+            if (!digits())
+                return false;
+        }
+        out->assign(text, start, pos - start);
         return true;
     }
 
@@ -265,10 +287,11 @@ class RequestParser
             }
             for (;;) {
                 skipSpace();
-                double v = 0;
-                if (!parseNumber(&v))
+                std::string token;
+                int64_t v = 0;
+                if (!parseNumber(&token) || !parseInteger(token, &v))
                     return false;
-                arr.push_back(static_cast<int64_t>(v));
+                arr.push_back(v);
                 skipSpace();
                 if (consume(','))
                     continue;
@@ -279,10 +302,10 @@ class RequestParser
                 return false;
             }
         }
-        double v = 0;
-        if (!parseNumber(&v))
+        std::string token;
+        if (!parseNumber(&token))
             return false;
-        out.numbers.emplace_back(key, v);
+        out.numbers.emplace_back(key, std::move(token));
         return true;
     }
 
@@ -296,13 +319,8 @@ requestId(const Request &req)
 {
     if (const std::string *s = req.str("id"))
         return jsonQuote(*s);
-    for (const auto &f : req.numbers) {
-        if (f.first == "id") {
-            std::ostringstream os;
-            os << f.second;
-            return os.str();
-        }
-    }
+    if (const std::string *n = req.number("id"))
+        return *n;
     return std::string();
 }
 
@@ -456,8 +474,15 @@ CompileServer::handle(const std::string &line)
     // request that trips a pipeline bug.
     const bool keep_going = req.boolean("keep_going", true);
     const bool emit_asm = req.boolean("emit_asm", false);
-    const int timeout_ms = static_cast<int>(
-        req.number("timeout_ms", opts.defaultTimeoutMs));
+    int timeout_ms = opts.defaultTimeoutMs;
+    if (const std::string *t = req.number("timeout_ms")) {
+        if (!parseAtLeast(*t, 0, &timeout_ms)) {
+            std::lock_guard<std::mutex> lock(mutex);
+            ++counters.errors;
+            return errorResponse(id, "timeout_ms wants an integer in "
+                                     "[0, 2147483647], got " + *t);
+        }
+    }
     const std::string *fault = req.str("fault");
 
     // Per-request target selection: a registry name ("trips",
@@ -577,8 +602,18 @@ CompileServer::handleCompileAdmitted(
         }
         program = buildGenerated(generateTinyC(seed, shape));
     }
-    if (args && !args->empty())
+    if (args && !args->empty()) {
+        // Profiling binds one argument per parameter of main.
+        if (args->size() < program.fn.argRegs.size()) {
+            std::lock_guard<std::mutex> lock(mutex);
+            ++counters.errors;
+            return errorResponse(id, concat("args wants ",
+                                            program.fn.argRegs.size(),
+                                            " integers, got ",
+                                            args->size()));
+        }
         program.defaultArgs = *args;
+    }
 
     // The request is one lowered unit: the Session prepares it inside
     // the unit's deadline and fault scopes, like every other phase.

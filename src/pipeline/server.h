@@ -17,6 +17,11 @@
  *   {"op":"health"}
  *   {"op":"stats"}
  *
+ * Numbers are JSON number tokens. "timeout_ms" must be an integer in
+ * [0, INT_MAX], and each "args" element an integer in int64 range, with
+ * at least one per parameter of main; anything else is a status:"error"
+ * response.
+ *
  * "target" selects a registry target model by name (default "trips";
  * see target/target_model.h). The name participates in the compile
  * cache key, so two targets never share a cache entry; an unknown name
@@ -26,8 +31,9 @@
  * phases rolled back, including prepare's "unroll"), "timeout" (the
  * request's time budget expired), "shed" (the server was over its
  * in-flight cap and refused the compile), or "error" (malformed
- * request or unrecoverable input). An "id" field in the request is
- * echoed back verbatim so pipelined clients can match responses.
+ * request or unrecoverable input). An "id" field in the request (a
+ * string or a number) is echoed back verbatim so pipelined clients can
+ * match responses.
  *
  * Operational behavior (docs/operations.md):
  *

@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "analysis/analysis_manager.h"
+#include "frontend/lowering.h"
 #include "frontend/parser.h"
 #include "hyperblock/merge.h"
 #include "support/cancellation.h"
@@ -25,7 +26,7 @@ namespace {
  */
 struct UnitSlot
 {
-    CompileResult result;
+    FunctionResult result;
     DiagnosticEngine diags;
     std::exception_ptr error;
 };
@@ -183,14 +184,7 @@ Session::compile(int threads)
         const Unit &unit = units[i];
         const SessionOptions &conf =
             unit.overrides ? *unit.overrides : opts;
-
-        CompileOptions co;
-        co.pipeline = conf.pipeline;
-        co.policy = conf.policy;
-        co.target = conf.target;
-        co.runBackend = conf.runBackend;
-        co.blockSplitting = conf.blockSplitting;
-        co.diags = conf.keepGoing ? &slot.diags : nullptr;
+        DiagnosticEngine *diags = conf.keepGoing ? &slot.diags : nullptr;
 
         // The unit's request state: the scopes the pipeline's poll and
         // hook sites read (DESIGN.md §12).
@@ -201,7 +195,8 @@ Session::compile(int threads)
                 std::chrono::milliseconds(conf.unitTimeoutMs));
         CancellationScope cancel_scope(budget);
         FaultScope fault_scope(fault, static_cast<int>(i));
-        CompileResult &out = slot.result;
+        FunctionResult &out = slot.result;
+        size_t prepare_failures = 0;
         try {
             // A lowered unit is prepared here, inside its scopes, so its
             // deadline and fault cover prepare like any other phase. A
@@ -210,24 +205,23 @@ Session::compile(int threads)
             if (unit.lowered) {
                 Timer prepare;
                 *unit.ownedProfile = prepareProgram(
-                    unit.prog(), {}, true, co.diags, conf.keepGoing);
+                    unit.prog(), {}, true, diags, conf.keepGoing);
                 prepare_us = prepare.elapsedMicros();
                 if (slot.diags.hasPhase("unroll"))
                     out.failedPhases.push_back("unroll");
+                prepare_failures = out.failedPhases.size();
             }
-            CompileResult compiled =
-                detail::compileUnit(unit.prog(), unit.prof(), co);
-            out.stats = std::move(compiled.stats);
-            out.failedPhases.insert(out.failedPhases.end(),
-                                    compiled.failedPhases.begin(),
-                                    compiled.failedPhases.end());
+            detail::compileUnit(unit.prog(), unit.prof(), conf, diags, out);
             if (unit.lowered) {
                 out.stats.set("usPrepare", prepare_us);
                 out.stats.add("usCompileTotal", prepare_us);
             }
         } catch (const CancelledError &e) {
-            // Deterministic surface: one fixed diagnostic, and
-            // "timeout" recorded as the unit's failed phase.
+            // Deterministic surface: the unit drops what its pipeline
+            // recorded before the deadline, reports one fixed
+            // diagnostic, and records "timeout" as its failed phase.
+            out.stats = StatSet();
+            out.failedPhases.resize(prepare_failures);
             slot.diags.report(e.diagnostic());
             out.failedPhases.push_back(e.diagnostic().phase);
         } catch (...) {
@@ -276,12 +270,10 @@ Session::compile(int threads)
         if (slot.error)
             std::rethrow_exception(slot.error);
 
-        FunctionResult fr;
+        FunctionResult &fr = slot.result;
         fr.name = units[i].name;
         fr.blocks = units[i].prog().fn.numBlocks();
         fr.insts = units[i].prog().fn.totalInsts();
-        fr.stats = std::move(slot.result.stats);
-        fr.failedPhases = std::move(slot.result.failedPhases);
 
         out.totals.merge(fr.stats);
         out.diagnostics.append(slot.diags, static_cast<int>(i));
@@ -315,27 +307,24 @@ Session::compile(int threads)
 }
 
 Program
-Session::frontend(const std::string &source, const std::string &entry_name,
-                  const LoweringOptions &options)
+Session::frontend(const std::string &source)
 {
     // API-boundary handler: tools that have not opted into diagnostic
     // collection keep the historical fatal-and-exit(1) behavior.
     try {
         TranslationUnit unit = parseTinyC(source);
-        return lowerToIR(unit, entry_name, options);
+        return lowerToIR(unit);
     } catch (const RecoverableError &e) {
         fatal(e.what());
     }
 }
 
 std::optional<Program>
-Session::frontend(const std::string &source, DiagnosticEngine &diags,
-                  const std::string &entry_name,
-                  const LoweringOptions &options)
+Session::frontend(const std::string &source, DiagnosticEngine &diags)
 {
     try {
         TranslationUnit unit = parseTinyC(source);
-        return lowerToIR(unit, entry_name, options);
+        return lowerToIR(unit);
     } catch (const RecoverableError &e) {
         diags.report(e.diagnostic());
         return std::nullopt;

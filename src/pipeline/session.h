@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "analysis/profile.h"
-#include "frontend/lowering.h"
 #include "hyperblock/phase_ordering.h"
 #include "support/diagnostics.h"
 #include "support/fault_inject.h"
@@ -260,18 +259,14 @@ class Session
      * Parse + lower TinyC to a runnable Program. Calls fatal()
      * (exit 1) on malformed input.
      */
-    static Program frontend(const std::string &source,
-                            const std::string &entry_name = "main",
-                            const LoweringOptions &options = {});
+    static Program frontend(const std::string &source);
 
     /**
      * Parse + lower, reporting input errors to @p diags instead of
      * exiting; std::nullopt after recording the Diagnostic.
      */
     static std::optional<Program>
-    frontend(const std::string &source, DiagnosticEngine &diags,
-             const std::string &entry_name = "main",
-             const LoweringOptions &options = {});
+    frontend(const std::string &source, DiagnosticEngine &diags);
 
   private:
     struct Unit

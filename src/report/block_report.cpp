@@ -1,8 +1,6 @@
 #include "report/block_report.h"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
 
 namespace chf {
 
@@ -64,59 +62,6 @@ analyzeBlocks(const Function &fn, const TargetModel &target,
             static_cast<double>(run->instsFetched);
     }
     return report;
-}
-
-std::string
-toString(const BlockReport &report, const TargetModel &target)
-{
-    std::ostringstream os;
-    os << "blocks " << report.blocks << ", insts " << report.totalInsts
-       << ", mean size " << static_cast<int>(report.meanBlockSize)
-       << "/" << target.maxInsts << ", max "
-       << report.maxBlockSize << "\n";
-    os << "static fill " << static_cast<int>(
-              report.staticUtilization * 100)
-       << "%, dynamic fill "
-       << static_cast<int>(report.dynamicUtilization * 100)
-       << "%, predicated "
-       << static_cast<int>(report.predicatedFraction * 100)
-       << "%, useful fetch "
-       << static_cast<int>(report.usefulFetchFraction * 100) << "%\n";
-    os << "size histogram (x16):";
-    for (size_t i = 0; i < report.sizeHistogram.size(); ++i)
-        os << " " << report.sizeHistogram[i];
-    os << "\n";
-    return os.str();
-}
-
-std::string
-timingSummary(const StatSet &stats)
-{
-    std::ostringstream os;
-    bool any_time = false;
-    for (const auto &[name, value] : stats.entries()) {
-        if (name.rfind("us", 0) == 0 && name.size() > 2 &&
-            std::isupper(static_cast<unsigned char>(name[2]))) {
-            if (!any_time)
-                os << "pass timing:";
-            any_time = true;
-            os << " " << name.substr(2) << "=" << value << "us";
-        }
-    }
-    if (any_time)
-        os << "\n";
-    bool any_cache = false;
-    for (const auto &[name, value] : stats.entries()) {
-        if (name.rfind("analysis", 0) == 0) {
-            if (!any_cache)
-                os << "analysis cache:";
-            any_cache = true;
-            os << " " << name.substr(8) << "=" << value;
-        }
-    }
-    if (any_cache)
-        os << "\n";
-    return os.str();
 }
 
 } // namespace chf

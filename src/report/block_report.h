@@ -14,13 +14,11 @@
 #ifndef CHF_REPORT_BLOCK_REPORT_H
 #define CHF_REPORT_BLOCK_REPORT_H
 
-#include <string>
 #include <vector>
 
 #include "hyperblock/constraints.h"
 #include "ir/function.h"
 #include "sim/functional_sim.h"
-#include "support/stats.h"
 
 namespace chf {
 
@@ -58,17 +56,6 @@ struct BlockReport
 BlockReport analyzeBlocks(const Function &fn,
                           const TargetModel &target,
                           const FuncSimResult *run = nullptr);
-
-/** Render a report as aligned text. */
-std::string toString(const BlockReport &report,
-                     const TargetModel &target);
-
-/**
- * Render the pass-timing ("usXxx", microseconds) and analysis-cache
- * ("analysisXxx") counters a compile accumulated -- the compile-time
- * side of the report, next to the block-quality side above.
- */
-std::string timingSummary(const StatSet &stats);
 
 } // namespace chf
 

@@ -8,7 +8,7 @@
  * panic() remains reserved for true memory-safety invariants. Code
  * that detects a recoverable failure deep inside a phase throws
  * RecoverableError, which the enclosing PassGuard (or the API-boundary
- * catch in Session::frontend / parseFunctionIR) turns into a Diagnostic.
+ * catch in Session::frontend) turns into a Diagnostic.
  *
  * The recovery contract is documented in DESIGN.md §7 and
  * docs/robustness.md.

@@ -1,15 +1,33 @@
 #include "support/fault_inject.h"
 
 #include <chrono>
-#include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "support/cancellation.h"
 #include "support/diagnostics.h"
+#include "support/fatal.h"
+#include "support/parse_int.h"
 
 namespace chf {
 
 namespace {
+
+/** The phase names runPhase call sites pass (the fault hook asserts
+ *  that each name it sees is listed). */
+constexpr const char *kFaultPhases[] = {
+    "unroll",   "peel",   "formation", "formation-seed",
+    "regalloc", "fanout", "schedule",
+};
+
+bool
+isFaultPhase(const char *phase)
+{
+    for (const char *name : kFaultPhases)
+        if (std::strcmp(name, phase) == 0)
+            return true;
+    return false;
+}
 
 /** Split "key:value" out of one comma-separated field. */
 bool
@@ -48,30 +66,33 @@ parseFaultSpec(const std::string &text, FaultSpec *out, std::string *err)
             return false;
         }
         if (key == "phase") {
+            if (value != "any" && !isFaultPhase(value.c_str())) {
+                std::string known;
+                for (const char *name : kFaultPhases)
+                    known += concat(name, ", ");
+                *err = concat("unknown fault phase '", value, "' (want ",
+                              known, "or any)");
+                return false;
+            }
             spec.phase = value == "any" ? "" : value;
-        } else if (key == "fn" || key == "occ") {
-            char *end = nullptr;
-            long n = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || n < 0) {
+        } else if (key == "fn") {
+            if (!parseAtLeast(value, 0, &spec.unit)) {
                 *err = concat("bad fault unit '", value, "'");
                 return false;
             }
-            spec.unit = static_cast<int>(n);
         } else if (key == "kind") {
             if (value == "corrupt-ir") {
                 spec.kind = FaultSpec::Kind::CorruptIr;
             } else if (value == "throw") {
                 spec.kind = FaultSpec::Kind::Throw;
             } else if (value.rfind("stall:", 0) == 0) {
-                char *end = nullptr;
-                long ms = std::strtol(value.c_str() + 6, &end, 10);
-                if (end == value.c_str() + 6 || *end != '\0' || ms < 0) {
+                if (!parseAtLeast(std::string_view(value).substr(6), 0,
+                                  &spec.stallMs)) {
                     *err = concat("bad stall duration in '", value,
                                   "' (want stall:<ms>)");
                     return false;
                 }
                 spec.kind = FaultSpec::Kind::Stall;
-                spec.stallMs = static_cast<int>(ms);
             } else {
                 *err = concat("unknown fault kind '", value,
                               "' (want corrupt-ir, throw or stall:<ms>)");
@@ -108,7 +129,11 @@ void
 faultInjectionPoint(const char *phase, Function &fn)
 {
     FaultScope *scope = current_scope;
-    if (scope == nullptr || scope->spec == nullptr || scope->hasFired)
+    if (scope == nullptr || scope->spec == nullptr)
+        return;
+    CHF_ASSERT(isFaultPhase(phase), "phase '", phase,
+               "' is missing from the fault-spec phase list");
+    if (scope->hasFired)
         return;
     const FaultSpec &spec = *scope->spec;
     if (scope->unit != spec.unit)

@@ -19,8 +19,9 @@
  * where <name> is one of the guarded phase names (unroll, peel,
  * formation, formation-seed, fanout, regalloc, schedule, or "any"),
  * fn:<n> names the unit index the fault fires in, and kind selects the
- * fault. "occ" is accepted as an alias for "fn". Fields may appear in
- * any order; phase defaults to "any", fn to 0, kind to throw.
+ * fault. Any other phase name is rejected, and <n> and <ms> must be
+ * integers in [0, INT_MAX]. Fields may appear in any order; phase
+ * defaults to "any", fn to 0, kind to throw.
  *
  * stall:<ms> sleeps up to <ms> milliseconds inside the phase, polling
  * CancellationToken::current() in 1 ms slices: a unit's time budget
@@ -103,7 +104,9 @@ class FaultScope
 /**
  * Hook point called once per keep-going phase run (by runPhase). Fires
  * the innermost scope's fault if it matches @p phase and has not fired:
- * may corrupt @p fn in place, throw RecoverableError, or stall.
+ * may corrupt @p fn in place, throw RecoverableError, or stall. With a
+ * fault armed, panics if @p phase is not one of the names
+ * parseFaultSpec accepts.
  */
 void faultInjectionPoint(const char *phase, Function &fn);
 

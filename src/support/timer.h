@@ -6,7 +6,7 @@
  * the elapsed microseconds of a scope into a named StatSet counter (the
  * "usXxx" counters reported alongside the m/t/u/p statistics), so
  * compile-time trends ride the same reporting path as transform
- * activity. See timingSummary() in report/block_report.h for rendering.
+ * activity.
  */
 
 #ifndef CHF_SUPPORT_TIMER_H
@@ -33,12 +33,6 @@ class Timer
         return std::chrono::duration_cast<std::chrono::microseconds>(
                    Clock::now() - start)
             .count();
-    }
-
-    double
-    elapsedSeconds() const
-    {
-        return static_cast<double>(elapsedMicros()) / 1e6;
     }
 
   private:

@@ -112,15 +112,6 @@ findTarget(const std::string &name)
     return nullptr;
 }
 
-std::vector<std::string>
-targetNames()
-{
-    std::vector<std::string> names;
-    for (const TargetModel &m : targetRegistry())
-        names.push_back(m.name);
-    return names;
-}
-
 std::string
 targetNamesJoined()
 {

@@ -136,20 +136,6 @@ struct TargetModel
      * reject models that do not.
      */
     std::string validate() const;
-
-    /** Equality over the semantic knobs — `name` excluded, matching
-     *  its no-semantic-input contract. */
-    bool
-    sameKnobs(const TargetModel &o) const
-    {
-        return maxInsts == o.maxInsts && maxMemOps == o.maxMemOps &&
-               lsqDepth == o.lsqDepth && numRegBanks == o.numRegBanks &&
-               maxReadsPerBank == o.maxReadsPerBank &&
-               maxWritesPerBank == o.maxWritesPerBank &&
-               maxBranches == o.maxBranches &&
-               numPhysRegs == o.numPhysRegs &&
-               spillHeadroom == o.spillHeadroom;
-    }
 };
 
 // --- named registry ---
@@ -168,10 +154,6 @@ const std::vector<TargetModel> &targetRegistry();
 
 /** Look a model up by registry name; nullptr when unknown. */
 const TargetModel *findTarget(const std::string &name);
-
-/** Registry names in definition order (driver --list output, error
- *  messages, JSON schema docs). */
-std::vector<std::string> targetNames();
 
 /** "trips, trips-wide, ..." for one-line error messages. */
 std::string targetNamesJoined();

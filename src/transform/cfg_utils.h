@@ -7,8 +7,8 @@
  * cache. A caller holding a chf::AnalysisManager must report each
  * mutation through the matching event -- branchesRewritten() after
  * redirectBranches(), invalidateAll() after cloneRegion() or
- * splitBlockAt() (the block table grew), blockAbsorbed()/blockRemoved()
- * when a block goes away. See DESIGN.md, "Analysis caching &
+ * splitBlockAt() (the block table grew), blockAbsorbed() when a merge
+ * removes a block. See DESIGN.md, "Analysis caching &
  * invalidation". Frequency-only edits (scaleBranchFreqs) need no event:
  * no cached analysis reads frequencies.
  */

@@ -143,11 +143,18 @@ matchCountedLoop(const Function &fn, const Loop &loop)
     return out;
 }
 
+constexpr int kFactor = 4;
+
+/** Skip loops whose profiled mean trip count is below this. */
+constexpr double kMinMeanTrips = 8.0;
+
+/** Skip when kFactor * (loop size) exceeds this many instructions. */
+constexpr size_t kSizeBudget = 100;
+
 } // namespace
 
 size_t
-unrollForLoops(Function &fn, const ProfileData &profile,
-               const ForLoopUnrollOptions &options)
+unrollForLoops(Function &fn, const ProfileData &profile)
 {
     LoopInfo loops(fn);
     size_t unrolled = 0;
@@ -161,24 +168,21 @@ unrollForLoops(Function &fn, const ProfileData &profile,
         const BasicBlock *head = fn.block(cl.head);
         const BasicBlock *body = fn.block(cl.body);
 
-        int factor = options.factor;
-        if (factor < 2)
-            continue;
-        if (static_cast<size_t>(factor) *
+        if (static_cast<size_t>(kFactor) *
                 (head->size() + body->size()) >
-            options.sizeBudget) {
+            kSizeBudget) {
             continue;
         }
         if (profile.trips.has(cl.head) &&
-            profile.trips.meanTrips(cl.head) < options.minMeanTrips) {
+            profile.trips.meanTrips(cl.head) < kMinMeanTrips) {
             continue;
         }
 
         // --- Build the unrolled structure ---
         // Head (in place): replace the test with a lookahead guard
-        //   g = testOp(i + (factor-1)*step, bound)
+        //   g = testOp(i + (kFactor-1)*step, bound)
         // branching to the new main body or the epilogue head.
-        // Main body: body + (factor-1) x (head prefix + body), ending
+        // Main body: body + (kFactor-1) x (head prefix + body), ending
         // with a branch back to the head.
         // Epilogue: a pristine copy of the original head + body pair.
 
@@ -200,8 +204,8 @@ unrollForLoops(Function &fn, const ProfileData &profile,
         redirectBranches(*epi_body, cl.head, epi_head->id());
         scaleBranchFreqs(*epi_body, 0.2);
 
-        // Main body: factor iterations per pass.
-        for (int iter = 0; iter < factor; ++iter) {
+        // Main body: kFactor iterations per pass.
+        for (int iter = 0; iter < kFactor; ++iter) {
             if (iter > 0) {
                 // Head prefix: everything except test and branches
                 // (side-effect-free by the match conditions).
@@ -220,7 +224,7 @@ unrollForLoops(Function &fn, const ProfileData &profile,
         }
         main_body->append(Instruction::br(cl.head, Predicate::always(),
                                           cl.backFreq *
-                                              (1.0 / factor) * 0.8));
+                                              (1.0 / kFactor) * 0.8));
 
         // Rewrite the head in place: lookahead guard + retargeted
         // branches.
@@ -233,7 +237,7 @@ unrollForLoops(Function &fn, const ProfileData &profile,
                 new_head.push_back(Instruction::binary(
                     Opcode::Add, lookahead,
                     Operand::makeReg(cl.induction),
-                    Operand::makeImm((factor - 1) * cl.step)));
+                    Operand::makeImm((kFactor - 1) * cl.step)));
                 inst.srcs[0] = Operand::makeReg(lookahead);
                 new_head.push_back(inst);
                 continue;

@@ -23,25 +23,14 @@
 
 namespace chf {
 
-/** Unrolling knobs. */
-struct ForLoopUnrollOptions
-{
-    int factor = 4;
-
-    /** Skip loops whose profiled mean trip count is below this. */
-    double minMeanTrips = 8.0;
-
-    /** Skip when factor * (loop size) exceeds this many instructions. */
-    size_t sizeBudget = 100;
-};
-
 /**
- * Unroll all eligible counted loops of @p fn. The profile (may be
- * empty) supplies trip counts, mirroring Scale's use of data from
- * previous compilations. @return number of loops unrolled.
+ * Unroll all eligible counted loops of @p fn by 4. The profile (may
+ * be empty) supplies trip counts, mirroring Scale's use of data from
+ * previous compilations: a loop whose profiled mean trip count is
+ * below 8 is skipped, and so is one whose unrolled head and body would
+ * exceed 100 instructions. @return number of loops unrolled.
  */
-size_t unrollForLoops(Function &fn, const ProfileData &profile,
-                      const ForLoopUnrollOptions &options = {});
+size_t unrollForLoops(Function &fn, const ProfileData &profile);
 
 } // namespace chf
 

@@ -78,28 +78,6 @@ TEST(AnalysisManager, BranchRewriteWithSameEdgesKeepsDominators)
     EXPECT_EQ(&am.dominators(), before);
 }
 
-TEST(AnalysisManager, BlockRemovedInvalidatesDominators)
-{
-    Function fn = makeLoop();
-    AnalysisManager am(fn);
-    am.dominators();
-    am.loops();
-    am.liveness();
-
-    // Disconnect and remove the loop body.
-    BasicBlock *head = fn.block(1);
-    std::vector<BlockId> head_old = head->successors();
-    redirectBranches(*head, 2, 3);
-    am.branchesRewritten(1, head_old);
-    BasicBlock *body = fn.block(2);
-    std::vector<BlockId> body_succs = body->successors();
-    fn.removeBlock(2);
-    am.blockRemoved(2, body_succs);
-
-    expectCfgAnalysesMatchFresh(am, fn);
-    expectLivenessMatchesFresh(am, fn);
-}
-
 TEST(AnalysisManager, BlockAbsorbedPatchMatchesFreshBuild)
 {
     // A simple merge inside a loop: head absorbs its single-predecessor

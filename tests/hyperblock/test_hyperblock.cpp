@@ -336,7 +336,7 @@ TEST(Policies, BreadthFirstTakesDiscoveryOrder)
 
 TEST(Policies, BreadthFirstLimitsTailDuplication)
 {
-    BreadthFirstPolicy policy(/*tail_dup_limit=*/16);
+    BreadthFirstPolicy policy;
     Function dummy;
     std::vector<MergeCandidate> candidates(1);
     candidates[0].block = 5;

@@ -134,14 +134,15 @@ TEST(Function, ReversePostOrderStartsAtEntry)
 TEST(Function, RemoveUnreachable)
 {
     Function fn = makeDiamond();
-    BasicBlock *orphan = fn.newBlock("orphan");
+    // The id, not the block: removeUnreachable frees the block.
+    BlockId orphan = fn.newBlock("orphan")->id();
     IRBuilder b(fn);
-    b.setBlock(orphan->id());
+    b.setBlock(orphan);
     b.ret();
     EXPECT_EQ(fn.numBlocks(), 5u);
     EXPECT_EQ(fn.removeUnreachable(), 1u);
     EXPECT_EQ(fn.numBlocks(), 4u);
-    EXPECT_EQ(fn.block(orphan->id()), nullptr);
+    EXPECT_EQ(fn.block(orphan), nullptr);
 }
 
 TEST(Function, CloneIsDeep)

@@ -76,6 +76,20 @@ TEST(ServerProtocol, MalformedRequestsAreErrorsNotCrashes)
         R"({"op":"compile","gen":{"nested":1}})", // nested value
         R"({"op":"compile","gen":"seed:notanumber"})",
         R"({"op":"compile","source":"int main(){ syntax error"})",
+        // Numbers outside the field's integer type or range.
+        R"({"op":"compile","gen":"seed:3","timeout_ms":1e300})",
+        R"({"op":"compile","gen":"seed:3","timeout_ms":-5})",
+        R"({"op":"compile","gen":"seed:3","timeout_ms":2147483648})",
+        R"({"op":"compile","gen":"seed:3","timeout_ms":1.5})",
+        R"({"op":"compile","source":"int main(int x){return x;}","args":[1e300]})",
+        R"({"op":"compile","source":"int main(int x){return x;}","args":[1.5]})",
+        R"({"op":"compile","source":"int main(int x){return x;}","args":[9223372036854775808]})",
+        // Fewer arguments than main takes.
+        R"({"op":"compile","gen":"seed:3","args":[1]})",
+        // Fault specs that could never fire or would fire in another
+        // unit.
+        R"({"op":"compile","gen":"seed:3","fault":"phase:formaton"})",
+        R"({"op":"compile","gen":"seed:3","fault":"fn:4294967296"})",
     };
     for (const char *line : bad) {
         std::string response = server.handle(line);
@@ -84,6 +98,13 @@ TEST(ServerProtocol, MalformedRequestsAreErrorsNotCrashes)
     }
     EXPECT_EQ(server.stats().errors,
               sizeof(bad) / sizeof(bad[0]));
+    EXPECT_EQ(server.stats().compiled, 0u);
+
+    std::string typo = server.handle(
+        R"({"id":9,"op":"compile","gen":"seed:3","fault":"phase:formaton"})");
+    EXPECT_TRUE(hasField(typo, "\"id\":9,")) << typo;
+    EXPECT_TRUE(hasField(typo, "bad fault spec: unknown fault phase"))
+        << typo;
 }
 
 TEST(ServerProtocol, CompilesAndEchoesId)
@@ -97,6 +118,13 @@ TEST(ServerProtocol, CompilesAndEchoesId)
     EXPECT_TRUE(hasField(response, "\"blocks\":")) << response;
     EXPECT_TRUE(hasField(response, "\"asm\":")) << response;
     EXPECT_EQ(server.stats().compiled, 1u);
+
+    // A numeric id is echoed as the token it arrived as.
+    std::string numeric = server.handle(
+        R"({"id":1234567,"op":"compile","gen":"seed:4,shape:bench"})");
+    EXPECT_EQ(status(numeric), "ok") << numeric;
+    EXPECT_TRUE(hasField(numeric, "\"id\":1234567,")) << numeric;
+    EXPECT_EQ(server.stats().compiled, 2u);
 }
 
 TEST(ServerCache, RepeatRequestIsServedFromCacheByteIdentically)

@@ -52,7 +52,7 @@ TEST(Diagnostic, InputErrorCarriesLocation)
 TEST(Diagnostic, LineOnlyLocationOmitsColumn)
 {
     Diagnostic d =
-        Diagnostic::inputError("ir-parse", SourceLoc::at(9), "oops");
+        Diagnostic::inputError("lower", SourceLoc::at(9), "oops");
     std::string text = d.toString();
     EXPECT_NE(text.find("9:"), std::string::npos) << text;
     EXPECT_EQ(text.find("9:0"), std::string::npos) << text;
@@ -128,8 +128,8 @@ TEST(FaultSpecParse, DefaultsAndAliases)
     EXPECT_EQ(spec.unit, 0);
     EXPECT_EQ(spec.kind, FaultSpec::Kind::Throw);
 
-    // "occ" is an alias for "fn"; field order is free.
-    ASSERT_TRUE(parseFaultSpec("kind:corrupt-ir,occ:1,phase:peel",
+    // Field order is free.
+    ASSERT_TRUE(parseFaultSpec("kind:corrupt-ir,fn:1,phase:peel",
                                &spec, &err))
         << err;
     EXPECT_EQ(spec.phase, "peel");
@@ -149,6 +149,22 @@ TEST(FaultSpecParse, RejectsGarbage)
     err.clear();
     EXPECT_FALSE(parseFaultSpec("fn:notanumber", &spec, &err));
     EXPECT_FALSE(err.empty());
+
+    // Values that would wrap into another unit or duration, a phase no
+    // hook passes (it could never fire), and the retired "occ" alias.
+    for (const char *text :
+         {"fn:4294967296", "fn:2147483648", "fn: 1",
+          "kind:stall:4294967296", "phase:formaton", "phase:Formation",
+          "occ:1"}) {
+        err.clear();
+        EXPECT_FALSE(parseFaultSpec(text, &spec, &err)) << text;
+        EXPECT_FALSE(err.empty()) << text;
+    }
+    ASSERT_TRUE(parseFaultSpec("fn:2147483647,kind:stall:2147483647",
+                               &spec, &err))
+        << err;
+    EXPECT_EQ(spec.unit, 2147483647);
+    EXPECT_EQ(spec.stallMs, 2147483647);
 }
 
 class FaultInjectorTest : public ::testing::Test

@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the CFG-restructuring transforms: combine/if-conversion
- * (paper Fig. 2), CFG-level tail duplication, head duplication as
- * peeling (Fig. 3) and unrolling (Fig. 4), CFG simplification,
- * for-loop unrolling, block splitting, and output normalization --
- * each checked both structurally and for semantic preservation via
- * the functional simulator.
+ * (paper Fig. 2), head duplication as peeling (Fig. 3) and unrolling
+ * (Fig. 4), CFG simplification, for-loop unrolling, block splitting,
+ * and output normalization -- each checked both structurally and for
+ * semantic preservation via the functional simulator.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@
 #include "transform/normalize_outputs.h"
 #include "transform/reverse_if_convert.h"
 #include "transform/simplify_cfg.h"
-#include "transform/tail_duplicate.h"
 
 namespace chf {
 namespace {
@@ -215,46 +213,6 @@ TEST(Combine, SnapshotsWhenPredicateRedefined)
     EXPECT_EQ(after, before);
 }
 
-// ----- Tail duplication (CFG form) -----
-
-TEST(TailDuplicate, RedirectsAndPreservesSemantics)
-{
-    // Diamond with a join D: duplicating D for the then-arm removes
-    // the side entrance (Fig. 2 at the CFG level).
-    const char *src =
-        "int g[2];\n"
-        "int main(int x) {\n"
-        "  int v = 0;\n"
-        "  if (x > 3) { v = 1; } else { v = 2; }\n"
-        "  g[0] = v * 10;\n"
-        "  return v;\n"
-        "}\n";
-    Program p = Session::frontend(src);
-    simplifyCfg(p.fn);
-    auto before5 = runFunctional(p, {5}).returnValue;
-    auto before1 = runFunctional(p, {1}).returnValue;
-
-    // Find a block with two predecessors and duplicate it for one.
-    PredecessorMap preds = p.fn.predecessors();
-    BlockId join = kNoBlock, from = kNoBlock;
-    for (BlockId id : p.fn.blockIds()) {
-        if (preds[id].size() == 2) {
-            join = id;
-            from = preds[id][0];
-        }
-    }
-    ASSERT_NE(join, kNoBlock);
-
-    BlockId copy = tailDuplicateCfg(p.fn, from, join);
-    ASSERT_NE(copy, kNoBlock);
-    EXPECT_TRUE(branchesTo(*p.fn.block(from), join).empty());
-    EXPECT_FALSE(branchesTo(*p.fn.block(from), copy).empty());
-    EXPECT_TRUE(verify(p.fn).empty());
-
-    EXPECT_EQ(runFunctional(p, {5}).returnValue, before5);
-    EXPECT_EQ(runFunctional(p, {1}).returnValue, before1);
-}
-
 // ----- Head duplication: CFG peel and unroll (Figs. 3 and 4) -----
 
 TEST(HeadDuplicate, CfgPeelMatchesFig3)
@@ -362,9 +320,7 @@ TEST(ForLoopUnroll, UnrollsCountedLoopExactly)
     ProfileData profile = prepareProgram(p, {}, false);
     auto before = observe(p);
 
-    ForLoopUnrollOptions options;
-    options.minMeanTrips = 4.0;
-    EXPECT_EQ(unrollForLoops(p.fn, profile, options), 1u);
+    EXPECT_EQ(unrollForLoops(p.fn, profile), 1u); // mean 37 >= 8
     EXPECT_TRUE(verify(p.fn).empty());
     EXPECT_EQ(observe(p), before); // 37 % 4 != 0: epilogue exercised
 }
@@ -377,9 +333,7 @@ TEST(ForLoopUnroll, SkipsWhileLoops)
         "  while (data[i] == 0 && i < 16) { s += 1; i += 1; }\n"
         "  return s; }");
     ProfileData profile = prepareProgram(p, {}, false);
-    ForLoopUnrollOptions options;
-    options.minMeanTrips = 0.0;
-    EXPECT_EQ(unrollForLoops(p.fn, profile, options), 0u);
+    EXPECT_EQ(unrollForLoops(p.fn, profile), 0u); // mean 16 >= 8
 }
 
 TEST(ForLoopUnroll, SkipsLowTripLoops)

@@ -108,7 +108,7 @@ compile(Program &program, Pipeline pipeline, const std::string &unit,
         CheckedOptimizer &optimize)
 {
     Function &fn = program.fn;
-    const CompileOptions options;
+    const SessionOptions options;
     if (pipeline == Pipeline::IUPO_fused) {
         FormationOptions formation;
         formation.merge.target = options.target;
