@@ -79,21 +79,40 @@ AnalysisManager::predecessors()
 const Liveness &
 AnalysisManager::liveness()
 {
+    return refreshLiveness(nullptr);
+}
+
+const Liveness &
+AnalysisManager::liveness(const std::vector<BlockId> &reads)
+{
+    return refreshLiveness(&reads);
+}
+
+const Liveness &
+AnalysisManager::refreshLiveness(const std::vector<BlockId> *reads)
+{
     if (!live) {
         live = std::make_unique<Liveness>(fn);
         pendingLive.clear();
         counters.add("analysisLivenessBuilds");
-    } else if (!pendingLive.empty() ||
-               live->universe() < fn.numVregs()) {
-        // predecessors() first: update() walks the region backward.
-        const PredecessorMap &preds = predecessors();
-        std::vector<BlockId> changed = std::move(pendingLive);
-        pendingLive.clear();
-        live->update(fn, changed, preds);
-        counters.add("analysisLivenessUpdates");
-    } else {
-        counters.add("analysisLivenessHits");
+        return *live;
     }
+    const bool edits =
+        !pendingLive.empty() || live->universe() < fn.numVregs();
+    if (!edits && live->solvedFor(reads)) {
+        counters.add("analysisLivenessHits");
+        return *live;
+    }
+    // predecessors() first: a solve marks predecessors' ranks dirty.
+    const PredecessorMap &preds = predecessors();
+    Liveness::UpdatePath path = live->update(fn, pendingLive, preds, reads);
+    pendingLive.clear();
+    if (edits)
+        counters.add("analysisLivenessUpdates");
+    if (path == Liveness::UpdatePath::Walk)
+        counters.add("analysisLivenessWalks");
+    else if (path == Liveness::UpdatePath::Rebuild)
+        counters.add("analysisLivenessRebuilds");
     return *live;
 }
 

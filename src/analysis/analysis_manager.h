@@ -24,8 +24,11 @@
  *
  *  - PredecessorMap: patched edge-by-edge (exact, ordered like
  *    Function::predecessors()).
- *  - Liveness: re-solved only over the region that can reach a changed
- *    block (exact; see Liveness::update).
+ *  - Liveness: pending edits are applied at the next query, which
+ *    solves the condensation's dirty ranks lowest first and only as far
+ *    as the blocks the caller reads (liveness(reads)); the ranks above
+ *    wait for a query that needs them. liveness() solves everything.
+ *    Exact either way (see Liveness::update).
  *  - DominatorTree / LoopInfo: patched in place for the simple-merge
  *    splice (blockAbsorbed -- the common case during formation);
  *    invalidated on any other edge change and rebuilt lazily on the
@@ -69,8 +72,18 @@ class AnalysisManager
     // --- queries (lazily build or refresh the cached snapshot) ---
     const DominatorTree &dominators();
     const LoopInfo &loops();
-    const Liveness &liveness();
     const PredecessorMap &predecessors();
+
+    /** Liveness with every block solved, bit-identical to a fresh one. */
+    const Liveness &liveness();
+
+    /**
+     * Liveness solved only as far as @p reads need: their sets, and
+     * those of every block they reach, are exact; blocks upstream of
+     * them may be stale until a later query needs them (see
+     * Liveness::update).
+     */
+    const Liveness &liveness(const std::vector<BlockId> &reads);
 
     // --- invalidation events ---
 
@@ -111,6 +124,8 @@ class AnalysisManager
     const StatSet &stats() const { return counters; }
 
   private:
+    const Liveness &refreshLiveness(const std::vector<BlockId> *reads);
+
     void patchPredecessors(BlockId id,
                            const std::vector<BlockId> &old_succs,
                            const std::vector<BlockId> &new_succs);

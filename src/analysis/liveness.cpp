@@ -1,6 +1,7 @@
 #include "analysis/liveness.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace chf {
 
@@ -75,13 +76,14 @@ blockDefsInto(const BasicBlock &bb, uint32_t num_vregs, BitVector &defs)
 Liveness::Liveness(const Function &fn)
 {
     nv = paddedUniverse(fn.numVregs());
+    entryBlock = fn.entry();
     size_t table = fn.blockTableSize();
     ins.assign(table, BitVector(nv));
     outs.assign(table, BitVector(nv));
     uses.assign(table, BitVector(nv));
     kills.assign(table, BitVector(nv));
     succs.assign(table, {});
-    reachableBits.assign(table, 0);
+    rank.assign(table, kNoRank);
 
     std::vector<BlockId> order = fn.reversePostOrder();
     for (BlockId id : order) {
@@ -89,7 +91,7 @@ Liveness::Liveness(const Function &fn)
         uses[id] = blockUses(*bb, nv);
         kills[id] = blockKills(*bb, nv);
         succs[id] = bb->successors();
-        reachableBits[id] = 1;
+        rank[id] = 0;
     }
 
     // Backward fixed point: visit in post-order (reverse of RPO). The
@@ -117,16 +119,280 @@ Liveness::Liveness(const Function &fn)
 }
 
 void
-Liveness::update(const Function &fn,
-                 const std::vector<BlockId> &changed_blocks,
-                 const PredecessorMap &preds)
+Liveness::rankComponents()
 {
+    // Iterative Tarjan from the entry over the cached successor lists,
+    // which are exact for every reachable block. Tarjan emits SCCs
+    // successors first, so the emission index is a rank with
+    // rank(u) >= rank(v) on every edge u -> v.
     size_t table = ins.size();
-    if (fn.blockTableSize() != table) {
-        // New blocks appeared: no cheap patch, recompute.
-        *this = Liveness(fn);
+    constexpr uint32_t kUnvisited = ~uint32_t(0);
+    std::vector<uint32_t> index(table, kUnvisited);
+    std::vector<uint32_t> low(table, 0);
+    std::vector<uint8_t> on_stack(table, 0);
+    std::vector<BlockId> scc_stack;
+    struct Frame
+    {
+        BlockId b;
+        size_t child;
+    };
+    std::vector<Frame> dfs;
+    uint32_t next_index = 0;
+
+    std::fill(rank.begin(), rank.end(), kNoRank);
+    rankStart.assign(1, 0);
+    rankMembers.clear();
+    auto visit = [&](BlockId b) {
+        index[b] = low[b] = next_index++;
+        scc_stack.push_back(b);
+        on_stack[b] = 1;
+        dfs.push_back({b, 0});
+    };
+    if (entryBlock != kNoBlock)
+        visit(entryBlock);
+    while (!dfs.empty()) {
+        Frame &f = dfs.back();
+        if (f.child < succs[f.b].size()) {
+            BlockId s = succs[f.b][f.child++];
+            if (index[s] == kUnvisited)
+                visit(s);
+            else if (on_stack[s])
+                low[f.b] = std::min(low[f.b], index[s]);
+            continue;
+        }
+        BlockId b = f.b;
+        dfs.pop_back();
+        if (!dfs.empty())
+            low[dfs.back().b] = std::min(low[dfs.back().b], low[b]);
+        if (low[b] != index[b])
+            continue;
+        uint32_t r = static_cast<uint32_t>(rankStart.size() - 1);
+        while (true) {
+            BlockId m = scc_stack.back();
+            scc_stack.pop_back();
+            on_stack[m] = 0;
+            rank[m] = r;
+            rankMembers.push_back(m);
+            if (m == b)
+                break;
+        }
+        rankStart.push_back(static_cast<uint32_t>(rankMembers.size()));
+    }
+
+    dirty.assign(rankStart.size() - 1, 0);
+    dirtyHeap.clear();
+    ranked = true;
+}
+
+bool
+Liveness::needsWalk(const Function &fn, const PredecessorMap &preds) const
+{
+    // Only an edge into a surviving block can cut a block off. Such an
+    // edge is harmless when it left a removed block c and every
+    // reachable block that branched to c is listed, survives, and now
+    // branches to the target itself (one still in preds[c] was edited
+    // unlisted): each path through c then has a bypass. That is a
+    // splice; DESIGN.md section 6 has the proof.
+    auto listed = [&](BlockId b) {
+        return std::binary_search(edited.begin(), edited.end(), b);
+    };
+    for (const auto &[c, t] : removedEdges) {
+        if (!fn.block(t)) {
+            if (!listed(t))
+                return true; // its own out-edges went away unlisted
+            continue;
+        }
+        if (fn.block(c))
+            return true;
+        for (BlockId p : preds[c]) {
+            if (rank[p] != kNoRank)
+                return true;
+        }
+        for (size_t i = 0; i < edited.size(); ++i) {
+            const std::vector<BlockId> &old = oldSuccs[i];
+            if (std::find(old.begin(), old.end(), c) == old.end())
+                continue;
+            BlockId p = edited[i];
+            const std::vector<BlockId> &now = succs[p];
+            if (!fn.block(p) ||
+                std::find(now.begin(), now.end(), t) == now.end())
+                return true;
+        }
+    }
+    return false;
+}
+
+void
+Liveness::dropUnreachable(const Function &fn)
+{
+    // Walk the cached lists from the entry. Every edge of a reachable
+    // block ends at a ranked block (update() checked the new ones), so
+    // the walk only shrinks the ranked set.
+    size_t table = ins.size();
+    std::vector<uint8_t> seen(table, 0);
+    std::vector<BlockId> stack;
+    if (entryBlock != kNoBlock && rank[entryBlock] != kNoRank) {
+        seen[entryBlock] = 1;
+        stack.push_back(entryBlock);
+    }
+    while (!stack.empty()) {
+        BlockId b = stack.back();
+        stack.pop_back();
+        for (BlockId s : succs[b]) {
+            if (!seen[s] && rank[s] != kNoRank && fn.block(s)) {
+                seen[s] = 1;
+                stack.push_back(s);
+            }
+        }
+    }
+    for (size_t i = 0; i < table; ++i) {
+        if (rank[i] != kNoRank && !seen[i]) {
+            rank[i] = kNoRank;
+            ins[i].reset();
+            outs[i].reset();
+        }
+    }
+}
+
+uint32_t
+Liveness::rankLimit(const std::vector<BlockId> *reads) const
+{
+    if (!reads)
+        return kNoRank;
+    uint32_t limit = 0;
+    for (BlockId b : *reads) {
+        if (b < rank.size() && rank[b] != kNoRank)
+            limit = std::max(limit, rank[b] + 1);
+    }
+    return limit;
+}
+
+bool
+Liveness::solvedFor(const std::vector<BlockId> *reads) const
+{
+    return dirtyHeap.empty() || dirtyHeap.front() >= rankLimit(reads);
+}
+
+void
+Liveness::markDirty(uint32_t r)
+{
+    if (dirty[r])
+        return;
+    dirty[r] = 1;
+    dirtyHeap.push_back(r);
+    std::push_heap(dirtyHeap.begin(), dirtyHeap.end(), std::greater<>());
+}
+
+void
+Liveness::solveRank(uint32_t r, const PredecessorMap &preds)
+{
+    // Members that left the CFG since the ranking keep their slot but
+    // not their rank.
+    const uint32_t begin = rankStart[r], end = rankStart[r + 1];
+    size_t members = 0;
+    BlockId one = kNoBlock;
+    for (uint32_t i = begin; i < end; ++i) {
+        if (rank[rankMembers[i]] == r) {
+            ++members;
+            one = rankMembers[i];
+        }
+    }
+    if (members == 0)
+        return;
+
+    // Lower ranks are final, so a changed live-in can only change the
+    // predecessors in other (higher) ranks: those go dirty.
+    auto outside = [&](BlockId p) {
+        return rank[p] != kNoRank && rank[p] != r;
+    };
+    auto changedIn = [&](BlockId b) {
+        for (BlockId p : preds[b]) {
+            if (outside(p))
+                markDirty(rank[p]);
+        }
+    };
+    auto transfer = [&](BlockId b) {
+        outScratch.resize(nv);
+        outScratch.reset();
+        for (BlockId s : succs[b])
+            outScratch.unionWith(ins[s]);
+        inScratch = outScratch;
+        inScratch.subtract(kills[b]);
+        inScratch.unionWith(uses[b]);
+    };
+
+    const std::vector<BlockId> &one_succs = succs[one];
+    bool cyclic = members > 1 || std::find(one_succs.begin(),
+                                           one_succs.end(),
+                                           one) != one_succs.end();
+    if (!cyclic) {
+        transfer(one);
+        std::swap(outs[one], outScratch);
+        if (inScratch != ins[one]) {
+            std::swap(ins[one], inScratch);
+            changedIn(one);
+        }
         return;
     }
+
+    // A cyclic rank resets to bottom first -- a warm start could keep a
+    // stale fact circling forever -- so the result is the least fixed
+    // point, bit-identical to a from-scratch solve. Only members with a
+    // predecessor in another rank can dirty one, so only their old
+    // live-ins are kept to compare.
+    auto entered = [&](BlockId b) {
+        return std::any_of(preds[b].begin(), preds[b].end(), outside);
+    };
+    size_t kept = 0;
+    for (uint32_t i = begin; i < end; ++i) {
+        BlockId b = rankMembers[i];
+        if (rank[b] != r)
+            continue;
+        if (entered(b)) {
+            if (kept == oldIns.size())
+                oldIns.emplace_back();
+            std::swap(oldIns[kept++], ins[b]);
+            ins[b].resize(nv);
+        }
+        ins[b].reset();
+        outs[b].reset();
+    }
+    bool again = true;
+    while (again) {
+        again = false;
+        for (uint32_t i = begin; i < end; ++i) {
+            BlockId b = rankMembers[i];
+            if (rank[b] != r)
+                continue;
+            transfer(b);
+            if (outScratch != outs[b] || inScratch != ins[b]) {
+                std::swap(outs[b], outScratch);
+                std::swap(ins[b], inScratch);
+                again = true;
+            }
+        }
+    }
+    kept = 0;
+    for (uint32_t i = begin; i < end; ++i) {
+        BlockId b = rankMembers[i];
+        if (rank[b] == r && entered(b) && ins[b] != oldIns[kept++])
+            changedIn(b);
+    }
+}
+
+Liveness::UpdatePath
+Liveness::update(const Function &fn,
+                 const std::vector<BlockId> &changed_blocks,
+                 const PredecessorMap &preds,
+                 const std::vector<BlockId> *reads)
+{
+    const size_t table = ins.size();
+    auto rebuild = [&] {
+        *this = Liveness(fn);
+        return UpdatePath::Rebuild;
+    };
+    if (fn.blockTableSize() != table || fn.entry() != entryBlock)
+        return rebuild();
 
     if (fn.numVregs() > nv) {
         uint32_t padded = paddedUniverse(fn.numVregs());
@@ -138,236 +404,77 @@ Liveness::update(const Function &fn,
         }
         nv = padded;
     }
+    if (!ranked)
+        rankComponents();
 
-    // Edge rewrites can shift reachability. Refresh the changed blocks'
-    // successor lists, then walk from the entry over the cached lists:
-    // O(blocks + edges), with no scan of unchanged blocks' instructions.
-    // A block that was unreachable at the last solve has no trusted list
-    // (its branches may have been edited while it was off the CFG), so
-    // the walk reads it from the function when it gets there.
+    // Only reachable blocks matter: an unreachable one stays at bottom
+    // until an edge into it rebuilds the analysis.
+    edited.clear();
     for (BlockId c : changed_blocks) {
-        if (c >= table)
-            continue;
+        if (c < table && rank[c] != kNoRank)
+            edited.push_back(c);
+    }
+    std::sort(edited.begin(), edited.end());
+    edited.erase(std::unique(edited.begin(), edited.end()), edited.end());
+
+    // Refresh the edited blocks' successor lists. A new edge must stay
+    // inside the reachable set and must not climb the rank order;
+    // otherwise the condensation is stale and a rebuild is the patch.
+    oldSuccs.resize(edited.size());
+    removedEdges.clear();
+    for (size_t i = 0; i < edited.size(); ++i) {
+        BlockId c = edited[i];
         const BasicBlock *bb = fn.block(c);
-        succs[c] = bb ? bb->successors() : std::vector<BlockId>{};
-    }
-    std::vector<uint8_t> now(table, 0);
-    std::vector<BlockId> stack;
-    if (fn.entry() != kNoBlock) {
-        now[fn.entry()] = 1;
-        stack.push_back(fn.entry());
-    }
-    while (!stack.empty()) {
-        BlockId b = stack.back();
-        stack.pop_back();
-        if (!reachableBits[b])
-            succs[b] = fn.block(b)->successors();
-        for (BlockId s : succs[b]) {
-            if (s < table && !now[s] && fn.block(s)) {
-                now[s] = 1;
-                stack.push_back(s);
-            }
+        oldSuccs[i].swap(succs[c]);
+        if (bb)
+            succs[c] = bb->successors();
+        else
+            succs[c].clear();
+        for (BlockId t : succs[c]) {
+            if (t >= table || !fn.block(t) || rank[t] == kNoRank ||
+                rank[t] > rank[c])
+                return rebuild();
+        }
+        for (BlockId t : oldSuccs[i]) {
+            if (std::find(succs[c].begin(), succs[c].end(), t) ==
+                succs[c].end())
+                removedEdges.emplace_back(c, t);
         }
     }
 
-    // Blocks that fell off the CFG go to bottom (a from-scratch solve
-    // never visits them); blocks that joined it count as changed so
-    // their facts get computed.
-    std::vector<BlockId> changed = changed_blocks;
-    for (size_t i = 0; i < table; ++i) {
-        if (reachableBits[i] && !now[i]) {
-            ins[i].reset();
-            outs[i].reset();
-        } else if (!reachableBits[i] && now[i]) {
-            changed.push_back(static_cast<BlockId>(i));
-        }
-    }
-    reachableBits = now;
-
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()),
-                  changed.end());
-
-    // Refresh the local facts of the changed blocks (their successor
-    // lists are already current); removed or unreachable ones just go
-    // (stay) empty.
-    std::vector<uint8_t> is_seed(table, 0);
-    std::vector<BlockId> seeds;
-    for (BlockId c : changed) {
-        if (c >= table)
-            continue;
-        const BasicBlock *bb = fn.block(c);
-        if (!bb || !now[c]) {
+    const bool walk = needsWalk(fn, preds);
+    for (BlockId c : edited) {
+        if (!fn.block(c)) {
+            rank[c] = kNoRank;
             ins[c].reset();
             outs[c].reset();
-            continue;
         }
+    }
+    if (walk)
+        dropUnreachable(fn);
+
+    // Refresh the local facts of the edited blocks that are still on
+    // the CFG and mark their ranks dirty.
+    for (BlockId c : edited) {
+        if (rank[c] == kNoRank)
+            continue;
+        const BasicBlock *bb = fn.block(c);
         uses[c] = blockUses(*bb, nv);
         kills[c] = blockKills(*bb, nv);
-        seeds.push_back(c);
-        is_seed[c] = 1;
-    }
-    if (seeds.empty())
-        return;
-
-    // Liveness flows backward, so only blocks that can *reach* a
-    // changed block can change solution. Collect that region over the
-    // predecessor map.
-    std::vector<uint8_t> in_region(table, 0);
-    std::vector<BlockId> region = seeds;
-    for (BlockId s : region)
-        in_region[s] = 1;
-    for (size_t qi = 0; qi < region.size(); ++qi) {
-        for (BlockId p : preds[region[qi]]) {
-            if (p < table && now[p] && !in_region[p]) {
-                in_region[p] = 1;
-                region.push_back(p);
-            }
-        }
+        markDirty(rank[c]);
     }
 
-    // Condense the region into SCCs (iterative Tarjan over the succ
-    // edges restricted to the region). Tarjan emits SCCs successors
-    // first -- exactly the evaluation order a backward problem wants:
-    // by the time an SCC is solved, every solution it reads is final.
-    constexpr uint32_t kUnvisited = ~uint32_t(0);
-    std::vector<uint32_t> index(table, kUnvisited);
-    std::vector<uint32_t> low(table, 0);
-    std::vector<uint8_t> on_stack(table, 0);
-    std::vector<BlockId> scc_stack;
-    std::vector<std::vector<BlockId>> sccs;
-    uint32_t next_index = 0;
-
-    struct Frame
-    {
-        BlockId b;
-        size_t child;
-    };
-    std::vector<Frame> dfs;
-    for (BlockId root : region) {
-        if (index[root] != kUnvisited)
-            continue;
-        index[root] = low[root] = next_index++;
-        scc_stack.push_back(root);
-        on_stack[root] = 1;
-        dfs.push_back({root, 0});
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            if (f.child < succs[f.b].size()) {
-                BlockId s = succs[f.b][f.child++];
-                if (s >= table || !in_region[s])
-                    continue;
-                if (index[s] == kUnvisited) {
-                    index[s] = low[s] = next_index++;
-                    scc_stack.push_back(s);
-                    on_stack[s] = 1;
-                    dfs.push_back({s, 0});
-                } else if (on_stack[s]) {
-                    low[f.b] = std::min(low[f.b], index[s]);
-                }
-            } else {
-                BlockId b = f.b;
-                dfs.pop_back();
-                if (!dfs.empty()) {
-                    low[dfs.back().b] =
-                        std::min(low[dfs.back().b], low[b]);
-                }
-                if (low[b] == index[b]) {
-                    sccs.emplace_back();
-                    while (true) {
-                        BlockId m = scc_stack.back();
-                        scc_stack.pop_back();
-                        on_stack[m] = 0;
-                        sccs.back().push_back(m);
-                        if (m == b)
-                            break;
-                    }
-                }
-            }
-        }
+    // Solve lowest rank first, and only as far as the caller reads.
+    const uint32_t limit = rankLimit(reads);
+    while (!dirtyHeap.empty() && dirtyHeap.front() < limit) {
+        std::pop_heap(dirtyHeap.begin(), dirtyHeap.end(),
+                      std::greater<>());
+        uint32_t r = dirtyHeap.back();
+        dirtyHeap.pop_back();
+        dirty[r] = 0;
+        solveRank(r, preds);
     }
-
-    // Solve SCCs in emission order, change-driven: an SCC is recomputed
-    // only if it holds a seed or reads a value that changed, and
-    // propagation stops as soon as recomputation reproduces the old
-    // solution. Cyclic SCCs reset to bottom first -- a warm start could
-    // sustain a stale value around the cycle forever -- so the result
-    // is the least fixed point, bit-identical to a from-scratch solve.
-    std::vector<uint8_t> value_changed(table, 0);
-    BitVector out_s(nv), in_s(nv);
-    std::vector<BitVector> old_ins;
-
-    for (const auto &scc : sccs) {
-        bool needs = false;
-        for (BlockId b : scc) {
-            if (is_seed[b]) {
-                needs = true;
-                break;
-            }
-            for (BlockId s : succs[b]) {
-                if (s < table && value_changed[s]) {
-                    needs = true;
-                    break;
-                }
-            }
-            if (needs)
-                break;
-        }
-        if (!needs)
-            continue;
-
-        bool cyclic = scc.size() > 1;
-        if (!cyclic) {
-            for (BlockId s : succs[scc[0]]) {
-                if (s == scc[0])
-                    cyclic = true;
-            }
-        }
-
-        if (!cyclic) {
-            BlockId b = scc[0];
-            out_s.reset();
-            for (BlockId s : succs[b])
-                out_s.unionWith(ins[s]);
-            in_s = out_s;
-            in_s.subtract(kills[b]);
-            in_s.unionWith(uses[b]);
-            if (in_s != ins[b]) {
-                ins[b] = in_s;
-                value_changed[b] = 1;
-            }
-            outs[b] = out_s;
-        } else {
-            old_ins.clear();
-            old_ins.reserve(scc.size());
-            for (BlockId b : scc) {
-                old_ins.push_back(ins[b]);
-                ins[b].reset();
-                outs[b].reset();
-            }
-            bool iter = true;
-            while (iter) {
-                iter = false;
-                for (BlockId b : scc) {
-                    out_s.reset();
-                    for (BlockId s : succs[b])
-                        out_s.unionWith(ins[s]);
-                    in_s = out_s;
-                    in_s.subtract(kills[b]);
-                    in_s.unionWith(uses[b]);
-                    if (out_s != outs[b] || in_s != ins[b]) {
-                        outs[b] = out_s;
-                        ins[b] = in_s;
-                        iter = true;
-                    }
-                }
-            }
-            for (size_t i = 0; i < scc.size(); ++i) {
-                if (ins[scc[i]] != old_ins[i])
-                    value_changed[scc[i]] = 1;
-            }
-        }
-    }
+    return walk ? UpdatePath::Walk : UpdatePath::Local;
 }
 
 void

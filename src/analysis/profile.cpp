@@ -73,40 +73,56 @@ TripCountHistograms
 computeTripHistograms(const std::vector<BlockId> &trace,
                       const LoopInfo &loops)
 {
-    TripCountHistograms result;
-    for (const Loop &loop : loops.loops()) {
-        // Membership bit set for O(1) queries.
-        BlockId max_id = 0;
+    // One pass over the trace. A loop activates at its header and
+    // counts each header visit as a trip; it records and deactivates at
+    // the first block outside it. Natural loops that share a block
+    // nest, and a loop's header dominates its blocks, so the active
+    // loops are always a chain, innermost on top: a block outside the
+    // top loop pops loops until one contains it, and a header pushes
+    // (or is already) the top.
+    const std::vector<Loop> &all = loops.loops();
+    constexpr uint32_t kNoLoop = ~uint32_t(0);
+    BlockId max_id = 0;
+    for (const Loop &loop : all) {
         for (BlockId b : loop.blocks)
             max_id = std::max(max_id, b);
-        std::vector<uint8_t> member(max_id + 1, 0);
-        for (BlockId b : loop.blocks)
-            member[b] = 1;
-        auto in_loop = [&](BlockId b) {
-            return b <= max_id && member[b];
-        };
-
-        bool active = false;
-        uint64_t trips = 0;
-        for (BlockId b : trace) {
-            if (b == loop.header) {
-                if (!active) {
-                    active = true;
-                    trips = 1;
-                } else {
-                    ++trips;
-                }
-            } else if (active && !in_loop(b)) {
-                // A top-tested loop executes its header once more than
-                // the body; report body iterations.
-                result.record(loop.header, trips > 0 ? trips - 1 : 0);
-                active = false;
-                trips = 0;
-            }
-        }
-        if (active)
-            result.record(loop.header, trips > 0 ? trips - 1 : 0);
     }
+    const size_t words = size_t(max_id) / 64 + 1;
+    std::vector<uint64_t> member(all.size() * words, 0);
+    std::vector<uint32_t> headed(size_t(max_id) + 1, kNoLoop);
+    for (uint32_t l = 0; l < all.size(); ++l) {
+        headed[all[l].header] = l;
+        for (BlockId b : all[l].blocks)
+            member[l * words + b / 64] |= uint64_t(1) << (b % 64);
+    }
+    auto contains = [&](uint32_t l, BlockId b) {
+        return b <= max_id && (member[l * words + b / 64] >> (b % 64)) & 1;
+    };
+
+    TripCountHistograms result;
+    std::vector<uint64_t> trips(all.size(), 0);
+    std::vector<uint32_t> open;
+    // A top-tested loop executes its header once more than the body;
+    // report body iterations.
+    auto close = [&] {
+        uint32_t l = open.back();
+        open.pop_back();
+        result.record(all[l].header, trips[l] - 1);
+    };
+    for (BlockId b : trace) {
+        while (!open.empty() && !contains(open.back(), b))
+            close();
+        uint32_t l = b <= max_id ? headed[b] : kNoLoop;
+        if (l == kNoLoop)
+            continue;
+        if (open.empty() || open.back() != l) {
+            open.push_back(l);
+            trips[l] = 0;
+        }
+        ++trips[l];
+    }
+    while (!open.empty())
+        close();
     return result;
 }
 

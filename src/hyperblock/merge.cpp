@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
-#include "support/hash.h"
 #include "support/timer.h"
 #include "transform/cfg_utils.h"
 #include "transform/reverse_if_convert.h"
@@ -64,28 +64,76 @@ isNaturalLoopHeader(const DominatorTree &dom, const PredecessorMap &preds,
     return false;
 }
 
-/** Stream one instruction into the trial hash, freq bits included. */
-void
-hashInstruction(Hash64 &h, const Instruction &inst)
+/**
+ * Word-at-a-time hash for the trial-memo key. Each 64-bit word goes
+ * through one splitmix64-style multiply-xorshift step and digest()
+ * runs the full splitmix64 finalizer, so the key's top bits (the memo
+ * shard) are well mixed. A trial feeds it a few dozen instructions, so
+ * this is several times cheaper than streaming the same fields byte by
+ * byte through Hash64's FNV-1a.
+ */
+class TrialHash
 {
-    h.u8(static_cast<uint8_t>(inst.op));
-    h.u32(inst.dest);
-    for (const Operand &src : inst.srcs) {
-        h.u8(static_cast<uint8_t>(src.kind));
-        h.u32(src.reg);
-        h.u64(static_cast<uint64_t>(src.imm));
+  public:
+    void
+    word(uint64_t w)
+    {
+        state = (state ^ w) * 0x9e3779b97f4a7c15ull;
+        state ^= state >> 32;
     }
-    h.u32(inst.pred.reg);
-    h.u8(inst.pred.onTrue ? 1 : 0);
-    h.u32(inst.target);
-    h.f64(inst.freq);
+
+    /**
+     * The set bits of @p bv, then their count: equal sets hash equal on
+     * padded and unpadded universes (the liveness universe grows by
+     * policy, not by content).
+     */
+    void
+    bits(const BitVector &bv)
+    {
+        uint64_t count = 0;
+        bv.forEach([&](uint32_t b) {
+            word(b);
+            ++count;
+        });
+        word(count);
+    }
+
+    uint64_t
+    digest() const
+    {
+        uint64_t z = state;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+
+  private:
+    uint64_t state = 0x243f6a8885a308d3ull;
+};
+
+/** Pack one instruction into the trial hash, freq bits included. */
+void
+hashInstruction(TrialHash &h, const Instruction &inst)
+{
+    uint64_t head = static_cast<uint64_t>(inst.op);
+    for (size_t i = 0; i < inst.srcs.size(); ++i)
+        head |= static_cast<uint64_t>(inst.srcs[i].kind) << (8 + 2 * i);
+    head |= static_cast<uint64_t>(inst.pred.onTrue ? 1 : 0) << 16;
+    h.word(head | static_cast<uint64_t>(inst.dest) << 32);
+    h.word(inst.pred.reg | static_cast<uint64_t>(inst.target) << 32);
+    for (const Operand &src : inst.srcs) {
+        h.word(src.reg);
+        h.word(static_cast<uint64_t>(src.imm));
+    }
+    uint64_t freq;
+    std::memcpy(&freq, &inst.freq, sizeof(freq));
+    h.word(freq);
 }
 
 void
-hashBlockContents(Hash64 &h, const BasicBlock &bb)
+hashBlockContents(TrialHash &h, const BasicBlock &bb)
 {
-    h.u32(bb.id());
-    h.u64(bb.insts.size());
+    h.word(bb.id() | static_cast<uint64_t>(bb.insts.size()) << 32);
     for (const Instruction &inst : bb.insts)
         hashInstruction(h, inst);
 }
@@ -104,8 +152,8 @@ constexpr size_t kTrialMemoCapacity = size_t(1) << 20;
 
 /** Striped-lock shard count. 64 shards keep lock hold times (a hash
  *  probe) uncontended even with every Session worker storing failures
- *  at once; the shard index comes from the key's top bits so FNV's
- *  well-mixed high half spreads entries evenly. */
+ *  at once; the shard index comes from the key's top bits, which the
+ *  key's final splitmix64 mix spreads evenly. */
 constexpr size_t kTrialMemoShards = 64;
 constexpr size_t kTrialMemoShardCap = kTrialMemoCapacity / kTrialMemoShards;
 
@@ -288,30 +336,38 @@ MergeEngine::record(BlockId hb, BlockId s, MergeOutcome outcome)
     return outcome;
 }
 
+const Liveness &
+MergeEngine::trialLiveness()
+{
+    Timer timer;
+    const Liveness &liveness = am.liveness(arena.reads);
+    counters.add("usMergeLiveness", timer.elapsedMicros());
+    return liveness;
+}
+
 uint64_t
 MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
                       const BasicBlock &hb_block, const BasicBlock &source)
 {
-    Hash64 h;
-    h.u32(hb);
-    h.u32(s);
-    h.u8(static_cast<uint8_t>(kind));
+    TrialHash h;
+    h.word(hb | static_cast<uint64_t>(s) << 32);
+    h.word(static_cast<uint64_t>(kind));
 
     // Target configuration: a memo entry must never answer for a
     // differently-configured engine. Every TargetModel knob the trial
     // reads participates (the registry name does not -- two models
     // with equal knobs behave identically and may share entries).
-    h.u64(opts.target.maxInsts);
-    h.u64(opts.target.maxMemOps);
-    h.u64(opts.target.lsqDepth);
-    h.u64(opts.target.numRegBanks);
-    h.u64(opts.target.maxReadsPerBank);
-    h.u64(opts.target.maxWritesPerBank);
-    h.u64(opts.target.maxBranches);
-    h.u64(opts.sizeHeadroom);
-    h.u8(opts.optimizeDuringMerge ? 1 : 0);
-    h.u8(opts.enableHeadDuplication ? 1 : 0);
-    h.u8(opts.enableBlockSplitting ? 1 : 0);
+    h.word(opts.target.maxInsts);
+    h.word(opts.target.maxMemOps);
+    h.word(opts.target.lsqDepth);
+    h.word(opts.target.numRegBanks);
+    h.word(opts.target.maxReadsPerBank);
+    h.word(opts.target.maxWritesPerBank);
+    h.word(opts.target.maxBranches);
+    h.word(opts.sizeHeadroom);
+    h.word((opts.optimizeDuringMerge ? 1 : 0) |
+           (opts.enableHeadDuplication ? 2 : 0) |
+           (opts.enableBlockSplitting ? 4 : 0));
 
     // Contents of both participants, branch frequencies included
     // (entryShare feeds the appended branch frequencies, which feed
@@ -326,7 +382,7 @@ MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
     // targets, which are HB's non-consumed targets plus the source's
     // targets. A merge committed elsewhere can change those live-ins
     // without touching HB or S, so they are part of the key.
-    const Liveness &liveness = am.liveness();
+    const Liveness &liveness = trialLiveness();
     bool self_loop = false;
     auto hash_targets = [&](const BasicBlock &b, bool skip_source) {
         for (const Instruction &inst : b.insts) {
@@ -338,13 +394,13 @@ MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
                 self_loop = true;
                 continue;
             }
-            h.u32(inst.target);
+            h.word(inst.target);
             h.bits(liveness.liveIn(inst.target));
         }
     };
     hash_targets(hb_block, true);
     hash_targets(source, false);
-    h.u8(self_loop ? 1 : 0);
+    h.word(self_loop ? 1 : 0);
     if (self_loop)
         h.bits(liveness.liveIn(hb));
 
@@ -394,6 +450,20 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
         }
     }
 
+    // The blocks whose live-in this trial reads: hb (for a self-loop)
+    // and every branch target of hb and of the source. A pristine body
+    // can still name a target hb no longer reaches, so the liveness
+    // queries are bounded by all of them, not by hb alone.
+    arena.reads.assign(1, hb);
+    auto read_targets = [&](const BasicBlock &b) {
+        for (const Instruction &inst : b.insts) {
+            if (inst.op == Opcode::Br)
+                arena.reads.push_back(inst.target);
+        }
+    };
+    read_targets(*hb_block);
+    read_targets(*source);
+
     // --- Consult the failed-trial memo ---
     const uint64_t memo_key = trialKey(hb, s, kind, *hb_block, *source);
     FailedTrial hit;
@@ -429,9 +499,7 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
     // itself (the next iteration's reads). The query comes after
     // combineBlocks so the cached analysis covers the predicate
     // registers if-conversion just allocated.
-    Timer live_timer;
-    const Liveness &liveness = am.liveness();
-    counters.add("usMergeLiveness", live_timer.elapsedMicros());
+    const Liveness &liveness = trialLiveness();
     BitVector &live_out = arena.liveOut;
     live_out.resize(liveness.universe());
     live_out.reset();

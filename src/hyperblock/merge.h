@@ -206,6 +206,7 @@ class MergeEngine
     {
         BasicBlock scratch{kNoBlock, ""};
         BasicBlock sourceCopy{kNoBlock, ""};
+        std::vector<BlockId> reads; ///< blocks whose live-in it reads
         BitVector liveOut;
         CombineScratch combine;
         BlockOptScratch opt;
@@ -223,6 +224,13 @@ class MergeEngine
 
     /** Append to the trace (when enabled) and pass @p outcome through. */
     MergeOutcome record(BlockId hb, BlockId s, MergeOutcome outcome);
+
+    /**
+     * Liveness solved as far as the trial's reads (arena.reads) need;
+     * both of a trial's queries go through here and are timed into
+     * usMergeLiveness.
+     */
+    const Liveness &trialLiveness();
 
     /** Content hash identifying a trial (see DESIGN.md §10). */
     uint64_t trialKey(BlockId hb, BlockId s, MergeKind kind,

@@ -1,15 +1,14 @@
 /**
  * @file
- * Streaming 64-bit FNV-1a hasher for content-addressed caches.
+ * Streaming 64-bit FNV-1a hasher for content digests and cache keys.
  *
- * The trial-merge memo cache (hyperblock/merge.cpp) keys failed merge
- * attempts by the *contents* of the participating blocks: any committed
- * transform that touches a block changes its hash, so stale entries can
- * never be consulted — the cache is self-invalidating and needs no
- * eviction hooks. FNV-1a is not collision-free; callers must only cache
- * facts whose worst case under a collision is a wrong *negative* cost
- * decision, never a wrong transform (see DESIGN.md section 10 for why
- * the merge memo satisfies this).
+ * Its output is pinned: the per-unit asm digests
+ * (tests/backend/asm_digests.inc), the generator's golden hashes and
+ * perfbench's asm digests are all Hash64 values. The compile server
+ * keys its response cache with it. The trial-merge memo keys with its
+ * own word-at-a-time hash, which costs a trial several times less
+ * (hyperblock/merge.cpp, DESIGN.md section 10). FNV-1a is not
+ * collision-free.
  */
 
 #ifndef CHF_SUPPORT_HASH_H

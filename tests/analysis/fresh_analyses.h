@@ -18,14 +18,17 @@
 
 namespace chf {
 
-/** Compare cached liveness to a fresh solve, ignoring universe padding. */
+/**
+ * Compare @p cached's sets of @p blocks with a fresh solve of @p fn,
+ * ignoring universe padding.
+ */
 inline void
-expectLivenessMatchesFresh(AnalysisManager &am, const Function &fn)
+expectSetsMatchFresh(const Liveness &cached, const Function &fn,
+                     const std::vector<BlockId> &blocks)
 {
-    const Liveness &cached = am.liveness();
     Liveness fresh(fn);
     ASSERT_GE(cached.universe(), fn.numVregs());
-    for (BlockId id : fn.blockIds()) {
+    for (BlockId id : blocks) {
         for (Vreg v = 0; v < fn.numVregs(); ++v) {
             EXPECT_EQ(cached.liveIn(id).test(v), fresh.liveIn(id).test(v))
                 << "live-in mismatch bb" << id << " v" << v;
@@ -34,6 +37,13 @@ expectLivenessMatchesFresh(AnalysisManager &am, const Function &fn)
                 << "live-out mismatch bb" << id << " v" << v;
         }
     }
+}
+
+/** Compare the fully solved cached liveness to a fresh solve. */
+inline void
+expectLivenessMatchesFresh(AnalysisManager &am, const Function &fn)
+{
+    expectSetsMatchFresh(am.liveness(), fn, fn.blockIds());
 }
 
 /** Compare cached dominators/loops/preds to freshly built ones. */

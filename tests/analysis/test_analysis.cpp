@@ -13,6 +13,8 @@
 #include "ir/builder.h"
 #include "pipeline/session.h"
 #include "sim/functional_sim.h"
+#include "workloads/generator.h"
+#include "workloads/workloads.h"
 
 namespace chf {
 namespace {
@@ -276,7 +278,8 @@ TEST(LivenessUpdate, DroppedEdgeSendsRegionToBottom)
     ASSERT_TRUE(live.liveIn(r1).test(y));
 
     rewriteToBranch(fn, mid, exit);
-    live.update(fn, {mid}, fn.predecessors());
+    EXPECT_EQ(live.update(fn, {mid}, fn.predecessors()),
+              Liveness::UpdatePath::Walk);
     expectUpdateMatchesFresh(live, fn);
     EXPECT_TRUE(live.liveIn(r1).none());
     EXPECT_TRUE(live.liveOut(r2).none());
@@ -317,12 +320,16 @@ TEST(LivenessUpdate, RejoinedBlockIsReadFromTheFunction)
     ASSERT_TRUE(live.liveIn(o).test(x));
 
     rewriteToBranch(fn, entry, exit);
-    live.update(fn, {entry}, fn.predecessors());
+    EXPECT_EQ(live.update(fn, {entry}, fn.predecessors()),
+              Liveness::UpdatePath::Walk);
     expectUpdateMatchesFresh(live, fn);
 
+    // An edge into a block that was off the CFG rebuilds, which reads
+    // every block from the function.
     rewriteToBranch(fn, o, t2); // unlisted: o is off the CFG
     rewriteToBranch(fn, entry, o);
-    live.update(fn, {entry}, fn.predecessors());
+    EXPECT_EQ(live.update(fn, {entry}, fn.predecessors()),
+              Liveness::UpdatePath::Rebuild);
     expectUpdateMatchesFresh(live, fn);
     EXPECT_TRUE(live.liveIn(o).test(y));
     EXPECT_FALSE(live.liveIn(o).test(x));
@@ -357,9 +364,12 @@ TEST(LivenessUpdate, RemovedListedBlockGoesEmpty)
     Liveness live(fn);
     ASSERT_TRUE(live.liveIn(entry).test(x));
 
+    // then's edge to join went away and entry does not branch to join
+    // in its stead: the update walks (join stays reachable via else).
     rewriteToBranch(fn, entry, else_b);
     fn.removeBlock(then_b);
-    live.update(fn, {entry, then_b}, fn.predecessors());
+    EXPECT_EQ(live.update(fn, {entry, then_b}, fn.predecessors()),
+              Liveness::UpdatePath::Walk);
     expectUpdateMatchesFresh(live, fn);
     EXPECT_TRUE(live.liveIn(then_b).none());
     EXPECT_FALSE(live.liveIn(entry).test(x));
@@ -381,10 +391,278 @@ TEST(LivenessUpdate, InstructionEditWithSameEdges)
                                        Operand::makeImm(0),
                                        Operand::makeReg(z)));
 
-    live.update(fn, {body}, fn.predecessors());
+    EXPECT_EQ(live.update(fn, {body}, fn.predecessors()),
+              Liveness::UpdatePath::Local);
     expectUpdateMatchesFresh(live, fn);
     EXPECT_TRUE(live.liveIn(head).test(z));
     EXPECT_TRUE(live.liveIn(entry).test(z));
+}
+
+TEST(LivenessUpdate, BoundedUpdateLeavesUpstreamRanksDirty)
+{
+    // entry -> a -> mid -> exit. mid gains a store of a new register z.
+    // An update bounded by mid solves mid's rank; a and entry rank
+    // higher and stay dirty (stale) until an unbounded update.
+    Function fn;
+    IRBuilder b(fn);
+    BlockId entry = b.makeBlock("entry");
+    BlockId a = b.makeBlock("a");
+    BlockId mid = b.makeBlock("mid");
+    BlockId exit = b.makeBlock("exit");
+    fn.setEntry(entry);
+    Vreg x = fn.newVreg();
+    fn.argRegs = {x};
+    b.setBlock(entry);
+    b.br(a);
+    b.setBlock(a);
+    b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(x));
+    b.br(mid);
+    b.setBlock(mid);
+    b.br(exit);
+    b.setBlock(exit);
+    b.ret();
+
+    Liveness live(fn);
+    Vreg z = fn.newVreg();
+    fn.block(mid)->insts.clear();
+    b.setBlock(mid);
+    b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(z));
+    b.br(exit);
+
+    const std::vector<BlockId> reads{mid, exit};
+    EXPECT_EQ(live.update(fn, {mid}, fn.predecessors(), &reads),
+              Liveness::UpdatePath::Local);
+    EXPECT_TRUE(live.solvedFor(&reads));
+    EXPECT_FALSE(live.solvedFor());
+    EXPECT_TRUE(live.liveIn(mid).test(z));
+    EXPECT_FALSE(live.liveIn(a).test(z)) << "a ranks above the bound";
+
+    EXPECT_EQ(live.update(fn, {}, fn.predecessors()),
+              Liveness::UpdatePath::Local);
+    EXPECT_TRUE(live.solvedFor());
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveIn(entry).test(z));
+}
+
+TEST(LivenessUpdate, EdgeClimbingTheRankOrderRebuilds)
+{
+    // entry -> hi -> lo -> exit ranks lo below hi. Then lo gains an edge
+    // back to hi, and hi a store of y. Solved in the old rank order, lo
+    // would read hi's stale live-in, so the update rebuilds -- even a
+    // bounded one that reads only lo.
+    Function fn;
+    IRBuilder b(fn);
+    BlockId entry = b.makeBlock("entry");
+    BlockId hi = b.makeBlock("hi");
+    BlockId lo = b.makeBlock("lo");
+    BlockId exit = b.makeBlock("exit");
+    fn.setEntry(entry);
+    Vreg p = fn.newVreg(), y = fn.newVreg();
+    fn.argRegs = {p, y};
+    b.setBlock(entry);
+    b.br(hi);
+    b.setBlock(hi);
+    b.br(lo);
+    b.setBlock(lo);
+    b.br(exit);
+    b.setBlock(exit);
+    b.ret();
+
+    Liveness live(fn);
+    ASSERT_FALSE(live.liveIn(lo).test(y));
+    fn.block(lo)->insts.clear();
+    b.setBlock(lo);
+    b.brCond(p, hi, exit);
+    fn.block(hi)->insts.clear();
+    b.setBlock(hi);
+    b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(y));
+    b.br(lo);
+
+    const std::vector<BlockId> reads{lo};
+    EXPECT_EQ(live.update(fn, {lo, hi}, fn.predecessors(), &reads),
+              Liveness::UpdatePath::Rebuild);
+    EXPECT_TRUE(live.solvedFor());
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveIn(lo).test(y));
+}
+
+/**
+ * entry -> hb -> {s, z}; s -> {x, y}; x, y, z -> exit. s's only
+ * predecessor is hb; s, x and y each store a register of their own.
+ */
+struct SpliceCfg
+{
+    Function fn;
+    BlockId entry, hb, s, x, y, z, exit;
+    Vreg p, q, u, v, w;
+
+    SpliceCfg()
+    {
+        IRBuilder b(fn);
+        entry = b.makeBlock("entry");
+        hb = b.makeBlock("hb");
+        s = b.makeBlock("s");
+        x = b.makeBlock("x");
+        y = b.makeBlock("y");
+        z = b.makeBlock("z");
+        exit = b.makeBlock("exit");
+        fn.setEntry(entry);
+        p = fn.newVreg();
+        q = fn.newVreg();
+        u = fn.newVreg();
+        v = fn.newVreg();
+        w = fn.newVreg();
+        fn.argRegs = {p, q, u, v, w};
+        b.setBlock(entry);
+        b.br(hb);
+        b.setBlock(hb);
+        b.brCond(p, s, z);
+        b.setBlock(s);
+        b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(u));
+        b.brCond(q, x, y);
+        b.setBlock(x);
+        b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(v));
+        b.br(exit);
+        b.setBlock(y);
+        b.store(IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(w));
+        b.br(exit);
+        b.setBlock(z);
+        b.br(exit);
+        b.setBlock(exit);
+        b.ret();
+    }
+
+    /** hb absorbs s (predicated on p) and branches to @p targets of
+     *  s's; s is removed. */
+    void
+    splice(const std::vector<BlockId> &targets)
+    {
+        BasicBlock &bb = *fn.block(hb);
+        bb.insts.clear();
+        IRBuilder b(fn);
+        b.setBlock(hb);
+        b.emit(Instruction::br(z, Predicate::onReg(p, false)));
+        Instruction st = Instruction::store(
+            IRBuilder::imm(0), IRBuilder::imm(0), IRBuilder::r(u));
+        st.pred = Predicate::onReg(p, true);
+        b.emit(st);
+        for (BlockId t : targets)
+            b.emit(Instruction::br(t, Predicate::onReg(q, t == x)));
+        fn.removeBlock(s);
+    }
+};
+
+TEST(LivenessUpdate, SpliceShapedEditStaysLocal)
+{
+    // Every edge that went away left the removed s, and hb, s's only
+    // predecessor, now branches to each of s's targets: no block can
+    // be cut off, so the update does not walk.
+    SpliceCfg g;
+    Liveness live(g.fn);
+    g.splice({g.x, g.y});
+    EXPECT_EQ(live.update(g.fn, {g.hb, g.s}, g.fn.predecessors()),
+              Liveness::UpdatePath::Local);
+    expectUpdateMatchesFresh(live, g.fn);
+    EXPECT_TRUE(live.liveIn(g.s).none());
+    EXPECT_TRUE(live.liveIn(g.hb).test(g.w));
+}
+
+TEST(LivenessUpdate, SpliceThatDropsATargetWalks)
+{
+    // hb takes s's edge to x but not the one to y (as when merge
+    // optimization folds a branch): y may be cut off, so the update
+    // walks, and y, now unreachable, goes to bottom.
+    SpliceCfg g;
+    Liveness live(g.fn);
+    g.splice({g.x});
+    EXPECT_EQ(live.update(g.fn, {g.hb, g.s}, g.fn.predecessors()),
+              Liveness::UpdatePath::Walk);
+    expectUpdateMatchesFresh(live, g.fn);
+    EXPECT_TRUE(live.liveIn(g.y).none());
+    EXPECT_FALSE(live.liveIn(g.hb).test(g.w));
+}
+
+TEST(LivenessUpdate, TailDupShapedEditWalks)
+{
+    // hb's edge into s goes away while s survives (tail duplication
+    // leaves s for its other predecessors): the update walks.
+    SpliceCfg g;
+    IRBuilder b(g.fn);
+    b.setBlock(g.z);
+    g.fn.block(g.z)->insts.clear();
+    b.br(g.s);
+    Liveness live(g.fn);
+    BasicBlock &hb = *g.fn.block(g.hb);
+    hb.insts.clear();
+    b.setBlock(g.hb);
+    b.brCond(g.q, g.x, g.z);
+    EXPECT_EQ(live.update(g.fn, {g.hb}, g.fn.predecessors()),
+              Liveness::UpdatePath::Walk);
+    expectUpdateMatchesFresh(live, g.fn);
+    EXPECT_TRUE(live.liveIn(g.s).test(g.u));
+}
+
+/**
+ * The per-loop trace scan computeTripHistograms replaced: one pass over
+ * the whole trace per loop. Kept as the single pass's reference.
+ */
+TripCountHistograms
+perLoopTripHistograms(const std::vector<BlockId> &trace,
+                      const LoopInfo &loops)
+{
+    TripCountHistograms result;
+    for (const Loop &loop : loops.loops()) {
+        bool active = false;
+        uint64_t trips = 0;
+        for (BlockId b : trace) {
+            if (b == loop.header) {
+                trips = active ? trips + 1 : 1;
+                active = true;
+            } else if (active && !loop.contains(b)) {
+                result.record(loop.header, trips > 0 ? trips - 1 : 0);
+                active = false;
+                trips = 0;
+            }
+        }
+        if (active)
+            result.record(loop.header, trips > 0 ? trips - 1 : 0);
+    }
+    return result;
+}
+
+TEST(Profile, TripHistogramsMatchPerLoopScan)
+{
+    // The Table 1/2 kernels, synth64, and generated programs, irreducible
+    // ones included (their traces enter loops other than at the header).
+    std::vector<Program> programs;
+    for (const Workload &w : microbenchmarks())
+        programs.push_back(buildWorkload(w));
+    programs.push_back(buildWorkload(synthFormationWorkload(64)));
+    for (const char *shape_name : {"bench", "irreducible"}) {
+        GeneratorShape shape;
+        ASSERT_TRUE(namedShape(shape_name, &shape));
+        for (uint64_t seed = 1; seed <= 50; ++seed)
+            programs.push_back(buildGenerated(generateTinyC(seed, shape)));
+    }
+
+    size_t loops_seen = 0;
+    for (size_t i = 0; i < programs.size(); ++i) {
+        const Program &program = programs[i];
+        FuncSimOptions options;
+        options.recordTrace = true;
+        FuncSimResult run =
+            runFunctional(program, program.defaultArgs, options);
+        LoopInfo loops(program.fn);
+        TripCountHistograms got = computeTripHistograms(run.trace, loops);
+        TripCountHistograms want = perLoopTripHistograms(run.trace, loops);
+        for (const Loop &loop : loops.loops()) {
+            EXPECT_EQ(got.histogram(loop.header),
+                      want.histogram(loop.header))
+                << "program " << i << " loop at bb" << loop.header;
+            ++loops_seen;
+        }
+    }
+    EXPECT_GT(loops_seen, 300u);
 }
 
 TEST(Profile, EdgeCountsAndBlockCounts)

@@ -174,6 +174,41 @@ TEST(AnalysisManager, LivenessFollowsVregGrowth)
     expectLivenessMatchesFresh(am, fn);
 }
 
+TEST(AnalysisManager, BoundedLivenessQueryDefersUpstreamRanks)
+{
+    // exit gains a use of a new register. A bounded query for exit
+    // applies the edit (one update) and solves exit's rank only; the
+    // loop and the entry rank higher and stay stale. A second bounded
+    // query is a hit although those ranks are still dirty, and the
+    // unbounded query then solves them without counting an update.
+    Function fn = makeLoop();
+    const BlockId entry = 0, exit = 3;
+    AnalysisManager am(fn);
+    am.liveness();
+
+    Vreg z = fn.newVreg();
+    BasicBlock *exit_block = fn.block(exit);
+    exit_block->insts.insert(exit_block->insts.begin(),
+                             Instruction::store(Operand::makeImm(0),
+                                                Operand::makeImm(0),
+                                                Operand::makeReg(z)));
+    am.instructionsRewritten(exit);
+
+    const std::vector<BlockId> reads{exit};
+    const Liveness &live = am.liveness(reads);
+    EXPECT_TRUE(live.liveIn(exit).test(z));
+    EXPECT_FALSE(live.liveIn(entry).test(z));
+    EXPECT_EQ(am.stats().get("analysisLivenessUpdates"), 1);
+
+    am.liveness(reads);
+    EXPECT_EQ(am.stats().get("analysisLivenessHits"), 1);
+
+    expectLivenessMatchesFresh(am, fn);
+    EXPECT_TRUE(am.liveness().liveIn(entry).test(z));
+    EXPECT_EQ(am.stats().get("analysisLivenessUpdates"), 1);
+    EXPECT_EQ(am.stats().get("analysisLivenessBuilds"), 1);
+}
+
 TEST(AnalysisManager, FormationStressMatchesFresh)
 {
     // End-to-end: run whole-function formation, then verify the

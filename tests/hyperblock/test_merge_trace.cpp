@@ -6,10 +6,13 @@
  *
  *  - FormationAnalysisCheck: a checking Policy runs inside real
  *    expandBlock calls and, at every beginBlock and select, compares
- *    the engine's cached dominators, loops, liveness and predecessors
- *    with fresh builds, and every candidate descriptor with one
- *    recomputed from fresh analyses over an independently tracked
- *    pending set.
+ *    the engine's cached dominators, loops and predecessors with fresh
+ *    builds, the liveness of every block the seed reaches (a bounded
+ *    query, so the ranks upstream stay dirty across seeds as in an
+ *    unchecked run) with a fresh solve, and every candidate descriptor
+ *    with one recomputed from fresh analyses over an independently
+ *    tracked pending set. The full liveness is compared once, after
+ *    the last seed.
  *  - TrialScratchReuse: every mergeable pair of the same programs
  *    (plus two generated ones) goes through combine, optimize and
  *    legality on one long-lived scratch set, and must match the same
@@ -166,8 +169,8 @@ class CheckingPolicy : public Policy
     void
     beginBlock(AnalysisManager &analyses, BlockId seed) override
     {
-        expectAnalysesFresh();
         this->seed = seed;
+        expectAnalysesFresh();
         pending.clear();
         discovery = 0;
         lastPick = kNoBlock;
@@ -232,8 +235,24 @@ class CheckingPolicy : public Policy
     void
     expectAnalysesFresh()
     {
-        expectCfgAnalysesMatchFresh(engine.analyses(), engine.function());
-        expectLivenessMatchesFresh(engine.analyses(), engine.function());
+        const Function &fn = engine.function();
+        expectCfgAnalysesMatchFresh(engine.analyses(), fn);
+
+        // Every block the seed reaches, through a bounded query: the
+        // blocks upstream of the seed are not flushed.
+        std::vector<BlockId> reached{seed};
+        std::vector<uint8_t> seen(fn.blockTableSize(), 0);
+        seen[seed] = 1;
+        for (size_t i = 0; i < reached.size(); ++i) {
+            for (BlockId succ : fn.block(reached[i])->successors()) {
+                if (!seen[succ]) {
+                    seen[succ] = 1;
+                    reached.push_back(succ);
+                }
+            }
+        }
+        expectSetsMatchFresh(engine.analyses().liveness(reached), fn,
+                             reached);
     }
 
     void
@@ -263,22 +282,24 @@ struct FormationRun
     std::vector<MergeTraceEntry> trace;
     int64_t merges = 0;
     int64_t memoHits = 0;
+    int64_t tailDups = 0;
+    int64_t peels = 0;
+    int64_t livenessWalks = 0;
     uint32_t finalVregs = 0;
     size_t checkedRounds = 0;
 };
 
 /**
- * Compile @p source, prepare it (profile + for-loop unroll, as the real
- * pipeline does), then form hyperblocks over every seed while recording
- * the merge trace. With @p check, the policy runs inside a
- * CheckingPolicy.
+ * Prepare @p p (profile + for-loop unroll, as the real pipeline does),
+ * then form hyperblocks over every seed while recording the merge
+ * trace. With @p check, the policy runs inside a CheckingPolicy, and
+ * the full liveness is compared with a fresh solve after the last seed.
  */
 FormationRun
-runFormation(const std::string &source, bool block_splitting,
+runFormation(Program p, bool block_splitting,
              PolicyKind kind = PolicyKind::BreadthFirst,
              bool check = false)
 {
-    Program p = Session::frontend(source);
     prepareProgram(p);
 
     MergeOptions opts;
@@ -292,6 +313,8 @@ runFormation(const std::string &source, bool block_splitting,
         if (p.fn.block(seed))
             expandBlock(engine, used, seed);
     }
+    if (check)
+        expectLivenessMatchesFresh(engine.analyses(), p.fn);
     p.fn.removeUnreachable();
 
     FormationRun run;
@@ -299,9 +322,22 @@ runFormation(const std::string &source, bool block_splitting,
     run.trace = engine.trace();
     run.merges = engine.stats().get("blocksMerged");
     run.memoHits = engine.stats().get("trialsMemoHit");
+    run.tailDups = engine.stats().get("tailDuplicated");
+    run.peels = engine.stats().get("peeledIterations");
+    run.livenessWalks =
+        engine.analyses().stats().get("analysisLivenessWalks");
     run.finalVregs = p.fn.numVregs();
     run.checkedRounds = checking.rounds;
     return run;
+}
+
+FormationRun
+runFormation(const std::string &source, bool block_splitting,
+             PolicyKind kind = PolicyKind::BreadthFirst,
+             bool check = false)
+{
+    return runFormation(Session::frontend(source), block_splitting, kind,
+                        check);
 }
 
 void
@@ -326,23 +362,65 @@ expectSameRun(const FormationRun &a, const FormationRun &b,
 
 TEST(FormationAnalysisCheck, EveryRoundMatchesFreshBuilds)
 {
-    for (const auto &[source, splitting] : kPrograms) {
+    // The four programs above, then generated ones: bench-shaped ones,
+    // and irreducible ones, whose side entrances into loops make
+    // formation tail-duplicate and peel -- the commits after which a
+    // liveness update walks the CFG for blocks cut off.
+    // Some generated programs prepare to a single block and form
+    // nothing; the four written ones must merge.
+    struct Case
+    {
+        std::string name;
+        Program program;
+        bool splitting;
+        bool mustMerge;
+    };
+    std::vector<Case> corpus;
+    for (size_t i = 0; i < std::size(kPrograms); ++i) {
+        corpus.push_back({"program " + std::to_string(i),
+                          Session::frontend(kPrograms[i].first),
+                          kPrograms[i].second, true});
+    }
+    for (const auto &[shape_name, seeds] :
+         {std::pair<const char *, uint64_t>{"bench", 10},
+          {"irreducible", 3}}) {
+        GeneratorShape shape;
+        ASSERT_TRUE(namedShape(shape_name, &shape));
+        for (uint64_t seed = 1; seed <= seeds; ++seed) {
+            corpus.push_back(
+                {std::string(shape_name) + " seed " + std::to_string(seed),
+                 buildGenerated(generateTinyC(seed, shape)), false,
+                 false});
+        }
+    }
+
+    int64_t tail_dups = 0, peels = 0, walks = 0;
+    for (const Case &c : corpus) {
         for (PolicyKind kind :
              {PolicyKind::BreadthFirst, PolicyKind::DepthFirst,
               PolicyKind::Vliw}) {
             SCOPED_TRACE(testing::Message()
-                         << policyKindName(kind) << " splitting="
-                         << splitting);
+                         << c.name << " " << policyKindName(kind)
+                         << " splitting=" << c.splitting);
             clearTrialMemo();
-            FormationRun unchecked = runFormation(source, splitting, kind);
+            FormationRun unchecked =
+                runFormation(c.program.clone(), c.splitting, kind);
             clearTrialMemo();
             FormationRun checked =
-                runFormation(source, splitting, kind, true);
+                runFormation(c.program.clone(), c.splitting, kind, true);
             expectSameRun(checked, unchecked, "checked run");
-            EXPECT_GT(checked.checkedRounds, 0u);
-            EXPECT_GT(checked.merges, 0);
+            if (c.mustMerge) {
+                EXPECT_GT(checked.checkedRounds, 0u);
+                EXPECT_GT(checked.merges, 0);
+            }
+            tail_dups += checked.tailDups;
+            peels += checked.peels;
+            walks += checked.livenessWalks;
         }
     }
+    EXPECT_GT(tail_dups, 0);
+    EXPECT_GT(peels, 0);
+    EXPECT_GT(walks, 0);
 }
 
 // ----- scratch-reuse oracle -----
