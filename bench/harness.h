@@ -12,6 +12,7 @@
 #ifndef CHF_BENCH_HARNESS_H
 #define CHF_BENCH_HARNESS_H
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -20,23 +21,29 @@
 #include "sim/functional_sim.h"
 #include "sim/timing_sim.h"
 #include "support/fatal.h"
+#include "support/parse_int.h"
 #include "workloads/workloads.h"
 
 namespace chf::bench {
 
-/** Parse --threads=N from argv; defaults to 1 (sequential). */
+/**
+ * Parse --threads=N from argv; defaults to 1 (sequential). Any other
+ * argument, or an N that is not a whole number >= 1, prints the usage
+ * line and exits 1. @p flags is the usage text after the program name.
+ */
 inline int
-parseThreadsFlag(int argc, char **argv)
+parseThreadsFlag(int argc, char **argv,
+                 const char *flags = "[--threads=N]")
 {
+    int threads = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            int n = std::atoi(argv[i] + 10);
-            if (n < 1)
-                fatal("--threads wants a positive integer");
-            return n;
+        if (std::strncmp(argv[i], "--threads=", 10) != 0 ||
+            !parseAtLeast(argv[i] + 10, 1, &threads)) {
+            std::fprintf(stderr, "usage: %s %s\n", argv[0], flags);
+            std::exit(1);
         }
     }
-    return 1;
+    return threads;
 }
 
 /** Everything measured for one workload under one configuration. */

@@ -114,7 +114,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--smoke") == 0)
             return runSmoke();
 
-    int threads = parseThreadsFlag(argc, argv);
+    int threads = parseThreadsFlag(argc, argv, "[--smoke | --threads=N]");
     std::string json = runSweep(threads);
 
     const char *path = "BENCH_target_sweep.json";

@@ -14,7 +14,7 @@
  *
  * Flags:
  *   --seed=S      first seed (default 1; program i uses seed S+i)
- *   --count=N     programs to run (default 500)
+ *   --count=N     programs to run, at least 1 (default 500)
  *   --smoke       use the reduced smoke matrix (tier-1 budget)
  *   --no-shrink   report the original failing shape, don't reduce it
  *   --quiet       no per-program progress lines
@@ -22,13 +22,16 @@
  *                 (the reproducer a failing campaign prints)
  *
  * Exit status: 0 when every cell of every program matches, 1 on the
- * first (shrunk) failure after printing its one-line repro.
+ * first (shrunk) failure after printing its one-line repro, and 1
+ * with the usage line on an unknown flag or a --seed or --count that
+ * is not a whole number in range.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 
+#include "support/parse_int.h"
 #include "workloads/fuzz_harness.h"
 #include "workloads/generator.h"
 
@@ -64,10 +67,11 @@ main(int argc, char **argv)
     std::string gen_spec;
 
     for (int i = 1; i < argc; ++i) {
+        bool ok = true;
         if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-            first_seed = std::strtoull(argv[i] + 7, nullptr, 10);
+            ok = parseInteger(argv[i] + 7, &first_seed);
         } else if (std::strncmp(argv[i], "--count=", 8) == 0) {
-            count = std::atoi(argv[i] + 8);
+            ok = parseAtLeast(argv[i] + 8, 1, &count);
         } else if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
         } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
@@ -77,6 +81,9 @@ main(int argc, char **argv)
         } else if (std::strncmp(argv[i], "--gen=", 6) == 0) {
             gen_spec = argv[i] + 6;
         } else {
+            ok = false;
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "usage: %s [--seed=S] [--count=N] [--smoke] "
                          "[--no-shrink] [--quiet] "

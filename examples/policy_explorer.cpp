@@ -20,6 +20,7 @@
 #include "pipeline/session.h"
 #include "sim/functional_sim.h"
 #include "sim/timing_sim.h"
+#include "support/parse_int.h"
 #include "support/table.h"
 #include "tuner/auto_tuner.h"
 #include "workloads/workloads.h"
@@ -75,6 +76,14 @@ main(int argc, char **argv)
     bool tune = false;
     std::string target_name = "trips";
     int threads = 1;
+    auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [--list | --list-targets] "
+                     "[--target=NAME] [--tune [--threads=N]] "
+                     "[workload-name]\n",
+                     argv[0]);
+        return 1;
+    };
     int argi = 1;
     while (argi < argc && argv[argi][0] == '-') {
         if (std::strcmp(argv[argi], "--list") == 0)
@@ -100,15 +109,10 @@ main(int argc, char **argv)
         } else if (std::strncmp(argv[argi], "--target=", 9) == 0) {
             target_name = argv[argi] + 9;
         } else if (std::strncmp(argv[argi], "--threads=", 10) == 0) {
-            threads = std::atoi(argv[argi] + 10);
-            if (threads < 1) {
-                std::fprintf(stderr,
-                             "--threads wants a positive integer\n");
-                return 1;
-            }
+            if (!parseAtLeast(argv[argi] + 10, 1, &threads))
+                return usage();
         } else {
-            std::fprintf(stderr, "unknown flag %s\n", argv[argi]);
-            return 1;
+            return usage();
         }
         ++argi;
     }

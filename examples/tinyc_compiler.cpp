@@ -28,10 +28,7 @@
  * `chf_serve --connect=SOCK` (docs/operations.md).
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -42,28 +39,10 @@
 #include "sim/functional_sim.h"
 #include "sim/timing_sim.h"
 #include "support/fault_inject.h"
+#include "support/parse_int.h"
 #include "workloads/generator.h"
 
 using namespace chf;
-
-namespace {
-
-/** Parse @p text as a whole base-10 integer. */
-bool
-parseInt(const char *text, int64_t *out)
-{
-    if (std::isspace(static_cast<unsigned char>(text[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        return false;
-    *out = value;
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -110,11 +89,11 @@ main(int argc, char **argv)
         return usage();
 
     // Program arguments follow the source file (or all of argv with
-    // --gen), each a whole base-10 integer.
+    // --gen), each a whole base-10 integer, as chf_serve takes them.
     std::vector<int64_t> args;
     for (int i = gen_spec.empty() ? argi + 1 : argi; i < argc; ++i) {
         int64_t value = 0;
-        if (!parseInt(argv[i], &value))
+        if (!parseInteger(argv[i], &value))
             return usage();
         args.push_back(value);
     }
@@ -173,8 +152,15 @@ main(int argc, char **argv)
             program = Session::frontend(buffer.str());
         }
     }
-    if (!args.empty())
+    if (!args.empty()) {
+        // Profiling binds one argument per parameter of main.
+        if (args.size() < program.fn.argRegs.size()) {
+            std::fprintf(stderr, "args wants %zu integers, got %zu\n",
+                         program.fn.argRegs.size(), args.size());
+            return 1;
+        }
         program.defaultArgs = args; // override the reference vector
+    }
 
     // Unit 0 is the compile, so fn:0 names it. Unit 1 is the paper's
     // basic-block baseline the simulators compare against: the same

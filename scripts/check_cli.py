@@ -12,7 +12,11 @@ file it writes, each strict and with --keep-going, and asserts:
   - `--keep-going --fault=phase:unroll,fn:0,kind:throw` rolls back
     prepare's for-loop unroll: the run prints "degraded phases
     unroll", exits 0, and matches the daemon's asm and failed phases
-    for the same faulted request.
+    for the same faulted request;
+  - both tools refuse too few program arguments for `main` with the
+    same message ("args wants 2 integers, got 1"; the CLI exits 1),
+    and the CLI takes program arguments as whole integers only, so
+    "+3" prints the usage and exits 1.
 
 Wired into ctest as cli_smoke (label "server").
 
@@ -52,6 +56,13 @@ SOURCE_ARGS = [40]
 
 UNROLL_FAULT = "phase:unroll,fn:0,kind:throw"
 
+# main takes two parameters; the refusal cases pass one argument.
+TWO_PARAMS = """int main(int a, int b) {
+  return a * 10 + b;
+}
+"""
+TOO_FEW = "args wants 2 integers, got 1"
+
 
 def fail(message):
     sys.stderr.write("check_cli: FAIL: %s\n" % message)
@@ -71,6 +82,16 @@ def run_cli(cli, flags, what):
     if "semantics preserved  yes" not in proc.stdout:
         fail("%s: semantics not preserved\n%s" % (what, proc.stdout))
     return head, proc.stdout
+
+
+def run_refused(cli, args, want, what):
+    """Run tinyc_compiler on arguments it must refuse: exit 1, and
+    @p want on stderr."""
+    proc = subprocess.run([cli] + args, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    if proc.returncode != 1 or want not in proc.stderr:
+        fail("%s: want exit 1 and %r on stderr, got exit %d\n%s"
+             % (what, want, proc.returncode, proc.stderr))
 
 
 def serve(serve_bin, requests):
@@ -136,7 +157,22 @@ def main():
                     fail("%s: daemon failed_phases %s"
                          % (what, response.get("failed_phases")))
 
-    print("check_cli: %d tinyc_compiler runs match chf_serve" % len(cases))
+        # Too few program arguments: the daemon and the CLI refuse
+        # alike, and the CLI takes no "+3".
+        two_path = os.path.join(work, "two.tc")
+        with open(two_path, "w") as f:
+            f.write(TWO_PARAMS)
+        response = serve(serve_bin, [{"op": "compile", "source": TWO_PARAMS,
+                                      "args": [3]}])[0]
+        if response.get("status") != "error" or \
+                response.get("message") != TOO_FEW:
+            fail("two.tc 3: daemon answered %s" % response)
+        run_refused(cli, [two_path, "3"], TOO_FEW, "two.tc 3")
+        run_refused(cli, [two_path, "+3", "4"], "usage:", "two.tc +3 4")
+        run_cli(cli, [two_path, "3", "-4"], "two.tc 3 -4")
+
+    print("check_cli: %d tinyc_compiler runs match chf_serve, and both "
+          "refuse too few arguments" % len(cases))
     return 0
 
 

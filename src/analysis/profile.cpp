@@ -7,17 +7,6 @@
 
 namespace chf {
 
-uint64_t
-EdgeProfile::blockCount(BlockId id) const
-{
-    uint64_t total = entryCount(id);
-    for (const auto &[k, v] : counts) {
-        if ((k & 0xffffffffull) == id)
-            total += v;
-    }
-    return total;
-}
-
 double
 TripCountHistograms::meanTrips(BlockId header) const
 {

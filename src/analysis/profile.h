@@ -1,9 +1,9 @@
 /**
  * @file
- * Execution profiles: per-edge/per-branch frequencies and loop trip-count
+ * Execution profiles: per-branch frequencies and loop trip-count
  * histograms. Profiles are produced by the functional simulator on the
- * basic-block program and annotated onto branch instructions, where the
- * transforms maintain them through duplication.
+ * basic-block program; branch frequencies are annotated onto branch
+ * instructions, where the transforms maintain them through duplication.
  */
 
 #ifndef CHF_ANALYSIS_PROFILE_H
@@ -18,49 +18,6 @@
 namespace chf {
 
 class LoopInfo;
-
-/** CFG edge execution counts keyed by (from, to) block ids. */
-class EdgeProfile
-{
-  public:
-    void
-    addEdge(BlockId from, BlockId to, uint64_t count = 1)
-    {
-        counts[key(from, to)] += count;
-    }
-
-    uint64_t
-    edgeCount(BlockId from, BlockId to) const
-    {
-        auto it = counts.find(key(from, to));
-        return it == counts.end() ? 0 : it->second;
-    }
-
-    /** Total executions of a block = sum of incoming edge counts. */
-    uint64_t blockCount(BlockId id) const;
-
-    /** Record that @p id executed as the program entry. */
-    void addEntry(BlockId id, uint64_t count = 1) { entries[id] += count; }
-
-    uint64_t
-    entryCount(BlockId id) const
-    {
-        auto it = entries.find(id);
-        return it == entries.end() ? 0 : it->second;
-    }
-
-    bool empty() const { return counts.empty() && entries.empty(); }
-
-  private:
-    static uint64_t
-    key(BlockId from, BlockId to)
-    {
-        return (static_cast<uint64_t>(from) << 32) | to;
-    }
-
-    std::map<uint64_t, uint64_t> counts;
-    std::map<BlockId, uint64_t> entries;
-};
 
 /**
  * Per-loop-header histogram of observed trip counts. The peeling policy
@@ -105,10 +62,10 @@ class TripCountHistograms
     std::map<BlockId, std::map<uint64_t, uint64_t>> histograms;
 };
 
-/** Complete profile bundle for a function. */
+/** Profile bundle for a function: the loop trip histograms (branch
+ *  frequencies live on the branch instructions themselves). */
 struct ProfileData
 {
-    EdgeProfile edges;
     TripCountHistograms trips;
 };
 

@@ -173,12 +173,6 @@ FanoutPass::split(BasicBlock &bb, std::vector<Instruction> &out, Vreg orig,
 } // namespace
 
 size_t
-insertFanout(Function &fn, BasicBlock &bb)
-{
-    return FanoutPass(fn).run(bb);
-}
-
-size_t
 insertFanoutFunction(Function &fn)
 {
     FanoutPass pass(fn);

@@ -26,9 +26,6 @@ namespace chf {
 /** Maximum consumers a producer can target directly. */
 constexpr size_t kMaxTargets = 2;
 
-/** Insert fanout moves in @p bb. @return moves inserted. */
-size_t insertFanout(Function &fn, BasicBlock &bb);
-
 /**
  * Insert fanout moves everywhere, in O(registers + instructions).
  * @return total moves.

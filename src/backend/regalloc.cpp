@@ -125,17 +125,10 @@ allocateRegisters(Program &program, const RegAllocOptions &options)
         return a < b;
     });
 
-    // Hot values get registers (round-robin banks via id order); the
-    // rest spill.
-    std::vector<Vreg> spilled;
-    for (size_t i = 0; i < values.size(); ++i) {
-        if (i < options.numPhysRegs) {
-            result.assignment[values[i]] =
-                static_cast<uint32_t>(i);
-        } else {
-            spilled.push_back(values[i]);
-        }
-    }
+    // The hottest numPhysRegs values get registers; the rest spill.
+    std::vector<Vreg> spilled(
+        values.begin() + std::min(values.size(), options.numPhysRegs),
+        values.end());
     result.spilledValues = spilled.size();
 
     if (!spilled.empty()) {

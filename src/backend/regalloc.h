@@ -20,7 +20,6 @@
 #ifndef CHF_BACKEND_REGALLOC_H
 #define CHF_BACKEND_REGALLOC_H
 
-#include <map>
 #include <vector>
 
 #include "analysis/liveness.h"
@@ -42,9 +41,6 @@ struct RegAllocOptions
 /** Allocation outcome. */
 struct RegAllocResult
 {
-    /** Cross-block vreg -> physical register (spilled regs absent). */
-    std::map<Vreg, uint32_t> assignment;
-
     size_t crossBlockValues = 0;
     size_t spilledValues = 0;
     size_t spillInstsInserted = 0;

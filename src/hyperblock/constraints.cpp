@@ -11,8 +11,7 @@ namespace chf {
 
 BlockResources
 analyzeBlock(const Function &fn, const BasicBlock &bb,
-             const BitVector &live_out, const TargetModel &target,
-             BlockAnalysisScratch &t)
+             const BitVector &live_out, BlockAnalysisScratch &t)
 {
     BlockResources res;
     res.insts = bb.size();
@@ -24,22 +23,14 @@ analyzeBlock(const Function &fn, const BasicBlock &bb,
     uint32_t nv = std::max(fn.numVregs(),
                            static_cast<uint32_t>(live_out.size()));
 
-    // Bank geometry flows explicitly from the target model: the
-    // pre-allocation proxy assigns vreg v to bank (v mod banks), so
-    // changing the geometry changes the per-bank estimates (a 2-bank
-    // model concentrates reads that a 4-bank model spreads).
-    const size_t banks = target.effectiveBanks();
-
     // Distinct upward-exposed reads (register file reads).
     blockUsesInto(bb, nv, t.uses, t.killed);
     res.regReads = t.uses.count();
-    t.uses.forEach([&](uint32_t v) { res.bankReads[v % banks]++; });
 
     // Distinct written live-out registers (register file writes).
     blockDefsInto(bb, nv, t.defs);
     t.defs.intersectWith(live_out);
     res.regWrites = t.defs.count();
-    t.defs.forEach([&](uint32_t v) { res.bankWrites[v % banks]++; });
 
     // Fanout prediction: a producer can name two consumers; each extra
     // consumer costs one mov in the fanout tree (Fig. 6's fanout
@@ -87,7 +78,7 @@ blockSizeReason(const TargetModel &target, size_t headroom)
 
 std::string
 checkBlockLegal(const BlockResources &res, const TargetModel &target,
-                size_t headroom, bool check_banks)
+                size_t headroom)
 {
     if (res.estimatedInsts() + headroom > target.maxInsts)
         return blockSizeReason(target, headroom);
@@ -110,20 +101,6 @@ checkBlockLegal(const BlockResources &res, const TargetModel &target,
         return concat(res.regWrites, " register writes exceed ",
                       target.maxRegWrites());
     }
-    if (check_banks) {
-        for (size_t b = 0; b < target.effectiveBanks(); ++b) {
-            if (res.bankReads[b] > target.maxReadsPerBank) {
-                return concat("bank ", b, " has ", res.bankReads[b],
-                              " reads (max ", target.maxReadsPerBank,
-                              ")");
-            }
-            if (res.bankWrites[b] > target.maxWritesPerBank) {
-                return concat("bank ", b, " has ", res.bankWrites[b],
-                              " writes (max ", target.maxWritesPerBank,
-                              ")");
-            }
-        }
-    }
     return "";
 }
 
@@ -132,8 +109,8 @@ checkBlockLegal(const Function &fn, const BasicBlock &bb,
                 const BitVector &live_out, const TargetModel &target,
                 size_t headroom, BlockAnalysisScratch &scratch)
 {
-    return checkBlockLegal(analyzeBlock(fn, bb, live_out, target, scratch),
-                           target, headroom);
+    return checkBlockLegal(analyzeBlock(fn, bb, live_out, scratch), target,
+                           headroom);
 }
 
 } // namespace chf

@@ -4,10 +4,11 @@
  *
  * Constraint checks are parameterized by a chf::TargetModel
  * (target/target_model.h): block instruction budget, LSQ-bounded
- * memory-op budget, register-bank geometry, and an optional branch
- * cap. The reference model is the TRIPS ISA — at most 128 instructions
- * per block, 32 load/store identifiers, 8 reads and 8 writes per each
- * of 4 register banks, a constant number of outputs (paper §2).
+ * memory-op budget, register read/write totals (banks times per-bank
+ * limits), and an optional branch cap. The reference model is the
+ * TRIPS ISA — at most 128 instructions per block, 32 load/store
+ * identifiers, 8 reads and 8 writes per each of 4 register banks, a
+ * constant number of outputs (paper §2).
  * Because register reads/writes, null-write compensation, and fanout
  * moves are inserted by later phases (Fig. 6), hyperblock formation
  * must *estimate* the final size of a candidate block; this header
@@ -17,7 +18,6 @@
 #ifndef CHF_HYPERBLOCK_CONSTRAINTS_H
 #define CHF_HYPERBLOCK_CONSTRAINTS_H
 
-#include <array>
 #include <string>
 
 #include "ir/function.h"
@@ -37,11 +37,6 @@ struct BlockResources
     size_t regReads = 0;     ///< distinct upward-exposed registers
     size_t regWrites = 0;    ///< distinct live-out written registers
 
-    /** Per-bank counts under the target's bank geometry (populated up
-     *  to TargetModel::effectiveBanks() entries). */
-    std::array<size_t, TargetModel::kMaxBanks> bankReads{};
-    std::array<size_t, TargetModel::kMaxBanks> bankWrites{};
-
     /** Predicted instruction count after all later phases. */
     size_t
     estimatedInsts() const
@@ -59,15 +54,12 @@ struct BlockAnalysisScratch
 };
 
 /**
- * Analyze @p bb: count memory ops and exit branches, distinct register
- * reads/writes with bank assignments under @p target's geometry
- * (pre-allocation proxy: vreg modulo the target's bank count, so a
- * 2-bank and an 8-bank model yield different per-bank estimates), and
- * predict the fanout moves and null writes later phases will add.
+ * Analyze @p bb: count memory ops, exit branches and distinct register
+ * reads/writes, and predict the fanout moves and null writes later
+ * phases will add.
  */
 BlockResources analyzeBlock(const Function &fn, const BasicBlock &bb,
                             const BitVector &live_out,
-                            const TargetModel &target,
                             BlockAnalysisScratch &scratch);
 
 /**
@@ -84,14 +76,12 @@ std::string blockSizeReason(const TargetModel &target, size_t headroom);
  * human-readable reason.
  *
  * Before register allocation banks are unknown (the allocator balances
- * them), so formation checks total reads/writes only; pass
- * @p check_banks = true for post-allocation validation where the bank
- * counts reflect physical registers.
+ * them), so register reads and writes are checked as totals against
+ * the target's banks times its per-bank limits.
  */
 std::string checkBlockLegal(const BlockResources &res,
                             const TargetModel &target,
-                            size_t headroom = 0,
-                            bool check_banks = false);
+                            size_t headroom = 0);
 
 /** Convenience: analyze + check. */
 std::string checkBlockLegal(const Function &fn, const BasicBlock &bb,

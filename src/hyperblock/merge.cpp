@@ -166,8 +166,8 @@ constexpr size_t kTrialMemoShardCap = kTrialMemoCapacity / kTrialMemoShards;
  * stored reason and vreg burn are exactly what re-running the trial
  * would produce), so racy hit/miss interleavings stay deterministic.
  * Overflow flushes one shard, not the whole store, and the counters
- * make eviction thrashing visible (trialMemoStats / Session totals /
- * pass_speed JSON).
+ * make eviction thrashing visible (trialMemoStats, read by the
+ * daemon's `stats` op and the pass_speed JSON).
  */
 struct TrialMemoShard
 {
@@ -311,14 +311,6 @@ MergeEngine::legalForKind(BlockId s, MergeKind kind, std::string *why)
             return fail("loop header (head duplication disabled)");
     }
     return true;
-}
-
-bool
-MergeEngine::legalMerge(BlockId hb, BlockId s, std::string *why)
-{
-    if (!blocksExist(hb, s, why))
-        return false;
-    return legalForKind(s, classify(hb, s), why);
 }
 
 MergeOutcome

@@ -109,9 +109,10 @@ struct MergeOptions
 
 /**
  * Snapshot of the process-wide sharded failed-trial memo store
- * (cumulative counters since process start; Session reports per-compile
- * deltas). An eviction-heavy snapshot means the working set exceeds the
- * capacity and trials are being re-run that could have been memo hits.
+ * (cumulative counters since process start; a compile's own lookups
+ * are its units' trialsMemoHit and trialsRun counters). An
+ * eviction-heavy snapshot means the working set exceeds the capacity
+ * and trials are being re-run that could have been memo hits.
  */
 struct TrialMemoStats
 {
@@ -173,12 +174,6 @@ class MergeEngine
     /** Try to merge successor @p s into block @p hb. */
     MergeOutcome tryMerge(BlockId hb, BlockId s);
 
-    /**
-     * Cheap pre-check mirroring the paper's LegalMerge: is @p s a
-     * structurally admissible candidate (ignoring size constraints)?
-     */
-    bool legalMerge(BlockId hb, BlockId s, std::string *why = nullptr);
-
     const StatSet &stats() const { return counters; }
     Function &function() { return fn; }
 
@@ -213,7 +208,7 @@ class MergeEngine
         BlockAnalysisScratch legal;
     };
 
-    /** Existence/structure checks shared by legalMerge and tryMerge. */
+    /** Existence/structure checks tryMerge runs before classifying. */
     bool blocksExist(BlockId hb, BlockId s, std::string *why) const;
 
     /** Classify what committing the merge will do. */

@@ -102,10 +102,4 @@ makeBreadthFirstPolicy()
     return std::make_unique<BreadthFirstPolicy>();
 }
 
-std::unique_ptr<Policy>
-makeDepthFirstPolicy()
-{
-    return std::make_unique<DepthFirstPolicy>();
-}
-
 } // namespace chf

@@ -109,9 +109,8 @@ class DepthFirstPolicy : public Policy
                const std::vector<MergeCandidate> &candidates) override;
 };
 
-/** Factory helpers. */
+/** Factory helper. */
 std::unique_ptr<Policy> makeBreadthFirstPolicy();
-std::unique_ptr<Policy> makeDepthFirstPolicy();
 
 } // namespace chf
 

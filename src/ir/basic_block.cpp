@@ -60,14 +60,4 @@ BasicBlock::memoryOpCount() const
     return n;
 }
 
-bool
-BasicBlock::isPredicated() const
-{
-    for (const auto &inst : insts) {
-        if (inst.pred.valid())
-            return true;
-    }
-    return false;
-}
-
 } // namespace chf

@@ -73,12 +73,6 @@ class BasicBlock
     /** Count of Load and Store instructions. */
     size_t memoryOpCount() const;
 
-    /**
-     * True if some instruction carries a predicate, i.e. the block has
-     * been if-converted.
-     */
-    bool isPredicated() const;
-
   private:
     BlockId blockId;
     std::string blockName;

@@ -138,21 +138,6 @@ opcodeLatency(Opcode op)
     }
 }
 
-Opcode
-invertTest(Opcode op)
-{
-    switch (op) {
-      case Opcode::Teq: return Opcode::Tne;
-      case Opcode::Tne: return Opcode::Teq;
-      case Opcode::Tlt: return Opcode::Tge;
-      case Opcode::Tge: return Opcode::Tlt;
-      case Opcode::Tle: return Opcode::Tgt;
-      case Opcode::Tgt: return Opcode::Tle;
-      default:
-        panic("invertTest on non-test opcode");
-    }
-}
-
 int64_t
 evalOpcode(Opcode op, int64_t a, int64_t b)
 {

@@ -91,9 +91,6 @@ bool opcodeIsPure(Opcode op);
 /** Execution latency in cycles used by the timing model. */
 int opcodeLatency(Opcode op);
 
-/** Invert a test's sense: Teq<->Tne, Tlt<->Tge, Tle<->Tgt. */
-Opcode invertTest(Opcode op);
-
 /** True if the binary opcode is commutative. */
 bool opcodeIsCommutative(Opcode op);
 

@@ -10,7 +10,6 @@
 #include "analysis/analysis_manager.h"
 #include "frontend/lowering.h"
 #include "frontend/parser.h"
-#include "hyperblock/merge.h"
 #include "support/cancellation.h"
 #include "support/fatal.h"
 #include "support/timer.h"
@@ -152,13 +151,6 @@ Session::program(size_t unit) const
     return units[unit].prog();
 }
 
-const std::string &
-Session::unitName(size_t unit) const
-{
-    CHF_ASSERT(unit < units.size(), "session unit index out of range");
-    return units[unit].name;
-}
-
 SessionResult
 Session::compile()
 {
@@ -169,7 +161,6 @@ SessionResult
 Session::compile(int threads)
 {
     Timer wall;
-    const TrialMemoStats memo_before = trialMemoStats();
     const size_t n = units.size();
     std::vector<UnitSlot> slots(n);
     const FaultSpec *fault = opts.faultSpec ? &*opts.faultSpec : nullptr;
@@ -285,24 +276,6 @@ Session::compile(int threads)
     out.totals.set("unitsDegraded",
                    static_cast<int64_t>(out.degradedCount()));
     out.totals.set("usSessionWall", wall.elapsedMicros());
-
-    // Trial-memo store activity attributable to this compile: the
-    // store is process-wide, so hits/misses/evictions are reported as
-    // deltas; entries/occupancy are point-in-time absolutes.
-    const TrialMemoStats memo_after = trialMemoStats();
-    out.totals.set("trialMemoStoreHits",
-                   static_cast<int64_t>(memo_after.hits -
-                                        memo_before.hits));
-    out.totals.set("trialMemoStoreMisses",
-                   static_cast<int64_t>(memo_after.misses -
-                                        memo_before.misses));
-    out.totals.set("trialMemoStoreEvictions",
-                   static_cast<int64_t>(memo_after.evictions -
-                                        memo_before.evictions));
-    out.totals.set("trialMemoStoreEntries",
-                   static_cast<int64_t>(memo_after.entries));
-    out.totals.set("trialMemoStoreMaxShard",
-                   static_cast<int64_t>(memo_after.maxShardEntries));
     return out;
 }
 

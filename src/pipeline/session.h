@@ -110,13 +110,6 @@ struct SessionOptions
 
     SessionOptions &withBackend(bool on) { runBackend = on; return *this; }
 
-    SessionOptions &
-    withBlockSplitting(bool on)
-    {
-        blockSplitting = on;
-        return *this;
-    }
-
     SessionOptions &withKeepGoing(bool on) { keepGoing = on; return *this; }
     SessionOptions &withThreads(int n) { threads = n; return *this; }
 
@@ -241,8 +234,6 @@ class Session
     /** The unit's program (compiled in place by compile()). */
     Program &program(size_t unit);
     const Program &program(size_t unit) const;
-
-    const std::string &unitName(size_t unit) const;
 
     /** Compile every unit with options().threads workers. */
     SessionResult compile();

@@ -137,10 +137,8 @@ runFunctional(const Program &program, const std::vector<int64_t> &args,
                          "\n", toString(*bb)));
         }
 
-        if (!returned) {
-            result.edges.addEdge(current, next);
+        if (!returned)
             current = next;
-        }
     }
 
     result.memoryHash = m.memory.hash();
@@ -158,9 +156,6 @@ profileProgram(Program &program, const std::vector<int64_t> &args)
     annotateBranchFrequencies(program.fn, run.branchFires);
 
     ProfileData profile;
-    profile.edges = run.edges;
-    profile.edges.addEntry(program.fn.entry());
-
     LoopInfo loops(program.fn);
     profile.trips = computeTripHistograms(run.trace, loops);
     return profile;

@@ -63,9 +63,6 @@ struct FuncSimResult
     /** Fire counts per block per instruction index (branches only). */
     std::vector<std::vector<uint64_t>> branchFires;
 
-    /** Edge counts. */
-    EdgeProfile edges;
-
     /** Executed block ids in order (only if recordTrace). */
     std::vector<BlockId> trace;
 };
@@ -80,8 +77,7 @@ FuncSimResult runFunctional(const Program &program,
 
 /**
  * Profile @p program: run it functionally, annotate branch frequencies
- * onto the function, and return the full profile bundle (edge counts +
- * trip histograms).
+ * onto the function, and return its loop trip histograms.
  */
 ProfileData profileProgram(Program &program,
                            const std::vector<int64_t> &args = {});

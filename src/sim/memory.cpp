@@ -67,33 +67,6 @@ MemoryImage::write(int64_t addr, int64_t value)
     data[addr] = value;
 }
 
-int64_t
-MemoryImage::readIn(const std::string &name, int64_t index) const
-{
-    const GlobalRegion &g = region(name);
-    CHF_ASSERT(index >= 0 && index < g.size, "region index out of range");
-    return read(g.base + index);
-}
-
-void
-MemoryImage::writeIn(const std::string &name, int64_t index, int64_t value)
-{
-    const GlobalRegion &g = region(name);
-    CHF_ASSERT(index >= 0 && index < g.size, "region index out of range");
-    write(g.base + index, value);
-}
-
-void
-MemoryImage::fillRegion(const std::string &name,
-                        const std::vector<int64_t> &values)
-{
-    const GlobalRegion &g = region(name);
-    for (int64_t i = 0; i < g.size; ++i) {
-        int64_t v = i < static_cast<int64_t>(values.size()) ? values[i] : 0;
-        write(g.base + i, v);
-    }
-}
-
 uint64_t
 MemoryImage::hash() const
 {

@@ -40,21 +40,8 @@ class MemoryImage
     /** All regions, in allocation order. */
     const std::vector<GlobalRegion> &regions() const { return globals; }
 
-    /** Total allocated words. */
-    int64_t allocatedWords() const { return nextFree; }
-
     int64_t read(int64_t addr) const;
     void write(int64_t addr, int64_t value);
-
-    /** Convenience: read region word. */
-    int64_t readIn(const std::string &name, int64_t index) const;
-
-    /** Convenience: write region word. */
-    void writeIn(const std::string &name, int64_t index, int64_t value);
-
-    /** Fill a region from a host vector (truncating/zero-extending). */
-    void fillRegion(const std::string &name,
-                    const std::vector<int64_t> &values);
 
     /** Raw words (sized to the high-water mark of writes/allocations). */
     const std::vector<int64_t> &words() const { return data; }

@@ -17,7 +17,6 @@ NextBlockPredictor::index(BlockId current) const
 BlockId
 NextBlockPredictor::predict(BlockId current) const
 {
-    ++numLookups;
     const Entry &entry = table[index(current)];
     return entry.confidence > 0 ? entry.target : kNoBlock;
 }

@@ -33,8 +33,6 @@ class NextBlockPredictor
     /** Train with the actual successor and advance the history. */
     void update(BlockId current, BlockId actual);
 
-    uint64_t lookups() const { return numLookups; }
-
   private:
     size_t index(BlockId current) const;
 
@@ -47,7 +45,6 @@ class NextBlockPredictor
     std::vector<Entry> table;
     size_t mask;
     uint64_t history = 0;
-    mutable uint64_t numLookups = 0;
 };
 
 } // namespace chf

@@ -113,8 +113,6 @@ runTiming(const Program &program,
         // Completion time of values produced in this block instance.
         std::map<Vreg, std::pair<double, int>> local; // (done, tile)
         std::vector<double> tile_free(config.grid.numTiles(), 0.0);
-        // Operand-network injection port per tile (optional model).
-        std::vector<double> send_free(config.grid.numTiles(), 0.0);
         // Store completion times by exact address: the load/store
         // queue with LSIDs and dependence prediction resolves
         // independent accesses, so only true (same-address)
@@ -125,7 +123,6 @@ runTiming(const Program &program,
         BlockId next = kNoBlock;
         size_t fired_branches = 0;
 
-        result.instsFetched += bb->size();
         ++result.blocksExecuted;
 
         for (size_t i = 0; i < bb->insts.size(); ++i) {
@@ -145,15 +142,9 @@ runTiming(const Program &program,
             inst.forEachUse([&](Vreg v) {
                 auto lp = local.find(v);
                 if (lp != local.end()) {
-                    int src_tile = lp->second.second;
-                    int hops = tileDistance(src_tile, tile,
+                    int hops = tileDistance(lp->second.second, tile,
                                             config.grid);
-                    double send = lp->second.first;
-                    if (config.modelNetworkContention && hops > 0) {
-                        send = std::max(send, send_free[src_tile]);
-                        send_free[src_tile] = send + 1.0;
-                    }
-                    ready = std::max(ready, send + hops);
+                    ready = std::max(ready, lp->second.first + hops);
                 } else {
                     ready = std::max(ready, reg_ready[v] +
                                                 config.regReadLatency);
@@ -226,14 +217,6 @@ runTiming(const Program &program,
                                  last_commit + 1.0);
         last_commit = commit;
         in_flight.push_back(commit);
-        result.sumBlockLatency += commit - fetch_start;
-        result.sumCritPath += outputs_done - map_done;
-        if (result.critByBlock.size() < fn.blockTableSize()) {
-            result.critByBlock.resize(fn.blockTableSize(), 0.0);
-            result.execByBlock.resize(fn.blockTableSize(), 0);
-        }
-        result.critByBlock[current] += outputs_done - map_done;
-        result.execByBlock[current]++;
 
         if (returned) {
             result.cycles = static_cast<uint64_t>(commit);

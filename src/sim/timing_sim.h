@@ -80,14 +80,6 @@ struct TimingConfig
 
     unsigned predictorBits = 12;
 
-    /**
-     * Model operand-network injection contention: each tile can inject
-     * one operand per cycle into the network, so wide fanout from one
-     * tile serializes its sends. Off by default (the balanced fanout
-     * trees already spread load); enable to study network sensitivity.
-     */
-    bool modelNetworkContention = false;
-
     uint64_t maxBlocks = 100'000'000;
 };
 
@@ -96,22 +88,11 @@ struct TimingResult
 {
     uint64_t cycles = 0;
     uint64_t blocksExecuted = 0;
-    uint64_t instsFetched = 0;
     uint64_t instsExecuted = 0;
     uint64_t branchPredictions = 0;
     uint64_t branchMispredicts = 0;
     int64_t returnValue = 0;
     uint64_t memoryHash = 0;
-
-    /** Diagnostics: summed (commit - fetch_start) over blocks. */
-    double sumBlockLatency = 0.0;
-
-    /** Diagnostics: summed (outputs_done - map_done) over blocks. */
-    double sumCritPath = 0.0;
-
-    /** Diagnostics: per-static-block summed critical path / counts. */
-    std::vector<double> critByBlock;
-    std::vector<uint64_t> execByBlock;
 
     double
     mispredictRate() const

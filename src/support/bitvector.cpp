@@ -45,14 +45,6 @@ BitVector::reset()
         w = 0;
 }
 
-void
-BitVector::setAll()
-{
-    for (auto &w : words)
-        w = ~uint64_t(0);
-    clearPadding();
-}
-
 size_t
 BitVector::count() const
 {

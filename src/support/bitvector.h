@@ -37,9 +37,6 @@ class BitVector
     /** Clear every bit. */
     void reset();
 
-    /** Set every bit. */
-    void setAll();
-
     /** Number of set bits. */
     size_t count() const;
 

@@ -132,7 +132,6 @@ class DiagnosticEngine
     const std::vector<Diagnostic> &diagnostics() const { return diags; }
 
     size_t count(Severity severity) const;
-    size_t errorCount() const { return count(Severity::Error); }
     bool empty() const { return diags.empty(); }
 
     /** True if any diagnostic's phase equals @p phase. */

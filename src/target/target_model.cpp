@@ -97,12 +97,6 @@ targetRegistry()
     return models;
 }
 
-const TargetModel &
-tripsTarget()
-{
-    return targetRegistry().front();
-}
-
 const TargetModel *
 findTarget(const std::string &name)
 {

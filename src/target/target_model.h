@@ -43,9 +43,7 @@ namespace chf {
  */
 struct TargetModel
 {
-    /** Most banks any model may declare (BlockResources sizes its
-     *  per-bank arrays with this, keeping block analysis
-     *  allocation-free on the trial hot path). */
+    /** Most banks any model may declare (validate() refuses more). */
     static constexpr size_t kMaxBanks = 8;
 
     /** Registry label ("trips", "trips-wide", ...; free-form for
@@ -119,15 +117,6 @@ struct TargetModel
         return std::min(maxMemOps, lsqDepth);
     }
 
-    /** Bank count clamped to a usable range (≥1, ≤kMaxBanks) so the
-     *  modulo bank proxy in analyzeBlock is total even for degenerate
-     *  hand-built models; validate() reports such models as invalid. */
-    size_t
-    effectiveBanks() const
-    {
-        return std::clamp<size_t>(numRegBanks, 1, kMaxBanks);
-    }
-
     /**
      * Structural sanity: empty when the model is usable, else a
      * human-readable reason (0 or >kMaxBanks banks, a zero block
@@ -139,9 +128,6 @@ struct TargetModel
 };
 
 // --- named registry ---
-
-/** The reference TRIPS model (equal to a default TargetModel). */
-const TargetModel &tripsTarget();
 
 /**
  * All registered models, in deterministic definition order: `trips`

@@ -665,19 +665,6 @@ TEST(Profile, TripHistogramsMatchPerLoopScan)
     EXPECT_GT(loops_seen, 300u);
 }
 
-TEST(Profile, EdgeCountsAndBlockCounts)
-{
-    EdgeProfile profile;
-    profile.addEdge(0, 1, 10);
-    profile.addEdge(2, 1, 5);
-    profile.addEdge(1, 2, 15);
-    profile.addEntry(0);
-    EXPECT_EQ(profile.edgeCount(0, 1), 10u);
-    EXPECT_EQ(profile.edgeCount(1, 0), 0u);
-    EXPECT_EQ(profile.blockCount(1), 15u);
-    EXPECT_EQ(profile.blockCount(0), 1u);
-}
-
 TEST(Profile, TripQuantile)
 {
     TripCountHistograms trips;

@@ -117,7 +117,7 @@ TEST(Fanout, InsertsMovesForWideConsumers)
     p.fn = fn.clone();
     auto before = runFunctional(p).returnValue;
 
-    size_t moves = insertFanout(fn, *fn.block(id));
+    size_t moves = insertFanoutFunction(fn);
     EXPECT_GT(moves, 0u);
 
     // No register now feeds more than two operand slots.
@@ -149,7 +149,7 @@ TEST(Fanout, RewiresPredicateReads)
     }
     b.ret(IRBuilder::imm(0));
 
-    insertFanout(fn, *fn.block(id));
+    insertFanoutFunction(fn);
     std::map<Vreg, int> counts;
     for (const auto &inst : fn.block(id)->insts)
         inst.forEachUse([&](Vreg r) { counts[r]++; });
@@ -167,7 +167,7 @@ TEST(Fanout, LeavesNarrowBlocksAlone)
     Vreg v = b.constant(1);
     Vreg w = b.add(IRBuilder::r(v), IRBuilder::imm(2));
     b.ret(IRBuilder::r(w));
-    EXPECT_EQ(insertFanout(fn, *fn.block(id)), 0u);
+    EXPECT_EQ(insertFanoutFunction(fn), 0u);
 }
 
 // ----- Reference oracles -----

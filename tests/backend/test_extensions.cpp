@@ -273,7 +273,9 @@ TEST(BlockSplittingMerge, FullPipelineStaysCorrect)
     split.fn = p.fn.clone();
     split.memory = p.memory;
     split.defaultArgs = p.defaultArgs;
-    Session session(SessionOptions().withBlockSplitting(true));
+    SessionOptions options;
+    options.blockSplitting = true;
+    Session session(options);
     session.addProgramRef(split, profile);
     session.compile();
 

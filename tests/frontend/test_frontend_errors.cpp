@@ -128,7 +128,7 @@ TEST(FrontendDiagnostics, CollectsErrorWithLocation)
     std::optional<Program> p =
         Session::frontend("int main() { return nope; }", diags);
     EXPECT_FALSE(p.has_value());
-    ASSERT_EQ(diags.errorCount(), 1u);
+    ASSERT_EQ(diags.count(Severity::Error), 1u);
     const Diagnostic &d = diags.diagnostics().front();
     EXPECT_EQ(d.phase, "lower");
     EXPECT_EQ(d.loc.line, 1);

@@ -14,6 +14,7 @@
 #include "hyperblock/phase_ordering.h"
 #include "hyperblock/vliw_policy.h"
 #include "ir/builder.h"
+#include "ir/printer.h"
 #include "ir/verifier.h"
 #include "pipeline/session.h"
 #include "sim/functional_sim.h"
@@ -49,8 +50,7 @@ TEST(Constraints, CountsMemOpsAndRegisters)
     BitVector live_out(fn.numVregs());
     live_out.set(out);
     BlockAnalysisScratch scratch;
-    BlockResources res =
-        analyzeBlock(fn, *fn.block(id), live_out, constraints, scratch);
+    BlockResources res = analyzeBlock(fn, *fn.block(id), live_out, scratch);
     EXPECT_EQ(res.memOps, 2u);
     EXPECT_EQ(res.regReads, 2u);  // in1, in2 upward exposed
     EXPECT_EQ(res.regWrites, 1u); // out only
@@ -71,11 +71,9 @@ TEST(Constraints, PredictsFanout)
     sink = b.add(IRBuilder::r(v), IRBuilder::r(sink));
     b.ret(IRBuilder::r(sink));
 
-    TargetModel constraints;
     BitVector live_out(fn.numVregs());
     BlockAnalysisScratch scratch;
-    BlockResources res =
-        analyzeBlock(fn, *fn.block(id), live_out, constraints, scratch);
+    BlockResources res = analyzeBlock(fn, *fn.block(id), live_out, scratch);
     EXPECT_EQ(res.fanoutMoves, 2u); // 4 uses - 2 targets
 }
 
@@ -144,12 +142,14 @@ TEST(MergeEngine, SimpleMergeRemovesSuccessor)
 TEST(MergeEngine, RefusesEntryBlock)
 {
     ChainFixture f;
-    // Make the entry a successor of C so the merge would be attempted.
     MergeOptions options;
     MergeEngine engine(f.fn, options);
-    std::string why;
-    EXPECT_FALSE(engine.legalMerge(f.b, f.a, &why));
-    EXPECT_NE(why.find("entry"), std::string::npos);
+    const std::string before = toString(f.fn);
+    MergeOutcome outcome = engine.tryMerge(f.b, f.a);
+    EXPECT_FALSE(outcome.success);
+    EXPECT_NE(outcome.reason.find("entry"), std::string::npos)
+        << outcome.reason;
+    EXPECT_EQ(toString(f.fn), before); // a refused merge edits nothing
 }
 
 TEST(MergeEngine, RefusesNonSuccessor)

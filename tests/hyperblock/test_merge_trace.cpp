@@ -118,7 +118,8 @@ makeTestPolicy(PolicyKind kind)
 {
     switch (kind) {
       case PolicyKind::BreadthFirst: return makeBreadthFirstPolicy();
-      case PolicyKind::DepthFirst: return makeDepthFirstPolicy();
+      case PolicyKind::DepthFirst:
+        return std::make_unique<DepthFirstPolicy>();
       default: return std::make_unique<VliwPolicy>();
     }
 }
@@ -655,9 +656,10 @@ int main() {
 TEST(TrialFastPath, MemoStoreStatsAreExposed)
 {
     // The sharded store's counters account every lookup: hits + misses
-    // grow, and the Session reports the same activity as per-compile
-    // deltas. clearTrialMemo empties the store but never rewinds the
-    // cumulative counters.
+    // grow by exactly the compile's own trialsMemoHit and trialsRun
+    // counters (every trial looks the store up once, and nothing else
+    // compiles meanwhile). clearTrialMemo empties the store but never
+    // rewinds the cumulative counters.
     Program program = Session::frontend(R"(
 int data[32];
 int main() {
@@ -691,14 +693,11 @@ int main() {
     EXPECT_LE(after.maxShardEntries, after.entries);
     EXPECT_GT(after.entries, 0u);
 
-    EXPECT_EQ(result.totals.get("trialMemoStoreHits"),
+    EXPECT_EQ(result.totals.get("trialsMemoHit"),
               static_cast<int64_t>(after.hits - before.hits));
-    EXPECT_EQ(result.totals.get("trialMemoStoreMisses"),
+    EXPECT_EQ(result.totals.get("trialsRun"),
               static_cast<int64_t>(after.misses - before.misses));
-    EXPECT_EQ(result.totals.get("trialMemoStoreEntries"),
-              static_cast<int64_t>(after.entries));
-    EXPECT_EQ(result.totals.get("trialMemoStoreMaxShard"),
-              static_cast<int64_t>(after.maxShardEntries));
+    EXPECT_GT(result.totals.get("trialsRun"), 0);
 
     clearTrialMemo();
     const TrialMemoStats cleared = trialMemoStats();

@@ -306,7 +306,7 @@ TEST_P(FaultMatrix, EveryPhaseSurvivesInjectedFaults)
             ASSERT_EQ(result.functions[0].stats.get("faultsFired"), 1);
             ASSERT_TRUE(result.degraded());
             ASSERT_TRUE(diags.hasPhase(phase));
-            ASSERT_GE(diags.errorCount(), 1u);
+            ASSERT_GE(diags.count(Severity::Error), 1u);
 
             // Rollback must leave verifier-clean IR whose behaviour
             // matches the reference bit for bit.

@@ -31,13 +31,6 @@ TEST(Opcode, Traits)
     EXPECT_GT(opcodeLatency(Opcode::Div), opcodeLatency(Opcode::Add));
 }
 
-TEST(Opcode, InvertTest)
-{
-    EXPECT_EQ(invertTest(Opcode::Tlt), Opcode::Tge);
-    EXPECT_EQ(invertTest(Opcode::Teq), Opcode::Tne);
-    EXPECT_EQ(invertTest(invertTest(Opcode::Tle)), Opcode::Tle);
-}
-
 TEST(Opcode, EvalSemantics)
 {
     EXPECT_EQ(evalOpcode(Opcode::Add, 2, 3), 5);
@@ -170,7 +163,6 @@ TEST(BasicBlock, FrequencyAndMemOps)
                             Predicate::onReg(v, false), 2.0));
     EXPECT_EQ(fn.block(id)->memoryOpCount(), 2u);
     EXPECT_DOUBLE_EQ(fn.block(id)->frequency(), 12.0);
-    EXPECT_TRUE(fn.block(id)->isPredicated());
     EXPECT_TRUE(fn.block(id)->hasReturn());
 }
 

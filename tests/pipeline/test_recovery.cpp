@@ -80,7 +80,7 @@ TEST(RunGuarded, VerifierFailureRollsBack)
     EXPECT_FALSE(ok);
     EXPECT_EQ(toString(program.fn), before)
         << "rollback must be bit-identical";
-    ASSERT_GE(diags.errorCount(), 1u);
+    ASSERT_GE(diags.count(Severity::Error), 1u);
     EXPECT_TRUE(diags.hasPhase("test-phase"));
     EXPECT_EQ(diags.count(Severity::Note), 1u)
         << "rollback must be recorded as a note";
@@ -99,7 +99,7 @@ TEST(RunGuarded, RecoverableErrorRollsBack)
     });
     EXPECT_FALSE(ok);
     EXPECT_EQ(toString(program.fn), before);
-    ASSERT_GE(diags.errorCount(), 1u);
+    ASSERT_GE(diags.count(Severity::Error), 1u);
     EXPECT_NE(diags.toString().find("synthetic failure"),
               std::string::npos);
 }

@@ -298,7 +298,6 @@ TEST(SessionBuilder, FluentOptionsSetEveryField)
                                  .withPolicy(PolicyKind::DepthFirst)
                                  .withTarget(model)
                                  .withBackend(false)
-                                 .withBlockSplitting(true)
                                  .withKeepGoing(true)
                                  .withThreads(8)
                                  .withFault(fault);
@@ -307,7 +306,6 @@ TEST(SessionBuilder, FluentOptionsSetEveryField)
     EXPECT_EQ(options.policy, PolicyKind::DepthFirst);
     EXPECT_EQ(options.target.maxInsts, 64u);
     EXPECT_FALSE(options.runBackend);
-    EXPECT_TRUE(options.blockSplitting);
     EXPECT_TRUE(options.keepGoing);
     EXPECT_EQ(options.threads, 8);
     ASSERT_TRUE(options.faultSpec.has_value());
@@ -319,7 +317,6 @@ TEST(SessionBuilder, AddSourceLowersAndPrepares)
     Session session;
     size_t unit = session.addSource(kSource, "demo", {3});
     EXPECT_EQ(session.size(), 1u);
-    EXPECT_EQ(session.unitName(unit), "demo");
 
     SessionResult result = session.compile();
     EXPECT_EQ(result.functions[0].name, "demo");

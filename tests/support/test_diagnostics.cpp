@@ -66,7 +66,7 @@ TEST(DiagnosticEngine, CountsBySeverity)
     engine.note("formation", "rolled back");
     engine.error("regalloc", "second");
     EXPECT_FALSE(engine.empty());
-    EXPECT_EQ(engine.errorCount(), 2u);
+    EXPECT_EQ(engine.count(Severity::Error), 2u);
     EXPECT_EQ(engine.count(Severity::Note), 1u);
     EXPECT_EQ(engine.diagnostics().size(), 3u);
 }

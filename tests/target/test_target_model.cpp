@@ -2,7 +2,7 @@
  * @file
  * Tests for chf::TargetModel (src/target/target_model.h): the registry,
  * model validation, the legality checks over degenerate geometries,
- * and the explicit bank-geometry flow into analyzeBlock.
+ * and the bank geometry's register read budget in checkBlockLegal.
  */
 
 #include <gtest/gtest.h>
@@ -39,7 +39,8 @@ TEST(TargetModel, RegistryHasTripsAndSynthetics)
 
 TEST(TargetModel, TripsDefaultsMatchThePaperNumbers)
 {
-    const TargetModel &trips = tripsTarget();
+    const TargetModel trips; // a default TargetModel is the trips model
+    EXPECT_EQ(trips.name, "trips");
     EXPECT_EQ(trips.maxInsts, 128u);
     EXPECT_EQ(trips.maxMemOps, 32u);
     EXPECT_EQ(trips.numRegBanks, 4u);
@@ -87,24 +88,20 @@ TEST(TargetModel, CheckBlockLegalSingleBankGeometry)
     BlockResources res;
     res.insts = 8;
     res.regReads = 3;
-    res.bankReads[0] = 3;
-    EXPECT_TRUE(checkBlockLegal(res, one_bank, 0, true).empty());
+    res.regWrites = 4;
+    EXPECT_TRUE(checkBlockLegal(res, one_bank).empty());
 
-    // With one bank the total limit coincides with the per-bank limit,
-    // so the total check fires first; the degenerate geometry must
-    // still reject, with banks*perBank as the budget.
+    // With one bank the total budget is the per-bank limit; the
+    // degenerate geometry must still reject, with banks*perBank as the
+    // budget.
     res.regReads = 5;
-    res.bankReads[0] = 5; // every read lands in the only bank
-    std::string why = checkBlockLegal(res, one_bank, 0, true);
+    std::string why = checkBlockLegal(res, one_bank);
     EXPECT_NE(why.find("reads exceed 4"), std::string::npos) << why;
 
-    // The bank loop itself covers exactly bank 0 at this geometry.
-    BlockResources skewed;
-    skewed.insts = 4;
-    skewed.regReads = 2;
-    skewed.bankReads[0] = 5;
-    std::string bank_why = checkBlockLegal(skewed, one_bank, 0, true);
-    EXPECT_NE(bank_why.find("bank 0"), std::string::npos) << bank_why;
+    res.regReads = 4;
+    res.regWrites = 5;
+    why = checkBlockLegal(res, one_bank);
+    EXPECT_NE(why.find("writes exceed 4"), std::string::npos) << why;
 }
 
 TEST(TargetModel, CheckBlockLegalHeadroomExceedsMaxInsts)
@@ -149,7 +146,7 @@ TEST(TargetModel, BranchBudgetFiresOnlyWhenConfigured)
     res.insts = 10;
     res.branches = 5;
 
-    EXPECT_TRUE(checkBlockLegal(res, tripsTarget()).empty());
+    EXPECT_TRUE(checkBlockLegal(res, TargetModel{}).empty());
 
     TargetModel bounded;
     bounded.maxBranches = 4;
@@ -157,83 +154,25 @@ TEST(TargetModel, BranchBudgetFiresOnlyWhenConfigured)
     EXPECT_NE(why.find("exit branches"), std::string::npos) << why;
 }
 
-// ----- bank geometry flows into the analyzer -----
+// ----- bank geometry bounds the register reads -----
 
-/** One block reading 8 distinct upward-exposed vregs. */
-struct EightReadFixture
+/** One block reading 6 distinct upward-exposed vregs. */
+struct SixReadFixture
 {
     Function fn;
     BlockId id;
 
-    EightReadFixture()
+    SixReadFixture()
     {
         IRBuilder b(fn);
         id = b.makeBlock();
         fn.setEntry(id);
         std::vector<Vreg> ins;
-        for (int i = 0; i < 8; ++i)
+        for (int i = 0; i < 6; ++i)
             ins.push_back(fn.newVreg());
         b.setBlock(id);
         Vreg acc = b.add(IRBuilder::r(ins[0]), IRBuilder::r(ins[1]));
-        for (int i = 2; i < 8; ++i)
-            acc = b.add(IRBuilder::r(acc), IRBuilder::r(ins[i]));
-        b.ret(IRBuilder::r(acc));
-    }
-};
-
-TEST(TargetModel, BankGeometryChangesBankReadEstimates)
-{
-    EightReadFixture fx;
-    BitVector live_out(fx.fn.numVregs());
-
-    auto analyzed = [&](size_t banks) {
-        TargetModel model;
-        model.numRegBanks = banks;
-        BlockAnalysisScratch scratch;
-        return analyzeBlock(fx.fn, *fx.fn.block(fx.id), live_out, model,
-                            scratch);
-    };
-
-    BlockResources four = analyzed(4);
-    BlockResources two = analyzed(2);
-    BlockResources eight = analyzed(8);
-
-    // Same totals whatever the geometry...
-    EXPECT_EQ(four.regReads, 8u);
-    EXPECT_EQ(two.regReads, 8u);
-    EXPECT_EQ(eight.regReads, 8u);
-
-    // ...but the per-bank distribution follows the model: 8 vregs
-    // spread v mod banks. A non-4-bank target must produce different
-    // bankReads than the TRIPS geometry (the old proxy hardwired 4).
-    EXPECT_EQ(four.bankReads[0], 2u);
-    EXPECT_EQ(two.bankReads[0], 4u);
-    EXPECT_EQ(eight.bankReads[0], 1u);
-    EXPECT_NE(two.bankReads[0], four.bankReads[0]);
-    EXPECT_NE(eight.bankReads[0], four.bankReads[0]);
-    // Banks past the geometry stay empty.
-    EXPECT_EQ(two.bankReads[2], 0u);
-    EXPECT_EQ(two.bankReads[3], 0u);
-}
-
-/** A block reading only even-numbered vregs: under a 2-bank (v mod 2)
- *  geometry every read concentrates in bank 0. */
-struct SkewedReadFixture
-{
-    Function fn;
-    BlockId id;
-
-    SkewedReadFixture()
-    {
-        IRBuilder b(fn);
-        id = b.makeBlock();
-        fn.setEntry(id);
-        std::vector<Vreg> ins;
-        for (int i = 0; i < 12; ++i)
-            ins.push_back(fn.newVreg());
-        b.setBlock(id);
-        Vreg acc = b.add(IRBuilder::r(ins[0]), IRBuilder::r(ins[2]));
-        for (int i = 4; i < 12; i += 2)
+        for (int i = 2; i < 6; ++i)
             acc = b.add(IRBuilder::r(acc), IRBuilder::r(ins[i]));
         b.ret(IRBuilder::r(acc));
     }
@@ -241,27 +180,27 @@ struct SkewedReadFixture
 
 TEST(TargetModel, TightBankGeometryRejectsWhatTripsAccepts)
 {
-    SkewedReadFixture fx;
+    SixReadFixture fx;
     BitVector live_out(fx.fn.numVregs());
     BlockAnalysisScratch scratch;
 
     EXPECT_TRUE(checkBlockLegal(fx.fn, *fx.fn.block(fx.id), live_out,
-                                tripsTarget(), 0, scratch)
+                                TargetModel{}, 0, scratch)
                     .empty());
 
-    // 6 upward-exposed reads, all even vregs: a 2-bank model sees all
-    // 6 in bank 0. Total budget 2x4=8 passes; bank 0's 4-read limit
-    // is what rejects — the per-bank check, not the total proxy.
+    // 6 upward-exposed reads: TRIPS allows 4 banks x 8 = 32, a 2-bank
+    // model with 2 reads per bank only 4.
     TargetModel narrow;
     narrow.numRegBanks = 2;
-    narrow.maxReadsPerBank = 4;
-    BlockResources res = analyzeBlock(fx.fn, *fx.fn.block(fx.id),
-                                      live_out, narrow, scratch);
+    narrow.maxReadsPerBank = 2;
+    BlockResources res =
+        analyzeBlock(fx.fn, *fx.fn.block(fx.id), live_out, scratch);
     EXPECT_EQ(res.regReads, 6u);
-    EXPECT_EQ(res.bankReads[0], 6u);
-    EXPECT_EQ(res.bankReads[1], 0u);
-    std::string why = checkBlockLegal(res, narrow, 0, true);
-    EXPECT_NE(why.find("bank 0"), std::string::npos) << why;
+    std::string why = checkBlockLegal(res, narrow);
+    EXPECT_NE(why.find("6 register reads exceed 4"), std::string::npos)
+        << why;
+    EXPECT_EQ(why, checkBlockLegal(fx.fn, *fx.fn.block(fx.id), live_out,
+                                   narrow, 0, scratch));
 }
 
 // ----- session wiring -----
