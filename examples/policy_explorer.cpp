@@ -154,14 +154,13 @@ main(int argc, char **argv)
     ProfileData profile = prepareProgram(base);
     FuncSimResult oracle = runFunctional(base);
     TimingResult bb_timing = runTiming(base);
-    FuncSimResult bb_run = runFunctional(base);
 
     TextTable table;
     table.setHeader({"policy", "blocks", "static insts", "blocks exec",
                      "mispredict%", "cycles", "vs BB"});
     table.addRow({"basic blocks", std::to_string(base.fn.numBlocks()),
                   std::to_string(base.fn.totalInsts()),
-                  std::to_string(bb_run.blocksExecuted),
+                  std::to_string(oracle.blocksExecuted),
                   TextTable::fmt(bb_timing.mispredictRate() * 100, 2),
                   std::to_string(bb_timing.cycles), "--"});
 

@@ -2,44 +2,11 @@
 
 #include "analysis/loops.h"
 #include "ir/printer.h"
+#include "sim/machine.h"
 #include "support/diagnostics.h"
 #include "support/fatal.h"
 
 namespace chf {
-
-namespace {
-
-/** Interpreter state for one run. */
-struct Machine
-{
-    std::vector<int64_t> regs;
-    MemoryImage memory;
-
-    int64_t
-    value(const Operand &op) const
-    {
-        switch (op.kind) {
-          case Operand::Kind::Reg:
-            return regs[op.reg];
-          case Operand::Kind::Imm:
-            return op.imm;
-          case Operand::Kind::None:
-            return 0;
-        }
-        return 0;
-    }
-
-    bool
-    predicateHolds(const Predicate &pred) const
-    {
-        if (!pred.valid())
-            return true;
-        bool truth = regs[pred.reg] != 0;
-        return pred.onTrue ? truth : !truth;
-    }
-};
-
-} // namespace
 
 FuncSimResult
 runFunctional(const Program &program, const std::vector<int64_t> &args,
@@ -48,16 +15,7 @@ runFunctional(const Program &program, const std::vector<int64_t> &args,
     const Function &fn = program.fn;
     FuncSimResult result;
 
-    Machine m;
-    m.regs.assign(fn.numVregs(), 0);
-    m.memory = program.memory;
-
-    const std::vector<int64_t> &actual_args =
-        args.empty() ? program.defaultArgs : args;
-    CHF_ASSERT(actual_args.size() >= fn.argRegs.size(),
-               "too few arguments for program");
-    for (size_t i = 0; i < fn.argRegs.size(); ++i)
-        m.regs[fn.argRegs[i]] = actual_args[i];
+    detail::Machine m(program, args);
 
     result.blockCounts.assign(fn.blockTableSize(), 0);
     result.branchFires.assign(fn.blockTableSize(), {});

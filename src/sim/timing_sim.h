@@ -33,8 +33,6 @@
 #ifndef CHF_SIM_TIMING_SIM_H
 #define CHF_SIM_TIMING_SIM_H
 
-#include <map>
-
 #include "backend/scheduler.h"
 #include "ir/program.h"
 #include "sim/predictor.h"
@@ -105,15 +103,11 @@ struct TimingResult
 };
 
 /**
- * Run @p program through the timing model using @p placement from the
- * scheduler (blocks missing from the map are placed on demand).
+ * Run @p program through the timing model with @p args (falls back to
+ * program.defaultArgs). Each block is placed with scheduleBlock and
+ * decoded the first time it executes; later executions reuse that
+ * decode and per-run state, so they allocate nothing.
  */
-TimingResult runTiming(const Program &program,
-                       const std::map<BlockId, Placement> &placement,
-                       const TimingConfig &config = {},
-                       const std::vector<int64_t> &args = {});
-
-/** Convenience: schedule then simulate. */
 TimingResult runTiming(const Program &program,
                        const TimingConfig &config = {},
                        const std::vector<int64_t> &args = {});

@@ -144,10 +144,11 @@ TEST(TimingSim, AgreesWithFunctionalSemantics)
     EXPECT_EQ(timing.instsExecuted, func.instsExecuted);
     EXPECT_GT(timing.cycles, 0u);
 
-    // The timing walk carries its own copy of the IR semantics; hold it
-    // to the functional oracle on every Table 1/2 kernel, as basic
-    // blocks and as (IUPO) hyperblocks with predication, fanout and
-    // spill code.
+    // The timing walk shares the register file, memory image and
+    // operand evaluation with the functional simulator (sim/machine.h)
+    // but executes each opcode in a switch of its own; hold it to the
+    // functional oracle on every Table 1/2 kernel, as basic blocks and
+    // as (IUPO) hyperblocks with predication, fanout and spill code.
     size_t checked = 0;
     for (Pipeline pipeline : {Pipeline::BB, Pipeline::IUPO_fused}) {
         Session session(SessionOptions().withPipeline(pipeline));
