@@ -19,7 +19,13 @@ using namespace chf::bench;
 int
 main()
 {
-    const std::vector<size_t> sizes = {32, 64, 128, 256};
+    std::vector<GridConfig> configs;
+    for (size_t max_insts : {32, 64, 128, 256}) {
+        SessionOptions options;
+        options.target.maxInsts = max_insts;
+        configs.push_back({std::to_string(max_insts), options});
+    }
+    const std::vector<GridRow> rows = runGrid(microbenchmarks(), configs);
 
     std::printf("# ablation: max block size sweep ((IUPO), "
                 "breadth-first, microbenchmarks)\n");
@@ -27,38 +33,19 @@ main()
     TextTable table;
     table.setHeader({"max insts", "avg % vs BB", "avg blocks vs BB"});
 
-    for (size_t max_insts : sizes) {
+    for (size_t c = 0; c < configs.size(); ++c) {
         double sum_pct = 0.0;
         double sum_blockratio = 0.0;
-        size_t count = 0;
-        for (const auto &workload : microbenchmarks()) {
-            Program base = buildWorkload(workload);
-            ProfileData profile = prepareProgram(base);
-            FuncSimResult oracle = runFunctional(base);
-
-            SessionOptions bb_options;
-            bb_options.pipeline = Pipeline::BB;
-            ConfigResult bb =
-                measure(base, profile, bb_options, oracle.returnValue,
-                        oracle.memoryHash);
-
-            SessionOptions options;
-            options.pipeline = Pipeline::IUPO_fused;
-            options.target.maxInsts = max_insts;
-            ConfigResult run =
-                measure(base, profile, options, oracle.returnValue,
-                        oracle.memoryHash);
-
-            sum_pct +=
-                improvementPct(bb.timing.cycles, run.timing.cycles);
+        for (const GridRow &row : rows) {
+            const ConfigResult &run = row.runs[c];
+            sum_pct += row.cyclePct(c);
             sum_blockratio +=
                 static_cast<double>(run.functional.blocksExecuted) /
-                static_cast<double>(bb.functional.blocksExecuted);
-            ++count;
+                static_cast<double>(row.bb.functional.blocksExecuted);
         }
-        table.addRow({std::to_string(max_insts),
-                      TextTable::pct(sum_pct / count),
-                      TextTable::fmt(sum_blockratio / count, 2)});
+        table.addRow({configs[c].label,
+                      TextTable::pct(sum_pct / rows.size()),
+                      TextTable::fmt(sum_blockratio / rows.size(), 2)});
     }
 
     std::printf("%s", table.render().c_str());

@@ -1,11 +1,12 @@
 /**
  * @file
  * Ablation: which ingredient of convergent formation buys what?
- * Starting from full (IUPO) breadth-first formation, disable one
+ * Starting from full (IUPO) breadth-first formation, change one
  * mechanism at a time:
- *   - no head duplication (no peel/unroll merges)   -> "I+O only"
- *   - no optimization inside the merge loop         -> "(IUP)O"
+ *   - unroll/peel as a discrete phase before formation -> "UPIO"
+ *   - no optimization inside the merge loop            -> "(IUP)O"
  *   - no for-loop unrolling in the front end
+ *   - basic-block splitting (paper §9)
  * and report average cycle improvement over basic blocks across the
  * microbenchmark suite.
  */
@@ -19,79 +20,42 @@
 using namespace chf;
 using namespace chf::bench;
 
-namespace {
-
-struct Variant
-{
-    const char *name;
-    bool headDup;
-    bool optimizeInLoop;
-    bool frontEndUnroll;
-    bool blockSplitting = false;
-};
-
-} // namespace
-
 int
 main()
 {
-    const std::vector<Variant> variants = {
-        {"full (IUPO)", true, true, true},
-        {"no head duplication", false, true, true},
-        {"no optimize-in-loop", true, false, true},
-        {"no front-end for-loop unroll", true, true, false},
-        {"with block splitting (paper \u00a79)", true, true, true, true},
+    SessionOptions splitting;
+    splitting.blockSplitting = true;
+    const std::vector<GridConfig> configs = {
+        {"full (IUPO)", SessionOptions()},
+        {"unroll/peel phase first (UPIO)",
+         SessionOptions().withPipeline(Pipeline::UPIO)},
+        {"no optimize-in-loop",
+         SessionOptions().withPipeline(Pipeline::IUP_O)},
+        {"with block splitting (paper §9)", splitting},
+    };
+    const std::vector<GridRow> rows = runGrid(microbenchmarks(), configs);
+    // Without front-end unrolling the BB baseline is prepared without
+    // it too, so that variant is a grid of its own.
+    const std::vector<GridRow> no_unroll =
+        runGrid(microbenchmarks(), {configs[0]}, 1, /*timed=*/true,
+                /*for_loop_unroll=*/false);
+
+    auto average = [](const std::vector<GridRow> &grid, size_t c) {
+        double sum = 0.0;
+        for (const GridRow &row : grid)
+            sum += row.cyclePct(c);
+        return TextTable::pct(sum / grid.size());
     };
 
     std::printf("# ablation: convergent-formation ingredients "
                 "(average cycle improvement over BB, microbenchmarks)\n");
-
-    std::vector<double> sums(variants.size(), 0.0);
-    size_t count = 0;
-
-    for (const auto &workload : microbenchmarks()) {
-        for (size_t v = 0; v < variants.size(); ++v) {
-            Program base = buildWorkload(workload);
-            ProfileData profile =
-                prepareProgram(base, {}, variants[v].frontEndUnroll);
-            FuncSimResult oracle = runFunctional(base);
-
-            SessionOptions bb_options;
-            bb_options.pipeline = Pipeline::BB;
-            ConfigResult bb =
-                measure(base, profile, bb_options, oracle.returnValue,
-                        oracle.memoryHash);
-
-            SessionOptions options;
-            options.blockSplitting = variants[v].blockSplitting;
-            options.pipeline = variants[v].optimizeInLoop
-                                   ? Pipeline::IUPO_fused
-                                   : Pipeline::IUP_O;
-            if (!variants[v].headDup) {
-                // Plain incremental if-conversion: UPIO without the
-                // discrete unroll/peel prepass would be closest, but
-                // head duplication off is exactly the IUPO pipeline's
-                // formation stage; reuse UPIO with no loop prepass by
-                // running formation directly through IUPO's first
-                // stage. Simplest faithful stand-in: UPIO pipeline on
-                // an unprepared CFG behaves as I+O here because the
-                // prepass only fires on loops it considers profitable.
-                options.pipeline = Pipeline::UPIO;
-            }
-            ConfigResult run =
-                measure(base, profile, options, oracle.returnValue,
-                        oracle.memoryHash);
-            sums[v] +=
-                improvementPct(bb.timing.cycles, run.timing.cycles);
-        }
-        ++count;
-    }
-
     TextTable table;
     table.setHeader({"variant", "avg % vs BB"});
-    for (size_t v = 0; v < variants.size(); ++v)
-        table.addRow({variants[v].name,
-                      TextTable::pct(sums[v] / count)});
+    // The no-unroll variant is the fourth row, before block splitting.
+    for (size_t c = 0; c < 3; ++c)
+        table.addRow({configs[c].label, average(rows, c)});
+    table.addRow({"no front-end for-loop unroll", average(no_unroll, 0)});
+    table.addRow({configs[3].label, average(rows, 3)});
     std::printf("%s", table.render().c_str());
     std::printf("\nheadline: each mechanism contributes; the full "
                 "convergent configuration should be at or near the "

@@ -18,6 +18,12 @@ using namespace chf::bench;
 int
 main()
 {
+    // The grid compiles BB and (IUPO) once; each cell re-times them.
+    const std::vector<GridRow> rows = runGrid(
+        microbenchmarks(),
+        {{"(IUPO)", SessionOptions().withPipeline(Pipeline::IUPO_fused)}},
+        1, /*timed=*/false);
+
     std::printf("# ablation: window depth x dispatch interval "
                 "(average (IUPO) improvement over BB)\n");
 
@@ -26,34 +32,18 @@ main()
 
     for (int window : {2, 4, 8}) {
         for (int dispatch : {4, 10}) {
+            TimingConfig config;
+            config.maxInFlightBlocks = window;
+            config.blockDispatchInterval = dispatch;
             double sum = 0.0;
-            size_t count = 0;
-            for (const auto &workload : microbenchmarks()) {
-                Program base = buildWorkload(workload);
-                ProfileData profile = prepareProgram(base);
-                FuncSimResult oracle = runFunctional(base);
-
-                TimingConfig config;
-                config.maxInFlightBlocks = window;
-                config.blockDispatchInterval = dispatch;
-
-                Program bb_program = compileClone(
-                    base, profile,
-                    SessionOptions().withPipeline(Pipeline::BB));
-                TimingResult bb = runTiming(bb_program, config);
-
-                Program program = compileClone(
-                    base, profile,
-                    SessionOptions().withPipeline(
-                        Pipeline::IUPO_fused));
-                TimingResult run = runTiming(program, config);
-
+            for (const GridRow &row : rows) {
+                TimingResult bb = runTiming(row.bb.program, config);
+                TimingResult run = runTiming(row.runs[0].program, config);
                 sum += improvementPct(bb.cycles, run.cycles);
-                ++count;
             }
             table.addRow({std::to_string(window),
                           std::to_string(dispatch),
-                          TextTable::pct(sum / count)});
+                          TextTable::pct(sum / rows.size())});
         }
     }
 

@@ -21,13 +21,8 @@ using namespace chf::bench;
 int
 main()
 {
-    const std::vector<std::pair<const char *, Pipeline>> configs = {
-        {"BB", Pipeline::BB},
-        {"UPIO", Pipeline::UPIO},
-        {"IUPO", Pipeline::IUPO},
-        {"(IUP)O", Pipeline::IUP_O},
-        {"(IUPO)", Pipeline::IUPO_fused},
-    };
+    const std::vector<GridConfig> configs = phaseOrderings();
+    const std::vector<GridRow> rows = runGrid(microbenchmarks(), configs);
 
     std::printf("# block utilization by configuration "
                 "(averages over the microbenchmarks)\n");
@@ -37,37 +32,23 @@ main()
                      "dynamic fill %", "predicated %",
                      "useful fetch %"});
 
-    TargetModel constraints;
-    for (const auto &[label, pipeline] : configs) {
+    // Row -1 is the BB baseline, then one row per config.
+    const TargetModel constraints;
+    for (int c = -1; c < static_cast<int>(configs.size()); ++c) {
         double size = 0, sfill = 0, dfill = 0, pred = 0, useful = 0;
-        size_t count = 0;
-        for (const auto &workload : microbenchmarks()) {
-            Program base = buildWorkload(workload);
-            ProfileData profile = prepareProgram(base);
-            FuncSimResult oracle = runFunctional(base);
-
-            SessionOptions options;
-            options.pipeline = pipeline;
-            Session session(options);
-            size_t unit =
-                session.addProgram(base.clone(), profile);
-            SessionResult compiled = session.compile();
-            ConfigResult run = measureCompiled(
-                session.program(unit),
-                std::move(compiled.functions[unit].stats),
-                oracle.returnValue, oracle.memoryHash, label);
+        for (const GridRow &row : rows) {
+            const ConfigResult &run = c < 0 ? row.bb : row.runs[c];
             BlockReport report = analyzeBlocks(
-                session.program(unit).fn, constraints,
-                &run.functional);
-
+                run.program.fn, constraints, &run.functional);
             size += report.meanBlockSize;
             sfill += report.staticUtilization * 100;
             dfill += report.dynamicUtilization * 100;
             pred += report.predicatedFraction * 100;
             useful += report.usefulFetchFraction * 100;
-            ++count;
         }
-        table.addRow({label, TextTable::fmt(size / count, 1),
+        const double count = static_cast<double>(rows.size());
+        table.addRow({c < 0 ? "BB" : configs[c].label,
+                      TextTable::fmt(size / count, 1),
                       TextTable::fmt(sfill / count, 1),
                       TextTable::fmt(dfill / count, 1),
                       TextTable::fmt(pred / count, 1),

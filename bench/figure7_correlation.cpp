@@ -19,6 +19,7 @@ using namespace chf::bench;
 int
 main()
 {
+    const std::vector<GridConfig> configs = phaseOrderings();
     std::vector<double> xs, ys; // block reduction, cycle reduction
 
     std::printf("# figure7: cycle-count reduction vs block-count "
@@ -26,37 +27,18 @@ main()
     std::printf("%-16s %-8s %14s %14s\n", "benchmark", "config",
                 "d(blocks)", "d(cycles)");
 
-    for (const auto &workload : microbenchmarks()) {
-        Program base = buildWorkload(workload);
-        ProfileData profile = prepareProgram(base);
-        FuncSimResult oracle = runFunctional(base);
-
-        SessionOptions bb_options;
-        bb_options.pipeline = Pipeline::BB;
-        ConfigResult bb = measure(base, profile, bb_options,
-                                  oracle.returnValue, oracle.memoryHash);
-
-        const std::pair<const char *, Pipeline> configs[] = {
-            {"UPIO", Pipeline::UPIO},
-            {"IUPO", Pipeline::IUPO},
-            {"(IUP)O", Pipeline::IUP_O},
-            {"(IUPO)", Pipeline::IUPO_fused},
-        };
-        for (const auto &[label, pipeline] : configs) {
-            SessionOptions options;
-            options.pipeline = pipeline;
-            ConfigResult run = measure(base, profile, options,
-                                       oracle.returnValue,
-                                       oracle.memoryHash);
+    for (const GridRow &row : runGrid(microbenchmarks(), configs)) {
+        for (size_t c = 0; c < configs.size(); ++c) {
+            const ConfigResult &run = row.runs[c];
             double dblocks =
-                static_cast<double>(bb.functional.blocksExecuted) -
+                static_cast<double>(row.bb.functional.blocksExecuted) -
                 static_cast<double>(run.functional.blocksExecuted);
-            double dcycles = static_cast<double>(bb.timing.cycles) -
+            double dcycles = static_cast<double>(row.bb.timing.cycles) -
                              static_cast<double>(run.timing.cycles);
             xs.push_back(dblocks);
             ys.push_back(dcycles);
-            std::printf("%-16s %-8s %14.0f %14.0f\n", workload.name.c_str(),
-                        label, dblocks, dcycles);
+            std::printf("%-16s %-8s %14.0f %14.0f\n", row.name.c_str(),
+                        configs[c].label.c_str(), dblocks, dcycles);
         }
     }
 

@@ -1,12 +1,15 @@
 /**
  * @file
- * Shared helpers for the paper-table benchmark binaries.
+ * The experiment grid shared by the paper-table benchmark binaries.
  *
- * All benches compile through chf::Session. Table-style benches batch
- * every (workload, configuration) pair into one session and accept a
- * --threads=N flag; because Session output is bit-identical at any
- * thread count, the rendered tables are byte-for-byte the same
- * whatever N is.
+ * Every table of the paper's evaluation (§7) follows one protocol: each
+ * benchmark is prepared once, compiled under BB and under each
+ * configuration, simulated, checked against the unoptimized program,
+ * and reported against BB. runGrid() is that protocol and the only code
+ * in the table, figure and ablation binaries that prepares, compiles or
+ * simulates; each binary keeps only its table, headline and fit. All
+ * units of a grid compile in one chf::Session, so a grid run with
+ * --threads=N renders byte-for-byte the same tables whatever N is.
  */
 
 #ifndef CHF_BENCH_HARNESS_H
@@ -16,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "pipeline/session.h"
 #include "sim/functional_sim.h"
@@ -46,69 +50,57 @@ parseThreadsFlag(int argc, char **argv,
     return threads;
 }
 
-/** Everything measured for one workload under one configuration. */
+/** One column of a grid: a label and the unit options it compiles. */
+struct GridConfig
+{
+    std::string label;
+    SessionOptions options;
+};
+
+/** The four phase orderings of Tables 1 and 3 and Figure 7. */
+inline std::vector<GridConfig>
+phaseOrderings()
+{
+    std::vector<GridConfig> configs;
+    for (Pipeline pipeline : {Pipeline::UPIO, Pipeline::IUPO,
+                              Pipeline::IUP_O, Pipeline::IUPO_fused}) {
+        configs.push_back({pipelineName(pipeline),
+                           SessionOptions().withPipeline(pipeline)});
+    }
+    return configs;
+}
+
+/** One compiled unit and everything measured on it. */
 struct ConfigResult
 {
-    TimingResult timing;
+    Program program;
     FuncSimResult functional;
+    TimingResult timing; ///< all zero when the grid is not timed
     StatSet stats;
 };
 
 /**
- * Simulate an already-compiled program with both simulators and assert
- * that semantics match the baseline hashes. @p label names the
- * configuration in the failure message.
+ * Simulate a compiled program and fail unless it returns the value and
+ * leaves the memory of @p oracle, the unoptimized program's run: the
+ * one semantic check of every grid unit. @p timed adds the timing
+ * simulator; @p label names the unit in the failure message.
  */
 inline ConfigResult
-measureCompiled(const Program &program, StatSet stats,
-                int64_t expect_return, uint64_t expect_memory,
-                const std::string &label)
+measureCompiled(Program program, StatSet stats,
+                const FuncSimResult &oracle, const std::string &label,
+                bool timed)
 {
     ConfigResult out;
-    out.stats = std::move(stats);
     out.functional = runFunctional(program);
-    out.timing = runTiming(program);
-    if (out.functional.returnValue != expect_return ||
-        out.functional.memoryHash != expect_memory) {
+    if (out.functional.returnValue != oracle.returnValue ||
+        out.functional.memoryHash != oracle.memoryHash) {
         fatal(concat("semantics changed under ", label));
     }
+    if (timed)
+        out.timing = runTiming(program);
+    out.program = std::move(program);
+    out.stats = std::move(stats);
     return out;
-}
-
-/**
- * Compile a clone of a prepared program under @p options through a
- * single-unit Session and measure it with both simulators. Asserts
- * that semantics match the baseline hashes.
- */
-inline ConfigResult
-measure(const Program &prepared, const ProfileData &profile,
-        const SessionOptions &options, int64_t expect_return,
-        uint64_t expect_memory)
-{
-    Session session(options);
-    size_t unit =
-        session.addProgram(prepared.clone(), profile);
-    SessionResult compiled = session.compile(1);
-    return measureCompiled(session.program(unit),
-                           std::move(compiled.functions[unit].stats),
-                           expect_return, expect_memory,
-                           concat(pipelineName(options.pipeline), "/",
-                                  policyKindName(options.policy)));
-}
-
-/**
- * Compile a clone of @p prepared under @p options through a single-unit
- * Session and hand back the compiled program (for callers that want to
- * run their own simulation or reporting on it).
- */
-inline Program
-compileClone(const Program &prepared, const ProfileData &profile,
-             const SessionOptions &options)
-{
-    Session session(options);
-    size_t unit = session.addProgram(prepared.clone(), profile);
-    session.compile(1);
-    return session.program(unit).clone();
 }
 
 /** Percent improvement of @p cycles over @p base_cycles. */
@@ -119,6 +111,68 @@ improvementPct(uint64_t base_cycles, uint64_t cycles)
            (static_cast<double>(base_cycles) -
             static_cast<double>(cycles)) /
            static_cast<double>(base_cycles);
+}
+
+/** One benchmark of a grid: its BB baseline and one run per config. */
+struct GridRow
+{
+    std::string name;
+    ConfigResult bb;
+    std::vector<ConfigResult> runs; ///< in config order
+
+    /** Percent cycle improvement of config @p c over BB. */
+    double
+    cyclePct(size_t c) const
+    {
+        return improvementPct(bb.timing.cycles, runs[c].timing.cycles);
+    }
+};
+
+/**
+ * Run the grid @p suite × (BB + @p configs): build and prepare each
+ * workload once (front-end for-loop unrolling per @p for_loop_unroll)
+ * and record its functional run as the oracle, compile every unit in
+ * one Session on @p threads workers, and measure each compiled unit
+ * with measureCompiled (the timing simulator only when @p timed).
+ * Rows come back in suite order and own their compiled programs.
+ */
+inline std::vector<GridRow>
+runGrid(const std::vector<Workload> &suite,
+        const std::vector<GridConfig> &configs, int threads = 1,
+        bool timed = true, bool for_loop_unroll = true)
+{
+    Session session(SessionOptions().withThreads(threads));
+    std::vector<FuncSimResult> oracles;
+    for (const Workload &workload : suite) {
+        Program base = buildWorkload(workload);
+        ProfileData profile = prepareProgram(base, {}, for_loop_unroll);
+        oracles.push_back(runFunctional(base));
+        session.addProgram(base.clone(), profile, workload.name + "/BB",
+                           SessionOptions().withPipeline(Pipeline::BB));
+        for (const GridConfig &config : configs) {
+            session.addProgram(base.clone(), profile,
+                               workload.name + "/" + config.label,
+                               config.options);
+        }
+    }
+    SessionResult compiled = session.compile();
+
+    // Units are workload-major: the BB baseline, then each config.
+    size_t unit = 0;
+    auto measure_next = [&](const FuncSimResult &oracle) {
+        FunctionResult &result = compiled.functions[unit];
+        return measureCompiled(std::move(session.program(unit++)),
+                               std::move(result.stats), oracle,
+                               result.name, timed);
+    };
+    std::vector<GridRow> rows(suite.size());
+    for (size_t w = 0; w < suite.size(); ++w) {
+        rows[w].name = suite[w].name;
+        rows[w].bb = measure_next(oracles[w]);
+        for (size_t c = 0; c < configs.size(); ++c)
+            rows[w].runs.push_back(measure_next(oracles[w]));
+    }
+    return rows;
 }
 
 /** Render the m/t/u/p column of Table 1. */

@@ -564,10 +564,7 @@ writeJson(const std::string &path,
     os << "  ]},\n  \"memo_store\": {\"hits\": " << memo.hits
        << ", \"misses\": " << memo.misses
        << ", \"evictions\": " << memo.evictions
-       << ", \"entries\": " << memo.entries
-       << ", \"shards\": " << memo.shards
-       << ", \"max_shard_entries\": " << memo.maxShardEntries
-       << ", \"capacity\": " << memo.capacity << "}\n}\n";
+       << ", \"entries\": " << memo.entries << "}\n}\n";
     std::ofstream f(path);
     f << os.str();
     std::fprintf(stderr, "wrote %s\n", path.c_str());

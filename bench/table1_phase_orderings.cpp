@@ -7,11 +7,11 @@
  * use the greedy breadth-first policy with incremental if-conversion,
  * as in the paper.
  *
- * Every (workload, ordering) pair is one unit of a chf::Session
- * compiled with --threads=N workers; the rendered table is
- * byte-identical at any thread count.
+ * --threads=N compiles the grid on N workers; the table is
+ * byte-identical at any N.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -25,100 +25,40 @@ int
 main(int argc, char **argv)
 {
     const int threads = parseThreadsFlag(argc, argv);
+    const std::vector<GridConfig> configs = phaseOrderings();
+    const std::vector<GridRow> rows =
+        runGrid(microbenchmarks(), configs, threads);
 
-    struct Config
-    {
-        const char *label;
-        Pipeline pipeline;
-    };
-    const std::vector<Config> configs = {
-        {"UPIO", Pipeline::UPIO},
-        {"IUPO", Pipeline::IUPO},
-        {"(IUP)O", Pipeline::IUP_O},
-        {"(IUPO)", Pipeline::IUPO_fused},
-    };
-
-    // Phase A (sequential, deterministic): build and prepare every
-    // workload, record the reference simulation, and queue one session
-    // unit per (workload, ordering) pair.
-    struct Entry
-    {
-        std::string name;
-        FuncSimResult oracle;
-        size_t bbUnit = 0;
-        std::vector<size_t> units;
-    };
-    std::vector<Entry> entries;
-
-    Session session(SessionOptions().withThreads(threads));
-    for (const auto &workload : microbenchmarks()) {
-        Program base = buildWorkload(workload);
-        ProfileData profile = prepareProgram(base);
-
-        Entry entry;
-        entry.name = workload.name;
-        entry.oracle = runFunctional(base);
-        entry.bbUnit = session.addProgram(
-            base.clone(), profile, workload.name + "/BB",
-            SessionOptions().withPipeline(Pipeline::BB));
-        for (const Config &config : configs) {
-            entry.units.push_back(session.addProgram(
-                base.clone(), profile,
-                workload.name + "/" + config.label,
-                SessionOptions().withPipeline(config.pipeline)));
-        }
-        entries.push_back(std::move(entry));
-    }
-
-    // Phase B: compile the whole batch (possibly in parallel).
-    SessionResult compiled = session.compile();
-
-    // Phase C (sequential): simulate and render in workload order.
     TextTable table;
-    table.setHeader({"benchmark", "BB cycles", "UPIO m/t/u/p", "%",
-                     "IUPO m/t/u/p", "%", "(IUP)O m/t/u/p", "%",
-                     "(IUPO) m/t/u/p", "%"});
+    std::vector<std::string> header = {"benchmark", "BB cycles"};
+    for (const GridConfig &config : configs) {
+        header.push_back(config.label + " m/t/u/p");
+        header.push_back("%");
+    }
+    table.setHeader(header);
 
     std::vector<double> sums(configs.size(), 0.0);
-    size_t count = 0;
-
-    // Figure 7 feed: (block count reduction, cycle count reduction).
     std::printf("# table1: cycle-count improvement over BB by phase "
                 "ordering (breadth-first policy)\n");
 
-    for (Entry &entry : entries) {
-        ConfigResult bb = measureCompiled(
-            session.program(entry.bbUnit),
-            std::move(compiled.functions[entry.bbUnit].stats),
-            entry.oracle.returnValue, entry.oracle.memoryHash,
-            entry.name + "/BB");
-
-        std::vector<std::string> row;
-        row.push_back(entry.name);
-        row.push_back(std::to_string(bb.timing.cycles));
-
+    for (const GridRow &row : rows) {
+        std::vector<std::string> cells = {
+            row.name, std::to_string(row.bb.timing.cycles)};
         for (size_t c = 0; c < configs.size(); ++c) {
-            size_t unit = entry.units[c];
-            ConfigResult run = measureCompiled(
-                session.program(unit),
-                std::move(compiled.functions[unit].stats),
-                entry.oracle.returnValue, entry.oracle.memoryHash,
-                entry.name + "/" + configs[c].label);
-            double pct =
-                improvementPct(bb.timing.cycles, run.timing.cycles);
+            double pct = row.cyclePct(c);
             sums[c] += pct;
-            row.push_back(mtup(run.stats));
-            row.push_back(TextTable::pct(pct));
+            cells.push_back(mtup(row.runs[c].stats));
+            cells.push_back(TextTable::pct(pct));
         }
-        table.addRow(row);
-        ++count;
+        table.addRow(cells);
     }
 
+    const size_t count = rows.size();
     table.addSeparator();
     std::vector<std::string> avg = {"Average", ""};
-    for (size_t c = 0; c < configs.size(); ++c) {
+    for (double sum : sums) {
         avg.push_back("");
-        avg.push_back(TextTable::pct(sums[c] / count));
+        avg.push_back(TextTable::pct(sum / count));
     }
     table.addRow(avg);
 

@@ -90,11 +90,11 @@ main(int argc, char **argv)
             break; // handled below
         if (std::strcmp(argv[argi], "--list-targets") == 0) {
             for (const TargetModel &t : targetRegistry()) {
-                std::printf("  %-12s insts<=%zu mem<=%zu lsq=%zu "
+                std::printf("  %-12s insts<=%zu mem<=%zu "
                             "banks=%zux%zur/%zuw regs=%zu headroom=%zu"
                             "%s\n",
                             t.name.c_str(), t.maxInsts, t.maxMemOps,
-                            t.lsqDepth, t.numRegBanks,
+                            t.numRegBanks,
                             t.maxReadsPerBank, t.maxWritesPerBank,
                             t.numPhysRegs, t.spillHeadroom,
                             t.maxBranches

@@ -82,9 +82,9 @@ checkBlockLegal(const BlockResources &res, const TargetModel &target,
 {
     if (res.estimatedInsts() + headroom > target.maxInsts)
         return blockSizeReason(target, headroom);
-    if (res.memOps > target.effectiveMemOps()) {
+    if (res.memOps > target.maxMemOps) {
         return concat(res.memOps, " memory ops exceed ",
-                      target.effectiveMemOps());
+                      target.maxMemOps);
     }
     // Branch/output model: 0 means exits are bounded only by the
     // instruction budget (the reference TRIPS model), so this check

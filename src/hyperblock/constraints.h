@@ -3,9 +3,9 @@
  * Structural block constraints and the block size estimator.
  *
  * Constraint checks are parameterized by a chf::TargetModel
- * (target/target_model.h): block instruction budget, LSQ-bounded
- * memory-op budget, register read/write totals (banks times per-bank
- * limits), and an optional branch cap. The reference model is the
+ * (target/target_model.h): block instruction budget, memory-op
+ * budget, register read/write totals (banks times per-bank limits),
+ * and an optional branch cap. The reference model is the
  * TRIPS ISA — at most 128 instructions per block, 32 load/store
  * identifiers, 8 reads and 8 writes per each of 4 register banks, a
  * constant number of outputs (paper §2).

@@ -1,7 +1,6 @@
 #include "hyperblock/merge.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -45,32 +44,11 @@ MergeEngine::addOptStats(const OptPassStats &stats)
 namespace {
 
 /**
- * Natural-loop header test from dominators and predecessors alone: a
- * block is a header iff some reachable predecessor's edge into it is a
- * back edge. Equivalent to LoopInfo::isLoopHeader but avoids building
- * (and re-building, after every committed merge) the loop bodies the
- * classifier never looks at.
- */
-bool
-isNaturalLoopHeader(const DominatorTree &dom, const PredecessorMap &preds,
-                    BlockId s)
-{
-    if (s >= preds.size())
-        return false;
-    for (BlockId p : preds[s]) {
-        if (dom.reachable(p) && dom.dominates(s, p))
-            return true;
-    }
-    return false;
-}
-
-/**
  * Word-at-a-time hash for the trial-memo key. Each 64-bit word goes
  * through one splitmix64-style multiply-xorshift step and digest()
- * runs the full splitmix64 finalizer, so the key's top bits (the memo
- * shard) are well mixed. A trial feeds it a few dozen instructions, so
- * this is several times cheaper than streaming the same fields byte by
- * byte through Hash64's FNV-1a.
+ * runs the full splitmix64 finalizer. A trial feeds it a few dozen
+ * instructions, so this is several times cheaper than streaming the
+ * same fields byte by byte through Hash64's FNV-1a.
  */
 class TrialHash
 {
@@ -146,47 +124,30 @@ struct FailedTrial
     uint32_t vregsBurned = 0;
 };
 
-/** Total entry capacity; one entry is ~100 bytes, so this caps
- *  resident memo memory near 100 MB. */
+/** Entry cap; one entry is ~100 bytes, so this bounds resident memo
+ *  memory near 100 MB. */
 constexpr size_t kTrialMemoCapacity = size_t(1) << 20;
 
-/** Striped-lock shard count. 64 shards keep lock hold times (a hash
- *  probe) uncontended even with every Session worker storing failures
- *  at once; the shard index comes from the key's top bits, which the
- *  key's final splitmix64 mix spreads evenly. */
-constexpr size_t kTrialMemoShards = 64;
-constexpr size_t kTrialMemoShardCap = kTrialMemoCapacity / kTrialMemoShards;
-
 /**
- * Process-wide failed-trial store, sharded. The key covers every input
- * a trial reads (contents, kind, constraint config, live-out context),
+ * The process-wide failed-trial store. The key covers every input a
+ * trial reads (contents, kind, constraint config, live-out context),
  * so an entry recorded by one engine answers identically for any other
  * -- including engines on other Session worker threads, which is why
- * every shard is mutex-guarded. Hits never change output bytes (the
- * stored reason and vreg burn are exactly what re-running the trial
- * would produce), so racy hit/miss interleavings stay deterministic.
- * Overflow flushes one shard, not the whole store, and the counters
- * make eviction thrashing visible (trialMemoStats, read by the
- * daemon's `stats` op and the pass_speed JSON).
+ * it is mutex-guarded. A worker looks it up once per trial, tens of
+ * microseconds apart, so one lock is uncontended. Hits never change
+ * output bytes (the stored reason and vreg burn are exactly what
+ * re-running the trial would produce), so racy hit/miss interleavings
+ * stay deterministic. A full store is cleared wholesale, and the
+ * counters make eviction thrashing visible (trialMemoStats, read by
+ * the daemon's `stats` op and the pass_speed JSON).
  */
-struct TrialMemoShard
+struct TrialMemoStore
 {
     std::mutex mu;
     std::unordered_map<uint64_t, FailedTrial> map;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-};
-
-struct TrialMemoStore
-{
-    std::array<TrialMemoShard, kTrialMemoShards> shards;
-
-    TrialMemoShard &
-    shardFor(uint64_t key)
-    {
-        return shards[(key >> 58) % kTrialMemoShards];
-    }
 };
 
 TrialMemoStore &
@@ -199,14 +160,14 @@ trialMemo()
 bool
 lookupFailedTrial(uint64_t key, FailedTrial *out)
 {
-    TrialMemoShard &shard = trialMemo().shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-        ++shard.misses;
+    TrialMemoStore &store = trialMemo();
+    std::lock_guard<std::mutex> lock(store.mu);
+    auto it = store.map.find(key);
+    if (it == store.map.end()) {
+        ++store.misses;
         return false;
     }
-    ++shard.hits;
+    ++store.hits;
     *out = it->second;
     return true;
 }
@@ -214,13 +175,13 @@ lookupFailedTrial(uint64_t key, FailedTrial *out)
 void
 storeFailedTrial(uint64_t key, FailedTrial entry)
 {
-    TrialMemoShard &shard = trialMemo().shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.map.size() >= kTrialMemoShardCap) {
-        shard.evictions += shard.map.size();
-        shard.map.clear();
+    TrialMemoStore &store = trialMemo();
+    std::lock_guard<std::mutex> lock(store.mu);
+    if (store.map.size() >= kTrialMemoCapacity) {
+        store.evictions += store.map.size();
+        store.map.clear();
     }
-    shard.map.emplace(key, std::move(entry));
+    store.map.emplace(key, std::move(entry));
 }
 
 } // namespace
@@ -228,28 +189,22 @@ storeFailedTrial(uint64_t key, FailedTrial entry)
 TrialMemoStats
 trialMemoStats()
 {
+    TrialMemoStore &store = trialMemo();
+    std::lock_guard<std::mutex> lock(store.mu);
     TrialMemoStats out;
-    out.shards = kTrialMemoShards;
-    out.capacity = kTrialMemoShardCap * kTrialMemoShards;
-    for (TrialMemoShard &shard : trialMemo().shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        out.hits += shard.hits;
-        out.misses += shard.misses;
-        out.evictions += shard.evictions;
-        out.entries += shard.map.size();
-        out.maxShardEntries =
-            std::max<uint64_t>(out.maxShardEntries, shard.map.size());
-    }
+    out.hits = store.hits;
+    out.misses = store.misses;
+    out.evictions = store.evictions;
+    out.entries = store.map.size();
     return out;
 }
 
 void
 clearTrialMemo()
 {
-    for (TrialMemoShard &shard : trialMemo().shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.map.clear();
-    }
+    TrialMemoStore &store = trialMemo();
+    std::lock_guard<std::mutex> lock(store.mu);
+    store.map.clear();
 }
 
 MergeKind
@@ -258,11 +213,11 @@ MergeEngine::classify(BlockId hb, BlockId s)
     if (hb == s)
         return MergeKind::Unroll;
 
-    const DominatorTree &dom = am.dominators();
+    const LoopInfo &loops = am.loops();
     const PredecessorMap &preds = am.predecessors();
 
-    bool back_edge = dom.reachable(hb) && dom.dominates(s, hb);
-    bool header = isNaturalLoopHeader(dom, preds, s);
+    bool back_edge = loops.isBackEdge(hb, s);
+    bool header = loops.isLoopHeader(s);
 
     if (preds[s].size() == 1 && preds[s][0] == hb && !back_edge)
         return MergeKind::Simple;
@@ -307,7 +262,7 @@ MergeEngine::legalForKind(BlockId s, MergeKind kind, std::string *why)
             return fail("head duplication disabled");
         // Without head duplication the classical algorithm keeps loop
         // headers as hyperblock seeds rather than growing into them.
-        if (isNaturalLoopHeader(am.dominators(), am.predecessors(), s))
+        if (am.loops().isLoopHeader(s))
             return fail("loop header (head duplication disabled)");
     }
     return true;
@@ -351,7 +306,6 @@ MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
     // with equal knobs behave identically and may share entries).
     h.word(opts.target.maxInsts);
     h.word(opts.target.maxMemOps);
-    h.word(opts.target.lsqDepth);
     h.word(opts.target.numRegBanks);
     h.word(opts.target.maxReadsPerBank);
     h.word(opts.target.maxWritesPerBank);

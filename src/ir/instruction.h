@@ -56,7 +56,8 @@ struct Instruction
     void
     forEachUse(Fn fn) const
     {
-        for (int i = 0; i < numSrcs(); ++i) {
+        const int n = numSrcs();
+        for (int i = 0; i < n; ++i) {
             if (srcs[i].isReg())
                 fn(srcs[i].reg);
         }

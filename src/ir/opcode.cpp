@@ -4,140 +4,6 @@
 
 namespace chf {
 
-const char *
-opcodeName(Opcode op)
-{
-    switch (op) {
-      case Opcode::Mov: return "mov";
-      case Opcode::Add: return "add";
-      case Opcode::Sub: return "sub";
-      case Opcode::Mul: return "mul";
-      case Opcode::Div: return "div";
-      case Opcode::Mod: return "mod";
-      case Opcode::Neg: return "neg";
-      case Opcode::And: return "and";
-      case Opcode::Or: return "or";
-      case Opcode::Xor: return "xor";
-      case Opcode::Not: return "not";
-      case Opcode::Band: return "band";
-      case Opcode::Bandc: return "bandc";
-      case Opcode::Shl: return "shl";
-      case Opcode::Shr: return "shr";
-      case Opcode::Teq: return "teq";
-      case Opcode::Tne: return "tne";
-      case Opcode::Tlt: return "tlt";
-      case Opcode::Tle: return "tle";
-      case Opcode::Tgt: return "tgt";
-      case Opcode::Tge: return "tge";
-      case Opcode::Load: return "load";
-      case Opcode::Store: return "store";
-      case Opcode::Br: return "br";
-      case Opcode::Ret: return "ret";
-    }
-    panic("unknown opcode");
-}
-
-int
-opcodeNumSrcs(Opcode op)
-{
-    switch (op) {
-      case Opcode::Mov:
-      case Opcode::Neg:
-      case Opcode::Not:
-        return 1;
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::Mod:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::Band:
-      case Opcode::Bandc:
-      case Opcode::Teq:
-      case Opcode::Tne:
-      case Opcode::Tlt:
-      case Opcode::Tle:
-      case Opcode::Tgt:
-      case Opcode::Tge:
-      case Opcode::Load:
-        return 2;
-      case Opcode::Store:
-        return 3;
-      case Opcode::Br:
-        return 0;
-      case Opcode::Ret:
-        return 1; // optional value; may be None
-    }
-    panic("unknown opcode");
-}
-
-bool
-opcodeHasDest(Opcode op)
-{
-    switch (op) {
-      case Opcode::Store:
-      case Opcode::Br:
-      case Opcode::Ret:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-opcodeIsBranch(Opcode op)
-{
-    return op == Opcode::Br || op == Opcode::Ret;
-}
-
-bool
-opcodeIsTest(Opcode op)
-{
-    switch (op) {
-      case Opcode::Teq:
-      case Opcode::Tne:
-      case Opcode::Tlt:
-      case Opcode::Tle:
-      case Opcode::Tgt:
-      case Opcode::Tge:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-opcodeIsMemory(Opcode op)
-{
-    return op == Opcode::Load || op == Opcode::Store;
-}
-
-bool
-opcodeIsPure(Opcode op)
-{
-    return opcodeHasDest(op) && op != Opcode::Load;
-}
-
-int
-opcodeLatency(Opcode op)
-{
-    switch (op) {
-      case Opcode::Mul:
-        return 3;
-      case Opcode::Div:
-      case Opcode::Mod:
-        return 24;
-      case Opcode::Load:
-        return 3;
-      default:
-        return 1;
-    }
-}
-
 int64_t
 evalOpcode(Opcode op, int64_t a, int64_t b)
 {
@@ -165,24 +31,6 @@ evalOpcode(Opcode op, int64_t a, int64_t b)
       case Opcode::Tge: return a >= b;
       default:
         panic("evalOpcode on impure opcode");
-    }
-}
-
-bool
-opcodeIsCommutative(Opcode op)
-{
-    switch (op) {
-      case Opcode::Band:
-      case Opcode::Add:
-      case Opcode::Mul:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Teq:
-      case Opcode::Tne:
-        return true;
-      default:
-        return false;
     }
 }
 

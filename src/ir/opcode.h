@@ -6,7 +6,9 @@
 #ifndef CHF_IR_OPCODE_H
 #define CHF_IR_OPCODE_H
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace chf {
 
@@ -63,36 +65,125 @@ enum class Opcode : uint8_t
 /** Total number of opcodes. */
 constexpr int kNumOpcodes = static_cast<int>(Opcode::Ret) + 1;
 
+/** The opcode classes formation and the simulators test for. */
+enum class OpcodeClass : uint8_t { Plain, Test, Memory, Branch };
+
+/** Static properties of one opcode: one row of kOpcodeTable. */
+struct OpcodeInfo
+{
+    const char *name;    ///< mnemonic for printing
+    uint8_t numSrcs;     ///< source operands consumed
+    bool hasDest;        ///< writes a destination register
+    OpcodeClass cls;
+    uint8_t latency;     ///< execution cycles in the timing model
+    bool commutative;    ///< a binary opcode whose operands commute
+};
+
+/** Every opcode's properties, one row per opcode in enum order. */
+inline constexpr OpcodeInfo kOpcodeTable[] = {
+    // name   srcs dest   class                lat comm
+    {"mov",   1,   true,  OpcodeClass::Plain,  1,  false},
+    {"add",   2,   true,  OpcodeClass::Plain,  1,  true},
+    {"sub",   2,   true,  OpcodeClass::Plain,  1,  false},
+    {"mul",   2,   true,  OpcodeClass::Plain,  3,  true},
+    {"div",   2,   true,  OpcodeClass::Plain,  24, false},
+    {"mod",   2,   true,  OpcodeClass::Plain,  24, false},
+    {"neg",   1,   true,  OpcodeClass::Plain,  1,  false},
+    {"and",   2,   true,  OpcodeClass::Plain,  1,  true},
+    {"or",    2,   true,  OpcodeClass::Plain,  1,  true},
+    {"xor",   2,   true,  OpcodeClass::Plain,  1,  true},
+    {"not",   1,   true,  OpcodeClass::Plain,  1,  false},
+    {"shl",   2,   true,  OpcodeClass::Plain,  1,  false},
+    {"shr",   2,   true,  OpcodeClass::Plain,  1,  false},
+    {"band",  2,   true,  OpcodeClass::Plain,  1,  true},
+    {"bandc", 2,   true,  OpcodeClass::Plain,  1,  false},
+    {"teq",   2,   true,  OpcodeClass::Test,   1,  true},
+    {"tne",   2,   true,  OpcodeClass::Test,   1,  true},
+    {"tlt",   2,   true,  OpcodeClass::Test,   1,  false},
+    {"tle",   2,   true,  OpcodeClass::Test,   1,  false},
+    {"tgt",   2,   true,  OpcodeClass::Test,   1,  false},
+    {"tge",   2,   true,  OpcodeClass::Test,   1,  false},
+    {"load",  2,   true,  OpcodeClass::Memory, 3,  false},
+    {"store", 3,   false, OpcodeClass::Memory, 1,  false},
+    {"br",    0,   false, OpcodeClass::Branch, 1,  false},
+    {"ret",   1,   false, OpcodeClass::Branch, 1,  false}, // value optional
+};
+static_assert(std::size(kOpcodeTable) == static_cast<size_t>(kNumOpcodes),
+              "one kOpcodeTable row per opcode");
+
+/** The row of @p op. */
+constexpr const OpcodeInfo &
+opcodeInfo(Opcode op)
+{
+    return kOpcodeTable[static_cast<int>(op)];
+}
+
 /** Mnemonic for printing. */
-const char *opcodeName(Opcode op);
+constexpr const char *
+opcodeName(Opcode op)
+{
+    return opcodeInfo(op).name;
+}
 
 /** Number of source operands the opcode consumes. */
-int opcodeNumSrcs(Opcode op);
+constexpr int
+opcodeNumSrcs(Opcode op)
+{
+    return opcodeInfo(op).numSrcs;
+}
 
 /** True if the opcode writes a destination register. */
-bool opcodeHasDest(Opcode op);
+constexpr bool
+opcodeHasDest(Opcode op)
+{
+    return opcodeInfo(op).hasDest;
+}
 
 /** True for Br and Ret. */
-bool opcodeIsBranch(Opcode op);
+constexpr bool
+opcodeIsBranch(Opcode op)
+{
+    return opcodeInfo(op).cls == OpcodeClass::Branch;
+}
 
 /** True for the six test opcodes. */
-bool opcodeIsTest(Opcode op);
+constexpr bool
+opcodeIsTest(Opcode op)
+{
+    return opcodeInfo(op).cls == OpcodeClass::Test;
+}
 
 /** True for Load/Store. */
-bool opcodeIsMemory(Opcode op);
+constexpr bool
+opcodeIsMemory(Opcode op)
+{
+    return opcodeInfo(op).cls == OpcodeClass::Memory;
+}
 
 /**
  * True if the opcode is a pure function of its operands (no memory or
  * control side effects), so it is eligible for value numbering and dead
  * code elimination.
  */
-bool opcodeIsPure(Opcode op);
+constexpr bool
+opcodeIsPure(Opcode op)
+{
+    return opcodeHasDest(op) && !opcodeIsMemory(op);
+}
 
 /** Execution latency in cycles used by the timing model. */
-int opcodeLatency(Opcode op);
+constexpr int
+opcodeLatency(Opcode op)
+{
+    return opcodeInfo(op).latency;
+}
 
 /** True if the binary opcode is commutative. */
-bool opcodeIsCommutative(Opcode op);
+constexpr bool
+opcodeIsCommutative(Opcode op)
+{
+    return opcodeInfo(op).commutative;
+}
 
 /**
  * Evaluate a pure opcode on constant operands (unary ops ignore @p b).

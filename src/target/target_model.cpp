@@ -17,9 +17,8 @@ TargetModel::validate() const
     }
     if (maxReadsPerBank == 0 || maxWritesPerBank == 0)
         return "per-bank read/write limits must be positive";
-    if (effectiveMemOps() == 0)
-        return "memory-op budget (min of maxMemOps and lsqDepth) "
-               "must be positive";
+    if (maxMemOps == 0)
+        return "maxMemOps must be positive";
     if (spillHeadroom >= maxInsts) {
         return concat("spill headroom ", spillHeadroom,
                       " leaves no room in ", maxInsts,
@@ -49,7 +48,6 @@ buildRegistry()
     wide.name = "trips-wide";
     wide.maxInsts = 256;
     wide.maxMemOps = 64;
-    wide.lsqDepth = 64;
     wide.numRegBanks = 8;
     wide.numPhysRegs = 256;
     wide.spillHeadroom = 8;
@@ -63,7 +61,6 @@ buildRegistry()
     small.name = "small-block";
     small.maxInsts = 32;
     small.maxMemOps = 8;
-    small.lsqDepth = 8;
     small.numRegBanks = 2;
     small.maxReadsPerBank = 6;
     small.maxWritesPerBank = 6;
@@ -78,7 +75,6 @@ buildRegistry()
     TargetModel deep;
     deep.name = "deep-lsq";
     deep.maxMemOps = 64;
-    deep.lsqDepth = 64;
     models.push_back(deep);
 
     for (const TargetModel &m : models) {

@@ -8,7 +8,7 @@
  * header splits the target description out of the formation engine the
  * way a backend description is split from a frontend: one value object
  * carries every architectural parameter the pipeline reads — block
- * format, LSQ geometry, register-bank geometry, branch/output model,
+ * format, memory-op limit, register-bank geometry, branch/output model,
  * register-file size, and the spill-headroom policy — and is threaded
  * through constraints, merging, phase ordering, reverse if-conversion,
  * register allocation, and reporting (DESIGN.md §13).
@@ -23,7 +23,6 @@
 #ifndef CHF_TARGET_TARGET_MODEL_H
 #define CHF_TARGET_TARGET_MODEL_H
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -56,17 +55,12 @@ struct TargetModel
     /** Regular instructions per block. */
     size_t maxInsts = 128;
 
-    /** Static load/store identifiers per block. */
-    size_t maxMemOps = 32;
-
     /**
-     * Load/store queue depth. A block cannot use more memory-op slots
-     * than the LSQ can track, so the effective per-block memory-op
-     * limit is min(maxMemOps, lsqDepth) — see effectiveMemOps(). TRIPS
-     * sizes the LSQ to the block format (32), making the two limits
-     * coincide; the `deep-lsq` synthetic target splits them apart.
+     * Load/store identifiers per block: the per-block memory-op limit.
+     * TRIPS sizes its load/store queue to the block format, so this
+     * one number is both (32).
      */
-    size_t lsqDepth = 32;
+    size_t maxMemOps = 32;
 
     // --- register-bank geometry ---
 
@@ -110,13 +104,6 @@ struct TargetModel
         return numRegBanks * maxWritesPerBank;
     }
 
-    /** The per-block memory-op limit the LSQ can actually honor. */
-    size_t
-    effectiveMemOps() const
-    {
-        return std::min(maxMemOps, lsqDepth);
-    }
-
     /**
      * Structural sanity: empty when the model is usable, else a
      * human-readable reason (0 or >kMaxBanks banks, a zero block
@@ -133,8 +120,8 @@ struct TargetModel
  * All registered models, in deterministic definition order: `trips`
  * plus the synthetic sweep targets `trips-wide` (256-inst blocks, 8
  * banks, 256 registers), `small-block` (32-inst blocks, 2 banks, 64
- * registers), and `deep-lsq` (TRIPS format with a 64-deep LSQ and 64
- * memory-op identifiers).
+ * registers), and `deep-lsq` (TRIPS format with 64 memory-op
+ * identifiers and a load/store queue to match).
  */
 const std::vector<TargetModel> &targetRegistry();
 

@@ -61,7 +61,7 @@ splitBlock(Function &fn, BlockId id, const TargetModel &target)
 
     // Budget per part, leaving one slot for the chaining jump.
     size_t max_insts = target.maxInsts - 1;
-    size_t max_mem = target.effectiveMemOps();
+    size_t max_mem = target.maxMemOps;
     if (bb->size() <= target.maxInsts &&
         bb->memoryOpCount() <= max_mem) {
         return 0;

@@ -252,7 +252,6 @@ TunerReport::toJson(const std::string &workload) const
             jsonEscape(p.target.name),
             "\",\"max_insts\":", p.target.maxInsts,
             ",\"max_mem_ops\":", p.target.maxMemOps,
-            ",\"lsq_depth\":", p.target.lsqDepth,
             ",\"banks\":", p.target.numRegBanks,
             ",\"spill_headroom\":", p.target.spillHeadroom,
             "},\"blocks\":", p.blocks, ",\"insts\":", p.insts,

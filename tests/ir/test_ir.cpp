@@ -17,18 +17,60 @@ namespace {
 
 TEST(Opcode, Traits)
 {
-    EXPECT_TRUE(opcodeHasDest(Opcode::Add));
-    EXPECT_FALSE(opcodeHasDest(Opcode::Store));
-    EXPECT_FALSE(opcodeHasDest(Opcode::Br));
-    EXPECT_TRUE(opcodeIsBranch(Opcode::Ret));
-    EXPECT_TRUE(opcodeIsTest(Opcode::Tle));
-    EXPECT_FALSE(opcodeIsTest(Opcode::Band));
-    EXPECT_TRUE(opcodeIsMemory(Opcode::Load));
-    EXPECT_TRUE(opcodeIsPure(Opcode::Xor));
-    EXPECT_FALSE(opcodeIsPure(Opcode::Load)); // reads memory
-    EXPECT_EQ(opcodeNumSrcs(Opcode::Store), 3);
-    EXPECT_EQ(opcodeNumSrcs(Opcode::Neg), 1);
-    EXPECT_GT(opcodeLatency(Opcode::Div), opcodeLatency(Opcode::Add));
+    // Every property of every opcode, in enum order, written out apart
+    // from kOpcodeTable so that a wrong cell of the table fails here.
+    struct Row
+    {
+        Opcode op;
+        const char *name;
+        int srcs;
+        bool dest, branch, test, memory, pure;
+        int latency;
+        bool commutative;
+    };
+    using enum Opcode;
+    const Row rows[] = {
+        {Mov,   "mov",   1, true,  false, false, false, true,  1,  false},
+        {Add,   "add",   2, true,  false, false, false, true,  1,  true},
+        {Sub,   "sub",   2, true,  false, false, false, true,  1,  false},
+        {Mul,   "mul",   2, true,  false, false, false, true,  3,  true},
+        {Div,   "div",   2, true,  false, false, false, true,  24, false},
+        {Mod,   "mod",   2, true,  false, false, false, true,  24, false},
+        {Neg,   "neg",   1, true,  false, false, false, true,  1,  false},
+        {And,   "and",   2, true,  false, false, false, true,  1,  true},
+        {Or,    "or",    2, true,  false, false, false, true,  1,  true},
+        {Xor,   "xor",   2, true,  false, false, false, true,  1,  true},
+        {Not,   "not",   1, true,  false, false, false, true,  1,  false},
+        {Shl,   "shl",   2, true,  false, false, false, true,  1,  false},
+        {Shr,   "shr",   2, true,  false, false, false, true,  1,  false},
+        {Band,  "band",  2, true,  false, false, false, true,  1,  true},
+        {Bandc, "bandc", 2, true,  false, false, false, true,  1,  false},
+        {Teq,   "teq",   2, true,  false, true,  false, true,  1,  true},
+        {Tne,   "tne",   2, true,  false, true,  false, true,  1,  true},
+        {Tlt,   "tlt",   2, true,  false, true,  false, true,  1,  false},
+        {Tle,   "tle",   2, true,  false, true,  false, true,  1,  false},
+        {Tgt,   "tgt",   2, true,  false, true,  false, true,  1,  false},
+        {Tge,   "tge",   2, true,  false, true,  false, true,  1,  false},
+        {Load,  "load",  2, true,  false, false, true,  false, 3,  false},
+        {Store, "store", 3, false, false, false, true,  false, 1,  false},
+        {Br,    "br",    0, false, true,  false, false, false, 1,  false},
+        {Ret,   "ret",   1, false, true,  false, false, false, 1,  false},
+    };
+    ASSERT_EQ(std::size(rows), static_cast<size_t>(kNumOpcodes));
+    for (size_t i = 0; i < std::size(rows); ++i) {
+        const Row &row = rows[i];
+        SCOPED_TRACE(row.name);
+        EXPECT_EQ(static_cast<size_t>(row.op), i);
+        EXPECT_STREQ(opcodeName(row.op), row.name);
+        EXPECT_EQ(opcodeNumSrcs(row.op), row.srcs);
+        EXPECT_EQ(opcodeHasDest(row.op), row.dest);
+        EXPECT_EQ(opcodeIsBranch(row.op), row.branch);
+        EXPECT_EQ(opcodeIsTest(row.op), row.test);
+        EXPECT_EQ(opcodeIsMemory(row.op), row.memory);
+        EXPECT_EQ(opcodeIsPure(row.op), row.pure);
+        EXPECT_EQ(opcodeLatency(row.op), row.latency);
+        EXPECT_EQ(opcodeIsCommutative(row.op), row.commutative);
+    }
 }
 
 TEST(Opcode, EvalSemantics)

@@ -46,7 +46,6 @@ TEST(TargetModel, TripsDefaultsMatchThePaperNumbers)
     EXPECT_EQ(trips.numRegBanks, 4u);
     EXPECT_EQ(trips.maxRegReads(), 32u);
     EXPECT_EQ(trips.maxRegWrites(), 32u);
-    EXPECT_EQ(trips.effectiveMemOps(), 32u);
     EXPECT_EQ(trips.maxBranches, 0u); // unlimited: the reference model
 }
 
@@ -124,20 +123,6 @@ TEST(TargetModel, CheckBlockLegalZeroMemOpBudget)
     res.memOps = 1;
     std::string why = checkBlockLegal(res, no_mem);
     EXPECT_NE(why.find("memory ops"), std::string::npos) << why;
-}
-
-TEST(TargetModel, LsqDepthCapsTheMemOpBudget)
-{
-    TargetModel shallow;
-    shallow.maxMemOps = 32;
-    shallow.lsqDepth = 4;
-    EXPECT_EQ(shallow.effectiveMemOps(), 4u);
-
-    BlockResources res;
-    res.insts = 10;
-    res.memOps = 5;
-    std::string why = checkBlockLegal(res, shallow);
-    EXPECT_NE(why.find("exceed 4"), std::string::npos) << why;
 }
 
 TEST(TargetModel, BranchBudgetFiresOnlyWhenConfigured)
