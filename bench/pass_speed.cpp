@@ -12,11 +12,11 @@
  *    threads) and the generated tier, all written to
  *    BENCH_pass_speed.json for trajectory tracking.
  *  - --json-only: skip the micro suite, emit only the JSON sweeps.
- *  - --smoke <baseline.json>: time prepareProgram and formation of the
- *    baseline workload (median of 5 each) and the 4-thread batch
- *    config, and fail if any regressed more than 2x against the
- *    recorded baseline. Wired into ctest so compile-time regressions
- *    fail tier-1. Skipped in unoptimized builds.
+ *  - --smoke <baseline.json>: time prepareProgram, formation and
+ *    writeFunctionAsm of the baseline workload (median of 5 each) and
+ *    the 4-thread batch config, and fail if any regressed more than 2x
+ *    against the recorded baseline. Wired into ctest so compile-time
+ *    regressions fail tier-1. Skipped in unoptimized builds.
  */
 
 #include <benchmark/benchmark.h>
@@ -34,6 +34,7 @@
 #include "analysis/dominators.h"
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
+#include "backend/asm_writer.h"
 #include "backend/scheduler.h"
 #include "hyperblock/merge.h"
 #include "pipeline/session.h"
@@ -292,6 +293,20 @@ timeFormationUs(const Program &prepared, int repeats,
             fill->usOptDce = result.stats.get("usOptDce");
             fill->usOptCoalesce = result.stats.get("usOptCoalesce");
         }
+    }
+    return median(std::move(samples));
+}
+
+/** writeFunctionAsm wall time on @p fn, median of @p repeats. */
+int64_t
+timeAsmUs(const Function &fn, int repeats)
+{
+    std::vector<int64_t> samples;
+    for (int r = 0; r < repeats; ++r) {
+        Timer timer;
+        std::string text = writeFunctionAsm(fn);
+        samples.push_back(timer.elapsedMicros());
+        benchmark::DoNotOptimize(text.data());
     }
     return median(std::move(samples));
 }
@@ -600,11 +615,11 @@ jsonString(const std::string &text, const std::string &key)
 }
 
 /**
- * Smoke mode for ctest: time prepareProgram and cached formation of the
- * baseline workload and the 4-thread parallel batch, and compare each
- * against the recorded baseline. A >2x regression fails the test. The
- * batch check is skipped when the baseline predates the
- * batch_wall_us_4t key.
+ * Smoke mode for ctest: time prepareProgram, cached formation and
+ * writeFunctionAsm of the baseline workload and the 4-thread parallel
+ * batch, and compare each against the recorded baseline. A >2x
+ * regression fails the test. The batch check is skipped when the
+ * baseline predates the batch_wall_us_4t key.
  */
 int
 runSmoke(const char *baseline_path)
@@ -627,7 +642,9 @@ runSmoke(const char *baseline_path)
     std::string name = jsonString(baseline, "workload");
     int64_t baseline_us = jsonInt(baseline, "formation_us_cached");
     int64_t prepare_baseline_us = jsonInt(baseline, "prepare_us");
-    if (name.empty() || baseline_us <= 0 || prepare_baseline_us <= 0) {
+    int64_t asm_baseline_us = jsonInt(baseline, "asm_us");
+    if (name.empty() || baseline_us <= 0 || prepare_baseline_us <= 0 ||
+        asm_baseline_us <= 0) {
         std::fprintf(stderr, "malformed baseline %s\n", baseline_path);
         return 1;
     }
@@ -696,6 +713,28 @@ runSmoke(const char *baseline_path)
         std::fprintf(stderr,
                      "formation_speed_smoke: no formation_us_seed_cached "
                      "in baseline; fast-path check skipped\n");
+    }
+
+    // The assembly writer on the compiled workload: a per-block walk
+    // that keys ordered maps by register instead of the epoch-stamped
+    // tables (DESIGN.md section 14) fails here.
+    Program compiled = prepared.clone();
+    compileOne(compiled,
+               SessionOptions().withPipeline(Pipeline::IUPO_fused));
+    timeAsmUs(compiled.fn, 1);
+    int64_t asm_us = timeAsmUs(compiled.fn, kRepeats);
+    std::fprintf(stderr,
+                 "formation_speed_smoke: %s asm %lld us "
+                 "(baseline %lld us, limit %lld us)\n",
+                 name.c_str(), static_cast<long long>(asm_us),
+                 static_cast<long long>(asm_baseline_us),
+                 static_cast<long long>(2 * asm_baseline_us));
+    if (asm_us > 2 * asm_baseline_us) {
+        std::fprintf(stderr,
+                     "FAIL: writeFunctionAsm regressed >2x against the "
+                     "recorded baseline (%s)\n",
+                     baseline_path);
+        return 1;
     }
 
     int64_t batch_baseline_us = jsonInt(baseline, "batch_wall_us_4t");

@@ -1,7 +1,8 @@
 #include "backend/asm_writer.h"
 
-#include <map>
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <utility>
 #include <vector>
 
 #include "analysis/liveness.h"
@@ -13,9 +14,74 @@ namespace {
 /** One consumer of a produced value: instruction index + slot. */
 struct Target
 {
-    size_t inst;
+    uint32_t inst;
     int slot; ///< 0..2 = operand, -1 = predicate
 };
+
+/**
+ * Working storage for one writeFunctionAsm call. The per-register
+ * table is epoch-stamped: an entry belongs to the block being written
+ * iff its stamp equals the epoch, so a block resets it in O(1) and a
+ * function costs O(registers + instructions).
+ */
+struct AsmScratch
+{
+    struct RegEntry
+    {
+        uint32_t stamp = 0;
+        uint32_t producer = 0; ///< latest in-block def's index + 1; 0 = none
+        uint32_t read = 0;     ///< R[] number + 1; 0 = not read yet
+    };
+
+    std::vector<RegEntry> regs;
+    uint32_t epoch = 0;
+
+    BitVector liveOut;
+    /** Registers read from the register file, in first-use order. */
+    std::vector<Vreg> reads;
+    /** (node, consumer) per use in use order; node n + r is R[r]. */
+    std::vector<std::pair<uint32_t, Target>> uses;
+    /** Node k's consumers: targets[first[k] .. first[k + 1]). */
+    std::vector<uint32_t> first;
+    std::vector<uint32_t> fill;
+    std::vector<Target> targets;
+    /** (register, number) of every R[] or W[], sorted by register. */
+    std::vector<std::pair<Vreg, uint32_t>> sorted;
+
+    /** Begin a block: every register entry goes stale at once. */
+    void
+    beginBlock()
+    {
+        if (++epoch == 0) {
+            // Stamp wraparound (2^32 blocks): flush everything once.
+            for (RegEntry &e : regs)
+                e.stamp = 0;
+            epoch = 1;
+        }
+        reads.clear();
+        uses.clear();
+    }
+
+    RegEntry &
+    reg(Vreg v)
+    {
+        if (v >= regs.size())
+            regs.resize(static_cast<size_t>(v) + 1);
+        RegEntry &e = regs[v];
+        if (e.stamp != epoch)
+            e = {epoch, 0, 0};
+        return e;
+    }
+};
+
+template <typename Int>
+void
+appendNum(std::string &out, Int value)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof buf, value);
+    out.append(buf, res.ptr);
+}
 
 const char *
 slotName(int slot)
@@ -28,36 +94,46 @@ slotName(int slot)
     }
 }
 
-/** Mnemonic in TRIPS style: immediates fold into the opcode name. */
-std::string
-mnemonic(const Instruction &inst)
+/** " N[inst,slot]" */
+void
+appendTarget(std::string &out, const Target &t)
 {
-    std::string name = opcodeName(inst.op);
-    if (inst.op == Opcode::Br) {
-        if (!inst.pred.valid())
-            return "bro";
-        return inst.pred.onTrue ? "bro_t" : "bro_f";
-    }
-    if (inst.op == Opcode::Ret) {
-        if (!inst.pred.valid())
-            return "ret";
-        return inst.pred.onTrue ? "ret_t" : "ret_f";
-    }
-    // addi-style immediate forms.
-    for (int s = 0; s < inst.numSrcs(); ++s) {
-        if (inst.srcs[s].isImm())
-            return name + "i";
-    }
-    return name;
+    out += " N[";
+    appendNum(out, t.inst);
+    out += ',';
+    out += slotName(t.slot);
+    out += ']';
 }
 
-} // namespace
-
-std::string
-writeBlockAsm(const Function &fn, const BasicBlock &bb,
-              const Liveness &liveness)
+/** Mnemonic in TRIPS style: immediates fold into the opcode name. */
+void
+appendMnemonic(std::string &out, const Instruction &inst)
 {
-    BitVector live_out;
+    if (inst.op == Opcode::Br || inst.op == Opcode::Ret) {
+        out += inst.op == Opcode::Br ? "bro" : "ret";
+        if (inst.pred.valid())
+            out += inst.pred.onTrue ? "_t" : "_f";
+        return;
+    }
+    out += opcodeName(inst.op);
+    // addi-style immediate forms.
+    for (int s = 0; s < inst.numSrcs(); ++s) {
+        if (inst.srcs[s].isImm()) {
+            out += 'i';
+            return;
+        }
+    }
+}
+
+/**
+ * Append block @p bb in target form. @p liveness must be current for
+ * @p fn; it supplies the block's live-out registers (its writes).
+ */
+void
+writeBlockAsm(const Function &fn, const BasicBlock &bb,
+              const Liveness &liveness, AsmScratch &t, std::string &out)
+{
+    BitVector &live_out = t.liveOut;
     liveness.liveOutOf(bb, live_out);
     if (bb.hasReturn()) {
         // The returned value is an architectural output too.
@@ -67,29 +143,26 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb,
         }
     }
 
-    // Producer of each register at each point: -1 means the register
-    // file (a read instruction). Collect consumer lists per producer.
-    // Reads are numbered R[i], instructions N[i], writes W[i].
-    std::map<Vreg, int> current_producer; // inst index, or -1 for read
-    std::map<Vreg, int> read_index;       // register-file reads used
-    std::vector<std::vector<Target>> inst_targets(bb.size());
-    std::map<Vreg, std::vector<Target>> read_targets;
-
-    auto note_use = [&](Vreg v, size_t inst, int slot) {
-        auto it = current_producer.find(v);
-        if (it != current_producer.end() && it->second >= 0) {
-            inst_targets[static_cast<size_t>(it->second)].push_back(
-                {inst, slot});
+    // Resolve every use to its producer: the latest in-block def, else
+    // a register-file read. Reads are numbered R[i] in first-use order,
+    // instructions N[i], writes W[i].
+    t.beginBlock();
+    const uint32_t n = static_cast<uint32_t>(bb.insts.size());
+    auto note_use = [&](Vreg v, uint32_t inst, int slot) {
+        AsmScratch::RegEntry &e = t.reg(v);
+        uint32_t node;
+        if (e.producer) {
+            node = e.producer - 1;
         } else {
-            if (!read_index.count(v)) {
-                int idx = static_cast<int>(read_index.size());
-                read_index[v] = idx;
+            if (!e.read) {
+                t.reads.push_back(v);
+                e.read = static_cast<uint32_t>(t.reads.size());
             }
-            read_targets[v].push_back({inst, slot});
+            node = n + e.read - 1;
         }
+        t.uses.push_back({node, {inst, slot}});
     };
-
-    for (size_t i = 0; i < bb.insts.size(); ++i) {
+    for (uint32_t i = 0; i < n; ++i) {
         const Instruction &inst = bb.insts[i];
         for (int s = 0; s < inst.numSrcs(); ++s) {
             if (inst.srcs[s].isReg())
@@ -98,87 +171,120 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb,
         if (inst.pred.valid())
             note_use(inst.pred.reg, i, -1);
         if (inst.hasDest())
-            current_producer[inst.dest] = static_cast<int>(i);
+            t.reg(inst.dest).producer = i + 1;
     }
 
-    // Architectural writes: the final producer of each live-out reg.
-    std::map<size_t, std::vector<Vreg>> write_of; // inst -> regs
-    live_out.forEach([&](uint32_t v) {
-        auto it = current_producer.find(v);
-        if (it != current_producer.end() && it->second >= 0)
-            write_of[static_cast<size_t>(it->second)].push_back(v);
-    });
+    // Group consumers by producer node, keeping use order.
+    const size_t nodes = n + t.reads.size();
+    t.first.assign(nodes + 1, 0);
+    for (const auto &[node, use] : t.uses)
+        ++t.first[node + 1];
+    for (size_t k = 0; k < nodes; ++k)
+        t.first[k + 1] += t.first[k];
+    t.targets.resize(t.uses.size());
+    t.fill.assign(t.first.begin(), t.first.end() - 1);
+    for (const auto &[node, use] : t.uses)
+        t.targets[t.fill[node]++] = use;
 
-    std::ostringstream os;
-    os << ".bbegin " << fn.name() << "$" << bb.name() << "\n";
+    out += ".bbegin ";
+    out += fn.name();
+    out += '$';
+    out += bb.name();
+    out += '\n';
 
-    // Register-file reads first, as in the TRIPS block format.
-    for (const auto &[reg, idx] : read_index) {
-        os << "  R[" << idx << "]  read  $g" << reg << " >";
-        for (const Target &t : read_targets[reg])
-            os << " N[" << t.inst << "," << slotName(t.slot) << "]";
-        os << "\n";
+    // Register-file reads first, as in the TRIPS block format, in
+    // ascending register order.
+    t.sorted.clear();
+    for (uint32_t r = 0; r < t.reads.size(); ++r)
+        t.sorted.emplace_back(t.reads[r], r);
+    std::sort(t.sorted.begin(), t.sorted.end());
+    for (const auto &[reg, r] : t.sorted) {
+        out += "  R[";
+        appendNum(out, r);
+        out += "]  read  $g";
+        appendNum(out, reg);
+        out += " >";
+        for (uint32_t k = t.first[n + r]; k < t.first[n + r + 1]; ++k)
+            appendTarget(out, t.targets[k]);
+        out += '\n';
     }
 
-    int write_counter = 0;
-    std::map<Vreg, int> write_ids;
-
-    for (size_t i = 0; i < bb.insts.size(); ++i) {
+    // Architectural writes: the final producer of each live-out
+    // register, numbered at its W[] in instruction order.
+    t.sorted.clear();
+    for (uint32_t i = 0; i < n; ++i) {
         const Instruction &inst = bb.insts[i];
-        os << "  N[" << i << "]  " << mnemonic(inst);
+        out += "  N[";
+        appendNum(out, i);
+        out += "]  ";
+        appendMnemonic(out, inst);
         // Immediates appear inline; register inputs are implicit (they
         // arrive as targets of their producers).
         for (int s = 0; s < inst.numSrcs(); ++s) {
-            if (inst.srcs[s].isImm())
-                os << " #" << inst.srcs[s].imm;
-        }
-        if (inst.op == Opcode::Br)
-            os << " " << fn.name() << "$bb" << inst.target;
-
-        bool first_target = true;
-        auto arrow = [&]() {
-            if (first_target) {
-                os << " >";
-                first_target = false;
-            }
-        };
-        for (const Target &t : inst_targets[i]) {
-            arrow();
-            os << " N[" << t.inst << "," << slotName(t.slot) << "]";
-        }
-        auto w = write_of.find(i);
-        if (w != write_of.end()) {
-            for (Vreg reg : w->second) {
-                if (!write_ids.count(reg))
-                    write_ids[reg] = write_counter++;
-                arrow();
-                os << " W[" << write_ids[reg] << "]";
+            if (inst.srcs[s].isImm()) {
+                out += " #";
+                appendNum(out, inst.srcs[s].imm);
             }
         }
-        os << "\n";
+        if (inst.op == Opcode::Br) {
+            out += ' ';
+            out += fn.name();
+            out += "$bb";
+            appendNum(out, inst.target);
+        }
+        const bool writes =
+            inst.hasDest() && t.regs[inst.dest].producer == i + 1 &&
+            inst.dest < live_out.size() && live_out.test(inst.dest);
+        if (t.first[i] != t.first[i + 1] || writes)
+            out += " >";
+        for (uint32_t k = t.first[i]; k < t.first[i + 1]; ++k)
+            appendTarget(out, t.targets[k]);
+        if (writes) {
+            out += " W[";
+            appendNum(out, t.sorted.size());
+            out += ']';
+            t.sorted.emplace_back(inst.dest, t.sorted.size());
+        }
+        out += '\n';
     }
 
-    for (const auto &[reg, idx] : write_ids)
-        os << "  W[" << idx << "]  write $g" << reg << "\n";
-    os << ".bend\n";
-    return os.str();
+    std::sort(t.sorted.begin(), t.sorted.end());
+    for (const auto &[reg, w] : t.sorted) {
+        out += "  W[";
+        appendNum(out, w);
+        out += "]  write $g";
+        appendNum(out, reg);
+        out += '\n';
+    }
+    out += ".bend\n";
 }
+
+} // namespace
 
 std::string
 writeFunctionAsm(const Function &fn)
 {
-    std::ostringstream os;
-    os << "; " << fn.name() << ": " << fn.numBlocks() << " blocks, "
-       << fn.totalInsts() << " instructions\n";
+    std::string out;
+    out += "; ";
+    out += fn.name();
+    out += ": ";
+    appendNum(out, fn.numBlocks());
+    out += " blocks, ";
+    appendNum(out, fn.totalInsts());
+    out += " instructions\n";
     // One liveness solve serves every block. Entry first, then the
     // rest in id order.
     Liveness liveness(fn);
-    os << writeBlockAsm(fn, *fn.block(fn.entry()), liveness);
+    AsmScratch scratch;
+    writeBlockAsm(fn, *fn.block(fn.entry()), liveness, scratch, out);
     for (BlockId id : fn.blockIds()) {
         if (id != fn.entry())
-            os << writeBlockAsm(fn, *fn.block(id), liveness);
+            writeBlockAsm(fn, *fn.block(id), liveness, scratch, out);
     }
-    return os.str();
+    // Return exactly the text's size: callers keep the text (a batch
+    // holds every unit's), so spare capacity would be resident memory.
+    out.shrink_to_fit();
+    return out;
 }
 
 } // namespace chf

@@ -23,8 +23,12 @@
  * every producer to have at most two targets.
  *
  * Emission is linear in function size: writeFunctionAsm solves
- * liveness once and every block reads its live-out set from that one
- * solve (DESIGN.md §14).
+ * liveness once, every block reads its live-out set from that one
+ * solve, and each block's producer, read and write tables are
+ * epoch-stamped register-indexed arrays shared by the whole call, so a
+ * block resets them in O(1). The text is appended into one string,
+ * returned exactly sized (DESIGN.md §14, which also lists the byte
+ * order rules).
  */
 
 #ifndef CHF_BACKEND_ASM_WRITER_H
@@ -32,17 +36,9 @@
 
 #include <string>
 
-#include "analysis/liveness.h"
 #include "ir/function.h"
 
 namespace chf {
-
-/**
- * Emit one block in target form. @p liveness must be current for
- * @p fn; it supplies the block's live-out registers (its writes).
- */
-std::string writeBlockAsm(const Function &fn, const BasicBlock &bb,
-                          const Liveness &liveness);
 
 /** Emit the whole function, entry block first, from one Liveness. */
 std::string writeFunctionAsm(const Function &fn);

@@ -1,7 +1,8 @@
 #include "backend/scheduler.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <cstdlib>
 
 namespace chf {
 
@@ -14,47 +15,58 @@ tileDistance(int a, int b, const SchedulerOptions &options)
 }
 
 Placement
-scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options)
+scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options,
+              PlacementScratch &t)
 {
     int tiles = options.numTiles();
     Placement placement(bb.size(), 0);
-    std::vector<size_t> used(tiles, 0);
-    std::vector<double> tile_free(tiles, 0.0);
-
-    // Ready time and placement of the latest producer per register.
-    std::map<Vreg, std::pair<double, int>> producer;
+    t.used.assign(tiles, 0);
+    t.tileFree.assign(tiles, 0.0);
+    if (++t.epoch == 0) {
+        // Stamp wraparound (2^32 blocks): flush everything once.
+        for (PlacementScratch::Producer &p : t.producers)
+            p.stamp = 0;
+        t.epoch = 1;
+    }
 
     for (size_t i = 0; i < bb.insts.size(); ++i) {
         const Instruction &inst = bb.insts[i];
+
+        // The ready time and tile of each operand's in-block producer
+        // (register-file reads add nothing), resolved once per
+        // instruction rather than once per candidate tile.
+        std::array<const PlacementScratch::Producer *, 4> in;
+        size_t num_in = 0;
+        inst.forEachUse([&](Vreg v) {
+            if (v < t.producers.size() && t.producers[v].stamp == t.epoch)
+                in[num_in++] = &t.producers[v];
+        });
 
         // Evaluate each tile: the instruction can issue once all its
         // operands have arrived (producer done + hop latency) and the
         // tile is free.
         int best_tile = -1;
         double best_start = 0.0;
-        for (int t = 0; t < tiles; ++t) {
-            bool full = used[t] >= options.slotsPerTile;
-            double start = tile_free[t];
-            inst.forEachUse([&](Vreg v) {
-                auto it = producer.find(v);
-                if (it != producer.end()) {
-                    double arrival =
-                        it->second.first +
-                        tileDistance(it->second.second, t, options);
-                    start = std::max(start, arrival);
-                }
-            });
+        for (int tile = 0; tile < tiles; ++tile) {
+            bool full = t.used[tile] >= options.slotsPerTile;
+            double start = t.tileFree[tile];
+            for (size_t k = 0; k < num_in; ++k) {
+                double arrival =
+                    in[k]->done + tileDistance(in[k]->tile, tile, options);
+                start = std::max(start, arrival);
+            }
             // Prefer non-full tiles; among them the earliest start,
             // breaking ties toward lower occupancy to spread load.
             if (best_tile < 0 && !full) {
-                best_tile = t;
+                best_tile = tile;
                 best_start = start;
                 continue;
             }
             if (!full &&
                 (start < best_start ||
-                 (start == best_start && used[t] < used[best_tile]))) {
-                best_tile = t;
+                 (start == best_start &&
+                  t.used[tile] < t.used[best_tile]))) {
+                best_tile = tile;
                 best_start = start;
             }
         }
@@ -62,17 +74,20 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options)
             // All tiles nominally full (block larger than the window
             // slice); fall back to the least-used tile.
             best_tile = static_cast<int>(
-                std::min_element(used.begin(), used.end()) -
-                used.begin());
-            best_start = tile_free[best_tile];
+                std::min_element(t.used.begin(), t.used.end()) -
+                t.used.begin());
+            best_start = t.tileFree[best_tile];
         }
 
         placement[i] = best_tile;
-        used[best_tile]++;
+        t.used[best_tile]++;
         double done = best_start + opcodeLatency(inst.op);
-        tile_free[best_tile] = best_start + 1.0; // one issue per cycle
-        if (inst.hasDest())
-            producer[inst.dest] = {done, best_tile};
+        t.tileFree[best_tile] = best_start + 1.0; // one issue per cycle
+        if (inst.hasDest()) {
+            if (inst.dest >= t.producers.size())
+                t.producers.resize(static_cast<size_t>(inst.dest) + 1);
+            t.producers[inst.dest] = {t.epoch, best_tile, done};
+        }
     }
     return placement;
 }
@@ -81,8 +96,9 @@ std::map<BlockId, Placement>
 scheduleFunction(const Function &fn, const SchedulerOptions &options)
 {
     std::map<BlockId, Placement> out;
+    PlacementScratch scratch;
     for (BlockId id : fn.blockIds())
-        out[id] = scheduleBlock(*fn.block(id), options);
+        out[id] = scheduleBlock(*fn.block(id), options, scratch);
     return out;
 }
 

@@ -33,11 +33,36 @@ using Placement = std::vector<int>;
 /** Manhattan distance between tiles in the grid. */
 int tileDistance(int a, int b, const SchedulerOptions &options);
 
-/** Place one block's instructions. */
-Placement scheduleBlock(const BasicBlock &bb,
-                        const SchedulerOptions &options = {});
+/**
+ * Reusable storage for scheduleBlock: the ready time and tile of each
+ * register's latest in-block producer, epoch-stamped so a block resets
+ * it in O(1), and the per-tile occupancy and issue times. A caller
+ * placing many blocks (scheduleFunction, one runTiming run) keeps one.
+ */
+struct PlacementScratch
+{
+    struct Producer
+    {
+        uint32_t stamp = 0; ///< valid iff stamp == epoch
+        int tile = 0;
+        double done = 0.0;
+    };
 
-/** Place every block. */
+    std::vector<Producer> producers;
+    uint32_t epoch = 0;
+    std::vector<size_t> used;
+    std::vector<double> tileFree;
+};
+
+/**
+ * Place one block's instructions. Each instruction's in-block
+ * producers are resolved once, then every tile is scored against them.
+ */
+Placement scheduleBlock(const BasicBlock &bb,
+                        const SchedulerOptions &options,
+                        PlacementScratch &scratch);
+
+/** Place every block, from one scratch. */
 std::map<BlockId, Placement> scheduleFunction(
     const Function &fn, const SchedulerOptions &options = {});
 

@@ -1,11 +1,9 @@
 #include "hyperblock/constraints.h"
 
 #include <algorithm>
-#include <map>
 
 #include "analysis/liveness.h"
 #include "support/fatal.h"
-#include "transform/normalize_outputs.h"
 
 namespace chf {
 
@@ -34,37 +32,46 @@ analyzeBlock(const Function &fn, const BasicBlock &bb,
 
     // Fanout prediction: a producer can name two consumers; each extra
     // consumer costs one mov in the fanout tree (Fig. 6's fanout
-    // insertion). Count in-block consumers per def until redefinition.
-    // The same walk counts exit branches for the branch/output model.
-    {
-        std::map<Vreg, size_t> consumers;
-        auto flush = [&](Vreg v) {
-            auto it = consumers.find(v);
-            if (it != consumers.end()) {
-                if (it->second > 2)
-                    res.fanoutMoves += it->second - 2;
-                consumers.erase(it);
-            }
-        };
-        for (const auto &inst : bb.insts) {
-            if (inst.op == Opcode::Br)
-                res.branches++;
-            inst.forEachUse([&](Vreg v) { consumers[v] += 1; });
-            if (inst.hasDest()) {
-                flush(inst.dest);
-                consumers[inst.dest] = 0;
-            }
+    // insertion). Count in-block consumers per def until redefinition,
+    // in the epoch-stamped per-register table. The same walk counts
+    // exit branches for the branch/output model.
+    if (++t.epoch == 0) {
+        // Stamp wraparound (2^32 trials): flush everything once.
+        for (BlockAnalysisScratch::Consumers &c : t.consumers)
+            c.stamp = 0;
+        t.epoch = 1;
+    }
+    t.touched.clear();
+    auto consumers = [&](Vreg v) -> uint32_t & {
+        if (v >= t.consumers.size())
+            t.consumers.resize(static_cast<size_t>(v) + 1);
+        BlockAnalysisScratch::Consumers &c = t.consumers[v];
+        if (c.stamp != t.epoch) {
+            c = {t.epoch, 0};
+            t.touched.push_back(v);
         }
-        for (const auto &[v, count] : consumers) {
+        return c.count;
+    };
+    for (const auto &inst : bb.insts) {
+        if (inst.op == Opcode::Br)
+            res.branches++;
+        inst.forEachUse([&](Vreg v) { ++consumers(v); });
+        if (inst.hasDest()) {
+            uint32_t &count = consumers(inst.dest);
             if (count > 2)
                 res.fanoutMoves += count - 2;
+            count = 0;
         }
+    }
+    for (Vreg v : t.touched) {
+        if (t.consumers[v].count > 2)
+            res.fanoutMoves += t.consumers[v].count - 2;
     }
 
     // Null-write prediction: the pass's own count-only walk, so the
     // estimate cannot drift from the pass (and no block copy or
     // throwaway register counter is built per trial).
-    res.nullWrites = predictNullWrites(bb, live_out);
+    res.nullWrites = predictNullWrites(bb, live_out, t.nullWrites);
 
     return res;
 }

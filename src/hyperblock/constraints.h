@@ -23,6 +23,7 @@
 #include "ir/function.h"
 #include "support/bitvector.h"
 #include "target/target_model.h"
+#include "transform/normalize_outputs.h"
 
 namespace chf {
 
@@ -45,12 +46,30 @@ struct BlockResources
     }
 };
 
-/** Reusable bitvector storage for analyzeBlock / checkBlockLegal. */
+/**
+ * Reusable storage for analyzeBlock / checkBlockLegal. The merge
+ * engine keeps one across all trials of a function. The register
+ * tables are epoch-stamped, so a trial resets them in O(1) instead of
+ * O(vregs) and allocates nothing once warm.
+ */
 struct BlockAnalysisScratch
 {
     BitVector uses;
     BitVector killed;
     BitVector defs;
+
+    /** In-block consumers of a register's current value. */
+    struct Consumers
+    {
+        uint32_t stamp = 0; ///< valid iff stamp == epoch
+        uint32_t count = 0;
+    };
+
+    std::vector<Consumers> consumers;
+    std::vector<Vreg> touched; ///< registers counted this trial
+    uint32_t epoch = 0;
+
+    NullWriteScratch nullWrites;
 };
 
 /**

@@ -83,27 +83,33 @@ verify(const Function &fn)
     // Where each in-range vreg is defined, for the predicate
     // reaching-definition check: a predicate use must see its register
     // defined earlier in the same block, by a function argument, or by
-    // some other block (a cross-block live-in).
-    std::vector<uint8_t> defined_by_arg(fn.numVregs(), 0);
+    // some other block (a cross-block live-in). The per-block marks are
+    // block stamps: a mark holds for the current block when it equals
+    // the block's stamp, so moving to the next block is one increment
+    // and a call costs O(vregs + instructions), not O(blocks x vregs).
+    const uint32_t nv = fn.numVregs();
+    std::vector<uint8_t> defined_by_arg(nv, 0);
     for (Vreg arg : fn.argRegs) {
-        if (arg < fn.numVregs())
+        if (arg < nv)
             defined_by_arg[arg] = 1;
     }
     // Count of blocks defining each vreg (2 saturates: "many").
-    std::vector<uint8_t> defining_blocks(fn.numVregs(), 0);
+    std::vector<uint8_t> defining_blocks(nv, 0);
+    std::vector<uint32_t> defined_in_block(nv, 0);
+    uint32_t stamp = 0;
     for (BlockId id : fn.blockIds()) {
-        std::vector<uint8_t> seen(fn.numVregs(), 0);
+        ++stamp;
         for (const Instruction &inst : fn.block(id)->insts) {
-            if (inst.hasDest() && inst.dest < fn.numVregs() &&
-                !seen[inst.dest]) {
-                seen[inst.dest] = 1;
+            if (inst.hasDest() && inst.dest < nv &&
+                defined_in_block[inst.dest] != stamp) {
+                defined_in_block[inst.dest] = stamp;
                 if (defining_blocks[inst.dest] < 2)
                     ++defining_blocks[inst.dest];
             }
         }
     }
 
-    std::vector<uint8_t> defined_here(fn.numVregs(), 0);
+    std::vector<uint32_t> defined_here(nv, 0);
     for (BlockId id : fn.blockIds()) {
         const BasicBlock &bb = *fn.block(id);
         if (bb.insts.empty()) {
@@ -111,11 +117,10 @@ verify(const Function &fn)
             continue;
         }
 
-        std::fill(defined_here.begin(), defined_here.end(), 0);
-        std::vector<uint8_t> defined_in_block(fn.numVregs(), 0);
+        ++stamp;
         for (const Instruction &inst : bb.insts) {
-            if (inst.hasDest() && inst.dest < fn.numVregs())
-                defined_in_block[inst.dest] = 1;
+            if (inst.hasDest() && inst.dest < nv)
+                defined_in_block[inst.dest] = stamp;
         }
 
         size_t branches = 0;
@@ -123,7 +128,7 @@ verify(const Function &fn)
         for (size_t i = 0; i < bb.insts.size(); ++i) {
             const Instruction &inst = bb.insts[i];
             checkInst(fn, bb, i, inst, problems);
-            if (inst.pred.valid() && inst.pred.reg < fn.numVregs()) {
+            if (inst.pred.valid() && inst.pred.reg < nv) {
                 // A reaching definition is: one earlier in this block,
                 // a function argument, or a def in some *other* block
                 // (a cross-block live-in). A predicate whose only def
@@ -131,9 +136,10 @@ verify(const Function &fn)
                 // all, reads an undefined value.
                 Vreg p = inst.pred.reg;
                 bool reaches =
-                    defined_here[p] || defined_by_arg[p] ||
+                    defined_here[p] == stamp || defined_by_arg[p] ||
                     defining_blocks[p] >= 2 ||
-                    (defining_blocks[p] == 1 && !defined_in_block[p]);
+                    (defining_blocks[p] == 1 &&
+                     defined_in_block[p] != stamp);
                 if (!reaches) {
                     problems.push_back(
                         concat("bb", id, "[", i, "] ", toString(inst),
@@ -146,8 +152,8 @@ verify(const Function &fn)
                 if (!inst.pred.valid())
                     ++unpredicated_branches;
             }
-            if (inst.hasDest() && inst.dest < fn.numVregs())
-                defined_here[inst.dest] = 1;
+            if (inst.hasDest() && inst.dest < nv)
+                defined_here[inst.dest] = stamp;
         }
         if (branches == 0)
             problems.push_back(concat("bb", id, " has no branch or ret"));

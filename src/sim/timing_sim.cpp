@@ -47,9 +47,10 @@ constexpr size_t kUndecoded = std::numeric_limits<size_t>::max();
 /** Place @p bb and append one record per instruction to @p out. */
 void
 decodeBlock(const BasicBlock &bb, const BitVector &live_out,
-            const TimingConfig &config, std::vector<DecodedInst> &out)
+            const TimingConfig &config, PlacementScratch &placement,
+            std::vector<DecodedInst> &out)
 {
-    Placement tiles = scheduleBlock(bb, config.grid);
+    Placement tiles = scheduleBlock(bb, config.grid, placement);
     for (size_t i = 0; i < bb.insts.size(); ++i) {
         const Instruction &inst = bb.insts[i];
         DecodedInst d{};
@@ -93,6 +94,7 @@ runTiming(const Program &program, const TimingConfig &config,
     // decoded[decoded_at[id] + i] is instruction i of block id.
     std::vector<size_t> decoded_at(fn.blockTableSize(), kUndecoded);
     std::vector<DecodedInst> decoded;
+    PlacementScratch placement;
 
     // When each register's current value becomes available (absolute
     // cycles). Register-file reads add regReadLatency at consumption;
@@ -129,7 +131,8 @@ runTiming(const Program &program, const TimingConfig &config,
 
         if (decoded_at[current] == kUndecoded) {
             decoded_at[current] = decoded.size();
-            decodeBlock(*bb, liveness.liveOut(current), config, decoded);
+            decodeBlock(*bb, liveness.liveOut(current), config, placement,
+                        decoded);
         }
         const DecodedInst *dec = decoded.data() + decoded_at[current];
 

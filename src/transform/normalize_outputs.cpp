@@ -1,6 +1,6 @@
 #include "transform/normalize_outputs.h"
 
-#include <map>
+#include <algorithm>
 
 #include "analysis/liveness.h"
 
@@ -11,41 +11,69 @@ namespace {
 /**
  * Shared writer-analysis of normalizeOutputs and predictNullWrites:
  * invoke @p emit(reg, last_writer_pred) once per live-out register
- * that needs a compensating null write. Keeping one walk guarantees
- * the size estimator's prediction cannot drift from the pass.
+ * that needs a compensating null write, in ascending register order.
+ * Keeping one walk guarantees the size estimator's prediction cannot
+ * drift from the pass.
  */
 template <typename Fn>
 size_t
-forEachNullWrite(const BasicBlock &bb, const BitVector &live_out, Fn emit)
+forEachNullWrite(const BasicBlock &bb, const BitVector &live_out,
+                 NullWriteScratch &t, Fn emit)
 {
+    if (++t.epoch == 0) {
+        // Stamp wraparound (2^32 blocks): flush everything once.
+        for (NullWriteScratch::Slot &slot : t.slots)
+            slot.stamp = 0;
+        t.epoch = 1;
+    }
+    t.writers.clear();
+
     // Collect, per live-out register, the predicates of its writers.
     // Registers with at least one unpredicated writer always produce a
     // write and need no compensation.
-    std::map<Vreg, std::vector<Predicate>> partial;
-    std::map<Vreg, bool> has_unpred_writer;
     for (const auto &inst : bb.insts) {
         if (!inst.hasDest() || inst.dest >= live_out.size() ||
             !live_out.test(inst.dest)) {
             continue;
         }
-        if (!inst.pred.valid())
-            has_unpred_writer[inst.dest] = true;
-        else
-            partial[inst.dest].push_back(inst.pred);
+        if (inst.dest >= t.slots.size())
+            t.slots.resize(static_cast<size_t>(inst.dest) + 1);
+        NullWriteScratch::Slot &slot = t.slots[inst.dest];
+        if (slot.stamp != t.epoch) {
+            slot = {t.epoch, static_cast<uint32_t>(t.writers.size())};
+            t.writers.emplace_back();
+            t.writers.back().reg = inst.dest;
+        }
+        NullWriteScratch::Writers &w = t.writers[slot.index];
+        if (!inst.pred.valid()) {
+            w.unpredicated = true;
+            continue;
+        }
+        if (w.predicated == 0)
+            w.first = inst.pred;
+        else if (w.predicated == 1)
+            w.second = inst.pred;
+        w.last = inst.pred;
+        ++w.predicated;
     }
 
+    std::sort(t.writers.begin(), t.writers.end(),
+              [](const NullWriteScratch::Writers &a,
+                 const NullWriteScratch::Writers &b) {
+                  return a.reg < b.reg;
+              });
     size_t compensated = 0;
-    for (const auto &[reg, preds] : partial) {
-        if (has_unpred_writer.count(reg))
+    for (const NullWriteScratch::Writers &w : t.writers) {
+        if (w.unpredicated)
             continue; // a write always fires
 
         // Complementary pair covers every path: no compensation needed.
-        if (preds.size() == 2 && preds[0].reg == preds[1].reg &&
-            preds[0].onTrue != preds[1].onTrue) {
+        if (w.predicated == 2 && w.first.reg == w.second.reg &&
+            w.first.onTrue != w.second.onTrue) {
             continue;
         }
 
-        emit(reg, preds.back());
+        emit(w.reg, w.last);
         ++compensated;
     }
     return compensated;
@@ -54,9 +82,9 @@ forEachNullWrite(const BasicBlock &bb, const BitVector &live_out, Fn emit)
 } // namespace
 
 size_t
-normalizeOutputs(Function &fn, BasicBlock &bb, const BitVector &live_out)
+normalizeOutputs(BasicBlock &bb, const BitVector &live_out,
+                 NullWriteScratch &scratch)
 {
-    (void)fn;
     // One compensating self-move guarded on the complement of the
     // last writer's predicate. When no writer fired, the last
     // writer's guard is false, so the null write fires. When an
@@ -65,7 +93,7 @@ normalizeOutputs(Function &fn, BasicBlock &bb, const BitVector &live_out)
     // no-op, and the SSA write-merge of the real compiler [24]
     // costs the same single instruction slot.
     return forEachNullWrite(
-        bb, live_out, [&](Vreg reg, const Predicate &last) {
+        bb, live_out, scratch, [&](Vreg reg, const Predicate &last) {
             Instruction null_write = Instruction::unary(
                 Opcode::Mov, reg, Operand::makeReg(reg));
             null_write.pred = Predicate::onReg(last.reg, !last.onTrue);
@@ -74,9 +102,10 @@ normalizeOutputs(Function &fn, BasicBlock &bb, const BitVector &live_out)
 }
 
 size_t
-predictNullWrites(const BasicBlock &bb, const BitVector &live_out)
+predictNullWrites(const BasicBlock &bb, const BitVector &live_out,
+                  NullWriteScratch &scratch)
 {
-    return forEachNullWrite(bb, live_out,
+    return forEachNullWrite(bb, live_out, scratch,
                             [](Vreg, const Predicate &) {});
 }
 
@@ -85,11 +114,12 @@ normalizeOutputsFunction(Function &fn)
 {
     Liveness liveness(fn);
     BitVector live_out;
+    NullWriteScratch scratch;
     size_t total = 0;
     for (BlockId id : fn.blockIds()) {
         BasicBlock *bb = fn.block(id);
         liveness.liveOutOf(*bb, live_out);
-        total += normalizeOutputs(fn, *bb, live_out);
+        total += normalizeOutputs(*bb, live_out, scratch);
     }
     return total;
 }

@@ -22,10 +22,42 @@
 namespace chf {
 
 /**
- * Normalize one block. @return number of instructions appended.
+ * Reusable per-register writer table for normalizeOutputs and
+ * predictNullWrites. Entries are epoch-stamped, so a block resets the
+ * table in O(1) and a caller walking many blocks (the merge engine's
+ * legality check across trials, normalizeOutputsFunction across a
+ * function) allocates nothing once warm.
  */
-size_t normalizeOutputs(Function &fn, BasicBlock &bb,
-                        const BitVector &live_out);
+struct NullWriteScratch
+{
+    /** The writers of one live-out register in the current block. */
+    struct Writers
+    {
+        Vreg reg = kNoVreg;
+        uint32_t predicated = 0; ///< predicated writers seen
+        bool unpredicated = false;
+        Predicate first, second, last; ///< of the predicated writers
+    };
+
+    /** Per register: its index in writers, valid iff stamp == epoch. */
+    struct Slot
+    {
+        uint32_t stamp = 0;
+        uint32_t index = 0;
+    };
+
+    std::vector<Slot> slots;
+    /** This block's written live-out registers, in first-write order. */
+    std::vector<Writers> writers;
+    uint32_t epoch = 0;
+};
+
+/**
+ * Normalize one block. Null writes are appended in ascending register
+ * order. @return number of instructions appended.
+ */
+size_t normalizeOutputs(BasicBlock &bb, const BitVector &live_out,
+                        NullWriteScratch &scratch);
 
 /**
  * Exactly the number of instructions normalizeOutputs would append to
@@ -33,7 +65,8 @@ size_t normalizeOutputs(Function &fn, BasicBlock &bb,
  * size estimator calls this once per merge trial; it must never drift
  * from the pass (both walk the same writer-collection logic).
  */
-size_t predictNullWrites(const BasicBlock &bb, const BitVector &live_out);
+size_t predictNullWrites(const BasicBlock &bb, const BitVector &live_out,
+                         NullWriteScratch &scratch);
 
 /** Normalize every block of @p fn. @return total appended. */
 size_t normalizeOutputsFunction(Function &fn);

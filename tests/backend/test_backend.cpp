@@ -761,7 +761,8 @@ TEST(Scheduler, RespectsTileCapacity)
     b.ret(IRBuilder::imm(0));
 
     SchedulerOptions options;
-    Placement placement = scheduleBlock(*fn.block(id), options);
+    PlacementScratch scratch;
+    Placement placement = scheduleBlock(*fn.block(id), options, scratch);
     std::vector<int> used(options.numTiles(), 0);
     for (int tile : placement) {
         ASSERT_GE(tile, 0);
@@ -785,7 +786,8 @@ TEST(Scheduler, KeepsDependenceChainsClose)
     b.ret(IRBuilder::r(v));
 
     SchedulerOptions options;
-    Placement placement = scheduleBlock(*fn.block(id), options);
+    PlacementScratch scratch;
+    Placement placement = scheduleBlock(*fn.block(id), options, scratch);
     // A pure dependence chain should stay on one tile (next-cycle
     // issue beats a network hop).
     for (size_t i = 2; i < placement.size() - 1; ++i)

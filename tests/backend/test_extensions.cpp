@@ -79,9 +79,16 @@ TEST(AsmWriter, LiveOutBecomesWrite)
     b.setBlock(c);
     b.ret(IRBuilder::r(x));
 
-    std::string text = writeBlockAsm(fn, *fn.block(a), Liveness(fn));
-    EXPECT_NE(text.find("write $g"), std::string::npos) << text;
-    EXPECT_NE(text.find("> W[0]"), std::string::npos) << text;
+    // Block a's text, read out of the whole function's.
+    std::string text = writeFunctionAsm(fn);
+    size_t begin = text.find(".bbegin main$" + fn.block(a)->name() + "\n");
+    ASSERT_NE(begin, std::string::npos) << text;
+    text = text.substr(begin, text.find(".bend\n", begin) + 6 - begin);
+    EXPECT_EQ(text, ".bbegin main$bb0\n"
+                    "  N[0]  movi #5 > W[0]\n"
+                    "  N[1]  bro main$bb1\n"
+                    "  W[0]  write $g0\n"
+                    ".bend\n");
 }
 
 // ----- Block report -----

@@ -328,5 +328,100 @@ TEST(Verifier, RejectsSuccessorListNamingDeadBlock)
     EXPECT_TRUE(mentions(problems, "successor list names dead block"));
 }
 
+TEST(Verifier, ReportsEveryProblemKindInOrder)
+{
+    // One function with every problem kind verify() reports after the
+    // entry check, spread over blocks so the per-block marks must reset
+    // between blocks. v6 is defined only in bb0, after bb0 reads it (no
+    // reaching definition there) and before bb3 reads it (a cross-block
+    // live-in); v9 is defined only in the last block, bb4, and bb3's
+    // read of it is a cross-block live-in too; v4 is defined in bb0 and
+    // bb2, so bb0's read of it ahead of its definition reaches; v8 is
+    // never defined.
+    Function fn;
+    for (int i = 0; i < 6; ++i)
+        fn.newBlock();
+    fn.setEntry(0);
+    for (int i = 0; i < 10; ++i)
+        fn.newVreg();
+    fn.argRegs = {0, 500};
+    const Operand one = Operand::makeImm(1);
+    auto predicated = [&](Vreg dest, Vreg p, bool on_true) {
+        Instruction inst = Instruction::unary(Opcode::Mov, dest, one);
+        inst.pred = Predicate::onReg(p, on_true);
+        return inst;
+    };
+
+    auto &b0 = fn.block(0)->insts;
+    b0.push_back(Instruction::unary(Opcode::Mov, kNoVreg, one));
+    b0.push_back(Instruction::unary(Opcode::Mov, 1000, one));
+    b0.push_back(Instruction::binary(Opcode::Add, 1, Operand::makeReg(999),
+                                     Operand::makeNone()));
+    b0.push_back(Instruction::binary(Opcode::Mov, 2, one, one));
+    b0.push_back(predicated(3, 888, true));
+    b0.push_back(predicated(3, 6, true));
+    b0.push_back(predicated(2, 4, true));
+    b0.push_back(Instruction::binary(Opcode::Teq, 6, one, one));
+    b0.push_back(Instruction::binary(Opcode::Teq, 4, one, one));
+    Instruction with_target = Instruction::unary(Opcode::Mov, 5, one);
+    with_target.target = 2;
+    b0.push_back(with_target);
+    Instruction br_dest = Instruction::br(2, Predicate::onReg(4, true));
+    br_dest.dest = 7;
+    b0.push_back(br_dest);
+    b0.push_back(Instruction::br(3));
+    b0.push_back(Instruction::br(3));
+
+    // bb1 stays empty; bb2 ends without a branch.
+    auto &b2 = fn.block(2)->insts;
+    b2.push_back(predicated(1, 8, true));
+    b2.push_back(Instruction::binary(Opcode::Teq, 4, one, one));
+
+    auto &b3 = fn.block(3)->insts;
+    b3.push_back(predicated(7, 6, false));
+    b3.push_back(Instruction::br(kNoBlock, Predicate::onReg(4, true)));
+    b3.push_back(Instruction::br(5, Predicate::onReg(4, false)));
+    b3.push_back(predicated(7, 9, true));
+    b3.push_back(Instruction::ret(Operand::makeReg(7)));
+    fn.removeBlock(5);
+
+    // bb4 is well-formed: no problem may name it.
+    auto &b4 = fn.block(4)->insts;
+    b4.push_back(Instruction::binary(Opcode::Teq, 9, one, one));
+    b4.push_back(Instruction::ret());
+
+    const std::vector<std::string> expected = {
+        "arg register v500 out of range",
+        "bb0[0] mov #1: missing destination",
+        "bb0[1] mov v1000 = #1: dest register v1000 out of range",
+        "bb0[2] add v1 = v999, _: source register v999 out of range",
+        "bb0[2] add v1 = v999, _: missing source operand 1",
+        "bb0[3] mov v2 = #1: unexpected source operand 1",
+        "bb0[4] mov v3 = #1  <v888>: predicate register v888 out of range",
+        "bb0[5] mov v3 = #1  <v6>: predicate register v6 has no reaching "
+        "definition",
+        "bb0[9] mov v5 = #1: non-branch carries a target",
+        "bb0[10] br bb2  <v4>: unexpected destination",
+        "bb0 has 2 unpredicated branches",
+        "bb1 is empty",
+        "bb2[0] mov v1 = #1  <v8>: predicate register v8 has no reaching "
+        "definition",
+        "bb2 has no branch or ret",
+        "bb3[1] br bb4294967295  <v4>: branch to dead or invalid block",
+        "bb3[2] br bb5  <!v4>: branch to dead or invalid block",
+        "bb3 successor list does not match its terminator targets (2 "
+        "successors, 1 branch targets)",
+        "bb3 successor list names dead block bb4294967295",
+        "bb3 successor list names dead block bb5",
+    };
+    EXPECT_EQ(verify(fn), expected);
+
+    Function no_entry;
+    no_entry.newBlock();
+    no_entry.setEntry(kNoBlock);
+    EXPECT_EQ(verify(no_entry),
+              std::vector<std::string>{"function has no live entry block"});
+}
+
 } // namespace
 } // namespace chf
