@@ -13,10 +13,17 @@
  *    BENCH_pass_speed.json for trajectory tracking.
  *  - --json-only: skip the micro suite, emit only the JSON sweeps.
  *  - --smoke <baseline.json>: time prepareProgram, formation and
- *    writeFunctionAsm of the baseline workload (median of 5 each) and
- *    the 4-thread batch config, and fail if any regressed more than 2x
- *    against the recorded baseline. Wired into ctest so compile-time
- *    regressions fail tier-1. Skipped in unoptimized builds.
+ *    writeFunctionAsm of the baseline workload, and runFunctional plus
+ *    runTiming over the 24 kernels' (IUPO) compiles (median of 5 each),
+ *    and the 4-thread batch config, and fail if any regressed more
+ *    than 2x against the recorded baseline. Wired into ctest so
+ *    compile-time and simulator regressions fail tier-1. Skipped in
+ *    unoptimized builds.
+ *
+ * The parallel and generated sweeps interleave their thread counts
+ * across the repeats (one batch per thread count per repeat), so a
+ * slow stretch of a shared host lands on every row alike, and report
+ * each row's median with its min and max.
  */
 
 #include <benchmark/benchmark.h>
@@ -252,6 +259,21 @@ median(std::vector<int64_t> samples)
     return samples[samples.size() / 2];
 }
 
+/** A row's repeats: their median, min and max. */
+struct Spread
+{
+    int64_t medianUs = 0;
+    int64_t minUs = 0;
+    int64_t maxUs = 0;
+};
+
+Spread
+spreadOf(const std::vector<int64_t> &samples)
+{
+    auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    return {median(samples), *lo, *hi};
+}
+
 /** prepareProgram wall time on copies of @p built, median of @p repeats. */
 int64_t
 timePrepareUs(const Program &built, int repeats)
@@ -311,6 +333,44 @@ timeAsmUs(const Function &fn, int repeats)
     return median(std::move(samples));
 }
 
+/** The 24 kernels, prepared and compiled under (IUPO) in one Session. */
+std::vector<Program>
+compiledKernels()
+{
+    Session session(SessionOptions().withPipeline(Pipeline::IUPO_fused));
+    for (const Workload &w : microbenchmarks()) {
+        Program program = buildWorkload(w);
+        ProfileData profile = prepareProgram(program);
+        session.addProgram(std::move(program), std::move(profile));
+    }
+    session.compile(1);
+    std::vector<Program> out;
+    for (size_t unit = 0; unit < session.size(); ++unit)
+        out.push_back(session.program(unit).clone());
+    return out;
+}
+
+/**
+ * Wall time of runFunctional plus runTiming over every program of
+ * @p programs, median of @p repeats.
+ */
+int64_t
+timeSimulatorsUs(const std::vector<Program> &programs, int repeats)
+{
+    std::vector<int64_t> samples;
+    for (int r = 0; r < repeats; ++r) {
+        uint64_t checksum = 0;
+        Timer timer;
+        for (const Program &program : programs) {
+            checksum += runFunctional(program).instsExecuted;
+            checksum += runTiming(program).cycles;
+        }
+        samples.push_back(timer.elapsedMicros());
+        benchmark::DoNotOptimize(checksum);
+    }
+    return median(std::move(samples));
+}
+
 std::vector<FormationTiming>
 sweepFormation(int repeats)
 {
@@ -349,10 +409,11 @@ largestWorkload(const std::vector<FormationTiming> &sweep)
 
 // ----- parallel-session sweep -----
 
-struct ParallelTiming
+/** One thread count's row of the parallel or generated sweep. */
+struct ThreadTiming
 {
     int threads = 1;
-    int64_t wallUs = 0;
+    Spread wall;
 };
 
 constexpr int kBatchUnits = 8;
@@ -360,81 +421,99 @@ constexpr const char *kBatchWorkload = "synth64";
 
 /**
  * Wall time of compiling a batch of @p units clones of @p prepared
- * through one Session at @p threads workers, best of @p repeats.
+ * through one Session at @p threads workers.
  */
 int64_t
-timeBatchWallUs(const Program &prepared, int units, int threads,
-                int repeats)
+batchWallUs(const Program &prepared, int units, int threads)
 {
-    int64_t best = -1;
-    for (int r = 0; r < repeats; ++r) {
-        Session session(SessionOptions()
-                            .withPipeline(Pipeline::IUPO_fused)
-                            .withBackend(false)
-                            .withThreads(threads));
-        for (int u = 0; u < units; ++u)
-            session.addProgram(prepared.clone(), ProfileData{});
-        Timer timer;
-        session.compile();
-        int64_t us = timer.elapsedMicros();
-        if (best < 0 || us < best)
-            best = us;
-    }
-    return best;
+    Session session(SessionOptions()
+                        .withPipeline(Pipeline::IUPO_fused)
+                        .withBackend(false)
+                        .withThreads(threads));
+    for (int u = 0; u < units; ++u)
+        session.addProgram(prepared.clone(), ProfileData{});
+    Timer timer;
+    session.compile();
+    return timer.elapsedMicros();
 }
 
-std::vector<ParallelTiming>
+/**
+ * The thread counts a sweep records: @p counts on a machine with at
+ * least 4 hardware threads, otherwise 1 alone. On fewer cores a
+ * multi-thread batch measures scheduler contention, not compiler
+ * speed; recording those rows would seed future comparisons with
+ * garbage (mirrors the smoke test's skip rule).
+ */
+std::vector<int>
+threadCounts(const char *sweep, std::vector<int> counts)
+{
+    if (std::thread::hardware_concurrency() >= 4)
+        return counts;
+    std::fprintf(stderr,
+                 "%s sweep: hardware_concurrency=%u < 4; multi-thread "
+                 "rows skipped (timings on an oversubscribed machine "
+                 "are not comparable)\n",
+                 sweep, std::thread::hardware_concurrency());
+    return {1};
+}
+
+/**
+ * Run @p batch once per thread count in each of @p repeats rounds, so
+ * the thread counts interleave, and return each count's spread.
+ */
+template <typename Batch>
+std::vector<Spread>
+interleaved(const std::vector<int> &thread_counts, int repeats,
+            Batch batch)
+{
+    std::vector<std::vector<int64_t>> samples(thread_counts.size());
+    for (int r = 0; r < repeats; ++r) {
+        for (size_t t = 0; t < thread_counts.size(); ++t)
+            samples[t].push_back(batch(thread_counts[t]));
+    }
+    std::vector<Spread> out;
+    for (const std::vector<int64_t> &row : samples)
+        out.push_back(spreadOf(row));
+    return out;
+}
+
+std::vector<ThreadTiming>
 sweepParallel(int repeats)
 {
     Program prepared;
     buildNamed(kBatchWorkload, &prepared);
     prepareProgram(prepared);
 
-    // On fewer than 4 cores a multi-thread batch measures scheduler
-    // contention, not compiler speed; recording those rows would seed
-    // future comparisons with garbage, so only the 1-thread row lands
-    // in the JSON (mirrors the smoke test's skip rule).
-    std::vector<int> thread_counts{1, 2, 4, 8};
-    if (std::thread::hardware_concurrency() < 4) {
-        std::fprintf(stderr,
-                     "parallel sweep: hardware_concurrency=%u < 4; "
-                     "multi-thread rows skipped (timings on an "
-                     "oversubscribed machine are not comparable)\n",
-                     std::thread::hardware_concurrency());
-        thread_counts = {1};
-    }
-    std::vector<ParallelTiming> out;
-    for (int threads : thread_counts) {
-        ParallelTiming t;
-        t.threads = threads;
-        t.wallUs =
-            timeBatchWallUs(prepared, kBatchUnits, threads, repeats);
-        out.push_back(t);
-    }
+    const std::vector<int> thread_counts =
+        threadCounts("parallel", {1, 2, 4, 8});
+    const std::vector<Spread> walls =
+        interleaved(thread_counts, repeats, [&](int threads) {
+            return batchWallUs(prepared, kBatchUnits, threads);
+        });
+    std::vector<ThreadTiming> out;
+    for (size_t t = 0; t < thread_counts.size(); ++t)
+        out.push_back({thread_counts[t], walls[t]});
 
     std::fprintf(stderr,
-                 "parallel session batch (%d x %s, formation only):\n"
-                 "%8s %12s %8s\n",
-                 kBatchUnits, kBatchWorkload, "threads", "wall us",
-                 "speedup");
-    for (const ParallelTiming &t : out) {
-        double speedup = t.wallUs > 0
-                             ? static_cast<double>(out[0].wallUs) /
-                                   static_cast<double>(t.wallUs)
+                 "parallel session batch (%d x %s, formation only, "
+                 "%d interleaved repeats):\n"
+                 "%8s %12s %12s %12s %8s\n",
+                 kBatchUnits, kBatchWorkload, repeats, "threads",
+                 "median us", "min us", "max us", "speedup");
+    for (const ThreadTiming &t : out) {
+        double speedup = t.wall.medianUs > 0
+                             ? static_cast<double>(out[0].wall.medianUs) /
+                                   static_cast<double>(t.wall.medianUs)
                              : 0.0;
-        std::fprintf(stderr, "%8d %12lld %7.2fx\n", t.threads,
-                     static_cast<long long>(t.wallUs), speedup);
+        std::fprintf(stderr, "%8d %12lld %12lld %12lld %7.2fx\n",
+                     t.threads, static_cast<long long>(t.wall.medianUs),
+                     static_cast<long long>(t.wall.minUs),
+                     static_cast<long long>(t.wall.maxUs), speedup);
     }
     return out;
 }
 
 // ----- generated-tier sweep (functions/sec on generator output) -----
-
-struct GeneratedTiming
-{
-    int threads = 1;
-    int64_t wallUs = 0;
-};
 
 constexpr int kGeneratedCount = 1000;
 constexpr const char *kGeneratedShape = "bench";
@@ -446,7 +525,7 @@ constexpr const char *kGeneratedShape = "bench";
  * Generation, lowering, and profiling happen up front and are not
  * timed — the sweep measures the compiler, not the generator.
  */
-std::vector<GeneratedTiming>
+std::vector<ThreadTiming>
 sweepGenerated(int repeats)
 {
     GeneratorShape shape;
@@ -461,21 +540,10 @@ sweepGenerated(int repeats)
             prepareProgram(prepared[static_cast<size_t>(i)]);
     }
 
-    // Same rule as the parallel sweep: no multi-thread rows on a
-    // machine that cannot actually run 4 workers.
-    std::vector<int> thread_counts{1, 4};
-    if (std::thread::hardware_concurrency() < 4) {
-        std::fprintf(stderr,
-                     "generated sweep: hardware_concurrency=%u < 4; "
-                     "multi-thread rows skipped (timings on an "
-                     "oversubscribed machine are not comparable)\n",
-                     std::thread::hardware_concurrency());
-        thread_counts = {1};
-    }
-    std::vector<GeneratedTiming> out;
-    for (int threads : thread_counts) {
-        int64_t best = -1;
-        for (int r = 0; r < repeats; ++r) {
+    const std::vector<int> thread_counts =
+        threadCounts("generated", {1, 4});
+    const std::vector<Spread> walls =
+        interleaved(thread_counts, repeats, [&](int threads) {
             Session session(SessionOptions()
                                 .withPipeline(Pipeline::IUPO_fused)
                                 .withThreads(threads));
@@ -486,28 +554,27 @@ sweepGenerated(int repeats)
             }
             Timer timer;
             session.compile();
-            int64_t us = timer.elapsedMicros();
-            if (best < 0 || us < best)
-                best = us;
-        }
-        GeneratedTiming t;
-        t.threads = threads;
-        t.wallUs = best;
-        out.push_back(t);
-    }
+            return timer.elapsedMicros();
+        });
+    std::vector<ThreadTiming> out;
+    for (size_t t = 0; t < thread_counts.size(); ++t)
+        out.push_back({thread_counts[t], walls[t]});
 
     std::fprintf(stderr,
-                 "generated tier (%d x shape:%s, full pipeline):\n"
-                 "%8s %12s %14s\n",
-                 kGeneratedCount, kGeneratedShape, "threads", "wall us",
-                 "functions/sec");
-    for (const GeneratedTiming &t : out) {
-        double fps = t.wallUs > 0
+                 "generated tier (%d x shape:%s, full pipeline, %d "
+                 "interleaved repeats):\n"
+                 "%8s %12s %12s %12s %14s\n",
+                 kGeneratedCount, kGeneratedShape, repeats, "threads",
+                 "median us", "min us", "max us", "functions/sec");
+    for (const ThreadTiming &t : out) {
+        double fps = t.wall.medianUs > 0
                          ? 1e6 * kGeneratedCount /
-                               static_cast<double>(t.wallUs)
+                               static_cast<double>(t.wall.medianUs)
                          : 0.0;
-        std::fprintf(stderr, "%8d %12lld %14.0f\n", t.threads,
-                     static_cast<long long>(t.wallUs), fps);
+        std::fprintf(stderr, "%8d %12lld %12lld %12lld %14.0f\n",
+                     t.threads, static_cast<long long>(t.wall.medianUs),
+                     static_cast<long long>(t.wall.minUs),
+                     static_cast<long long>(t.wall.maxUs), fps);
     }
     return out;
 }
@@ -515,8 +582,8 @@ sweepGenerated(int repeats)
 void
 writeJson(const std::string &path,
           const std::vector<FormationTiming> &sweep,
-          const std::vector<ParallelTiming> &parallel,
-          const std::vector<GeneratedTiming> &generated)
+          const std::vector<ThreadTiming> &parallel,
+          const std::vector<ThreadTiming> &generated, int repeats)
 {
     const unsigned hw = std::thread::hardware_concurrency();
     std::ostringstream os;
@@ -549,29 +616,38 @@ writeJson(const std::string &path,
            << ", \"us_opt_coalesce\": " << t.usOptCoalesce << "}"
            << (i + 1 < sweep.size() ? "," : "") << "\n";
     }
+    // batch_wall_us is the median of the interleaved repeats, and the
+    // speedup and functions_per_sec columns come from the medians.
+    auto wall = [](const Spread &w) {
+        std::ostringstream row;
+        row << "\"batch_wall_us\": " << w.medianUs
+            << ", \"min_us\": " << w.minUs << ", \"max_us\": " << w.maxUs;
+        return row.str();
+    };
     os << "  ],\n  \"parallel\": {\"workload\": \"" << kBatchWorkload
-       << "\", \"units\": " << kBatchUnits << ", \"runs\": [\n";
+       << "\", \"units\": " << kBatchUnits << ", \"repeats\": " << repeats
+       << ", \"runs\": [\n";
     for (size_t i = 0; i < parallel.size(); ++i) {
         const auto &t = parallel[i];
         double speedup =
-            t.wallUs > 0 ? static_cast<double>(parallel[0].wallUs) /
-                               static_cast<double>(t.wallUs)
-                         : 0.0;
-        os << "    {\"threads\": " << t.threads
-           << ", \"batch_wall_us\": " << t.wallUs
+            t.wall.medianUs > 0
+                ? static_cast<double>(parallel[0].wall.medianUs) /
+                      static_cast<double>(t.wall.medianUs)
+                : 0.0;
+        os << "    {\"threads\": " << t.threads << ", " << wall(t.wall)
            << ", \"speedup\": " << speedup << "}"
            << (i + 1 < parallel.size() ? "," : "") << "\n";
     }
     os << "  ]},\n  \"generated\": {\"shape\": \"" << kGeneratedShape
-       << "\", \"functions\": " << kGeneratedCount << ", \"runs\": [\n";
+       << "\", \"functions\": " << kGeneratedCount
+       << ", \"repeats\": " << repeats << ", \"runs\": [\n";
     for (size_t i = 0; i < generated.size(); ++i) {
         const auto &t = generated[i];
-        double fps = t.wallUs > 0
+        double fps = t.wall.medianUs > 0
                          ? 1e6 * kGeneratedCount /
-                               static_cast<double>(t.wallUs)
+                               static_cast<double>(t.wall.medianUs)
                          : 0.0;
-        os << "    {\"threads\": " << t.threads
-           << ", \"batch_wall_us\": " << t.wallUs
+        os << "    {\"threads\": " << t.threads << ", " << wall(t.wall)
            << ", \"functions_per_sec\": " << fps << "}"
            << (i + 1 < generated.size() ? "," : "") << "\n";
     }
@@ -737,6 +813,35 @@ runSmoke(const char *baseline_path)
         return 1;
     }
 
+    // The functional and timing simulators on the kernels' (IUPO)
+    // compiles: the profile, every oracle check and Tables 1-2 run on
+    // them. A per-instance std::map walk like the timing simulator's
+    // before it decoded blocks (about 4x slower) fails here.
+    int64_t sim_baseline_us = jsonInt(baseline, "sim_us");
+    if (sim_baseline_us > 0) {
+        const std::vector<Program> kernels = compiledKernels();
+        timeSimulatorsUs(kernels, 1);
+        int64_t sim_us = timeSimulatorsUs(kernels, kRepeats);
+        std::fprintf(stderr,
+                     "formation_speed_smoke: %zu kernels (IUPO) "
+                     "runFunctional + runTiming %lld us "
+                     "(baseline %lld us, limit %lld us)\n",
+                     kernels.size(), static_cast<long long>(sim_us),
+                     static_cast<long long>(sim_baseline_us),
+                     static_cast<long long>(2 * sim_baseline_us));
+        if (sim_us > 2 * sim_baseline_us) {
+            std::fprintf(stderr,
+                         "FAIL: the simulators regressed >2x against "
+                         "the recorded baseline (%s)\n",
+                         baseline_path);
+            return 1;
+        }
+    } else {
+        std::fprintf(stderr,
+                     "formation_speed_smoke: no sim_us in baseline; "
+                     "simulator check skipped\n");
+    }
+
     int64_t batch_baseline_us = jsonInt(baseline, "batch_wall_us_4t");
     const unsigned hw = std::thread::hardware_concurrency();
     if (batch_baseline_us > 0 && hw < 4) {
@@ -750,8 +855,12 @@ runSmoke(const char *baseline_path)
                      "an oversubscribed machine are not comparable)\n",
                      hw);
     } else if (batch_baseline_us > 0) {
-        int64_t batch_us =
-            timeBatchWallUs(prepared, kBatchUnits, 4, 3);
+        int64_t batch_us = -1;
+        for (int r = 0; r < 3; ++r) {
+            int64_t us = batchWallUs(prepared, kBatchUnits, 4);
+            if (batch_us < 0 || us < batch_us)
+                batch_us = us;
+        }
         std::fprintf(
             stderr,
             "formation_speed_smoke: %dx %s batch at 4 threads "
@@ -799,9 +908,10 @@ main(int argc, char **argv)
     }
 
     std::vector<FormationTiming> sweep = sweepFormation(kRepeats);
-    std::vector<ParallelTiming> parallel = sweepParallel(3);
-    std::vector<GeneratedTiming> generated = sweepGenerated(3);
-    writeJson("BENCH_pass_speed.json", sweep, parallel, generated);
+    std::vector<ThreadTiming> parallel = sweepParallel(kRepeats);
+    std::vector<ThreadTiming> generated = sweepGenerated(kRepeats);
+    writeJson("BENCH_pass_speed.json", sweep, parallel, generated,
+              kRepeats);
     if (const FormationTiming *big = largestWorkload(sweep)) {
         std::fprintf(stderr, "largest workload %s: formation %lld us\n",
                      big->name.c_str(),

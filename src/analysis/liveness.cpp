@@ -357,18 +357,36 @@ Liveness::solveRank(uint32_t r, const PredecessorMap &preds)
         ins[b].reset();
         outs[b].reset();
     }
-    bool again = true;
-    while (again) {
-        again = false;
-        for (uint32_t i = begin; i < end; ++i) {
-            BlockId b = rankMembers[i];
-            if (rank[b] != r)
-                continue;
-            transfer(b);
-            if (outScratch != outs[b] || inScratch != ins[b]) {
-                std::swap(outs[b], outScratch);
-                std::swap(ins[b], inScratch);
-                again = true;
+    // A worklist over the members, seeded with all of them in member
+    // order: a member whose live-in changes re-queues its predecessors
+    // in the rank, and the solve ends when the queue drains. A member
+    // is queued at most once at a time, so a ring of `members` slots
+    // holds the queue.
+    if (queued.size() < ins.size())
+        queued.resize(ins.size(), 0);
+    if (work.size() < members)
+        work.resize(members);
+    size_t head = 0, queue_len = 0;
+    auto enqueue = [&](BlockId b) {
+        queued[b] = 1;
+        work[(head + queue_len++) % members] = b;
+    };
+    for (uint32_t i = begin; i < end; ++i) {
+        if (rank[rankMembers[i]] == r)
+            enqueue(rankMembers[i]);
+    }
+    while (queue_len > 0) {
+        BlockId b = work[head];
+        head = (head + 1) % members;
+        --queue_len;
+        queued[b] = 0;
+        transfer(b);
+        std::swap(outs[b], outScratch);
+        if (inScratch != ins[b]) {
+            std::swap(ins[b], inScratch);
+            for (BlockId p : preds[b]) {
+                if (rank[p] == r && !queued[p])
+                    enqueue(p);
             }
         }
     }

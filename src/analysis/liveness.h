@@ -144,6 +144,10 @@ class Liveness
     std::vector<std::pair<BlockId, BlockId>> removedEdges;
     BitVector outScratch, inScratch;
     std::vector<BitVector> oldIns;
+    // A cyclic rank's worklist: a ring of its members and a queued
+    // flag per block (all clear between solves).
+    std::vector<BlockId> work;
+    std::vector<uint8_t> queued;
 };
 
 /**

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <iterator>
 
+#include "support/fatal.h"
+
 namespace chf {
 
 /**
@@ -187,9 +189,48 @@ opcodeIsCommutative(Opcode op)
 
 /**
  * Evaluate a pure opcode on constant operands (unary ops ignore @p b).
- * Division and modulus by zero yield zero by definition in this IR.
+ * The one definition of the IR's arithmetic: constant folding and both
+ * simulators call it. Arithmetic wraps in two's complement: Add, Sub,
+ * Mul and Neg are taken modulo 2^64, x / -1 is the wrapping negation
+ * of x (so INT64_MIN / -1 is INT64_MIN) and x % -1 is 0. Division and
+ * modulus by zero yield zero by definition in this IR. Forced inline:
+ * GCC keeps it out of line otherwise, and the simulators' loops would
+ * pay a call per executed instruction.
  */
-int64_t evalOpcode(Opcode op, int64_t a, int64_t b);
+[[gnu::always_inline]] inline int64_t
+evalOpcode(Opcode op, int64_t a, int64_t b)
+{
+    const uint64_t ua = static_cast<uint64_t>(a);
+    const uint64_t ub = static_cast<uint64_t>(b);
+    switch (op) {
+      case Opcode::Mov: return a;
+      case Opcode::Add: return static_cast<int64_t>(ua + ub);
+      case Opcode::Sub: return static_cast<int64_t>(ua - ub);
+      case Opcode::Mul: return static_cast<int64_t>(ua * ub);
+      case Opcode::Div:
+        if (b == 0)
+            return 0;
+        return b == -1 ? static_cast<int64_t>(0 - ua) : a / b;
+      case Opcode::Mod: return b == 0 || b == -1 ? 0 : a % b;
+      case Opcode::Neg: return static_cast<int64_t>(0 - ua);
+      case Opcode::And: return a & b;
+      case Opcode::Or:  return a | b;
+      case Opcode::Xor: return a ^ b;
+      case Opcode::Not: return ~a;
+      case Opcode::Band: return (a != 0) && (b != 0);
+      case Opcode::Bandc: return (a != 0) && (b == 0);
+      case Opcode::Shl: return static_cast<int64_t>(ua << (b & 63));
+      case Opcode::Shr: return a >> (b & 63);
+      case Opcode::Teq: return a == b;
+      case Opcode::Tne: return a != b;
+      case Opcode::Tlt: return a < b;
+      case Opcode::Tle: return a <= b;
+      case Opcode::Tgt: return a > b;
+      case Opcode::Tge: return a >= b;
+      default:
+        panic("evalOpcode on impure opcode");
+    }
+}
 
 } // namespace chf
 

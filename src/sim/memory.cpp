@@ -44,24 +44,12 @@ MemoryImage::hasRegion(const std::string &name) const
     return false;
 }
 
-int64_t
-MemoryImage::read(int64_t addr) const
-{
-    // Reads never grow the image and out-of-image reads return zero:
-    // speculatively issued (unpredicated) loads may compute wild
-    // addresses from stale operands, and their results are only
-    // observed by correctly guarded consumers.
-    if (addr < 0 || addr >= static_cast<int64_t>(data.size()))
-        return 0;
-    return data[addr];
-}
-
 void
-MemoryImage::write(int64_t addr, int64_t value)
+MemoryImage::writeGrowing(int64_t addr, int64_t value)
 {
     if (addr < 0)
         fatal(concat("memory write at negative address ", addr));
-    if (addr >= (int64_t(1) << 26))
+    if (addr >= kWriteCap)
         fatal(concat("memory write beyond image cap at ", addr));
     ensure(addr + 1);
     data[addr] = value;

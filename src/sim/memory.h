@@ -40,8 +40,34 @@ class MemoryImage
     /** All regions, in allocation order. */
     const std::vector<GlobalRegion> &regions() const { return globals; }
 
-    int64_t read(int64_t addr) const;
-    void write(int64_t addr, int64_t value);
+    /**
+     * The word at @p addr. Reads never grow the image, and a read
+     * outside it returns zero: speculatively issued (unpredicated)
+     * loads may compute wild addresses from stale operands, and their
+     * results are only observed by correctly guarded consumers.
+     */
+    int64_t
+    read(int64_t addr) const
+    {
+        if (addr < 0 || addr >= static_cast<int64_t>(data.size()))
+            return 0;
+        return data[addr];
+    }
+
+    /**
+     * Store @p value at @p addr, growing the image to it; fatal at a
+     * negative address or at one beyond the image cap.
+     */
+    void
+    write(int64_t addr, int64_t value)
+    {
+        if (addr >= 0 && addr < kWriteCap &&
+            addr < static_cast<int64_t>(data.size())) {
+            data[addr] = value;
+            return;
+        }
+        writeGrowing(addr, value);
+    }
 
     /** Raw words (sized to the high-water mark of writes/allocations). */
     const std::vector<int64_t> &words() const { return data; }
@@ -60,6 +86,10 @@ class MemoryImage
     uint64_t userHash() const;
 
   private:
+    /** Writes at or beyond this word address are fatal. */
+    static constexpr int64_t kWriteCap = int64_t(1) << 26;
+
+    void writeGrowing(int64_t addr, int64_t value);
     void ensure(int64_t addr) const;
 
     std::vector<GlobalRegion> globals;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
-#include <limits>
 #include <utility>
 
 #include "analysis/liveness.h"
@@ -15,16 +14,24 @@ namespace chf {
 namespace {
 
 /**
- * What the timing walk needs of one instruction beyond its IR,
- * decoded the first time its block executes.
+ * Simulated time in whole cycles. Every latency, offset and penalty of
+ * the model is a whole number of cycles, so times add and compare as
+ * integers.
+ */
+using Cycle = int64_t;
+
+/**
+ * One instruction as the timing walk runs it: its micro-op, and the
+ * timing fields decoded the first time its block executes.
  */
 struct DecodedInst
 {
+    detail::MicroOp op;
     /** Cycles after the block's map before the instruction enters. */
-    double eligibleOffset;
+    int eligibleOffset;
     int tile;
     int x, y; ///< the tile's grid column and row
-    int latency;
+    uint8_t latency;
     /** The registers it reads, predicate included (forEachUse). */
     std::array<Vreg, 4> uses;
     uint8_t numUses;
@@ -34,27 +41,27 @@ struct DecodedInst
     bool liveOut;
 };
 
-/** Where a register's latest value was produced. */
-struct Producer
+/** When a register's latest value is ready, and where it was produced. */
+struct RegTiming
 {
+    Cycle ready = 0;
     /** Block instance (1-based) that produced it; 0 when none has. */
     uint64_t instance = 0;
     int x = 0, y = 0;
 };
 
-constexpr size_t kUndecoded = std::numeric_limits<size_t>::max();
-
 /** Place @p bb and append one record per instruction to @p out. */
 void
 decodeBlock(const BasicBlock &bb, const BitVector &live_out,
             const TimingConfig &config, PlacementScratch &placement,
-            std::vector<DecodedInst> &out)
+            detail::Machine &m, std::vector<DecodedInst> &out)
 {
     Placement tiles = scheduleBlock(bb, config.grid, placement);
     for (size_t i = 0; i < bb.insts.size(); ++i) {
         const Instruction &inst = bb.insts[i];
         DecodedInst d{};
-        d.eligibleOffset = static_cast<double>(i / config.fetchBandwidth);
+        d.op = m.decode(inst);
+        d.eligibleOffset = static_cast<int>(i / config.fetchBandwidth);
         d.tile = tiles[i];
         d.x = d.tile % config.grid.gridWidth;
         d.y = d.tile / config.grid.gridWidth;
@@ -90,94 +97,92 @@ runTiming(const Program &program, const TimingConfig &config,
     // decode reads this once per block; execution reads the flag.
     Liveness liveness(fn);
 
-    // Per-block decode, filled in as blocks first execute:
-    // decoded[decoded_at[id] + i] is instruction i of block id.
-    std::vector<size_t> decoded_at(fn.blockTableSize(), kUndecoded);
+    // Per-block decode, filled in as blocks first execute.
+    std::vector<detail::BlockSpan> spans(fn.blockTableSize());
     std::vector<DecodedInst> decoded;
+    decoded.reserve(fn.totalInsts());
     PlacementScratch placement;
 
-    // When each register's current value becomes available (absolute
-    // cycles). Register-file reads add regReadLatency at consumption;
+    // When each register's current value becomes available, and its
+    // producer. Register-file reads add regReadLatency at consumption;
     // a value produced in the running block instance instead pays one
     // cycle per hop from its producer's tile.
-    std::vector<double> reg_ready(fn.numVregs(), 0.0);
-    std::vector<Producer> producer(fn.numVregs());
+    std::vector<RegTiming> reg_timing(fn.numVregs());
 
     // Commit times of the last maxInFlightBlocks blocks: block k waits
     // for block k - maxInFlightBlocks to commit, in slot k % that. The
     // ring fills as blocks commit, so a wide window costs no more
     // memory than the blocks that ran.
     const size_t window_size = config.maxInFlightBlocks;
-    std::vector<double> window;
+    std::vector<Cycle> window;
 
     // Per block instance, reset at each block: when each tile can
     // issue next, and store completion times by exact address (the
     // load/store queue with LSIDs and dependence prediction resolves
     // independent accesses, so only true same-address dependences
     // serialize; a later store to an address replaces the earlier).
-    std::vector<double> tile_free(config.grid.numTiles(), 0.0);
-    std::vector<std::pair<int64_t, double>> store_done;
+    std::vector<Cycle> tile_free(config.grid.numTiles(), 0);
+    std::vector<std::pair<int64_t, Cycle>> store_done;
 
-    double next_fetch_start = 0.0;
-    double last_commit = 0.0;
+    Cycle next_fetch_start = 0;
+    Cycle last_commit = 0;
+    uint64_t executed = 0;
     bool returned = false;
     BlockId current = fn.entry();
 
     while (!returned) {
-        const BasicBlock *bb = fn.block(current);
-        CHF_ASSERT(bb, "timing simulation reached a removed block");
+        if (current >= spans.size() || !spans[current].decoded()) {
+            const BasicBlock *bb = fn.block(current);
+            CHF_ASSERT(bb, "timing simulation reached a removed block");
+            spans[current].begin = static_cast<uint32_t>(decoded.size());
+            decodeBlock(*bb, liveness.liveOut(current), config, placement,
+                        m, decoded);
+            spans[current].end = static_cast<uint32_t>(decoded.size());
+        }
         if (result.blocksExecuted >= config.maxBlocks)
             fatal("timing simulation exceeded block budget");
-
-        if (decoded_at[current] == kUndecoded) {
-            decoded_at[current] = decoded.size();
-            decodeBlock(*bb, liveness.liveOut(current), config, placement,
-                        decoded);
-        }
-        const DecodedInst *dec = decoded.data() + decoded_at[current];
+        const DecodedInst *dec = decoded.data() + spans[current].begin;
+        const uint32_t size = spans[current].size();
 
         // --- Fetch/map: window slot + dispatch pipelining ---
-        double fetch_start = next_fetch_start;
+        Cycle fetch_start = next_fetch_start;
         const size_t slot = result.blocksExecuted % window_size;
         if (slot < window.size())
             fetch_start = std::max(fetch_start, window[slot]);
-        double map_done = fetch_start + config.fetchMapLatency;
+        const Cycle map_done = fetch_start + config.fetchMapLatency;
 
         // --- Dataflow execution of the fired instructions ---
-        std::fill(tile_free.begin(), tile_free.end(), 0.0);
+        std::fill(tile_free.begin(), tile_free.end(), 0);
         store_done.clear();
-        double outputs_done = map_done;
-        double branch_resolve = map_done;
+        Cycle outputs_done = map_done;
+        Cycle branch_resolve = map_done;
         BlockId next = kNoBlock;
         size_t fired_branches = 0;
 
         const uint64_t instance = ++result.blocksExecuted;
 
-        for (size_t i = 0; i < bb->insts.size(); ++i) {
-            const Instruction &inst = bb->insts[i];
-            if (!m.predicateHolds(inst.pred))
-                continue;
-            ++result.instsExecuted;
+        for (uint32_t i = 0; i < size; ++i) {
             const DecodedInst &d = dec[i];
+            if (!m.fires(d.op))
+                continue;
+            ++executed;
 
             // Operand arrival: in-block producers pay hop latency;
             // cross-block values pay the register read latency.
-            double ready = map_done + d.eligibleOffset;
+            Cycle ready = map_done + d.eligibleOffset;
             for (uint8_t u = 0; u < d.numUses; ++u) {
-                const Vreg v = d.uses[u];
-                const Producer &p = producer[v];
+                const RegTiming &p = reg_timing[d.uses[u]];
                 if (p.instance == instance) {
                     int hops = std::abs(p.x - d.x) + std::abs(p.y - d.y);
-                    ready = std::max(ready, reg_ready[v] + hops);
+                    ready = std::max(ready, p.ready + hops);
                 } else {
-                    ready = std::max(ready, reg_ready[v] +
-                                                config.regReadLatency);
+                    ready = std::max(ready, p.ready + config.regReadLatency);
                 }
             }
             int64_t addr = 0;
-            std::pair<int64_t, double> *prior_store = nullptr;
+            std::pair<int64_t, Cycle> *prior_store = nullptr;
             if (d.memory) {
-                addr = m.value(inst.srcs[0]) + m.value(inst.srcs[1]);
+                addr = m.address(d.op);
                 for (auto &store : store_done) {
                     if (store.first == addr) {
                         prior_store = &store;
@@ -187,50 +192,47 @@ runTiming(const Program &program, const TimingConfig &config,
                 }
             }
 
-            double issue = std::max(ready, tile_free[d.tile]);
-            tile_free[d.tile] = issue + 1.0;
-            double done = issue + d.latency;
+            const Cycle issue = std::max(ready, tile_free[d.tile]);
+            tile_free[d.tile] = issue + 1;
+            const Cycle done = issue + d.latency;
+
+            if (d.hasDest) {
+                // Forward to younger blocks as produced.
+                reg_timing[d.op.dest] = {done, instance, d.x, d.y};
+                if (d.liveOut)
+                    outputs_done = std::max(outputs_done, done);
+            }
 
             // Functional effect.
-            switch (inst.op) {
+            if (detail::isPure(d.op.op)) {
+                m.evaluate(d.op);
+                continue;
+            }
+            switch (d.op.op) {
               case Opcode::Load:
-                m.regs[inst.dest] = m.memory.read(addr);
+                m.values[d.op.dest] = m.memory.read(addr);
                 break;
-              case Opcode::Store: {
-                m.memory.write(addr, m.value(inst.srcs[2]));
+              case Opcode::Store:
+                m.memory.write(addr, m.values[d.op.src[2]]);
                 if (prior_store)
                     prior_store->second = done;
                 else
                     store_done.emplace_back(addr, done);
                 outputs_done = std::max(outputs_done, done);
                 break;
-              }
               case Opcode::Br:
                 ++fired_branches;
-                next = inst.target;
+                next = d.op.target;
                 branch_resolve = done;
                 outputs_done = std::max(outputs_done, done);
                 break;
-              case Opcode::Ret:
+              default: // Ret
                 ++fired_branches;
                 returned = true;
-                result.returnValue = m.value(inst.srcs[0]);
+                result.returnValue = m.values[d.op.src[0]];
                 branch_resolve = done;
                 outputs_done = std::max(outputs_done, done);
                 break;
-              default:
-                m.regs[inst.dest] =
-                    evalOpcode(inst.op, m.value(inst.srcs[0]),
-                               m.value(inst.srcs[1]));
-                break;
-            }
-
-            if (d.hasDest) {
-                producer[inst.dest] = {instance, d.x, d.y};
-                // Forward to younger blocks as produced.
-                reg_ready[inst.dest] = done;
-                if (d.liveOut)
-                    outputs_done = std::max(outputs_done, done);
             }
         }
 
@@ -240,8 +242,8 @@ runTiming(const Program &program, const TimingConfig &config,
         }
 
         // --- Commit: in order, one block per cycle ---
-        double commit = std::max(outputs_done + config.commitLatency,
-                                 last_commit + 1.0);
+        const Cycle commit =
+            std::max(outputs_done + config.commitLatency, last_commit + 1);
         last_commit = commit;
         if (slot < window.size())
             window[slot] = commit;
@@ -268,6 +270,7 @@ runTiming(const Program &program, const TimingConfig &config,
         current = next;
     }
 
+    result.instsExecuted = executed;
     result.memoryHash = m.memory.hash();
     return result;
 }

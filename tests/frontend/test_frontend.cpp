@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "frontend/lexer.h"
 #include "frontend/lowering.h"
 #include "frontend/parser.h"
@@ -13,6 +17,7 @@
 #include "ir/verifier.h"
 #include "pipeline/session.h"
 #include "sim/functional_sim.h"
+#include "sim/timing_sim.h"
 
 namespace chf {
 namespace {
@@ -111,6 +116,58 @@ TEST(Lowering, DivisionByZeroIsDefined)
 {
     EXPECT_EQ(runSource("int main() { int z = 0; return 5 / z; }"), 0);
     EXPECT_EQ(runSource("int main() { int z = 0; return 5 % z; }"), 0);
+}
+
+TEST(Lowering, SignedOverflowWrapsInTheFoldAndBothSimulators)
+{
+    // INT64_MIN / -1 and INT64_MIN % -1 from an argument, evaluated by
+    // the simulators, and from constants, which GVN's fold evaluates
+    // while the program is prepared: every one wraps instead of
+    // trapping. The lowered, prepared and (IUPO)-compiled forms of each
+    // program must agree in both simulators.
+    const int64_t min = std::numeric_limits<int64_t>::min();
+    const std::string m = "int m = -9223372036854775807 - 1; ";
+    struct Case
+    {
+        std::string source;
+        std::vector<int64_t> args;
+        int64_t want;
+        bool folds;
+    };
+    const Case cases[] = {
+        {"int main(int a) { " + m + "return m / a; }", {-1}, min, false},
+        {"int main(int a) { " + m + "return m % a; }", {-1}, 0, false},
+        {"int main() { " + m + "return m / -1; }", {}, min, true},
+        {"int main() { " + m + "return m % -1; }", {}, 0, true},
+        // (min + 1) + min, where m * -1 wraps to min: 1.
+        {"int main(int a) { " + m + "return (m - a) + m * a; }", {-1}, 1,
+         false},
+    };
+    for (const Case &c : cases) {
+        Program lowered = Session::frontend(c.source);
+        Program prepared = lowered.clone();
+        ProfileData profile = prepareProgram(prepared, c.args);
+        Program compiled = prepared.clone();
+        Session session(SessionOptions().withPipeline(Pipeline::IUPO_fused));
+        session.addProgramRef(compiled, profile);
+        session.compile();
+        for (const Program *p : {&lowered, &prepared, &compiled}) {
+            EXPECT_EQ(runFunctional(*p, c.args).returnValue, c.want)
+                << c.source;
+            EXPECT_EQ(runTiming(*p, {}, c.args).returnValue, c.want)
+                << c.source;
+        }
+        if (c.folds) {
+            // The fold left no division to run.
+            for (BlockId id : prepared.fn.blockIds()) {
+                for (const Instruction &inst :
+                     prepared.fn.block(id)->insts) {
+                    EXPECT_NE(inst.op, Opcode::Div) << c.source;
+                    EXPECT_NE(inst.op, Opcode::Mod) << c.source;
+                }
+            }
+        }
+    }
 }
 
 TEST(Lowering, Comparisons)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -84,6 +86,28 @@ TEST(Opcode, EvalSemantics)
     EXPECT_EQ(evalOpcode(Opcode::Bandc, 5, 0), 1);
     EXPECT_EQ(evalOpcode(Opcode::Bandc, 5, 2), 0);
     EXPECT_EQ(evalOpcode(Opcode::Tlt, -1, 0), 1);
+}
+
+TEST(Opcode, EvalWrapsOnOverflow)
+{
+    // Two's-complement wrapping: no edge value traps or is undefined.
+    const int64_t min = std::numeric_limits<int64_t>::min();
+    const int64_t max = std::numeric_limits<int64_t>::max();
+    EXPECT_EQ(evalOpcode(Opcode::Div, min, -1), min); // wrapping negate
+    EXPECT_EQ(evalOpcode(Opcode::Mod, min, -1), 0);
+    EXPECT_EQ(evalOpcode(Opcode::Div, 7, -1), -7);
+    EXPECT_EQ(evalOpcode(Opcode::Mod, 7, -1), 0);
+    EXPECT_EQ(evalOpcode(Opcode::Div, min, 1), min);
+    EXPECT_EQ(evalOpcode(Opcode::Mod, min, 0), 0);
+    EXPECT_EQ(evalOpcode(Opcode::Div, -7, 2), -3); // truncates to zero
+    EXPECT_EQ(evalOpcode(Opcode::Mod, -7, 2), -1);
+    EXPECT_EQ(evalOpcode(Opcode::Add, max, 1), min);
+    EXPECT_EQ(evalOpcode(Opcode::Sub, min, 1), max);
+    EXPECT_EQ(evalOpcode(Opcode::Mul, min, -1), min);
+    EXPECT_EQ(evalOpcode(Opcode::Mul, max, 2), -2);
+    EXPECT_EQ(evalOpcode(Opcode::Neg, min, 0), min);
+    EXPECT_EQ(evalOpcode(Opcode::Shl, -1, 63), min);
+    EXPECT_EQ(evalOpcode(Opcode::Shr, min, 63), -1);
 }
 
 // ----- Instructions -----

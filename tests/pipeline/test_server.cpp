@@ -107,6 +107,25 @@ TEST(ServerProtocol, MalformedRequestsAreErrorsNotCrashes)
         << typo;
 }
 
+TEST(ServerProtocol, MinDividedByMinusOneIsServed)
+{
+    // INT64_MIN / -1 traps a hardware divide. The first request reaches
+    // it in the profiler's run of the program, the second in constant
+    // folding; both must compile, and the server must keep serving.
+    CompileServer server;
+    const char *requests[] = {
+        R"({"op":"compile","source":"int main(int a) { int m = -9223372036854775807 - 1; return m / a; }","args":[-1]})",
+        R"({"op":"compile","source":"int main() { int m = -9223372036854775807 - 1; return m / -1; }"})",
+        R"({"op":"compile","source":"int main(int a) { int m = -9223372036854775807 - 1; return m % a; }","args":[-1]})",
+    };
+    for (const char *request : requests) {
+        std::string response = server.handle(request);
+        EXPECT_EQ(status(response), "ok") << request << "\n" << response;
+    }
+    EXPECT_EQ(status(server.handle(R"({"op":"health"})")), "ok");
+    EXPECT_EQ(server.stats().compiled, 3u);
+}
+
 TEST(ServerProtocol, CompilesAndEchoesId)
 {
     CompileServer server;

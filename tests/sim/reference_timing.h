@@ -4,7 +4,8 @@
  * reference it must match on every simulated statistic. It places every
  * block up front with scheduleFunction, reads Liveness for each fired
  * instruction, and rebuilds a std::map of in-block values, a std::map
- * of store times and a tile_free vector for every executed block.
+ * of store times and a tile_free vector for every executed block, and
+ * evaluates every operand from the IR (reference_machine.h).
  */
 
 #ifndef CHF_TESTS_SIM_REFERENCE_TIMING_H
@@ -17,7 +18,7 @@
 
 #include "analysis/liveness.h"
 #include "backend/scheduler.h"
-#include "sim/machine.h"
+#include "reference_machine.h"
 #include "sim/timing_sim.h"
 #include "support/fatal.h"
 
@@ -32,7 +33,7 @@ runTiming(const Program &program, const TimingConfig &config = {},
     const Function &fn = program.fn;
     TimingResult result;
 
-    detail::Machine m(program, args);
+    Machine m(program, args);
 
     NextBlockPredictor predictor(config.predictorBits);
 
