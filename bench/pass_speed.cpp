@@ -16,7 +16,9 @@
  *    writeFunctionAsm of the baseline workload, and runFunctional plus
  *    runTiming over the 24 kernels' (IUPO) compiles (median of 5 each),
  *    and the 4-thread batch config, and fail if any regressed more
- *    than 2x against the recorded baseline. Wired into ctest so
+ *    than 2x against the recorded baseline; then compile synth64 and
+ *    synth256 alternately and fail if the ratio of their medians
+ *    exceeds the baseline's scaling_256_64_max. Wired into ctest so
  *    compile-time and simulator regressions fail tier-1. Skipped in
  *    unoptimized builds.
  *
@@ -371,6 +373,50 @@ timeSimulatorsUs(const std::vector<Program> &programs, int repeats)
     return median(std::move(samples));
 }
 
+/**
+ * Wall time of one compile of a clone of @p prepared from formation to
+ * assembly text: the Session's formation and back end, then
+ * writeFunctionAsm.
+ */
+int64_t
+compileToAsmUs(const Program &prepared)
+{
+    Program copy = prepared.clone();
+    Timer timer;
+    compileOne(copy, SessionOptions().withPipeline(Pipeline::IUPO_fused));
+    std::string text = writeFunctionAsm(copy.fn);
+    int64_t us = timer.elapsedMicros();
+    benchmark::DoNotOptimize(text.data());
+    return us;
+}
+
+/**
+ * How compile time scales with function size: the median compile of
+ * synth256 over the median compile of synth64 (compileToAsmUs), the
+ * two prepared once and compiled alternately @p repeats times each
+ * after one warm-up. Both sides run in one process, interleaved, so
+ * the host's speed cancels out of the ratio.
+ */
+double
+scalingRatio(int repeats, int64_t *small_us, int64_t *large_us)
+{
+    Program small = buildWorkload(synthFormationWorkload(64));
+    Program large = buildWorkload(synthFormationWorkload(256));
+    prepareProgram(small);
+    prepareProgram(large);
+    compileToAsmUs(small);
+    compileToAsmUs(large);
+    std::vector<int64_t> small_samples, large_samples;
+    for (int r = 0; r < repeats; ++r) {
+        small_samples.push_back(compileToAsmUs(small));
+        large_samples.push_back(compileToAsmUs(large));
+    }
+    *small_us = median(std::move(small_samples));
+    *large_us = median(std::move(large_samples));
+    return static_cast<double>(*large_us) /
+           static_cast<double>(std::max<int64_t>(*small_us, 1));
+}
+
 std::vector<FormationTiming>
 sweepFormation(int repeats)
 {
@@ -662,8 +708,8 @@ writeJson(const std::string &path,
 }
 
 /** Pull "key": <number> out of a small JSON file; -1 if absent. */
-int64_t
-jsonInt(const std::string &text, const std::string &key)
+double
+jsonNumber(const std::string &text, const std::string &key)
 {
     std::string needle = "\"" + key + "\"";
     size_t at = text.find(needle);
@@ -672,7 +718,13 @@ jsonInt(const std::string &text, const std::string &key)
     at = text.find(':', at);
     if (at == std::string::npos)
         return -1;
-    return std::strtoll(text.c_str() + at + 1, nullptr, 10);
+    return std::strtod(text.c_str() + at + 1, nullptr);
+}
+
+int64_t
+jsonInt(const std::string &text, const std::string &key)
+{
+    return static_cast<int64_t>(jsonNumber(text, key));
 }
 
 std::string
@@ -694,7 +746,8 @@ jsonString(const std::string &text, const std::string &key)
  * Smoke mode for ctest: time prepareProgram, cached formation and
  * writeFunctionAsm of the baseline workload and the 4-thread parallel
  * batch, and compare each against the recorded baseline. A >2x
- * regression fails the test. The batch check is skipped when the
+ * regression fails the test, and so does a synth256 / synth64 compile
+ * ratio above scaling_256_64_max. The batch check is skipped when the
  * baseline predates the batch_wall_us_4t key.
  */
 int
@@ -840,6 +893,34 @@ runSmoke(const char *baseline_path)
         std::fprintf(stderr,
                      "formation_speed_smoke: no sim_us in baseline; "
                      "simulator check skipped\n");
+    }
+
+    // Scaling: a compile four times the size must cost less than
+    // scaling_256_64_max times as much. Whole-function analyses re-run
+    // per merge (a liveness universe as wide as every register, a loop
+    // query that scans every loop) fail here; the host's speed does
+    // not, since both sides run in this process.
+    double scaling_max = jsonNumber(baseline, "scaling_256_64_max");
+    if (scaling_max > 0) {
+        int64_t small_us = 0, large_us = 0;
+        double ratio = scalingRatio(kRepeats, &small_us, &large_us);
+        std::fprintf(stderr,
+                     "formation_speed_smoke: synth256 %lld us / synth64 "
+                     "%lld us = %.2f (limit %.2f)\n",
+                     static_cast<long long>(large_us),
+                     static_cast<long long>(small_us), ratio,
+                     scaling_max);
+        if (ratio > scaling_max) {
+            std::fprintf(stderr,
+                         "FAIL: compile time grows faster than the "
+                         "recorded scaling bound (%s)\n",
+                         baseline_path);
+            return 1;
+        }
+    } else {
+        std::fprintf(stderr,
+                     "formation_speed_smoke: no scaling_256_64_max in "
+                     "baseline; scaling check skipped\n");
     }
 
     int64_t batch_baseline_us = jsonInt(baseline, "batch_wall_us_4t");

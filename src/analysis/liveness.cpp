@@ -1,6 +1,7 @@
 #include "analysis/liveness.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 
 namespace chf {
@@ -8,12 +9,12 @@ namespace chf {
 namespace {
 
 /**
- * Bitvector universe padding. Formation allocates predicate registers
- * on nearly every merge; if the analysis tracked exactly
- * fn.numVregs() bits, every incremental update would resize every
- * bitvector of every block. Rounding the universe up by ~25% (and to a
- * whole word) makes growth resizes logarithmic in total register
- * growth. Padding bits are never set, so results are unaffected.
+ * Register width of the sets the queries return. Formation allocates
+ * predicate registers in nearly every trial, failed ones included, and
+ * the AnalysisManager refreshes the analysis before a query once the
+ * function outgrows this width; rounding up by ~25% (and to a whole
+ * word) keeps those refreshes rare. Bits past fn.numVregs() are never
+ * set, so results are unaffected.
  */
 uint32_t
 paddedUniverse(uint32_t n)
@@ -22,16 +23,26 @@ paddedUniverse(uint32_t n)
     return (n + pad + 63) & ~uint32_t(63);
 }
 
-} // namespace
-
-BitVector
-blockUses(const BasicBlock &bb, uint32_t num_vregs)
+/** Bits per name set for @p names names: whole words, at least one. */
+uint32_t
+nameCapacity(size_t names)
 {
-    BitVector uses;
-    BitVector killed;
-    blockUsesInto(bb, num_vregs, uses, killed);
-    return uses;
+    return std::max<uint32_t>(64, (static_cast<uint32_t>(names) + 63) &
+                                      ~uint32_t(63));
 }
+
+/** True if @p bb writes @p v without a predicate. */
+bool
+killsRegister(const BasicBlock &bb, Vreg v)
+{
+    for (const Instruction &inst : bb.insts) {
+        if (inst.hasDest() && inst.dest == v && !inst.pred.valid())
+            return true;
+    }
+    return false;
+}
+
+} // namespace
 
 void
 blockUsesInto(const BasicBlock &bb, uint32_t num_vregs, BitVector &uses,
@@ -51,17 +62,6 @@ blockUsesInto(const BasicBlock &bb, uint32_t num_vregs, BitVector &uses,
     }
 }
 
-BitVector
-blockKills(const BasicBlock &bb, uint32_t num_vregs)
-{
-    BitVector kills(num_vregs);
-    for (const auto &inst : bb.insts) {
-        if (inst.hasDest() && !inst.pred.valid())
-            kills.set(inst.dest);
-    }
-    return kills;
-}
-
 void
 blockDefsInto(const BasicBlock &bb, uint32_t num_vregs, BitVector &defs)
 {
@@ -73,31 +73,99 @@ blockDefsInto(const BasicBlock &bb, uint32_t num_vregs, BitVector &defs)
     }
 }
 
+template <typename OnUse, typename OnKill>
+void
+Liveness::scanBlock(const BasicBlock &bb, OnUse on_use, OnKill on_kill)
+{
+    // on_use sees each read of a register not yet written unpredicated
+    // in the block (a register may come twice), on_kill each
+    // unpredicated write.
+    if (++scanEpoch == 0) {
+        std::fill(killedAt.begin(), killedAt.end(), 0);
+        scanEpoch = 1;
+    }
+    for (const Instruction &inst : bb.insts) {
+        inst.forEachUse([&](Vreg v) {
+            if (killedAt[v] != scanEpoch)
+                on_use(v);
+        });
+        if (inst.hasDest() && !inst.pred.valid()) {
+            killedAt[inst.dest] = scanEpoch;
+            on_kill(inst.dest);
+        }
+    }
+}
+
+void
+Liveness::refreshFacts(BlockId id, const BasicBlock &bb)
+{
+    BitVector &use = uses[id], &kill = kills[id];
+    use.reset();
+    kill.reset();
+    scanBlock(
+        bb, [&](Vreg v) { use.set(nameOf[v]); },
+        [&](Vreg v) {
+            if (nameOf[v] != kNoName)
+                kill.set(nameOf[v]);
+        });
+}
+
 Liveness::Liveness(const Function &fn)
 {
     nv = paddedUniverse(fn.numVregs());
     entryBlock = fn.entry();
     size_t table = fn.blockTableSize();
-    ins.assign(table, BitVector(nv));
-    outs.assign(table, BitVector(nv));
-    uses.assign(table, BitVector(nv));
-    kills.assign(table, BitVector(nv));
     succs.assign(table, {});
     rank.assign(table, kNoRank);
+    nameOf.assign(nv, kNoName);
+    killedAt.assign(nv, 0);
 
+    // One scan of the reachable blocks marks the names and keeps each
+    // block's exposed and killed registers; once the names are
+    // numbered in register order, those lists become the facts.
     std::vector<BlockId> order = fn.reversePostOrder();
+    std::vector<Vreg> exposed, killed;
+    std::vector<std::pair<size_t, size_t>> ends; // parallel to order
     for (BlockId id : order) {
         const BasicBlock *bb = fn.block(id);
-        uses[id] = blockUses(*bb, nv);
-        kills[id] = blockKills(*bb, nv);
+        scanBlock(
+            *bb,
+            [&](Vreg v) {
+                nameOf[v] = 0;
+                exposed.push_back(v);
+            },
+            [&](Vreg v) { killed.push_back(v); });
+        ends.emplace_back(exposed.size(), killed.size());
         succs[id] = bb->successors();
         rank[id] = 0;
+    }
+    for (Vreg v = 0; v < nv; ++v) {
+        if (nameOf[v] != kNoName) {
+            nameOf[v] = static_cast<uint32_t>(regOf.size());
+            regOf.push_back(v);
+        }
+    }
+    ordered = static_cast<uint32_t>(regOf.size());
+    width = nameCapacity(regOf.size());
+    ins.assign(table, BitVector(width));
+    outs.assign(table, BitVector(width));
+    uses.assign(table, BitVector(width));
+    kills.assign(table, BitVector(width));
+    size_t e = 0, k = 0;
+    for (size_t i = 0; i < order.size(); ++i) {
+        const BlockId id = order[i];
+        for (; e < ends[i].first; ++e)
+            uses[id].set(nameOf[exposed[e]]);
+        for (; k < ends[i].second; ++k) {
+            if (nameOf[killed[k]] != kNoName)
+                kills[id].set(nameOf[killed[k]]);
+        }
     }
 
     // Backward fixed point: visit in post-order (reverse of RPO). The
     // scratch vectors are reused across visits to keep the solve
     // allocation-free.
-    BitVector out(nv), in(nv);
+    BitVector out(width), in(width);
     bool changed = true;
     while (changed) {
         changed = false;
@@ -115,6 +183,69 @@ Liveness::Liveness(const Function &fn)
                 changed = true;
             }
         }
+    }
+}
+
+void
+Liveness::indexDefs(BlockId id, const BasicBlock &bb)
+{
+    for (const Instruction &inst : bb.insts) {
+        if (!inst.hasDest() || inst.pred.valid())
+            continue;
+        uint32_t &head = defHead[inst.dest];
+        if (head != kNoNode && defNodes[head].block == id)
+            continue;
+        defNodes.push_back({id, head});
+        head = static_cast<uint32_t>(defNodes.size() - 1);
+    }
+}
+
+void
+Liveness::addNames(const Function &fn, uint32_t first)
+{
+    // The first growth indexes every reachable block; later updates
+    // have kept the index current for the blocks they listed.
+    if (!indexed) {
+        defHead.assign(nv, kNoNode);
+        for (BlockId id = 0; id < rank.size(); ++id) {
+            if (rank[id] != kNoRank && fn.block(id))
+                indexDefs(id, *fn.block(id));
+        }
+        indexed = true;
+    }
+
+    // Capacity doubles, so growth never re-solves: the new names' bits
+    // are clear (bottom) everywhere until the edited ranks' solve
+    // reaches them.
+    const uint32_t names = static_cast<uint32_t>(regOf.size());
+    if (names > width) {
+        while (width < names)
+            width *= 2;
+        for (size_t i = 0; i < ins.size(); ++i) {
+            ins[i].resize(width);
+            outs[i].resize(width);
+            uses[i].resize(width);
+            kills[i].resize(width);
+        }
+    }
+
+    // A new name is killed in every block that writes it unpredicated,
+    // listed or not. The listed blocks refresh their own facts.
+    for (uint32_t n = first; n < names; ++n) {
+        const Vreg r = regOf[n];
+        for (uint32_t i = defHead[r]; i != kNoNode; i = defNodes[i].next) {
+            const BlockId b = defNodes[i].block;
+            if (rank[b] == kNoRank || kills[b].test(n) ||
+                std::binary_search(edited.begin(), edited.end(), b))
+                continue;
+            const BasicBlock *bb = fn.block(b);
+            if (bb && killsRegister(*bb, r))
+                kills[b].set(n);
+        }
+        auto at = std::lower_bound(
+            grownByReg.begin(), grownByReg.end(), r,
+            [&](uint32_t m, Vreg reg) { return regOf[m] < reg; });
+        grownByReg.insert(at, n);
     }
 }
 
@@ -312,7 +443,7 @@ Liveness::solveRank(uint32_t r, const PredecessorMap &preds)
         }
     };
     auto transfer = [&](BlockId b) {
-        outScratch.resize(nv);
+        outScratch.resize(width);
         outScratch.reset();
         for (BlockId s : succs[b])
             outScratch.unionWith(ins[s]);
@@ -352,7 +483,7 @@ Liveness::solveRank(uint32_t r, const PredecessorMap &preds)
             if (kept == oldIns.size())
                 oldIns.emplace_back();
             std::swap(oldIns[kept++], ins[b]);
-            ins[b].resize(nv);
+            ins[b].resize(width);
         }
         ins[b].reset();
         outs[b].reset();
@@ -413,14 +544,11 @@ Liveness::update(const Function &fn,
         return rebuild();
 
     if (fn.numVregs() > nv) {
-        uint32_t padded = paddedUniverse(fn.numVregs());
-        for (size_t i = 0; i < table; ++i) {
-            ins[i].resize(padded);
-            outs[i].resize(padded);
-            uses[i].resize(padded);
-            kills[i].resize(padded);
-        }
-        nv = padded;
+        nv = paddedUniverse(fn.numVregs());
+        nameOf.resize(nv, kNoName);
+        killedAt.resize(nv, 0);
+        if (indexed)
+            defHead.resize(nv, kNoNode);
     }
     if (!ranked)
         rankComponents();
@@ -472,13 +600,32 @@ Liveness::update(const Function &fn,
         dropUnreachable(fn);
 
     // Refresh the local facts of the edited blocks that are still on
-    // the CFG and mark their ranks dirty.
+    // the CFG and mark their ranks dirty. A register one of them now
+    // reads before writing it (a predicated def followed by a use)
+    // becomes a new name first.
+    const uint32_t first_new = static_cast<uint32_t>(regOf.size());
     for (BlockId c : edited) {
         if (rank[c] == kNoRank)
             continue;
-        const BasicBlock *bb = fn.block(c);
-        uses[c] = blockUses(*bb, nv);
-        kills[c] = blockKills(*bb, nv);
+        const BasicBlock &bb = *fn.block(c);
+        if (indexed)
+            indexDefs(c, bb);
+        scanBlock(
+            bb,
+            [&](Vreg v) {
+                if (nameOf[v] == kNoName) {
+                    nameOf[v] = static_cast<uint32_t>(regOf.size());
+                    regOf.push_back(v);
+                }
+            },
+            [](Vreg) {});
+    }
+    if (regOf.size() > first_new)
+        addNames(fn, first_new);
+    for (BlockId c : edited) {
+        if (rank[c] == kNoRank)
+            continue;
+        refreshFacts(c, *fn.block(c));
         markDirty(rank[c]);
     }
 
@@ -495,6 +642,22 @@ Liveness::update(const Function &fn,
     return walk ? UpdatePath::Walk : UpdatePath::Local;
 }
 
+BitVector
+Liveness::liveIn(BlockId id) const
+{
+    BitVector out(nv);
+    ins.at(id).forEach([&](uint32_t n) { out.set(regOf[n]); });
+    return out;
+}
+
+BitVector
+Liveness::liveOut(BlockId id) const
+{
+    BitVector out(nv);
+    outs.at(id).forEach([&](uint32_t n) { out.set(regOf[n]); });
+    return out;
+}
+
 void
 Liveness::liveOutOf(const BasicBlock &bb, BitVector &out) const
 {
@@ -502,9 +665,25 @@ Liveness::liveOutOf(const BasicBlock &bb, BitVector &out) const
     // allocated after construction cannot be live across blocks yet.
     out.resize(nv);
     out.reset();
-    for (const Instruction &inst : bb.insts) {
-        if (inst.op == Opcode::Br)
-            out.unionWith(ins.at(inst.target));
+    // Union the targets' name sets a chunk of words at a time, so that
+    // a name live into several targets is translated once.
+    constexpr size_t kChunk = 16;
+    const size_t words = width / 64;
+    for (size_t base = 0; base < words; base += kChunk) {
+        const size_t n = std::min(kChunk, words - base);
+        std::array<uint64_t, kChunk> acc;
+        std::fill_n(acc.begin(), n, 0);
+        for (const Instruction &inst : bb.insts) {
+            if (inst.op != Opcode::Br)
+                continue;
+            const BitVector &in = ins.at(inst.target);
+            for (size_t w = 0; w < n; ++w)
+                acc[w] |= in.word(base + w);
+        }
+        for (size_t w = 0; w < n; ++w) {
+            for (uint64_t bits = acc[w]; bits; bits &= bits - 1)
+                out.set(regOf[(base + w) * 64 + __builtin_ctzll(bits)]);
+        }
     }
 }
 

@@ -6,6 +6,11 @@
  * write does not kill a register (the old value flows through when the
  * predicate is false), so only unpredicated writes enter the kill set.
  *
+ * The solve runs over names, not registers: only a register some block
+ * reads before an unpredicated write can be live at a block boundary,
+ * and few are (130 of 1,159 on synth64 after prepare). The queries
+ * answer in register space; the numbering never leaves this class.
+ *
  * The analysis supports exact, lazy incremental updates (see update()).
  * At its first update it ranks the condensation of the CFG: every block
  * gets the index of its strongly connected component, sinks first, so
@@ -36,12 +41,32 @@ class Liveness
     explicit Liveness(const Function &fn);
 
     /**
-     * Sets of block @p id. Current for every block after the
-     * constructor or an unbounded update(); after a bounded one, only
-     * for the blocks of its @p reads and the blocks they reach.
+     * Sets of block @p id, register-indexed and universe() bits wide.
+     * Current for every block after the constructor or an unbounded
+     * update(); after a bounded one, only for the blocks of its
+     * @p reads and the blocks they reach. Each call builds the set;
+     * per-block sweeps use the queries below, which allocate nothing.
      */
-    const BitVector &liveIn(BlockId id) const { return ins.at(id); }
-    const BitVector &liveOut(BlockId id) const { return outs.at(id); }
+    BitVector liveIn(BlockId id) const;
+    BitVector liveOut(BlockId id) const;
+
+    /** True if register @p v is live into / out of block @p id. */
+    bool
+    liveInContains(BlockId id, Vreg v) const
+    {
+        return v < nameOf.size() && nameOf[v] != kNoName &&
+               ins.at(id).test(nameOf[v]);
+    }
+
+    bool
+    liveOutContains(BlockId id, Vreg v) const
+    {
+        return v < nameOf.size() && nameOf[v] != kNoName &&
+               outs.at(id).test(nameOf[v]);
+    }
+
+    /** Invoke @p fn on each register live into @p id, ascending. */
+    template <typename Fn> void forEachLiveIn(BlockId id, Fn fn) const;
 
     /**
      * Registers live into any successor of @p bb given this analysis,
@@ -51,11 +76,8 @@ class Liveness
     void liveOutOf(const BasicBlock &bb, BitVector &out) const;
 
     /**
-     * Virtual-register universe this analysis currently covers. At
-     * least fn.numVregs() at the last (re)solve -- the universe is
-     * padded so register growth between updates stays cheap. Size
-     * vectors that meet liveIn()/liveOut() in set algebra from this,
-     * not from fn.numVregs().
+     * Width of the register-indexed sets the queries return: at least
+     * fn.numVregs() at the last (re)solve.
      */
     uint32_t universe() const { return nv; }
 
@@ -87,9 +109,10 @@ class Liveness
      * surviving block went away and the edit was not a splice (the
      * edge left a removed block whose every predecessor, changed and
      * surviving, now branches to the target itself) -- DESIGN.md
-     * section 6 has the proof. Grows the register universe to
-     * fn.numVregs(). Falls back to a full recomputation when the
-     * block table or the entry changed.
+     * section 6 has the proof. A register a listed block now reads
+     * before writing it becomes a new name. Grows the register
+     * universe to fn.numVregs(). Falls back to a full recomputation
+     * when the block table or the entry changed.
      */
     UpdatePath update(const Function &fn,
                       const std::vector<BlockId> &changed_blocks,
@@ -105,7 +128,13 @@ class Liveness
 
   private:
     static constexpr uint32_t kNoRank = ~uint32_t(0);
+    static constexpr uint32_t kNoName = ~uint32_t(0);
 
+    template <typename OnUse, typename OnKill>
+    void scanBlock(const BasicBlock &bb, OnUse on_use, OnKill on_kill);
+    void refreshFacts(BlockId id, const BasicBlock &bb);
+    void addNames(const Function &fn, uint32_t first);
+    void indexDefs(BlockId id, const BasicBlock &bb);
     void rankComponents();
     bool needsWalk(const Function &fn, const PredecessorMap &preds) const;
     void dropUnreachable(const Function &fn);
@@ -113,8 +142,21 @@ class Liveness
     void markDirty(uint32_t r);
     void solveRank(uint32_t r, const PredecessorMap &preds);
 
-    uint32_t nv = 0;
+    uint32_t nv = 0; // universe()
     BlockId entryBlock = kNoBlock;
+
+    // Names: the registers some reachable block reads before an
+    // unpredicated write -- the only registers that can be live at a
+    // block boundary. Every per-block set below is over names, `width`
+    // bits wide. The constructor numbers names in register order;
+    // update() appends the registers edits expose, so names from
+    // `ordered` on are kept, in register order, in grownByReg too.
+    std::vector<uint32_t> nameOf; // by register; kNoName if none
+    std::vector<Vreg> regOf;      // by name
+    uint32_t ordered = 0;
+    std::vector<uint32_t> grownByReg;
+    uint32_t width = 0;
+
     std::vector<BitVector> ins;
     std::vector<BitVector> outs;
 
@@ -124,6 +166,20 @@ class Liveness
     std::vector<BitVector> uses;
     std::vector<BitVector> kills;
     std::vector<std::vector<BlockId>> succs;
+
+    // Which blocks write a register unpredicated, by register: lists
+    // threaded through defNodes from defHead. Built at the first new
+    // name (the one-shot solves never pay for it), then appended to
+    // for every listed block; a stale entry is skipped when read.
+    static constexpr uint32_t kNoNode = ~uint32_t(0);
+    struct DefNode
+    {
+        BlockId block;
+        uint32_t next;
+    };
+    bool indexed = false;
+    std::vector<uint32_t> defHead;
+    std::vector<DefNode> defNodes;
 
     // The condensation, built at the first update from succs: rank of
     // each reachable block (kNoRank: unreachable), and the members of
@@ -148,24 +204,43 @@ class Liveness
     // flag per block (all clear between solves).
     std::vector<BlockId> work;
     std::vector<uint8_t> queued;
+    // scanBlock's in-block kills: a register is killed in the block
+    // being scanned when its stamp equals scanEpoch.
+    std::vector<uint32_t> killedAt;
+    uint32_t scanEpoch = 0;
 };
+
+template <typename Fn>
+void
+Liveness::forEachLiveIn(BlockId id, Fn fn) const
+{
+    // Names below `ordered` come out of the set in register order; a
+    // grown name is merged in at its place from grownByReg.
+    const BitVector &set = ins.at(id);
+    size_t g = 0;
+    auto grownBelow = [&](Vreg r) {
+        for (; g < grownByReg.size() && regOf[grownByReg[g]] < r; ++g) {
+            if (set.test(grownByReg[g]))
+                fn(regOf[grownByReg[g]]);
+        }
+    };
+    set.forEach([&](uint32_t n) {
+        if (n < ordered) {
+            grownBelow(regOf[n]);
+            fn(regOf[n]);
+        }
+    });
+    grownBelow(kNoVreg);
+}
 
 /**
  * Upward-exposed uses of a block: registers read before any
  * unpredicated write within the block (includes predicate registers and
- * the Ret value).
- */
-BitVector blockUses(const BasicBlock &bb, uint32_t num_vregs);
-
-/** Registers written unconditionally (unpredicated defs). */
-BitVector blockKills(const BasicBlock &bb, uint32_t num_vregs);
-
-/**
- * Allocation-free variants for hot per-trial callers: @p uses /
- * @p defs (registers written at all, predicated or not) are resized
- * to @p num_vregs and overwritten (capacity is reused across calls);
- * @p killed_scratch is working storage for the upward-exposure
- * computation.
+ * the Ret value), written into @p uses. blockDefsInto writes the
+ * registers written at all, predicated or not, into @p defs. Both
+ * resize their output to @p num_vregs and overwrite it (capacity is
+ * reused across calls); @p killed_scratch is working storage for the
+ * upward-exposure computation.
  */
 void blockUsesInto(const BasicBlock &bb, uint32_t num_vregs,
                    BitVector &uses, BitVector &killed_scratch);

@@ -1,6 +1,7 @@
 #include "analysis/loops.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "support/fatal.h"
 
@@ -86,6 +87,27 @@ LoopInfo::build(const Function &fn, const PredecessorMap &preds)
     }
     for (Loop &loop : allLoops)
         loop.depth = blockDepth[loop.header];
+
+    // Per-block tables. Natural loops with distinct headers are nested
+    // or disjoint, so visiting them shallowest first leaves each block
+    // the deepest loop containing it, and finds each loop's header
+    // inside the loop just outside it.
+    std::vector<int32_t> by_depth(allLoops.size());
+    std::iota(by_depth.begin(), by_depth.end(), 0);
+    std::stable_sort(by_depth.begin(), by_depth.end(),
+                     [&](int32_t a, int32_t b) {
+                         return allLoops[a].depth < allLoops[b].depth;
+                     });
+    innermost.assign(fn.blockTableSize(), -1);
+    headed.assign(fn.blockTableSize(), -1);
+    enclosing.assign(allLoops.size(), -1);
+    for (int32_t i : by_depth) {
+        const Loop &loop = allLoops[i];
+        headed[loop.header] = i;
+        enclosing[i] = innermost[loop.header];
+        for (BlockId b : loop.blocks)
+            innermost[b] = i;
+    }
 }
 
 void
@@ -95,8 +117,12 @@ LoopInfo::applyBlockAbsorbed(BlockId hb, BlockId s)
     // edge not be a back edge, so no loop disappears and no depth
     // changes. Bodies lose s; a latch s becomes a latch hb (hb
     // inherited the back edge). Keep blocks and latches in the
-    // ascending order a fresh build produces.
-    for (Loop &loop : allLoops) {
+    // ascending order a fresh build produces. Only the loops that
+    // contain s change: its innermost loop and the loops around it.
+    if (s >= innermost.size())
+        return;
+    for (int32_t l = innermost[s]; l >= 0; l = enclosing[l]) {
+        Loop &loop = allLoops[l];
         auto pos = std::lower_bound(loop.blocks.begin(),
                                     loop.blocks.end(), s);
         if (pos != loop.blocks.end() && *pos == s)
@@ -112,14 +138,22 @@ LoopInfo::applyBlockAbsorbed(BlockId hb, BlockId s)
                 latches.insert(at, hb);
         }
     }
-    if (s < blockDepth.size())
-        blockDepth[s] = 0;
+    blockDepth[s] = 0;
+    innermost[s] = -1;
 }
 
 bool
 LoopInfo::isBackEdge(BlockId from, BlockId to) const
 {
     return domTree->reachable(from) && domTree->dominates(to, from);
+}
+
+const Loop *
+LoopInfo::loopOf(const std::vector<int32_t> &table, BlockId id) const
+{
+    if (id >= table.size() || table[id] < 0)
+        return nullptr;
+    return &allLoops[table[id]];
 }
 
 bool
@@ -131,22 +165,13 @@ LoopInfo::isLoopHeader(BlockId id) const
 const Loop *
 LoopInfo::loopAt(BlockId header) const
 {
-    for (const Loop &loop : allLoops) {
-        if (loop.header == header)
-            return &loop;
-    }
-    return nullptr;
+    return loopOf(headed, header);
 }
 
 const Loop *
 LoopInfo::innermostContaining(BlockId id) const
 {
-    const Loop *best = nullptr;
-    for (const Loop &loop : allLoops) {
-        if (loop.contains(id) && (!best || loop.depth > best->depth))
-            best = &loop;
-    }
-    return best;
+    return loopOf(innermost, id);
 }
 
 int

@@ -11,6 +11,7 @@
 #ifndef CHF_ANALYSIS_LOOPS_H
 #define CHF_ANALYSIS_LOOPS_H
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -24,7 +25,7 @@ struct Loop
 {
     BlockId header = kNoBlock;
 
-    /** Member block ids (header included). */
+    /** Member block ids (header included), ascending. */
     std::vector<BlockId> blocks;
 
     /** Source blocks of back edges into the header. */
@@ -36,11 +37,7 @@ struct Loop
     bool
     contains(BlockId id) const
     {
-        for (BlockId b : blocks) {
-            if (b == id)
-                return true;
-        }
-        return false;
+        return std::binary_search(blocks.begin(), blocks.end(), id);
     }
 };
 
@@ -64,7 +61,7 @@ class LoopInfo
      * DominatorTree::applyBlockAbsorbed): @p s was spliced out of every
      * CFG walk, so the loops are the same loops minus @p s, with @p hb
      * taking over any back edge @p s carried. Call after patching the
-     * borrowed dominator tree.
+     * borrowed dominator tree. Patches the per-block tables too.
      */
     void applyBlockAbsorbed(BlockId hb, BlockId s);
 
@@ -90,10 +87,19 @@ class LoopInfo
   private:
     void build(const Function &fn, const PredecessorMap &preds);
 
+    /** @p table's entry for @p id as a loop; nullptr if none. */
+    const Loop *loopOf(const std::vector<int32_t> &table, BlockId id) const;
+
     std::unique_ptr<DominatorTree> ownedDom; // set by the fn-only ctor
     const DominatorTree *domTree;
     std::vector<Loop> allLoops;
-    std::vector<int> blockDepth; // by block id
+    // Per-block tables, by block id: loop nesting depth, the index in
+    // allLoops of the innermost loop containing the block, and of the
+    // loop it heads (-1: none). By loop index: the loop just outside.
+    std::vector<int> blockDepth;
+    std::vector<int32_t> innermost;
+    std::vector<int32_t> headed;
+    std::vector<int32_t> enclosing;
 };
 
 } // namespace chf

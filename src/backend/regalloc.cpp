@@ -11,7 +11,7 @@ size_t
 insertSpillCode(Function &fn, const std::vector<Vreg> &spilled,
                 int64_t slot_base, const Liveness &liveness)
 {
-    const uint32_t nv = liveness.universe();
+    const uint32_t nv = fn.numVregs();
     std::vector<uint8_t> is_arg(spilled.size(), 0);
     for (size_t i = 0; i < spilled.size(); ++i) {
         is_arg[i] = std::find(fn.argRegs.begin(), fn.argRegs.end(),
@@ -20,12 +20,10 @@ insertSpillCode(Function &fn, const std::vector<Vreg> &spilled,
 
     size_t inserted = 0;
     std::vector<uint8_t> reload(spilled.size()), store(spilled.size());
-    BitVector defs(nv), pred_defs(nv);
+    BitVector defs(nv), pred_defs(nv), uses, killed;
     for (BlockId id : fn.blockIds()) {
         BasicBlock &bb = *fn.block(id);
-        const BitVector &live_in = liveness.liveIn(id);
-        const BitVector &live_out = liveness.liveOut(id);
-        BitVector uses = blockUses(bb, nv);
+        blockUsesInto(bb, nv, uses, killed);
         defs.reset();
         pred_defs.reset();
         for (const auto &inst : bb.insts) {
@@ -47,8 +45,8 @@ insertSpillCode(Function &fn, const std::vector<Vreg> &spilled,
         size_t added = 0;
         for (size_t i = 0; i < spilled.size(); ++i) {
             Vreg reg = spilled[i];
-            store[i] = defs.test(reg) && live_out.test(reg);
-            reload[i] = live_in.test(reg) &&
+            store[i] = defs.test(reg) && liveness.liveOutContains(id, reg);
+            reload[i] = liveness.liveInContains(id, reg) &&
                         (uses.test(reg) || (store[i] && pred_defs.test(reg)));
             added += reload[i] + store[i] + (entry && is_arg[i]);
         }
@@ -97,9 +95,9 @@ allocateRegisters(Program &program, const RegAllocOptions &options)
     uint32_t nv = fn.numVregs();
 
     // Cross-block values: live into any block, plus the arguments.
-    BitVector cross(liveness.universe());
+    BitVector cross(nv);
     for (BlockId id : fn.blockIds())
-        cross.unionWith(liveness.liveIn(id));
+        liveness.forEachLiveIn(id, [&](Vreg v) { cross.set(v); });
     for (Vreg arg : fn.argRegs) {
         if (arg < nv)
             cross.set(arg);

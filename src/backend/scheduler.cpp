@@ -44,39 +44,37 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options,
 
         // Evaluate each tile: the instruction can issue once all its
         // operands have arrived (producer done + hop latency) and the
-        // tile is free.
-        int best_tile = -1;
-        double best_start = 0.0;
+        // tile is free. Prefer non-full tiles; among them the earliest
+        // start, breaking ties toward lower occupancy to spread load.
+        // Once a block larger than the grid has filled every tile, the
+        // same rule picks among all tiles.
+        auto better = [&](int tile, double start, int than,
+                          double than_start) {
+            return than < 0 || start < than_start ||
+                   (start == than_start && t.used[tile] < t.used[than]);
+        };
+        int best_tile = -1, any_tile = -1;
+        double best_start = 0.0, any_start = 0.0;
         for (int tile = 0; tile < tiles; ++tile) {
-            bool full = t.used[tile] >= options.slotsPerTile;
             double start = t.tileFree[tile];
             for (size_t k = 0; k < num_in; ++k) {
                 double arrival =
                     in[k]->done + tileDistance(in[k]->tile, tile, options);
                 start = std::max(start, arrival);
             }
-            // Prefer non-full tiles; among them the earliest start,
-            // breaking ties toward lower occupancy to spread load.
-            if (best_tile < 0 && !full) {
-                best_tile = tile;
-                best_start = start;
-                continue;
+            if (better(tile, start, any_tile, any_start)) {
+                any_tile = tile;
+                any_start = start;
             }
-            if (!full &&
-                (start < best_start ||
-                 (start == best_start &&
-                  t.used[tile] < t.used[best_tile]))) {
+            if (t.used[tile] < options.slotsPerTile &&
+                better(tile, start, best_tile, best_start)) {
                 best_tile = tile;
                 best_start = start;
             }
         }
         if (best_tile < 0) {
-            // All tiles nominally full (block larger than the window
-            // slice); fall back to the least-used tile.
-            best_tile = static_cast<int>(
-                std::min_element(t.used.begin(), t.used.end()) -
-                t.used.begin());
-            best_start = t.tileFree[best_tile];
+            best_tile = any_tile;
+            best_start = any_start;
         }
 
         placement[i] = best_tile;

@@ -25,6 +25,8 @@ describeCandidates(MergeEngine &engine, BlockId hb,
     const LoopInfo &loops = am.loops();
     const PredecessorMap &preds = am.predecessors();
     const BasicBlock *hb_block = fn.block(hb);
+    const double hb_freq = hb_block->frequency();
+    const Loop *hb_loop = loops.innermostContaining(hb);
 
     std::vector<MergeCandidate> out;
     out.reserve(pending.size());
@@ -44,8 +46,7 @@ describeCandidates(MergeEngine &engine, BlockId hb,
         c.isBackEdge = loops.isBackEdge(hb, block);
         c.blockSize = fn.block(block)->size();
         c.candFreq = fn.block(block)->frequency();
-        c.hbFreq = hb_block->frequency();
-        const Loop *hb_loop = loops.innermostContaining(hb);
+        c.hbFreq = hb_freq;
         c.leavesLoop = hb_loop != nullptr && block != hb &&
                        !hb_loop->contains(block);
         out.push_back(c);

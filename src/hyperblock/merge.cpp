@@ -60,22 +60,6 @@ class TrialHash
         state ^= state >> 32;
     }
 
-    /**
-     * The set bits of @p bv, then their count: equal sets hash equal on
-     * padded and unpadded universes (the liveness universe grows by
-     * policy, not by content).
-     */
-    void
-    bits(const BitVector &bv)
-    {
-        uint64_t count = 0;
-        bv.forEach([&](uint32_t b) {
-            word(b);
-            ++count;
-        });
-        word(count);
-    }
-
     uint64_t
     digest() const
     {
@@ -329,6 +313,15 @@ MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
     // targets. A merge committed elsewhere can change those live-ins
     // without touching HB or S, so they are part of the key.
     const Liveness &liveness = trialLiveness();
+    // A live-in set: its registers, ascending, then their count.
+    auto hash_live_in = [&](BlockId b) {
+        uint64_t count = 0;
+        liveness.forEachLiveIn(b, [&](Vreg v) {
+            h.word(v);
+            ++count;
+        });
+        h.word(count);
+    };
     bool self_loop = false;
     auto hash_targets = [&](const BasicBlock &b, bool skip_source) {
         for (const Instruction &inst : b.insts) {
@@ -341,14 +334,14 @@ MergeEngine::trialKey(BlockId hb, BlockId s, MergeKind kind,
                 continue;
             }
             h.word(inst.target);
-            h.bits(liveness.liveIn(inst.target));
+            hash_live_in(inst.target);
         }
     };
     hash_targets(hb_block, true);
     hash_targets(source, false);
     h.word(self_loop ? 1 : 0);
     if (self_loop)
-        h.bits(liveness.liveIn(hb));
+        hash_live_in(hb);
 
     return h.digest();
 }
@@ -441,27 +434,22 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
     }
 
     // Live-out of the merged block: union of the live-ins of its
-    // targets, plus its own upward-exposed uses if it loops back to
-    // itself (the next iteration's reads). The query comes after
+    // targets (liveOutOf), plus its own upward-exposed uses if it loops
+    // back to itself (the next iteration's reads). The query comes after
     // combineBlocks so the cached analysis covers the predicate
     // registers if-conversion just allocated.
     const Liveness &liveness = trialLiveness();
     BitVector &live_out = arena.liveOut;
-    live_out.resize(liveness.universe());
-    live_out.reset();
-    bool self_loop = false;
-    for (BlockId succ : scratch.successors()) {
-        if (succ == hb) {
-            self_loop = true;
-            continue;
-        }
-        live_out.unionWith(liveness.liveIn(succ));
-    }
+    liveness.liveOutOf(scratch, live_out);
+    const bool self_loop =
+        std::any_of(scratch.insts.begin(), scratch.insts.end(),
+                    [&](const Instruction &inst) {
+                        return inst.op == Opcode::Br && inst.target == hb;
+                    });
     if (self_loop) {
-        blockUsesInto(scratch, liveness.universe(), arena.legal.uses,
-                      arena.legal.killed);
+        blockUsesInto(scratch, static_cast<uint32_t>(live_out.size()),
+                      arena.legal.uses, arena.legal.killed);
         live_out.unionWith(arena.legal.uses);
-        live_out.unionWith(liveness.liveIn(hb));
     }
 
     if (opts.optimizeDuringMerge) {

@@ -52,7 +52,7 @@ struct RegTiming
 
 /** Place @p bb and append one record per instruction to @p out. */
 void
-decodeBlock(const BasicBlock &bb, const BitVector &live_out,
+decodeBlock(const BasicBlock &bb, const Liveness &liveness,
             const TimingConfig &config, PlacementScratch &placement,
             detail::Machine &m, std::vector<DecodedInst> &out)
 {
@@ -69,8 +69,8 @@ decodeBlock(const BasicBlock &bb, const BitVector &live_out,
         inst.forEachUse([&](Vreg v) { d.uses[d.numUses++] = v; });
         d.memory = opcodeIsMemory(inst.op);
         d.hasDest = inst.hasDest();
-        d.liveOut = d.hasDest && inst.dest < live_out.size() &&
-                    live_out.test(inst.dest);
+        d.liveOut =
+            d.hasDest && liveness.liveOutContains(bb.id(), inst.dest);
         out.push_back(d);
     }
 }
@@ -135,8 +135,7 @@ runTiming(const Program &program, const TimingConfig &config,
             const BasicBlock *bb = fn.block(current);
             CHF_ASSERT(bb, "timing simulation reached a removed block");
             spans[current].begin = static_cast<uint32_t>(decoded.size());
-            decodeBlock(*bb, liveness.liveOut(current), config, placement,
-                        m, decoded);
+            decodeBlock(*bb, liveness, config, placement, m, decoded);
             spans[current].end = static_cast<uint32_t>(decoded.size());
         }
         if (result.blocksExecuted >= config.maxBlocks)

@@ -18,24 +18,10 @@ BitVector::resize(size_t size)
 }
 
 void
-BitVector::set(size_t i)
+BitVector::outOfRange(const char *op, size_t i) const
 {
-    CHF_ASSERT(i < numBits, "BitVector::set out of range");
-    words[i / 64] |= uint64_t(1) << (i % 64);
-}
-
-void
-BitVector::clear(size_t i)
-{
-    CHF_ASSERT(i < numBits, "BitVector::clear out of range");
-    words[i / 64] &= ~(uint64_t(1) << (i % 64));
-}
-
-bool
-BitVector::test(size_t i) const
-{
-    CHF_ASSERT(i < numBits, "BitVector::test out of range");
-    return (words[i / 64] >> (i % 64)) & 1;
+    panic(concat("BitVector::", op, " out of range: bit ", i, " of ",
+                 numBits));
 }
 
 void

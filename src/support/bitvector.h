@@ -30,12 +30,43 @@ class BitVector
     /** Grow (or shrink) the universe; new bits are clear. */
     void resize(size_t size);
 
-    void set(size_t i);
-    void clear(size_t i);
-    bool test(size_t i) const;
+    // Inline: the dataflow solves and the per-block walks call these
+    // per operand. The bounds check stays; its panic is out of line.
+    void
+    set(size_t i)
+    {
+        if (i >= numBits)
+            outOfRange("set", i);
+        words[i / 64] |= uint64_t(1) << (i % 64);
+    }
+
+    void
+    clear(size_t i)
+    {
+        if (i >= numBits)
+            outOfRange("clear", i);
+        words[i / 64] &= ~(uint64_t(1) << (i % 64));
+    }
+
+    bool
+    test(size_t i) const
+    {
+        if (i >= numBits)
+            outOfRange("test", i);
+        return (words[i / 64] >> (i % 64)) & 1;
+    }
 
     /** Clear every bit. */
     void reset();
+
+    /** Bits 64 @p w .. 64 @p w + 63 as one word. */
+    uint64_t
+    word(size_t w) const
+    {
+        if (w >= words.size())
+            outOfRange("word", w * 64);
+        return words[w];
+    }
 
     /** Number of set bits. */
     size_t count() const;
@@ -79,6 +110,10 @@ class BitVector
     }
 
   private:
+    /** Panic: bit @p i of this vector does not exist. */
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    outOfRange(const char *op, size_t i) const;
+
     /** Zero any padding bits beyond numBits in the last word. */
     void clearPadding();
 

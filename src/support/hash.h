@@ -19,8 +19,6 @@
 #include <cstring>
 #include <string>
 
-#include "support/bitvector.h"
-
 namespace chf {
 
 /** Incremental FNV-1a over a stream of typed fields. */
@@ -69,22 +67,6 @@ class Hash64
     {
         u64(s.size());
         bytes(s.data(), s.size());
-    }
-
-    /**
-     * Hash the *set-bit contents* of @p bv, independent of its universe
-     * size: padded and unpadded vectors with the same members hash
-     * equal (the liveness universe grows by policy, not by content).
-     */
-    void
-    bits(const BitVector &bv)
-    {
-        uint64_t count = 0;
-        bv.forEach([&](uint32_t b) {
-            u32(b);
-            ++count;
-        });
-        u64(count);
     }
 
     uint64_t digest() const { return state; }

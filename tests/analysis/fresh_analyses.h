@@ -29,11 +29,13 @@ expectSetsMatchFresh(const Liveness &cached, const Function &fn,
     Liveness fresh(fn);
     ASSERT_GE(cached.universe(), fn.numVregs());
     for (BlockId id : blocks) {
+        const BitVector in = cached.liveIn(id), out = cached.liveOut(id);
+        const BitVector want_in = fresh.liveIn(id);
+        const BitVector want_out = fresh.liveOut(id);
         for (Vreg v = 0; v < fn.numVregs(); ++v) {
-            EXPECT_EQ(cached.liveIn(id).test(v), fresh.liveIn(id).test(v))
+            EXPECT_EQ(in.test(v), want_in.test(v))
                 << "live-in mismatch bb" << id << " v" << v;
-            EXPECT_EQ(cached.liveOut(id).test(v),
-                      fresh.liveOut(id).test(v))
+            EXPECT_EQ(out.test(v), want_out.test(v))
                 << "live-out mismatch bb" << id << " v" << v;
         }
     }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/analysis_manager.h"
 #include "analysis/dominators.h"
 #include "analysis/liveness.h"
 #include "analysis/loops.h"
@@ -219,7 +220,7 @@ TEST(Liveness, LoopCarried)
 /**
  * Every block's live-in and live-out in @p live, removed and
  * unreachable blocks included, equal those of a fresh solve (universe
- * padding ignored).
+ * padding ignored), through every query.
  */
 void
 expectUpdateMatchesFresh(const Liveness &live, const Function &fn)
@@ -227,11 +228,38 @@ expectUpdateMatchesFresh(const Liveness &live, const Function &fn)
     Liveness fresh(fn);
     ASSERT_GE(live.universe(), fn.numVregs());
     for (BlockId id = 0; id < fn.blockTableSize(); ++id) {
+        const BitVector in = live.liveIn(id), out = live.liveOut(id);
+        const BitVector want_in = fresh.liveIn(id);
+        const BitVector want_out = fresh.liveOut(id);
+        std::vector<Vreg> listed, want_listed;
         for (Vreg v = 0; v < fn.numVregs(); ++v) {
-            EXPECT_EQ(live.liveIn(id).test(v), fresh.liveIn(id).test(v))
+            EXPECT_EQ(in.test(v), want_in.test(v))
                 << "live-in bb" << id << " v" << v;
-            EXPECT_EQ(live.liveOut(id).test(v), fresh.liveOut(id).test(v))
+            EXPECT_EQ(out.test(v), want_out.test(v))
                 << "live-out bb" << id << " v" << v;
+            EXPECT_EQ(live.liveInContains(id, v), want_in.test(v))
+                << "liveInContains bb" << id << " v" << v;
+            EXPECT_EQ(live.liveOutContains(id, v), want_out.test(v))
+                << "liveOutContains bb" << id << " v" << v;
+            if (want_in.test(v))
+                want_listed.push_back(v);
+        }
+        live.forEachLiveIn(id, [&](Vreg v) { listed.push_back(v); });
+        EXPECT_EQ(listed, want_listed) << "forEachLiveIn bb" << id;
+
+        // liveOutOf: the union of the live-ins of the block's targets.
+        const BasicBlock *bb = fn.block(id);
+        if (!bb)
+            continue;
+        BitVector targets_in;
+        live.liveOutOf(*bb, targets_in);
+        ASSERT_EQ(targets_in.size(), live.universe());
+        for (Vreg v = 0; v < fn.numVregs(); ++v) {
+            bool want = false;
+            for (BlockId t : bb->successors())
+                want = want || fresh.liveInContains(t, v);
+            EXPECT_EQ(targets_in.test(v), want)
+                << "liveOutOf bb" << id << " v" << v;
         }
     }
 }
@@ -600,6 +628,163 @@ TEST(LivenessUpdate, TailDupShapedEditWalks)
               Liveness::UpdatePath::Walk);
     expectUpdateMatchesFresh(live, g.fn);
     EXPECT_TRUE(live.liveIn(g.s).test(g.u));
+}
+
+/** A store of @p v to address 0, under @p pred when it is valid. */
+Instruction
+storeOf(Vreg v, Predicate pred = {})
+{
+    Instruction st = Instruction::store(IRBuilder::imm(0), IRBuilder::imm(0),
+                                        IRBuilder::r(v));
+    st.pred = pred;
+    return st;
+}
+
+/** A move of 1 into @p v under @p pred. */
+Instruction
+predicatedDef(Vreg v, Predicate pred)
+{
+    Instruction mov = Instruction::unary(Opcode::Mov, v, IRBuilder::imm(1));
+    mov.pred = pred;
+    return mov;
+}
+
+TEST(LivenessUpdate, PredicatedDefThenUseBecomesANewName)
+{
+    // entry -> a -> exit. a first writes t, then stores it: t is read
+    // only after an unpredicated write, so no block exposes it. Then
+    // the write goes under p (as if-conversion would put it): a now
+    // reads t before any unpredicated write, and t is live into a and
+    // into the entry. The edit comes through instructionsRewritten.
+    Function fn;
+    IRBuilder b(fn);
+    BlockId entry = b.makeBlock("entry");
+    BlockId a = b.makeBlock("a");
+    BlockId exit = b.makeBlock("exit");
+    fn.setEntry(entry);
+    Vreg p = fn.newVreg(), t = fn.newVreg();
+    fn.argRegs = {p};
+    b.setBlock(entry);
+    b.br(a);
+    b.setBlock(a);
+    b.movTo(t, IRBuilder::imm(1));
+    b.emit(storeOf(t));
+    b.br(exit);
+    b.setBlock(exit);
+    b.ret();
+
+    AnalysisManager am(fn);
+    ASSERT_FALSE(am.liveness().liveInContains(a, t));
+    std::vector<Instruction> &insts = fn.block(a)->insts;
+    insts[0] = predicatedDef(t, Predicate::onReg(p, true));
+    am.instructionsRewritten(a);
+    const Liveness &live = am.liveness();
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveInContains(a, t));
+    EXPECT_TRUE(live.liveInContains(entry, t));
+    EXPECT_TRUE(live.liveInContains(a, p));
+    EXPECT_EQ(am.stats().get("analysisLivenessUpdates"), 1);
+    EXPECT_EQ(am.stats().get("analysisLivenessRebuilds"), 0);
+}
+
+TEST(LivenessUpdate, NewNameIsKilledInAnUnlistedBlock)
+{
+    // entry -> k -> a -> exit. Three updates, each listing only the
+    // block it edits, and each checked against a fresh solve:
+    //  1. a exposes u: the first new name, which builds the index of
+    //     which blocks write which register;
+    //  2. k gains an unpredicated write of t (t is no name yet);
+    //  3. a exposes t. t is live into a but not into k, which kills
+    //     it, although only a is listed: k's kill bit for the new name
+    //     comes from the index, which learned of k's write in step 2.
+    Function fn;
+    IRBuilder b(fn);
+    BlockId entry = b.makeBlock("entry");
+    BlockId k = b.makeBlock("k");
+    BlockId a = b.makeBlock("a");
+    BlockId exit = b.makeBlock("exit");
+    fn.setEntry(entry);
+    Vreg p = fn.newVreg(), t = fn.newVreg(), u = fn.newVreg();
+    fn.argRegs = {p};
+    b.setBlock(entry);
+    b.br(k);
+    b.setBlock(k);
+    b.br(a);
+    b.setBlock(a);
+    b.br(exit);
+    b.setBlock(exit);
+    b.ret();
+    const PredecessorMap preds = fn.predecessors();
+    const Predicate on_p = Predicate::onReg(p, true);
+    std::vector<Instruction> &a_insts = fn.block(a)->insts;
+    std::vector<Instruction> &k_insts = fn.block(k)->insts;
+
+    Liveness live(fn);
+    a_insts.insert(a_insts.begin(), storeOf(u));
+    EXPECT_EQ(live.update(fn, {a}, preds), Liveness::UpdatePath::Local);
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveInContains(entry, u));
+
+    k_insts.insert(k_insts.begin(),
+                   Instruction::unary(Opcode::Mov, t, IRBuilder::imm(2)));
+    EXPECT_EQ(live.update(fn, {k}, preds), Liveness::UpdatePath::Local);
+    expectUpdateMatchesFresh(live, fn);
+
+    a_insts.insert(a_insts.begin(),
+                   {predicatedDef(t, on_p), storeOf(t, on_p)});
+    EXPECT_EQ(live.update(fn, {a}, preds), Liveness::UpdatePath::Local);
+    expectUpdateMatchesFresh(live, fn);
+    EXPECT_TRUE(live.liveInContains(a, t));
+    EXPECT_TRUE(live.liveOutContains(k, t));
+    EXPECT_FALSE(live.liveInContains(k, t));
+    EXPECT_FALSE(live.liveInContains(entry, t));
+}
+
+TEST(LivenessUpdate, MoreNewNamesThanTheCapacity)
+{
+    // entry -> mid -> a -> exit with two names. mid writes every other
+    // one of 1,100 registers that nothing reads; then a reads them all
+    // in one update, which outgrows the name sets' one-word capacity
+    // five doublings over (and liveOutOf's 1,024-name chunk). The half
+    // mid writes stops at mid, unlisted.
+    Function fn;
+    IRBuilder b(fn);
+    BlockId entry = b.makeBlock("entry");
+    BlockId mid = b.makeBlock("mid");
+    BlockId a = b.makeBlock("a");
+    BlockId exit = b.makeBlock("exit");
+    fn.setEntry(entry);
+    Vreg x = fn.newVreg(), y = fn.newVreg();
+    fn.argRegs = {x, y};
+    std::vector<Vreg> regs;
+    for (int i = 0; i < 1100; ++i)
+        regs.push_back(fn.newVreg());
+    b.setBlock(entry);
+    b.emit(storeOf(x));
+    b.br(mid);
+    b.setBlock(mid);
+    for (size_t i = 0; i < regs.size(); i += 2)
+        b.movTo(regs[i], IRBuilder::imm(static_cast<int64_t>(i)));
+    b.br(a);
+    b.setBlock(a);
+    b.emit(storeOf(y));
+    b.br(exit);
+    b.setBlock(exit);
+    b.ret();
+
+    Liveness live(fn);
+    std::vector<Instruction> &insts = fn.block(a)->insts;
+    for (Vreg v : regs)
+        insts.insert(insts.begin(), storeOf(v));
+    EXPECT_EQ(live.update(fn, {a}, fn.predecessors()),
+              Liveness::UpdatePath::Local);
+    expectUpdateMatchesFresh(live, fn);
+    for (size_t i = 0; i < regs.size(); ++i) {
+        EXPECT_TRUE(live.liveInContains(a, regs[i]));
+        EXPECT_EQ(live.liveInContains(mid, regs[i]), i % 2 == 1);
+        EXPECT_EQ(live.liveInContains(entry, regs[i]), i % 2 == 1);
+    }
+    EXPECT_TRUE(live.liveInContains(entry, y));
 }
 
 /**

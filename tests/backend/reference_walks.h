@@ -148,8 +148,8 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options = {})
 
     for (size_t i = 0; i < bb.insts.size(); ++i) {
         const Instruction &inst = bb.insts[i];
-        int best_tile = -1;
-        double best_start = 0.0;
+        int best_tile = -1, any_tile = -1;
+        double best_start = 0.0, any_start = 0.0;
         for (int t = 0; t < tiles; ++t) {
             bool full = used[t] >= options.slotsPerTile;
             double start = tile_free[t];
@@ -162,6 +162,12 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options = {})
                     start = std::max(start, arrival);
                 }
             });
+            // Every tile full: the earliest start over all tiles.
+            if (any_tile < 0 || start < any_start ||
+                (start == any_start && used[t] < used[any_tile])) {
+                any_tile = t;
+                any_start = start;
+            }
             if (best_tile < 0 && !full) {
                 best_tile = t;
                 best_start = start;
@@ -175,10 +181,8 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options = {})
             }
         }
         if (best_tile < 0) {
-            best_tile = static_cast<int>(
-                std::min_element(used.begin(), used.end()) -
-                used.begin());
-            best_start = tile_free[best_tile];
+            best_tile = any_tile;
+            best_start = any_start;
         }
 
         placement[i] = best_tile;

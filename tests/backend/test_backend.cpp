@@ -270,7 +270,8 @@ referenceSpillInBlock(BasicBlock &bb, Vreg reg, int64_t slot_addr,
                 has_predicated_def = true;
         }
     }
-    BitVector uses = blockUses(bb, live_in.size());
+    BitVector uses, killed;
+    blockUsesInto(bb, static_cast<uint32_t>(live_in.size()), uses, killed);
     bool store_at_exit = defined && live_out.test(reg);
     if (live_in.test(reg) &&
         (uses.test(reg) || (store_at_exit && has_predicated_def))) {
