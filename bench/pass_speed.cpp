@@ -845,8 +845,8 @@ runSmoke(const char *baseline_path)
     }
 
     // The assembly writer on the compiled workload: a per-block walk
-    // that keys ordered maps by register instead of the epoch-stamped
-    // tables (DESIGN.md section 14) fails here.
+    // that keys ordered maps by register instead of the stamped tables
+    // (DESIGN.md section 14) fails here.
     Program compiled = prepared.clone();
     compileOne(compiled,
                SessionOptions().withPipeline(Pipeline::IUPO_fused));

@@ -62,17 +62,6 @@ blockUsesInto(const BasicBlock &bb, uint32_t num_vregs, BitVector &uses,
     }
 }
 
-void
-blockDefsInto(const BasicBlock &bb, uint32_t num_vregs, BitVector &defs)
-{
-    defs.resize(num_vregs);
-    defs.reset();
-    for (const auto &inst : bb.insts) {
-        if (inst.hasDest())
-            defs.set(inst.dest);
-    }
-}
-
 template <typename OnUse, typename OnKill>
 void
 Liveness::scanBlock(const BasicBlock &bb, OnUse on_use, OnKill on_kill)
@@ -80,17 +69,14 @@ Liveness::scanBlock(const BasicBlock &bb, OnUse on_use, OnKill on_kill)
     // on_use sees each read of a register not yet written unpredicated
     // in the block (a register may come twice), on_kill each
     // unpredicated write.
-    if (++scanEpoch == 0) {
-        std::fill(killedAt.begin(), killedAt.end(), 0);
-        scanEpoch = 1;
-    }
+    scanKilled.clear();
     for (const Instruction &inst : bb.insts) {
         inst.forEachUse([&](Vreg v) {
-            if (killedAt[v] != scanEpoch)
+            if (!scanKilled.contains(v))
                 on_use(v);
         });
         if (inst.hasDest() && !inst.pred.valid()) {
-            killedAt[inst.dest] = scanEpoch;
+            scanKilled.touch(inst.dest);
             on_kill(inst.dest);
         }
     }
@@ -118,7 +104,6 @@ Liveness::Liveness(const Function &fn)
     succs.assign(table, {});
     rank.assign(table, kNoRank);
     nameOf.assign(nv, kNoName);
-    killedAt.assign(nv, 0);
 
     // One scan of the reachable blocks marks the names and keeps each
     // block's exposed and killed registers; once the names are
@@ -546,7 +531,6 @@ Liveness::update(const Function &fn,
     if (fn.numVregs() > nv) {
         nv = paddedUniverse(fn.numVregs());
         nameOf.resize(nv, kNoName);
-        killedAt.resize(nv, 0);
         if (indexed)
             defHead.resize(nv, kNoNode);
     }

@@ -30,6 +30,7 @@
 
 #include "ir/function.h"
 #include "support/bitvector.h"
+#include "support/stamped_table.h"
 
 namespace chf {
 
@@ -204,10 +205,9 @@ class Liveness
     // flag per block (all clear between solves).
     std::vector<BlockId> work;
     std::vector<uint8_t> queued;
-    // scanBlock's in-block kills: a register is killed in the block
-    // being scanned when its stamp equals scanEpoch.
-    std::vector<uint32_t> killedAt;
-    uint32_t scanEpoch = 0;
+    // scanBlock's in-block kills: the registers the block being
+    // scanned has written unpredicated so far.
+    StampedTable<bool> scanKilled;
 };
 
 template <typename Fn>
@@ -236,16 +236,13 @@ Liveness::forEachLiveIn(BlockId id, Fn fn) const
 /**
  * Upward-exposed uses of a block: registers read before any
  * unpredicated write within the block (includes predicate registers and
- * the Ret value), written into @p uses. blockDefsInto writes the
- * registers written at all, predicated or not, into @p defs. Both
- * resize their output to @p num_vregs and overwrite it (capacity is
- * reused across calls); @p killed_scratch is working storage for the
- * upward-exposure computation.
+ * the Ret value), written into @p uses, which is resized to
+ * @p num_vregs and overwritten (capacity is reused across calls);
+ * @p killed_scratch is working storage for the upward-exposure
+ * computation.
  */
 void blockUsesInto(const BasicBlock &bb, uint32_t num_vregs,
                    BitVector &uses, BitVector &killed_scratch);
-void blockDefsInto(const BasicBlock &bb, uint32_t num_vregs,
-                   BitVector &defs);
 
 } // namespace chf
 

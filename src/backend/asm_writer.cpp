@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/liveness.h"
+#include "support/stamped_table.h"
 
 namespace chf {
 
@@ -18,23 +19,17 @@ struct Target
     int slot; ///< 0..2 = operand, -1 = predicate
 };
 
-/**
- * Working storage for one writeFunctionAsm call. The per-register
- * table is epoch-stamped: an entry belongs to the block being written
- * iff its stamp equals the epoch, so a block resets it in O(1) and a
- * function costs O(registers + instructions).
- */
+/** Working storage for one writeFunctionAsm call. */
 struct AsmScratch
 {
+    /** A register's state in the block being written. */
     struct RegEntry
     {
-        uint32_t stamp = 0;
         uint32_t producer = 0; ///< latest in-block def's index + 1; 0 = none
         uint32_t read = 0;     ///< R[] number + 1; 0 = not read yet
     };
 
-    std::vector<RegEntry> regs;
-    uint32_t epoch = 0;
+    StampedTable<RegEntry> regs;
 
     BitVector liveOut;
     /** Registers read from the register file, in first-use order. */
@@ -47,31 +42,6 @@ struct AsmScratch
     std::vector<Target> targets;
     /** (register, number) of every R[] or W[], sorted by register. */
     std::vector<std::pair<Vreg, uint32_t>> sorted;
-
-    /** Begin a block: every register entry goes stale at once. */
-    void
-    beginBlock()
-    {
-        if (++epoch == 0) {
-            // Stamp wraparound (2^32 blocks): flush everything once.
-            for (RegEntry &e : regs)
-                e.stamp = 0;
-            epoch = 1;
-        }
-        reads.clear();
-        uses.clear();
-    }
-
-    RegEntry &
-    reg(Vreg v)
-    {
-        if (v >= regs.size())
-            regs.resize(static_cast<size_t>(v) + 1);
-        RegEntry &e = regs[v];
-        if (e.stamp != epoch)
-            e = {epoch, 0, 0};
-        return e;
-    }
 };
 
 template <typename Int>
@@ -146,10 +116,12 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb,
     // Resolve every use to its producer: the latest in-block def, else
     // a register-file read. Reads are numbered R[i] in first-use order,
     // instructions N[i], writes W[i].
-    t.beginBlock();
+    t.regs.clear();
+    t.reads.clear();
+    t.uses.clear();
     const uint32_t n = static_cast<uint32_t>(bb.insts.size());
     auto note_use = [&](Vreg v, uint32_t inst, int slot) {
-        AsmScratch::RegEntry &e = t.reg(v);
+        AsmScratch::RegEntry &e = t.regs.touch(v);
         uint32_t node;
         if (e.producer) {
             node = e.producer - 1;
@@ -171,7 +143,7 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb,
         if (inst.pred.valid())
             note_use(inst.pred.reg, i, -1);
         if (inst.hasDest())
-            t.reg(inst.dest).producer = i + 1;
+            t.regs.touch(inst.dest).producer = i + 1;
     }
 
     // Group consumers by producer node, keeping use order.
@@ -233,7 +205,7 @@ writeBlockAsm(const Function &fn, const BasicBlock &bb,
             appendNum(out, inst.target);
         }
         const bool writes =
-            inst.hasDest() && t.regs[inst.dest].producer == i + 1 &&
+            inst.hasDest() && t.regs.find(inst.dest)->producer == i + 1 &&
             inst.dest < live_out.size() && live_out.test(inst.dest);
         if (t.first[i] != t.first[i + 1] || writes)
             out += " >";

@@ -24,9 +24,9 @@
  *
  * Emission is linear in function size: writeFunctionAsm solves
  * liveness once, every block reads its live-out set from that one
- * solve, and each block's producer, read and write tables are
- * epoch-stamped register-indexed arrays shared by the whole call, so a
- * block resets them in O(1). The text is appended into one string,
+ * solve, and each block's producer and read numbers live in one
+ * register-indexed StampedTable shared by the whole call, so a block
+ * resets it in O(1). The text is appended into one string,
  * returned exactly sized (DESIGN.md §14, which also lists the byte
  * order rules).
  */

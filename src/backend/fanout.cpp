@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/stamped_table.h"
+
 namespace chf {
 
 namespace {
@@ -30,8 +32,8 @@ treeMoves(size_t n)
 
 /**
  * Fanout over the blocks of one function. The provider table is
- * indexed by register and sized once; each block resets only the
- * entries it wrote, so a function costs O(registers + instructions).
+ * indexed by register and reset in O(1) per block, so a function costs
+ * O(registers + instructions).
  */
 class FanoutPass
 {
@@ -45,7 +47,7 @@ class FanoutPass
                size_t begin, size_t end);
 
     Function &fn;
-    std::vector<uint32_t> provider; ///< reg -> producing inst + 1; 0 = none
+    StampedTable<uint32_t> provider; ///< reg -> producing inst
     std::vector<std::pair<uint32_t, Use>> reads; ///< (producer, use)
     std::vector<uint32_t> first; ///< inst i's uses: [first[i], first[i+1])
     std::vector<uint32_t> fill;
@@ -62,12 +64,11 @@ FanoutPass::run(BasicBlock &bb)
     // Values read from outside the block (live-ins) arrive through the
     // register file, which broadcasts; only in-block producers fan out.
     const size_t n = bb.insts.size();
-    if (provider.size() < fn.numVregs())
-        provider.resize(fn.numVregs(), 0);
+    provider.clear();
     reads.clear();
     auto note = [&](Vreg v, size_t i, int slot) {
-        if (uint32_t p = provider[v])
-            reads.push_back({p - 1, {static_cast<uint32_t>(i), slot}});
+        if (const uint32_t *p = provider.find(v))
+            reads.push_back({*p, {static_cast<uint32_t>(i), slot}});
     };
     for (size_t i = 0; i < n; ++i) {
         const Instruction &inst = bb.insts[i];
@@ -78,11 +79,7 @@ FanoutPass::run(BasicBlock &bb)
         if (inst.pred.valid())
             note(inst.pred.reg, i, -1);
         if (inst.hasDest())
-            provider[inst.dest] = static_cast<uint32_t>(i) + 1;
-    }
-    for (const Instruction &inst : bb.insts) {
-        if (inst.hasDest())
-            provider[inst.dest] = 0;
+            provider.touch(inst.dest) = static_cast<uint32_t>(i);
     }
 
     // Group the reads by producer, keeping instruction/slot order.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/liveness.h"
+#include "support/stamped_table.h"
 #include "transform/reverse_if_convert.h"
 
 namespace chf {
@@ -11,27 +12,59 @@ size_t
 insertSpillCode(Function &fn, const std::vector<Vreg> &spilled,
                 int64_t slot_base, const Liveness &liveness)
 {
-    const uint32_t nv = fn.numVregs();
-    std::vector<uint8_t> is_arg(spilled.size(), 0);
-    for (size_t i = 0; i < spilled.size(); ++i) {
-        is_arg[i] = std::find(fn.argRegs.begin(), fn.argRegs.end(),
-                              spilled[i]) != fn.argRegs.end();
+    // Each spilled register's index in spilled, and the spilled
+    // arguments' indices, last-spilled-first.
+    StampedTable<uint32_t> index;
+    std::vector<uint32_t> args;
+    for (size_t i = 0; i < spilled.size(); ++i)
+        index.touch(spilled[i]) = static_cast<uint32_t>(i);
+    for (size_t i = spilled.size(); i-- > 0;) {
+        if (std::find(fn.argRegs.begin(), fn.argRegs.end(), spilled[i]) !=
+            fn.argRegs.end())
+            args.push_back(static_cast<uint32_t>(i));
     }
 
+    // What one block does with each spilled value it mentions, by
+    // index; only a mentioned value can need a reload or a store.
+    struct Mention
+    {
+        bool exposed = false; ///< read before any unpredicated def
+        bool killed = false;  ///< defined unpredicated so far
+        bool def = false;
+        bool predDef = false;
+        bool reload = false;
+        bool store = false;
+    };
+    StampedTable<Mention> seen;
+    std::vector<uint32_t> mentioned;
+
     size_t inserted = 0;
-    std::vector<uint8_t> reload(spilled.size()), store(spilled.size());
-    BitVector defs(nv), pred_defs(nv), uses, killed;
     for (BlockId id : fn.blockIds()) {
         BasicBlock &bb = *fn.block(id);
-        blockUsesInto(bb, nv, uses, killed);
-        defs.reset();
-        pred_defs.reset();
+        seen.clear();
+        mentioned.clear();
+        auto mention = [&](Vreg v) -> Mention * {
+            const uint32_t *i = index.find(v);
+            if (!i)
+                return nullptr;
+            if (!seen.contains(*i))
+                mentioned.push_back(*i);
+            return &seen.touch(*i);
+        };
         for (const auto &inst : bb.insts) {
+            inst.forEachUse([&](Vreg v) {
+                if (Mention *m = mention(v))
+                    m->exposed |= !m->killed;
+            });
             if (!inst.hasDest())
                 continue;
-            defs.set(inst.dest);
-            if (inst.pred.valid())
-                pred_defs.set(inst.dest);
+            if (Mention *m = mention(inst.dest)) {
+                m->def = true;
+                if (inst.pred.valid())
+                    m->predDef = true;
+                else
+                    m->killed = true;
+            }
         }
 
         // Per value: reload at block entry if the block reads the value
@@ -42,19 +75,20 @@ insertSpillCode(Function &fn, const std::vector<Vreg> &spilled,
         // registers, not in their (zero-filled) spill slots, so the
         // entry block first stores each spilled argument.
         const bool entry = id == fn.entry();
-        size_t added = 0;
-        for (size_t i = 0; i < spilled.size(); ++i) {
-            Vreg reg = spilled[i];
-            store[i] = defs.test(reg) && liveness.liveOutContains(id, reg);
-            reload[i] = liveness.liveInContains(id, reg) &&
-                        (uses.test(reg) || (store[i] && pred_defs.test(reg)));
-            added += reload[i] + store[i] + (entry && is_arg[i]);
+        size_t added = entry ? args.size() : 0;
+        for (uint32_t i : mentioned) {
+            Mention &m = *seen.find(i);
+            m.store = m.def && liveness.liveOutContains(id, spilled[i]);
+            m.reload = liveness.liveInContains(id, spilled[i]) &&
+                       (m.exposed || (m.store && m.predDef));
+            added += m.reload + m.store;
         }
         if (added == 0)
             continue;
 
         // Argument stores, then reloads, both last-spilled-first; the
         // block; then stores in spill order.
+        std::sort(mentioned.begin(), mentioned.end());
         auto slot = [&](size_t i) {
             return Operand::makeImm(slot_base + static_cast<int64_t>(i));
         };
@@ -64,19 +98,18 @@ insertSpillCode(Function &fn, const std::vector<Vreg> &spilled,
         };
         std::vector<Instruction> out;
         out.reserve(bb.insts.size() + added);
-        for (size_t i = spilled.size(); entry && i-- > 0;) {
-            if (is_arg[i])
-                out.push_back(store_of(i));
-        }
-        for (size_t i = spilled.size(); i-- > 0;) {
-            if (reload[i]) {
+        for (size_t k = 0; entry && k < args.size(); ++k)
+            out.push_back(store_of(args[k]));
+        for (size_t k = mentioned.size(); k-- > 0;) {
+            const uint32_t i = mentioned[k];
+            if (seen.find(i)->reload) {
                 out.push_back(Instruction::load(spilled[i], slot(i),
                                                 Operand::makeImm(0)));
             }
         }
         out.insert(out.end(), bb.insts.begin(), bb.insts.end());
-        for (size_t i = 0; i < spilled.size(); ++i) {
-            if (store[i])
+        for (uint32_t i : mentioned) {
+            if (seen.find(i)->store)
                 out.push_back(store_of(i));
         }
         bb.insts = std::move(out);

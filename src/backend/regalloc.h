@@ -56,9 +56,10 @@ struct RegAllocResult
  * exit and some def of it is predicated (the old value may flow
  * through). Reloads come last-spilled-first, stores in spill order.
  * The entry block first stores every spilled argument (arguments
- * arrive in registers), also last-spilled-first. @p liveness is the
- * analysis of @p fn before the rewrite and must cover every spilled
- * register.
+ * arrive in registers), also last-spilled-first. Each block is walked
+ * once, and only the spilled values it mentions are examined.
+ * @p liveness is the analysis of @p fn before the rewrite and must
+ * cover every spilled register.
  *
  * @return instructions inserted.
  */

@@ -22,12 +22,7 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options,
     Placement placement(bb.size(), 0);
     t.used.assign(tiles, 0);
     t.tileFree.assign(tiles, 0.0);
-    if (++t.epoch == 0) {
-        // Stamp wraparound (2^32 blocks): flush everything once.
-        for (PlacementScratch::Producer &p : t.producers)
-            p.stamp = 0;
-        t.epoch = 1;
-    }
+    t.producers.clear();
 
     for (size_t i = 0; i < bb.insts.size(); ++i) {
         const Instruction &inst = bb.insts[i];
@@ -38,8 +33,8 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options,
         std::array<const PlacementScratch::Producer *, 4> in;
         size_t num_in = 0;
         inst.forEachUse([&](Vreg v) {
-            if (v < t.producers.size() && t.producers[v].stamp == t.epoch)
-                in[num_in++] = &t.producers[v];
+            if (const PlacementScratch::Producer *p = t.producers.find(v))
+                in[num_in++] = p;
         });
 
         // Evaluate each tile: the instruction can issue once all its
@@ -81,11 +76,8 @@ scheduleBlock(const BasicBlock &bb, const SchedulerOptions &options,
         t.used[best_tile]++;
         double done = best_start + opcodeLatency(inst.op);
         t.tileFree[best_tile] = best_start + 1.0; // one issue per cycle
-        if (inst.hasDest()) {
-            if (inst.dest >= t.producers.size())
-                t.producers.resize(static_cast<size_t>(inst.dest) + 1);
-            t.producers[inst.dest] = {t.epoch, best_tile, done};
-        }
+        if (inst.hasDest())
+            t.producers.touch(inst.dest) = {best_tile, done};
     }
     return placement;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ir/function.h"
+#include "support/stamped_table.h"
 
 namespace chf {
 
@@ -35,21 +36,19 @@ int tileDistance(int a, int b, const SchedulerOptions &options);
 
 /**
  * Reusable storage for scheduleBlock: the ready time and tile of each
- * register's latest in-block producer, epoch-stamped so a block resets
- * it in O(1), and the per-tile occupancy and issue times. A caller
- * placing many blocks (scheduleFunction, one runTiming run) keeps one.
+ * register's latest in-block producer, in a table a block resets in
+ * O(1), and the per-tile occupancy and issue times. A caller placing
+ * many blocks (scheduleFunction, one runTiming run) keeps one.
  */
 struct PlacementScratch
 {
     struct Producer
     {
-        uint32_t stamp = 0; ///< valid iff stamp == epoch
         int tile = 0;
         double done = 0.0;
     };
 
-    std::vector<Producer> producers;
-    uint32_t epoch = 0;
+    StampedTable<Producer> producers;
     std::vector<size_t> used;
     std::vector<double> tileFree;
 };

@@ -1,71 +1,55 @@
 #include "hyperblock/constraints.h"
 
-#include <algorithm>
-
-#include "analysis/liveness.h"
 #include "support/fatal.h"
 
 namespace chf {
 
 BlockResources
-analyzeBlock(const Function &fn, const BasicBlock &bb,
-             const BitVector &live_out, BlockAnalysisScratch &t)
+analyzeBlock(const BasicBlock &bb, const BitVector &live_out,
+             BlockAnalysisScratch &t)
 {
     BlockResources res;
     res.insts = bb.size();
     res.memOps = bb.memoryOpCount();
 
-    // The caller's live_out may be sized to a (padded) liveness
-    // universe larger than the function's register count; follow it so
-    // the set algebra below stays size-consistent.
-    uint32_t nv = std::max(fn.numVregs(),
-                           static_cast<uint32_t>(live_out.size()));
-
-    // Distinct upward-exposed reads (register file reads).
-    blockUsesInto(bb, nv, t.uses, t.killed);
-    res.regReads = t.uses.count();
-
-    // Distinct written live-out registers (register file writes).
-    blockDefsInto(bb, nv, t.defs);
-    t.defs.intersectWith(live_out);
-    res.regWrites = t.defs.count();
-
-    // Fanout prediction: a producer can name two consumers; each extra
-    // consumer costs one mov in the fanout tree (Fig. 6's fanout
-    // insertion). Count in-block consumers per def until redefinition,
-    // in the epoch-stamped per-register table. The same walk counts
-    // exit branches for the branch/output model.
-    if (++t.epoch == 0) {
-        // Stamp wraparound (2^32 trials): flush everything once.
-        for (BlockAnalysisScratch::Consumers &c : t.consumers)
-            c.stamp = 0;
-        t.epoch = 1;
-    }
+    // One walk over the block's registers. Fanout prediction: a
+    // producer can name two consumers; each extra consumer costs one
+    // mov in the fanout tree (Fig. 6's fanout insertion), so count
+    // in-block consumers per def until redefinition. The same walk
+    // marks upward-exposed reads (register file reads) and writes, and
+    // counts exit branches for the branch/output model.
+    t.regs.clear();
     t.touched.clear();
-    auto consumers = [&](Vreg v) -> uint32_t & {
-        if (v >= t.consumers.size())
-            t.consumers.resize(static_cast<size_t>(v) + 1);
-        BlockAnalysisScratch::Consumers &c = t.consumers[v];
-        if (c.stamp != t.epoch) {
-            c = {t.epoch, 0};
+    auto reg = [&](Vreg v) -> BlockAnalysisScratch::Reg & {
+        if (!t.regs.contains(v))
             t.touched.push_back(v);
-        }
-        return c.count;
+        return t.regs.touch(v);
     };
     for (const auto &inst : bb.insts) {
         if (inst.op == Opcode::Br)
             res.branches++;
-        inst.forEachUse([&](Vreg v) { ++consumers(v); });
+        inst.forEachUse([&](Vreg v) {
+            BlockAnalysisScratch::Reg &r = reg(v);
+            ++r.consumers;
+            r.exposed |= !r.killed;
+        });
         if (inst.hasDest()) {
-            uint32_t &count = consumers(inst.dest);
-            if (count > 2)
-                res.fanoutMoves += count - 2;
-            count = 0;
+            BlockAnalysisScratch::Reg &r = reg(inst.dest);
+            if (r.consumers > 2)
+                res.fanoutMoves += r.consumers - 2;
+            r.consumers = 0;
+            r.written = true;
+            r.killed |= !inst.pred.valid();
         }
     }
     for (Vreg v : t.touched) {
-        if (t.consumers[v].count > 2)
-            res.fanoutMoves += t.consumers[v].count - 2;
+        const BlockAnalysisScratch::Reg &r = *t.regs.find(v);
+        if (r.consumers > 2)
+            res.fanoutMoves += r.consumers - 2;
+        res.regReads += r.exposed;
+        // Distinct written live-out registers (register file writes).
+        res.regWrites +=
+            r.written && v < live_out.size() && live_out.test(v);
     }
 
     // Null-write prediction: the pass's own count-only walk, so the
@@ -112,11 +96,11 @@ checkBlockLegal(const BlockResources &res, const TargetModel &target,
 }
 
 std::string
-checkBlockLegal(const Function &fn, const BasicBlock &bb,
-                const BitVector &live_out, const TargetModel &target,
-                size_t headroom, BlockAnalysisScratch &scratch)
+checkBlockLegal(const BasicBlock &bb, const BitVector &live_out,
+                const TargetModel &target, size_t headroom,
+                BlockAnalysisScratch &scratch)
 {
-    return checkBlockLegal(analyzeBlock(fn, bb, live_out, scratch), target,
+    return checkBlockLegal(analyzeBlock(bb, live_out, scratch), target,
                            headroom);
 }
 

@@ -22,6 +22,7 @@
 
 #include "ir/function.h"
 #include "support/bitvector.h"
+#include "support/stamped_table.h"
 #include "target/target_model.h"
 #include "transform/normalize_outputs.h"
 
@@ -48,26 +49,23 @@ struct BlockResources
 
 /**
  * Reusable storage for analyzeBlock / checkBlockLegal. The merge
- * engine keeps one across all trials of a function. The register
- * tables are epoch-stamped, so a trial resets them in O(1) instead of
- * O(vregs) and allocates nothing once warm.
+ * engine keeps one across all trials of a function. A trial resets the
+ * register table in O(1) instead of O(vregs) and allocates nothing
+ * once warm.
  */
 struct BlockAnalysisScratch
 {
-    BitVector uses;
-    BitVector killed;
-    BitVector defs;
-
-    /** In-block consumers of a register's current value. */
-    struct Consumers
+    /** One register's part in the block being analyzed. */
+    struct Reg
     {
-        uint32_t stamp = 0; ///< valid iff stamp == epoch
-        uint32_t count = 0;
+        uint32_t consumers = 0; ///< in-block readers of its current value
+        bool exposed = false;   ///< read before any unpredicated write
+        bool killed = false;    ///< written unpredicated so far
+        bool written = false;   ///< written at all
     };
 
-    std::vector<Consumers> consumers;
-    std::vector<Vreg> touched; ///< registers counted this trial
-    uint32_t epoch = 0;
+    StampedTable<Reg> regs;
+    std::vector<Vreg> touched; ///< the registers in regs, first-touch order
 
     NullWriteScratch nullWrites;
 };
@@ -77,8 +75,7 @@ struct BlockAnalysisScratch
  * reads/writes, and predict the fanout moves and null writes later
  * phases will add.
  */
-BlockResources analyzeBlock(const Function &fn, const BasicBlock &bb,
-                            const BitVector &live_out,
+BlockResources analyzeBlock(const BasicBlock &bb, const BitVector &live_out,
                             BlockAnalysisScratch &scratch);
 
 /**
@@ -103,8 +100,7 @@ std::string checkBlockLegal(const BlockResources &res,
                             size_t headroom = 0);
 
 /** Convenience: analyze + check. */
-std::string checkBlockLegal(const Function &fn, const BasicBlock &bb,
-                            const BitVector &live_out,
+std::string checkBlockLegal(const BasicBlock &bb, const BitVector &live_out,
                             const TargetModel &target, size_t headroom,
                             BlockAnalysisScratch &scratch);
 

@@ -448,22 +448,22 @@ MergeEngine::tryMerge(BlockId hb, BlockId s)
                     });
     if (self_loop) {
         blockUsesInto(scratch, static_cast<uint32_t>(live_out.size()),
-                      arena.legal.uses, arena.legal.killed);
-        live_out.unionWith(arena.legal.uses);
+                      arena.exposed, arena.killed);
+        live_out.unionWith(arena.exposed);
     }
 
     if (opts.optimizeDuringMerge) {
         ScopedStatTimer timer(counters, "usMergeOptimize");
         OptPassStats pass_stats;
-        optimizeBlock(fn, scratch, live_out, arena.opt, &pass_stats);
+        optimizeBlock(scratch, live_out, arena.opt, &pass_stats);
         addOptStats(pass_stats);
     }
 
     // --- LegalBlock: structural constraints on the result ---
     Timer legal_timer;
     const std::string illegal =
-        checkBlockLegal(fn, scratch, live_out, opts.target,
-                        opts.sizeHeadroom, arena.legal);
+        checkBlockLegal(scratch, live_out, opts.target, opts.sizeHeadroom,
+                        arena.legal);
     counters.add("usMergeLegal", legal_timer.elapsedMicros());
 
     if (illegal.empty()) {

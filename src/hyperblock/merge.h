@@ -204,6 +204,7 @@ class MergeEngine
         BasicBlock sourceCopy{kNoBlock, ""};
         std::vector<BlockId> reads; ///< blocks whose live-in it reads
         BitVector liveOut;
+        BitVector exposed, killed; ///< a self-loop's next-iteration reads
         CombineScratch combine;
         BlockOptScratch opt;
         BlockAnalysisScratch legal;

@@ -4,6 +4,7 @@
 
 #include "ir/printer.h"
 #include "support/fatal.h"
+#include "support/stamped_table.h"
 
 namespace chf {
 
@@ -83,33 +84,38 @@ verify(const Function &fn)
     // Where each in-range vreg is defined, for the predicate
     // reaching-definition check: a predicate use must see its register
     // defined earlier in the same block, by a function argument, or by
-    // some other block (a cross-block live-in). The per-block marks are
-    // block stamps: a mark holds for the current block when it equals
-    // the block's stamp, so moving to the next block is one increment
-    // and a call costs O(vregs + instructions), not O(blocks x vregs).
+    // some other block (a cross-block live-in). The per-block table
+    // resets in O(1), so a call costs O(vregs + instructions), not
+    // O(blocks x vregs).
     const uint32_t nv = fn.numVregs();
     std::vector<uint8_t> defined_by_arg(nv, 0);
     for (Vreg arg : fn.argRegs) {
         if (arg < nv)
             defined_by_arg[arg] = 1;
     }
-    // Count of blocks defining each vreg (2 saturates: "many").
-    std::vector<uint8_t> defining_blocks(nv, 0);
-    std::vector<uint32_t> defined_in_block(nv, 0);
-    uint32_t stamp = 0;
-    for (BlockId id : fn.blockIds()) {
-        ++stamp;
-        for (const Instruction &inst : fn.block(id)->insts) {
+    // The index of each vreg's first definition in one block.
+    StampedTable<uint32_t> first_def;
+    first_def.resize(nv);
+    auto index_defs = [&](const BasicBlock &bb, auto on_first) {
+        first_def.clear();
+        for (uint32_t i = 0; i < bb.insts.size(); ++i) {
+            const Instruction &inst = bb.insts[i];
             if (inst.hasDest() && inst.dest < nv &&
-                defined_in_block[inst.dest] != stamp) {
-                defined_in_block[inst.dest] = stamp;
-                if (defining_blocks[inst.dest] < 2)
-                    ++defining_blocks[inst.dest];
+                !first_def.contains(inst.dest)) {
+                first_def.touch(inst.dest) = i;
+                on_first(inst.dest);
             }
         }
+    };
+    // Count of blocks defining each vreg (2 saturates: "many").
+    std::vector<uint8_t> defining_blocks(nv, 0);
+    for (BlockId id : fn.blockIds()) {
+        index_defs(*fn.block(id), [&](Vreg v) {
+            if (defining_blocks[v] < 2)
+                ++defining_blocks[v];
+        });
     }
 
-    std::vector<uint32_t> defined_here(nv, 0);
     for (BlockId id : fn.blockIds()) {
         const BasicBlock &bb = *fn.block(id);
         if (bb.insts.empty()) {
@@ -117,11 +123,7 @@ verify(const Function &fn)
             continue;
         }
 
-        ++stamp;
-        for (const Instruction &inst : bb.insts) {
-            if (inst.hasDest() && inst.dest < nv)
-                defined_in_block[inst.dest] = stamp;
-        }
+        index_defs(bb, [](Vreg) {});
 
         size_t branches = 0;
         size_t unpredicated_branches = 0;
@@ -135,11 +137,10 @@ verify(const Function &fn)
                 // is later in this same block, or that has no def at
                 // all, reads an undefined value.
                 Vreg p = inst.pred.reg;
-                bool reaches =
-                    defined_here[p] == stamp || defined_by_arg[p] ||
-                    defining_blocks[p] >= 2 ||
-                    (defining_blocks[p] == 1 &&
-                     defined_in_block[p] != stamp);
+                const uint32_t *first = first_def.find(p);
+                bool reaches = (first && *first < i) || defined_by_arg[p] ||
+                               defining_blocks[p] >= 2 ||
+                               (defining_blocks[p] == 1 && !first);
                 if (!reaches) {
                     problems.push_back(
                         concat("bb", id, "[", i, "] ", toString(inst),
@@ -152,8 +153,6 @@ verify(const Function &fn)
                 if (!inst.pred.valid())
                     ++unpredicated_branches;
             }
-            if (inst.hasDest() && inst.dest < nv)
-                defined_here[inst.dest] = stamp;
         }
         if (branches == 0)
             problems.push_back(concat("bb", id, " has no branch or ret"));

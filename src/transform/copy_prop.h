@@ -9,22 +9,19 @@
 
 #include "ir/function.h"
 #include "support/bitvector.h"
+#include "support/stamped_table.h"
 
 namespace chf {
 
 /**
- * Reusable copy table for copyPropagateBlock: a dense epoch-stamped
- * map from copy destination to source operand. An entry is valid when
- * its stamp equals the current epoch, so "clearing" the table between
- * blocks is one integer increment instead of touching every slot; the
- * vectors keep their capacity across trials.
+ * Reusable copy table for copyPropagateBlock: copy destination ->
+ * source operand, reset in O(1) per block; the storage keeps its
+ * capacity across trials.
  */
 struct CopyPropScratch
 {
-    std::vector<Operand> value;   ///< source operand per destination
-    std::vector<uint32_t> stamp;  ///< valid iff stamp[v] == epoch
-    std::vector<Vreg> active;     ///< destinations touched this epoch
-    uint32_t epoch = 0;
+    StampedTable<Operand> copies;
+    std::vector<Vreg> active; ///< destinations inserted this block
 };
 
 /**
@@ -34,17 +31,19 @@ struct CopyPropScratch
 size_t copyPropagateBlock(BasicBlock &bb, CopyPropScratch &scratch);
 
 /**
- * Reusable per-register count vectors for coalesceMoves,
- * epoch-stamped so a call touches only the registers the block
- * actually mentions instead of assigning all numVregs slots.
+ * Reusable per-register counts for coalesceMoves, reset in O(1) per
+ * call, so a call touches only the registers the block mentions.
  */
 struct CoalesceScratch
 {
-    std::vector<uint32_t> defs;
-    std::vector<uint32_t> uses;
-    std::vector<uint8_t> predUse;
-    std::vector<uint32_t> stamp; ///< valid iff stamp[v] == epoch
-    uint32_t epoch = 0;
+    struct Counts
+    {
+        uint32_t defs = 0;
+        uint32_t uses = 0;
+        bool predUse = false;
+    };
+
+    StampedTable<Counts> counts;
 };
 
 /**

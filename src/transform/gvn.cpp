@@ -47,7 +47,7 @@ mix64(uint64_t x)
 }
 
 /**
- * Value table over the dense epoch-stamped storage in GvnScratch. The
+ * Value table over the stamped tables in GvnScratch. The
  * lookup/insert semantics match the std::map implementation this
  * replaces key-for-key (recordExpr overwrites, iteration order is
  * never observed), so the pass output is bit-identical; only the
@@ -58,9 +58,9 @@ class ValueTable
   public:
     explicit ValueTable(GvnScratch &regs) : regs(regs)
     {
-        if (regs.constSlots.empty())
+        if (regs.constSlots.size() == 0)
             regs.constSlots.resize(64);
-        if (regs.exprSlots.empty())
+        if (regs.exprSlots.size() == 0)
             regs.exprSlots.resize(128);
     }
 
@@ -77,8 +77,8 @@ class ValueTable
     ValueNum
     ofReg(Vreg v)
     {
-        if (v < regs.regStamp.size() && regs.regStamp[v] == regs.epoch)
-            return regs.regVN[v];
+        if (const ValueNum *vn = regs.regVN.find(v))
+            return *vn;
         ValueNum vn = fresh();
         setReg(v, vn);
         return vn;
@@ -89,12 +89,9 @@ class ValueTable
     {
         size_t mask = regs.constSlots.size() - 1;
         size_t idx = mix64(static_cast<uint64_t>(value)) & mask;
-        while (true) {
-            const auto &slot = regs.constSlots[idx];
-            if (slot.stamp != regs.epoch)
-                break;
-            if (slot.key == value)
-                return slot.vn;
+        while (const auto *slot = regs.constSlots.find(idx)) {
+            if (slot->key == value)
+                return slot->vn;
             idx = (idx + 1) & mask;
         }
         ValueNum vn = fresh();
@@ -172,12 +169,7 @@ class ValueTable
     void
     setReg(Vreg v, ValueNum vn)
     {
-        if (v >= regs.regStamp.size()) {
-            regs.regStamp.resize(v + 1, 0u);
-            regs.regVN.resize(v + 1, 0u);
-        }
-        regs.regVN[v] = vn;
-        regs.regStamp[v] = regs.epoch;
+        regs.regVN.touch(v) = vn;
     }
 
     /** Known expression holder: (vreg, the VN it held). */
@@ -192,14 +184,12 @@ class ValueTable
     {
         size_t mask = regs.exprSlots.size() - 1;
         size_t idx = hashExpr(key) & mask;
-        while (true) {
-            const auto &slot = regs.exprSlots[idx];
-            if (slot.stamp != regs.epoch)
-                return std::nullopt;
-            if (slotMatches(slot, key))
-                return Holder{slot.holderReg, slot.holderVN};
+        while (const auto *slot = regs.exprSlots.find(idx)) {
+            if (slotMatches(*slot, key))
+                return Holder{slot->holderReg, slot->holderVN};
             idx = (idx + 1) & mask;
         }
+        return std::nullopt;
     }
 
     void
@@ -209,29 +199,25 @@ class ValueTable
             growExprs();
         size_t mask = regs.exprSlots.size() - 1;
         size_t idx = hashExpr(key) & mask;
-        while (true) {
-            auto &slot = regs.exprSlots[idx];
-            if (slot.stamp != regs.epoch) {
-                slot.stamp = regs.epoch;
-                slot.op = key.op;
-                slot.predPolarity = key.predPolarity ? 1 : 0;
-                slot.a = key.a;
-                slot.b = key.b;
-                slot.c = key.c;
-                slot.pred = key.pred;
-                slot.memEpoch = key.memEpoch;
-                slot.holderReg = holder;
-                slot.holderVN = vn;
-                ++exprCount;
-                return;
-            }
-            if (slotMatches(slot, key)) {
-                slot.holderReg = holder;
-                slot.holderVN = vn;
+        while (auto *slot = regs.exprSlots.find(idx)) {
+            if (slotMatches(*slot, key)) {
+                slot->holderReg = holder;
+                slot->holderVN = vn;
                 return;
             }
             idx = (idx + 1) & mask;
         }
+        GvnScratch::ExprSlot &slot = regs.exprSlots.touch(idx);
+        slot.op = key.op;
+        slot.predPolarity = key.predPolarity ? 1 : 0;
+        slot.a = key.a;
+        slot.b = key.b;
+        slot.c = key.c;
+        slot.pred = key.pred;
+        slot.memEpoch = key.memEpoch;
+        slot.holderReg = holder;
+        slot.holderVN = vn;
+        ++exprCount;
     }
 
   private:
@@ -261,51 +247,53 @@ class ValueTable
     {
         size_t mask = regs.constSlots.size() - 1;
         size_t idx = mix64(static_cast<uint64_t>(value)) & mask;
-        while (regs.constSlots[idx].stamp == regs.epoch)
+        while (regs.constSlots.contains(idx))
             idx = (idx + 1) & mask;
-        regs.constSlots[idx] = {regs.epoch, value, vn};
+        regs.constSlots.touch(idx) = {value, vn};
         ++constCount;
     }
 
     void
     growConsts()
     {
-        std::vector<GvnScratch::ConstSlot> old;
-        old.swap(regs.constSlots);
+        StampedTable<GvnScratch::ConstSlot> old;
+        std::swap(old, regs.constSlots);
         regs.constSlots.resize(old.size() * 2);
         size_t mask = regs.constSlots.size() - 1;
-        for (const auto &slot : old) {
-            if (slot.stamp != regs.epoch)
+        for (size_t i = 0; i < old.size(); ++i) {
+            const auto *slot = old.find(i);
+            if (!slot)
                 continue;
-            size_t idx = mix64(static_cast<uint64_t>(slot.key)) & mask;
-            while (regs.constSlots[idx].stamp == regs.epoch)
+            size_t idx = mix64(static_cast<uint64_t>(slot->key)) & mask;
+            while (regs.constSlots.contains(idx))
                 idx = (idx + 1) & mask;
-            regs.constSlots[idx] = slot;
+            regs.constSlots.touch(idx) = *slot;
         }
     }
 
     void
     growExprs()
     {
-        std::vector<GvnScratch::ExprSlot> old;
-        old.swap(regs.exprSlots);
+        StampedTable<GvnScratch::ExprSlot> old;
+        std::swap(old, regs.exprSlots);
         regs.exprSlots.resize(old.size() * 2);
         size_t mask = regs.exprSlots.size() - 1;
-        for (const auto &slot : old) {
-            if (slot.stamp != regs.epoch)
+        for (size_t i = 0; i < old.size(); ++i) {
+            const auto *slot = old.find(i);
+            if (!slot)
                 continue;
             ExprKey key;
-            key.op = slot.op;
-            key.a = slot.a;
-            key.b = slot.b;
-            key.c = slot.c;
-            key.pred = slot.pred;
-            key.predPolarity = slot.predPolarity != 0;
-            key.memEpoch = slot.memEpoch;
+            key.op = slot->op;
+            key.a = slot->a;
+            key.b = slot->b;
+            key.c = slot->c;
+            key.pred = slot->pred;
+            key.predPolarity = slot->predPolarity != 0;
+            key.memEpoch = slot->memEpoch;
             size_t idx = hashExpr(key) & mask;
-            while (regs.exprSlots[idx].stamp == regs.epoch)
+            while (regs.exprSlots.contains(idx))
                 idx = (idx + 1) & mask;
-            regs.exprSlots[idx] = slot;
+            regs.exprSlots.touch(idx) = *slot;
         }
     }
 
@@ -447,18 +435,11 @@ simplifyAlgebraic(const Instruction &inst, ValueTable &table)
 } // namespace
 
 size_t
-valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch &regs)
+valueNumberBlock(BasicBlock &bb, GvnScratch &regs)
 {
-    (void)fn;
-    if (++regs.epoch == 0) {
-        // Stamp wraparound (2^32 calls): flush everything once.
-        std::fill(regs.regStamp.begin(), regs.regStamp.end(), 0u);
-        for (auto &slot : regs.constSlots)
-            slot.stamp = 0;
-        for (auto &slot : regs.exprSlots)
-            slot.stamp = 0;
-        regs.epoch = 1;
-    }
+    regs.regVN.clear();
+    regs.constSlots.clear();
+    regs.exprSlots.clear();
     ValueTable table(regs);
     uint64_t mem_epoch = 0;
     size_t simplified = 0;

@@ -23,28 +23,26 @@
 #include <vector>
 
 #include "ir/function.h"
+#include "support/stamped_table.h"
 
 namespace chf {
 
 /**
- * Reusable working storage for valueNumberBlock, densified and
- * epoch-stamped so a new block starts with an O(1) reset and the
- * vectors keep their capacity across merge trials. Besides the
- * register->VN table this holds every formerly per-call map of the
- * pass (constant<->VN, expression->holder, boolean facts), so a warm
- * call allocates nothing.
+ * Reusable working storage for valueNumberBlock: its register and slot
+ * tables reset in O(1) per block and keep their capacity across merge
+ * trials. Besides the register->VN table this holds every formerly
+ * per-call map of the pass (constant<->VN, expression->holder, boolean
+ * facts), so a warm call allocates nothing.
  */
 struct GvnScratch
 {
-    std::vector<uint32_t> regVN;
-    std::vector<uint32_t> regStamp; ///< valid iff regStamp[v] == epoch
-    uint32_t epoch = 0;
+    StampedTable<uint32_t> regVN;
 
     /**
-     * Per-value-number side data, indexed by VN. No stamp: value
+     * Per-value-number side data, indexed by VN. Not stamped: value
      * numbers are assigned per call starting from 1, and every VN used
      * in a call is minted by that call's fresh(), which resets its
-     * entry -- stale rows from earlier epochs are never read.
+     * entry -- stale rows from earlier calls are never read.
      */
     struct VnInfo
     {
@@ -59,23 +57,21 @@ struct GvnScratch
     std::vector<VnInfo> vn;
 
     /**
-     * Open-addressed, epoch-stamped hash tables replacing the per-call
-     * std::maps (constant -> VN; expression -> holding register).
-     * Slots from earlier epochs read as empty; the load factor stays
-     * under 1/2 so probes terminate. Nothing is ever deleted within an
-     * epoch, so linear probing stays consistent.
+     * Open-addressed hash tables replacing the per-call std::maps
+     * (constant -> VN; expression -> holding register). A slot is
+     * occupied when it is present in this block's generation; the load
+     * factor stays under 1/2 so probes terminate. Nothing is ever
+     * deleted within a block, so linear probing stays consistent.
      */
     struct ConstSlot
     {
-        uint32_t stamp = 0;
         int64_t key = 0;
         uint32_t vn = 0;
     };
-    std::vector<ConstSlot> constSlots;
+    StampedTable<ConstSlot> constSlots;
 
     struct ExprSlot
     {
-        uint32_t stamp = 0;
         Opcode op = Opcode::Mov;
         uint8_t predPolarity = 0;
         uint32_t a = 0, b = 0, c = 0, pred = 0;
@@ -83,7 +79,7 @@ struct GvnScratch
         Vreg holderReg = kNoVreg;
         uint32_t holderVN = 0;
     };
-    std::vector<ExprSlot> exprSlots;
+    StampedTable<ExprSlot> exprSlots;
 };
 
 /**
@@ -92,7 +88,7 @@ struct GvnScratch
  * @return number of instructions simplified (folded, strength-reduced,
  *         or rewritten to moves).
  */
-size_t valueNumberBlock(Function &fn, BasicBlock &bb, GvnScratch &scratch);
+size_t valueNumberBlock(BasicBlock &bb, GvnScratch &scratch);
 
 /**
  * Dominator-based global value numbering (the pass the paper's

@@ -20,12 +20,7 @@ size_t
 forEachNullWrite(const BasicBlock &bb, const BitVector &live_out,
                  NullWriteScratch &t, Fn emit)
 {
-    if (++t.epoch == 0) {
-        // Stamp wraparound (2^32 blocks): flush everything once.
-        for (NullWriteScratch::Slot &slot : t.slots)
-            slot.stamp = 0;
-        t.epoch = 1;
-    }
+    t.slots.clear();
     t.writers.clear();
 
     // Collect, per live-out register, the predicates of its writers.
@@ -36,15 +31,14 @@ forEachNullWrite(const BasicBlock &bb, const BitVector &live_out,
             !live_out.test(inst.dest)) {
             continue;
         }
-        if (inst.dest >= t.slots.size())
-            t.slots.resize(static_cast<size_t>(inst.dest) + 1);
-        NullWriteScratch::Slot &slot = t.slots[inst.dest];
-        if (slot.stamp != t.epoch) {
-            slot = {t.epoch, static_cast<uint32_t>(t.writers.size())};
+        const bool first = !t.slots.contains(inst.dest);
+        uint32_t &index = t.slots.touch(inst.dest);
+        if (first) {
+            index = static_cast<uint32_t>(t.writers.size());
             t.writers.emplace_back();
             t.writers.back().reg = inst.dest;
         }
-        NullWriteScratch::Writers &w = t.writers[slot.index];
+        NullWriteScratch::Writers &w = t.writers[index];
         if (!inst.pred.valid()) {
             w.unpredicated = true;
             continue;

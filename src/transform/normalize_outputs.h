@@ -18,15 +18,16 @@
 
 #include "ir/function.h"
 #include "support/bitvector.h"
+#include "support/stamped_table.h"
 
 namespace chf {
 
 /**
  * Reusable per-register writer table for normalizeOutputs and
- * predictNullWrites. Entries are epoch-stamped, so a block resets the
- * table in O(1) and a caller walking many blocks (the merge engine's
- * legality check across trials, normalizeOutputsFunction across a
- * function) allocates nothing once warm.
+ * predictNullWrites. A block resets it in O(1), so a caller walking
+ * many blocks (the merge engine's legality check across trials,
+ * normalizeOutputsFunction across a function) allocates nothing once
+ * warm.
  */
 struct NullWriteScratch
 {
@@ -39,17 +40,10 @@ struct NullWriteScratch
         Predicate first, second, last; ///< of the predicated writers
     };
 
-    /** Per register: its index in writers, valid iff stamp == epoch. */
-    struct Slot
-    {
-        uint32_t stamp = 0;
-        uint32_t index = 0;
-    };
-
-    std::vector<Slot> slots;
+    /** Per register: its index in writers. */
+    StampedTable<uint32_t> slots;
     /** This block's written live-out registers, in first-write order. */
     std::vector<Writers> writers;
-    uint32_t epoch = 0;
 };
 
 /**

@@ -10,7 +10,7 @@
 namespace chf {
 
 size_t
-optimizeBlock(Function &fn, BasicBlock &bb, const BitVector &live_out,
+optimizeBlock(BasicBlock &bb, const BitVector &live_out,
               BlockOptScratch &t, OptPassStats *stats)
 {
     size_t total = 0;
@@ -29,7 +29,7 @@ optimizeBlock(Function &fn, BasicBlock &bb, const BitVector &live_out,
         };
         changes += copyPropagateBlock(bb, t.copyProp);
         lap(&OptPassStats::usCopyProp);
-        changes += valueNumberBlock(fn, bb, t.gvn);
+        changes += valueNumberBlock(bb, t.gvn);
         lap(&OptPassStats::usGvn);
         changes += optimizePredicates(bb, live_out, t.predOpt);
         lap(&OptPassStats::usPredOpt);
@@ -87,7 +87,7 @@ optimizeFunction(Function &fn)
             return copyPropagateBlock(bb, t.copyProp);
         });
         changes += sweep([&](BasicBlock &bb) {
-            return valueNumberBlock(fn, bb, t.gvn);
+            return valueNumberBlock(bb, t.gvn);
         });
         changes += valueNumberFunctionDominator(fn, dirty);
         patch();

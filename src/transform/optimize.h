@@ -50,8 +50,8 @@ struct OptPassStats
  * scratch merged block inside MergeBlocks. When @p stats is non-null,
  * per-pass wall time is accumulated into it. @return total changes.
  */
-size_t optimizeBlock(Function &fn, BasicBlock &bb,
-                     const BitVector &live_out, BlockOptScratch &scratch,
+size_t optimizeBlock(BasicBlock &bb, const BitVector &live_out,
+                     BlockOptScratch &scratch,
                      OptPassStats *stats = nullptr);
 
 /**

@@ -1,12 +1,10 @@
 #include "transform/pred_opt.h"
 
-#include <algorithm>
-
 namespace chf {
 
 namespace {
 
-// Requirement kinds stored in PredOptScratch::reqKind.
+// Requirement kinds stored in PredOptScratch::Requirement::kind.
 constexpr uint8_t kNoReaders = 0;
 constexpr uint8_t kSingle = 1;
 constexpr uint8_t kConflict = 2;
@@ -70,12 +68,12 @@ mergeComplementary(BasicBlock &bb)
  * Drop predicates of chain-interior instructions (implicit
  * predication). See the header comment for the safety argument.
  *
- * The per-register requirement map is epoch-stamped and lazily
- * seeded: a register first touched during the walk initializes to
- * Conflict when live out (an unconditional observer, exactly what
- * impose(always()) produced in the map version) and NoReaders
- * otherwise. An "erase" writes a stamped NoReaders so the lazy
- * seeding cannot resurrect the live-out constraint.
+ * The per-register requirement table is lazily seeded: a register
+ * first touched during the walk initializes to Conflict when live out
+ * (an unconditional observer, exactly what impose(always()) produced
+ * in the map version) and NoReaders otherwise. An "erase" writes
+ * NoReaders into the present entry so the lazy seeding cannot
+ * resurrect the live-out constraint.
  */
 size_t
 dropImplicit(BasicBlock &bb, const BitVector &live_out,
@@ -85,42 +83,32 @@ dropImplicit(BasicBlock &bb, const BitVector &live_out,
 
     // Registers read as predicates anywhere must always hold valid
     // truth values, so their producers keep their guards.
-    if (sc.usedStamp.size() < nv)
-        sc.usedStamp.resize(nv, 0u);
     for (const auto &inst : bb.insts) {
         if (inst.pred.valid() && inst.pred.reg < nv)
-            sc.usedStamp[inst.pred.reg] = sc.epoch;
+            sc.usedAsPred.touch(inst.pred.reg);
     }
-    auto used_as_pred = [&](Vreg v) {
-        return v < sc.usedStamp.size() && sc.usedStamp[v] == sc.epoch;
-    };
 
-    auto ensure = [&](Vreg v) {
-        if (v >= sc.reqStamp.size()) {
-            sc.reqStamp.resize(v + 1, 0u);
-            sc.reqKind.resize(v + 1, kNoReaders);
-            sc.reqPred.resize(v + 1);
-        }
-        if (sc.reqStamp[v] != sc.epoch) {
-            sc.reqStamp[v] = sc.epoch;
-            sc.reqKind[v] = (v < nv && live_out.test(v)) ? kConflict
-                                                         : kNoReaders;
-        }
+    auto requirement = [&](Vreg v) -> PredOptScratch::Requirement & {
+        const bool seeded = sc.requirements.contains(v);
+        PredOptScratch::Requirement &req = sc.requirements.touch(v);
+        if (!seeded)
+            req.kind = v < nv && live_out.test(v) ? kConflict : kNoReaders;
+        return req;
     };
     auto impose = [&](Vreg v, const Predicate &p) {
-        ensure(v);
+        PredOptScratch::Requirement &req = requirement(v);
         if (!p.valid()) {
-            sc.reqKind[v] = kConflict;
+            req.kind = kConflict;
             return;
         }
-        switch (sc.reqKind[v]) {
+        switch (req.kind) {
           case kNoReaders:
-            sc.reqKind[v] = kSingle;
-            sc.reqPred[v] = p;
+            req.kind = kSingle;
+            req.pred = p;
             break;
           case kSingle:
-            if (!(sc.reqPred[v] == p))
-                sc.reqKind[v] = kConflict;
+            if (!(req.pred == p))
+                req.kind = kConflict;
             break;
           default:
             break;
@@ -140,9 +128,9 @@ dropImplicit(BasicBlock &bb, const BitVector &live_out,
         // Handle the write first (we are walking backwards, so this
         // decides droppability from the constraints of later readers).
         if (inst.hasDest() && inst.dest < nv) {
-            ensure(inst.dest);
-            uint8_t req_kind = sc.reqKind[inst.dest];
-            Predicate req_pred = sc.reqPred[inst.dest];
+            PredOptScratch::Requirement &req = requirement(inst.dest);
+            const uint8_t req_kind = req.kind;
+            const Predicate req_pred = req.pred;
 
             // Loads may be unguarded too (speculative issue): they do
             // not change memory, out-of-image reads return zero, and
@@ -151,7 +139,7 @@ dropImplicit(BasicBlock &bb, const BitVector &live_out,
             bool droppable =
                 inst.pred.valid() &&
                 (opcodeIsPure(inst.op) || inst.op == Opcode::Load) &&
-                !used_as_pred(inst.dest) &&
+                !sc.usedAsPred.contains(inst.dest) &&
                 (req_kind == kNoReaders ||
                  (req_kind == kSingle && req_pred == inst.pred));
             if (droppable) {
@@ -167,11 +155,11 @@ dropImplicit(BasicBlock &bb, const BitVector &live_out,
             // => this write fired). Otherwise constraints persist
             // conservatively.
             if (!inst.pred.valid()) {
-                sc.reqKind[inst.dest] = kNoReaders;
+                req.kind = kNoReaders;
             } else if (req_kind == kNoReaders ||
                        (req_kind == kSingle &&
                         req_pred == inst.pred)) {
-                sc.reqKind[inst.dest] = kNoReaders;
+                req.kind = kNoReaders;
             }
             // else: keep the accumulated requirement.
         }
@@ -194,12 +182,8 @@ size_t
 optimizePredicates(BasicBlock &bb, const BitVector &live_out,
                    PredOptScratch &sc)
 {
-    if (++sc.epoch == 0) {
-        // Stamp wraparound (2^32 calls): flush everything once.
-        std::fill(sc.reqStamp.begin(), sc.reqStamp.end(), 0u);
-        std::fill(sc.usedStamp.begin(), sc.usedStamp.end(), 0u);
-        sc.epoch = 1;
-    }
+    sc.requirements.clear();
+    sc.usedAsPred.clear();
     size_t changes = 0;
     changes += mergeComplementary(bb);
     changes += dropImplicit(bb, live_out, sc);

@@ -22,24 +22,27 @@
 
 #include "ir/function.h"
 #include "support/bitvector.h"
+#include "support/stamped_table.h"
 
 namespace chf {
 
 /**
- * Reusable working storage for optimizePredicates, epoch-stamped so a
- * call touches only the registers the block mentions (plus lazily the
- * live-out ones) instead of allocating per-register maps.
+ * Reusable working storage for optimizePredicates, reset in O(1) per
+ * call, so a call touches only the registers the block mentions (plus
+ * lazily the live-out ones) instead of allocating per-register maps.
  */
 struct PredOptScratch
 {
-    // dropImplicit: per-register reader requirement (lazily seeded
-    // from live_out on first touch) and predicate-use flags.
-    std::vector<uint8_t> reqKind;   ///< Requirement::Kind as uint8_t
-    std::vector<Predicate> reqPred; ///< valid when reqKind == Single
-    std::vector<uint32_t> reqStamp;
-    std::vector<uint8_t> usedAsPred;
-    std::vector<uint32_t> usedStamp;
-    uint32_t epoch = 0;
+    /** What the later readers of a register require of its writer. */
+    struct Requirement
+    {
+        Predicate pred;   ///< valid when kind == Single
+        uint8_t kind = 0; ///< NoReaders, Single or Conflict
+    };
+
+    StampedTable<Requirement> requirements;
+    /** Present for each register the block reads as a predicate. */
+    StampedTable<bool> usedAsPred;
 };
 
 /**

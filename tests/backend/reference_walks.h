@@ -1,8 +1,9 @@
 /**
  * @file
- * The std::map-keyed per-block walks that the epoch-stamped register
- * tables replaced, kept as the references they must match: legality's
- * fanout count (analyzeBlock), the null-write walk shared by
+ * The std::map-keyed per-block walks that the stamped register tables
+ * replaced, kept as the references they must match: legality's fanout
+ * and register read/write counts (analyzeBlock), the null-write walk
+ * shared by
  * normalizeOutputs and predictNullWrites, and tile placement
  * (scheduleBlock), which looked each operand's producer up once per
  * candidate tile. The assembly writer's reference is reference_asm.h.
@@ -109,8 +110,8 @@ normalizeOutputsFunction(Function &fn)
 }
 
 /**
- * analyzeBlock with the map-based fanout and null-write counts; the
- * bitvector counts (reads, writes) are shared with the real one.
+ * analyzeBlock with the map-based fanout and null-write counts and
+ * bitvector counts of the register reads and writes.
  */
 inline BlockResources
 analyzeBlock(const Function &fn, const BasicBlock &bb,
@@ -121,16 +122,17 @@ analyzeBlock(const Function &fn, const BasicBlock &bb,
     res.memOps = bb.memoryOpCount();
     uint32_t nv = std::max(fn.numVregs(),
                            static_cast<uint32_t>(live_out.size()));
-    BitVector uses, killed, defs;
+    BitVector uses, killed, defs(nv);
     blockUsesInto(bb, nv, uses, killed);
     res.regReads = uses.count();
-    blockDefsInto(bb, nv, defs);
-    defs.intersectWith(live_out);
-    res.regWrites = defs.count();
     for (const auto &inst : bb.insts) {
+        if (inst.hasDest())
+            defs.set(inst.dest);
         if (inst.op == Opcode::Br)
             res.branches++;
     }
+    defs.intersectWith(live_out);
+    res.regWrites = defs.count();
     res.fanoutMoves = fanoutMoves(bb);
     res.nullWrites = predictNullWrites(bb, live_out);
     return res;

@@ -80,7 +80,7 @@ checkTrialBlocks(const Function &fn, BlockAnalysisScratch &scratch,
         const BasicBlock &bb = *fn.block(id);
         live.liveOutOf(bb, live_out);
         SCOPED_TRACE(testing::Message() << "block bb" << id);
-        expectSameResources(analyzeBlock(fn, bb, live_out, scratch),
+        expectSameResources(analyzeBlock(bb, live_out, scratch),
                             reference::analyzeBlock(fn, bb, live_out));
         ++cov.trialBlocks;
     }
@@ -105,11 +105,11 @@ checkTrialBlocks(const Function &fn, BlockAnalysisScratch &scratch,
                 live.liveIn(succ).forEach([&](uint32_t v) {
                     trial_out.set(v);
                 });
-            optimizeBlock(work, block, trial_out, opt);
+            optimizeBlock(block, trial_out, opt);
             SCOPED_TRACE(testing::Message() << "trial bb" << hb
                                             << " <- bb" << s);
             expectSameResources(
-                analyzeBlock(work, block, trial_out, scratch),
+                analyzeBlock(block, trial_out, scratch),
                 reference::analyzeBlock(work, block, trial_out));
             ++cov.trialBlocks;
         }
@@ -313,7 +313,7 @@ TEST(WalkReference, HandBuiltBlockPinsByteOrder)
     BlockAnalysisScratch scratch;
     BitVector live_out;
     Liveness(fn).liveOutOf(*fn.block(a), live_out);
-    BlockResources res = analyzeBlock(fn, *fn.block(a), live_out, scratch);
+    BlockResources res = analyzeBlock(*fn.block(a), live_out, scratch);
     expectSameResources(res, reference::analyzeBlock(fn, *fn.block(a),
                                                      live_out));
     // p has three consumers and N[2]'s y has three: one move each.

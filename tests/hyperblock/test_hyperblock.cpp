@@ -50,7 +50,7 @@ TEST(Constraints, CountsMemOpsAndRegisters)
     BitVector live_out(fn.numVregs());
     live_out.set(out);
     BlockAnalysisScratch scratch;
-    BlockResources res = analyzeBlock(fn, *fn.block(id), live_out, scratch);
+    BlockResources res = analyzeBlock(*fn.block(id), live_out, scratch);
     EXPECT_EQ(res.memOps, 2u);
     EXPECT_EQ(res.regReads, 2u);  // in1, in2 upward exposed
     EXPECT_EQ(res.regWrites, 1u); // out only
@@ -73,7 +73,7 @@ TEST(Constraints, PredictsFanout)
 
     BitVector live_out(fn.numVregs());
     BlockAnalysisScratch scratch;
-    BlockResources res = analyzeBlock(fn, *fn.block(id), live_out, scratch);
+    BlockResources res = analyzeBlock(*fn.block(id), live_out, scratch);
     EXPECT_EQ(res.fanoutMoves, 2u); // 4 uses - 2 targets
 }
 

@@ -475,8 +475,8 @@ runTrial(Function &fn, const Liveness &live, const BasicBlock &hb,
                                scratch.combine);
     if (r.combined) {
         BitVector live_out = targetLiveIns(fn, live, block);
-        optimizeBlock(fn, block, live_out, scratch.opt);
-        r.reason = checkBlockLegal(fn, block, live_out, target, headroom,
+        optimizeBlock(block, live_out, scratch.opt);
+        r.reason = checkBlockLegal(block, live_out, target, headroom,
                                    scratch.legal);
     }
     r.insts = block.insts;

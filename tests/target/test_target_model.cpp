@@ -169,8 +169,8 @@ TEST(TargetModel, TightBankGeometryRejectsWhatTripsAccepts)
     BitVector live_out(fx.fn.numVregs());
     BlockAnalysisScratch scratch;
 
-    EXPECT_TRUE(checkBlockLegal(fx.fn, *fx.fn.block(fx.id), live_out,
-                                TargetModel{}, 0, scratch)
+    EXPECT_TRUE(checkBlockLegal(*fx.fn.block(fx.id), live_out, TargetModel{},
+                                0, scratch)
                     .empty());
 
     // 6 upward-exposed reads: TRIPS allows 4 banks x 8 = 32, a 2-bank
@@ -178,14 +178,13 @@ TEST(TargetModel, TightBankGeometryRejectsWhatTripsAccepts)
     TargetModel narrow;
     narrow.numRegBanks = 2;
     narrow.maxReadsPerBank = 2;
-    BlockResources res =
-        analyzeBlock(fx.fn, *fx.fn.block(fx.id), live_out, scratch);
+    BlockResources res = analyzeBlock(*fx.fn.block(fx.id), live_out, scratch);
     EXPECT_EQ(res.regReads, 6u);
     std::string why = checkBlockLegal(res, narrow);
     EXPECT_NE(why.find("6 register reads exceed 4"), std::string::npos)
         << why;
-    EXPECT_EQ(why, checkBlockLegal(fx.fn, *fx.fn.block(fx.id), live_out,
-                                   narrow, 0, scratch));
+    EXPECT_EQ(why, checkBlockLegal(*fx.fn.block(fx.id), live_out, narrow, 0,
+                                   scratch));
 }
 
 // ----- session wiring -----

@@ -42,7 +42,7 @@ valueNumberFunction(Function &fn)
     size_t total = 0;
     for (BlockId id : fn.blockIds()) {
         GvnScratch scratch;
-        total += valueNumberBlock(fn, *fn.block(id), scratch);
+        total += valueNumberBlock(*fn.block(id), scratch);
     }
     return total;
 }

@@ -39,10 +39,10 @@ countOp(const BasicBlock &bb, Opcode op)
  * working storage, the behavior a reused scratch must reproduce.
  */
 size_t
-gvn(Function &fn, BasicBlock &bb)
+gvn(BasicBlock &bb)
 {
     GvnScratch scratch;
-    return valueNumberBlock(fn, bb, scratch);
+    return valueNumberBlock(bb, scratch);
 }
 
 size_t
@@ -74,11 +74,11 @@ predOpt(BasicBlock &bb, const BitVector &live_out)
 }
 
 size_t
-optimize(Function &fn, BasicBlock &bb, const BitVector &live_out,
+optimize(BasicBlock &bb, const BitVector &live_out,
          OptPassStats *stats = nullptr)
 {
     BlockOptScratch scratch;
-    return optimizeBlock(fn, bb, live_out, scratch, stats);
+    return optimizeBlock(bb, live_out, scratch, stats);
 }
 
 struct BlockFixture
@@ -107,7 +107,7 @@ TEST(Gvn, ConstantFolding)
     Vreg c = f.builder.mul(IRBuilder::r(a), IRBuilder::r(b));
     f.builder.ret(IRBuilder::r(c));
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     // The multiply became mov c, #42.
     const Instruction &inst = f.bb().insts[2];
     EXPECT_EQ(inst.op, Opcode::Mov);
@@ -129,7 +129,7 @@ TEST(Gvn, CommonSubexpressionElimination)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    EXPECT_GT(gvn(f.fn, f.bb()), 0u);
+    EXPECT_GT(gvn(f.bb()), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 1u);
 }
 
@@ -146,7 +146,7 @@ TEST(Gvn, CommutativeCanonicalizationHits)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 1u);
 }
 
@@ -164,7 +164,7 @@ TEST(Gvn, CseRespectsRedefinition)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 2u); // both stay
 }
 
@@ -177,7 +177,7 @@ TEST(Gvn, AlgebraicIdentities)
     Vreg c = f.builder.sub(IRBuilder::r(b), IRBuilder::r(b));
     f.builder.ret(IRBuilder::r(c));
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Mul), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Sub), 0u);
@@ -197,7 +197,7 @@ TEST(Gvn, BooleanRules)
                               IRBuilder::r(n));
     f.builder.ret(IRBuilder::r(g));
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Tne), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Band), 0u);
 }
@@ -219,7 +219,7 @@ TEST(Gvn, DiamondJoinGuardCollapses)
                               IRBuilder::r(b));
     f.builder.ret(IRBuilder::r(j));
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Or), 0u);
 }
 
@@ -235,7 +235,7 @@ TEST(Gvn, RedundantLoadElimination)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Load), 1u);
 }
 
@@ -253,7 +253,7 @@ TEST(Gvn, LoadNotEliminatedAcrossStore)
                     IRBuilder::r(b));
     f.builder.ret();
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Load), 2u);
 }
 
@@ -267,7 +267,7 @@ TEST(Gvn, ConstantPredicateResolved)
     f.builder.emit(guarded);
     f.builder.ret();
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_FALSE(f.bb().insts[1].pred.valid()); // guard dropped
 }
 
@@ -288,7 +288,7 @@ TEST(Gvn, PredicatedCseKeepsPredicate)
     f.builder.emit(second);
     f.builder.ret();
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Add), 1u);
     // The forwarding move stays guarded so the merge semantics hold.
     EXPECT_EQ(f.bb().insts[1].op, Opcode::Mov);
@@ -577,7 +577,7 @@ TEST(Gvn, StrengthReducesPowerOfTwoMultiply)
     Vreg z = f.builder.mul(IRBuilder::imm(16), IRBuilder::r(y));
     f.builder.ret(IRBuilder::r(z));
 
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Mul), 0u);
     EXPECT_EQ(countOp(f.bb(), Opcode::Shl), 2u);
     EXPECT_EQ(f.bb().insts[0].srcs[1].imm, 3);  // 8 = 1<<3
@@ -589,7 +589,7 @@ TEST(Gvn, NoStrengthReductionForNonPowers)
     Vreg x = f.fn.newVreg();
     Vreg y = f.builder.mul(IRBuilder::r(x), IRBuilder::imm(6));
     f.builder.ret(IRBuilder::r(y));
-    gvn(f.fn, f.bb());
+    gvn(f.bb());
     EXPECT_EQ(countOp(f.bb(), Opcode::Mul), 1u);
 }
 
@@ -713,7 +713,7 @@ TEST(OptimizeBlock, RemovesRedundanciesToAFixpoint)
 
     BitVector live_out(f.fn.numVregs());
     OptPassStats stats;
-    EXPECT_GT(optimize(f.fn, f.bb(), live_out, &stats), 0u);
+    EXPECT_GT(optimize(f.bb(), live_out, &stats), 0u);
 
     // The repeated add folds into the first; the dead multiply goes,
     // the stored one stays; no copy survives.
@@ -724,7 +724,7 @@ TEST(OptimizeBlock, RemovesRedundanciesToAFixpoint)
 
     // The result is a fixpoint: a second run changes nothing.
     std::string once = toString(f.fn);
-    EXPECT_EQ(optimize(f.fn, f.bb(), live_out), 0u);
+    EXPECT_EQ(optimize(f.bb(), live_out), 0u);
     EXPECT_EQ(toString(f.fn), once);
 }
 
